@@ -30,8 +30,6 @@ from .dynamics import (
     empirical_bounds,
     monte_carlo,
     run,
-    step,
-    step_matrix,
 )
 from .lemmas import CheckReport, SuiteReport, run_suite
 from .noise import (

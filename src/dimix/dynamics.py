@@ -13,13 +13,15 @@ optimization drifts, which is what the rate certificate exploits.
 ``run`` produces a per-iteration trace of four scalar diagnostics:
 pooled-data loss at the weighted mean state, the r-weighted sum of local
 losses at the agent states, the consensus error, and the squared r-weighted
-distance to the weighted optimum x*.  ``monte_carlo`` repeats a run over
-seeds base_seed, base_seed+1, ... and aggregates the columns.
+distance to the weighted optimum x*.  ``monte_carlo`` runs seeds
+base_seed, base_seed+1, ... and aggregates the columns.
 
-Randomness is consumed in a fixed canonical order (iteration by iteration;
-within an iteration, receiving agents in ascending index, each one's
-neighbors in ascending index), so a trace is a pure function of (config,
-seed) no matter how the draws are batched internally.
+``run`` advances all of its seeds together as one (R, n, d) state.  Each
+seed draws from its own Philox stream in a fixed canonical order (iteration
+by iteration; within an iteration, receiving agents in ascending index,
+each one's neighbors in ascending index), and no per-seed value depends on
+the other seeds in the batch, so a trace is a pure function of (config,
+seed): bit-identical for every batch size and every ``--jobs`` value.
 """
 
 from __future__ import annotations
@@ -128,155 +130,118 @@ class RunTrace:
 
 @dataclass
 class _SlotPlan:
-    """Precomputed row supports of one period slot, flattened for batching."""
+    """One period slot's mixing: W, the sender of every shared message
+    (receivers in ascending order, each one's support ascending) and the
+    (n, messages) matrix M that sums each receiver's weighted messages."""
 
     W: np.ndarray
     src: np.ndarray
-    wvec: np.ndarray
-    starts: np.ndarray
+    M: np.ndarray
 
 
 def _slot_plan(schedule: MixingSchedule, t: int) -> _SlotPlan:
     W = schedule.matrix_at(t)
-    supports = [np.flatnonzero(row > 0.0) for row in W]
-    src = np.concatenate(supports)
-    wvec = np.concatenate([W[i, s] for i, s in enumerate(supports)])
-    sizes = np.array([s.size for s in supports], dtype=np.intp)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
-    return _SlotPlan(W=W, src=src, wvec=wvec, starts=starts)
+    receiver, src = np.nonzero(W > 0.0)
+    M = np.zeros((W.shape[0], src.size))
+    M[receiver, np.arange(src.size)] = W[receiver, src]
+    return _SlotPlan(W=W, src=src, M=M)
 
 
-def _estimates(
-    X: np.ndarray, plan: _SlotPlan, noise: NoiseModel, rng: np.random.Generator
-) -> np.ndarray:
-    """All n neighbor estimates at once, consuming the generator in the same
-    order as n sequential ``neighbor_estimate`` calls."""
-    if noise.kind == "noiseless":
-        return plan.W @ X
-    if noise.kind == "gaussian_channel":
-        d = X.shape[1]
-        Z = rng.normal(0.0, noise.sigma / np.sqrt(d), size=(plan.src.size, d))
-        return plan.W @ X + np.add.reduceat(Z * plan.wvec[:, None], plan.starts, axis=0)
-    Q = stochastic_quantize(X[plan.src], noise.levels, rng)
-    return np.add.reduceat(Q * plan.wvec[:, None], plan.starts, axis=0)
+def _local_terms(H, b, c, X):
+    """Gradients H_i x_i - b_i and values f_i(x_i) of every agent at its row
+    of X (..., n, d); one matmul per agent row."""
+    HX = np.matmul(H, X[..., None])[..., 0]
+    return HX - b, (X * (0.5 * HX - b)).sum(-1) + c
 
 
-def step_matrix(
-    X: np.ndarray,
-    W: np.ndarray,
-    E: np.ndarray,
-    grads: np.ndarray,
-    alpha_t: float,
-    beta_t: float,
-) -> np.ndarray:
-    """The update in matrix form for an explicit perturbation E:
+def run(cfg: RunConfig, seeds) -> list[RunTrace]:
+    """Full trajectories from X(1) = 0 through X(T), one per seed.
 
-        X(t+1) = ((1 - beta) I + beta W) X + beta E - alpha beta grad.
-
-    The driver's incremental form X + beta (Xhat - X) - alpha beta grad is
-    the same map with E = Xhat - W X; this symbolic version exists so tests
-    and callers can check or replay a step from captured quantities.
+    The seeds advance together as one (R, n, d) state, each drawing from its
+    own Philox stream in the canonical order.  Every per-seed quantity comes
+    from elementwise operations, reductions over a contiguous last axis, or
+    matmuls with one product per batch item, so a seed's trace is
+    bit-identical whichever seeds share its batch.  A seed whose update
+    diverges leaves the batch, its trace truncated at the last finite
+    iterate.
     """
-    X = np.asarray(X, dtype=float)
-    return (
-        (1.0 - beta_t) * X
-        + beta_t * (W @ X)
-        + beta_t * np.asarray(E, dtype=float)
-        - alpha_t * beta_t * np.asarray(grads, dtype=float)
-    )
-
-
-def step(
-    X: np.ndarray, t: int, cfg: RunConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """Advance the full state one iteration (standalone, uncached)."""
-    plan = _slot_plan(cfg.schedule, t)
-    Xhat = _estimates(np.asarray(X, dtype=float), plan, cfg.noise, rng)
-    H = np.stack([f.H for f in cfg.agents])
-    b = np.stack([f.b for f in cfg.agents])
-    G = np.einsum("nij,nj->ni", H, X) - b
-    a_t = float(cfg.steps.alpha(t))
-    b_t = float(cfg.steps.beta(t))
-    return X + b_t * (Xhat - X) - a_t * b_t * G
-
-
-def run(cfg: RunConfig, seed: int) -> RunTrace:
-    """One full trajectory from X(1) = 0 through X(T), seeded."""
-    rng = philox(seed)
-    n, d = cfg.schedule.n, cfg.dimension
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    gens = [philox(seed) for seed in seeds]
+    n, d, T, R = cfg.schedule.n, cfg.dimension, cfg.T, len(seeds)
     r = cfg.schedule.r
     H = np.stack([f.H for f in cfg.agents])
     bvec = np.stack([f.b for f in cfg.agents])
     cvec = np.array([f.c for f in cfg.agents])
     x_star = np.asarray(cfg.x_star, dtype=float)
-
+    noise = cfg.noise
     plans = [_slot_plan(cfg.schedule, t) for t in range(1, cfg.schedule.period + 1)]
-
-    T = cfg.T
-    cols = {name: np.empty(T) for name in TRACE_COLUMNS}
     ts = np.arange(1, T + 1)
-    X = np.zeros((n, d))
-    max_grad_sq = 0.0
-    max_state_norm = 0.0
-    aborted = False
-    abort_t: int | None = None
-    recorded = 0
+    alphas, betas = cfg.steps.alpha(ts), cfg.steps.beta(ts)
+
+    cols = np.empty((R, len(TRACE_COLUMNS), T))
+    final = np.empty((R, n, d))
+    max_grad_sq = np.zeros(R)
+    max_state_norm = np.zeros(R)
+    abort_t = np.zeros(R, dtype=int)
+    live = np.arange(R)
+    X = np.zeros((R, n, d))
 
     for t in range(1, T + 1):
-        HX = np.einsum("nij,nj->ni", H, X)
-        G = HX - bvec
-        local_values = 0.5 * np.einsum("ni,ni->n", X, HX) - np.einsum("ni,ni->n", X, bvec) + cvec
+        G, local_values = _local_terms(H, bvec, cvec, X)
         xbar = weighted_mean(X, r)
         if cfg.problem is not None:
             pooled = cfg.problem.pooled_loss(xbar)
-        else:
-            pooled = float(
-                sum(
-                    r_i * f.value(xbar)
-                    for r_i, f in zip(r, cfg.agents)
-                )
-            )
-        i = t - 1
-        cols["loss_pooled"][i] = pooled
-        cols["loss_weighted"][i] = float(r @ local_values)
-        cols["deviation_sq"][i] = deviation_sq(X, r)
-        cols["dist_opt_sq"][i] = dist_opt_sq(X, r, x_star)
-        recorded = t
-
-        max_grad_sq = max(max_grad_sq, float(np.max(np.einsum("ni,ni->n", G, G))))
-        max_state_norm = max(max_state_norm, float(np.max(np.linalg.norm(X, axis=1))))
+        else:  # the r-weighted objective at the mean state
+            at_mean = np.broadcast_to(xbar[:, None], X.shape)
+            pooled = (_local_terms(H, bvec, cvec, at_mean)[1] * r).sum(-1)
+        cols[live, :, t - 1] = np.stack(
+            [pooled, (local_values * r).sum(-1), deviation_sq(X, r), dist_opt_sq(X, r, x_star)],
+            axis=-1,
+        )
+        max_grad_sq[live] = np.maximum(max_grad_sq[live], (G * G).sum(-1).max(-1))
+        max_state_norm[live] = np.maximum(max_state_norm[live], np.sqrt((X * X).sum(-1).max(-1)))
 
         if t == T:
             break
-        Xhat = _estimates(X, plans[(t - 1) % len(plans)], cfg.noise, rng)
-        a_t = float(cfg.steps.alpha(t))
-        b_t = float(cfg.steps.beta(t))
-        X = X + b_t * (Xhat - X) - a_t * b_t * G
-        if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > DIVERGENCE_LIMIT:
-            aborted = True
-            abort_t = t + 1
-            break
+        plan = plans[(t - 1) % len(plans)]
+        if noise.kind == "noiseless":
+            Xhat = plan.W @ X
+        elif noise.kind == "gaussian_channel":
+            shape, scale = (plan.src.size, d), noise.sigma / np.sqrt(d)
+            Z = np.stack([g.normal(0.0, scale, size=shape) for g in gens])
+            Xhat = plan.M @ (X[:, plan.src] + Z)
+        else:
+            Xhat = plan.M @ stochastic_quantize(X, noise.levels, gens, plan.src)
+        X = X + betas[t - 1] * (Xhat - X) - alphas[t - 1] * betas[t - 1] * G
+        ok = (np.abs(X) <= DIVERGENCE_LIMIT).all(axis=(1, 2))  # False on inf/nan
+        if not ok.all():
+            final[live[~ok]] = X[~ok]
+            abort_t[live[~ok]] = t + 1
+            X, live = X[ok], live[ok]
+            gens = [g for g, keep in zip(gens, ok) if keep]
+            if not live.size:
+                break
+    final[live] = X
 
-    sl = slice(0, recorded)
-    return RunTrace(
-        seed=seed,
-        T=T,
-        t=ts[sl],
-        loss_pooled=cols["loss_pooled"][sl],
-        loss_weighted=cols["loss_weighted"][sl],
-        deviation_sq=cols["deviation_sq"][sl],
-        dist_opt_sq=cols["dist_opt_sq"][sl],
-        final_state=X,
-        max_grad_sq=max_grad_sq,
-        max_state_norm=max_state_norm,
-        aborted=aborted,
-        abort_t=abort_t,
-    )
-
-
-def _run_for_seed(args: tuple[RunConfig, int]) -> RunTrace:
-    cfg, seed = args
-    return run(cfg, seed)
+    traces = []
+    for k, seed in enumerate(seeds):
+        rows = slice(0, abort_t[k] - 1 if abort_t[k] else T)
+        traces.append(
+            RunTrace(
+                seed=seed,
+                T=T,
+                t=ts[rows],
+                **{name: cols[k, j, rows] for j, name in enumerate(TRACE_COLUMNS)},
+                final_state=final[k],
+                max_grad_sq=float(max_grad_sq[k]),
+                max_state_norm=float(max_state_norm[k]),
+                aborted=bool(abort_t[k]),
+                abort_t=int(abort_t[k]) or None,
+            )
+        )
+    return traces
 
 
 @dataclass
@@ -317,17 +282,20 @@ def monte_carlo(
 ) -> MonteCarlo:
     """Run ``num_runs`` seeded trajectories and aggregate their columns.
 
-    ``jobs > 1`` distributes runs over processes; results are identical to
-    the serial order because each run is a pure function of its seed.
+    ``jobs = 1`` runs all seeds as one batch; ``jobs > 1`` gives each worker
+    process one contiguous chunk of seeds.  The traces are identical either
+    way, because each one is a pure function of its seed.
     """
     if num_runs < 1:
         raise ValueError("need at least one run")
     seeds = [base_seed + k for k in range(num_runs)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            traces = list(pool.map(_run_for_seed, [(cfg, s) for s in seeds]))
+        size = -(-num_runs // jobs)
+        chunks = [seeds[i : i + size] for i in range(0, num_runs, size)]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            traces = [tr for part in pool.map(run, [cfg] * len(chunks), chunks) for tr in part]
     else:
-        traces = [run(cfg, s) for s in seeds]
+        traces = run(cfg, seeds)
 
     good = [tr for tr in traces if not tr.aborted]
     if not good:

@@ -89,30 +89,40 @@ def zeta(tau, s: int, u) -> np.ndarray:
     return low + (u < scaled - low)
 
 
-def stochastic_quantize(x, s: int, rng: np.random.Generator) -> np.ndarray:
+def stochastic_quantize(x, s: int, rng, src=None) -> np.ndarray:
     """Unbiased random quantization of x to s magnitude levels.
 
     Each coordinate is mapped to sign(x_j) * ||x|| * (level / s) where the
     level is the randomized rounding of s|x_j|/||x||.  The zero vector passes
-    through unchanged.  Vectorizes over rows when x is 2-D (independent draws
-    per row, row order preserved).
+    through unchanged and draws nothing.  A vector or an (m, d) matrix of
+    rows takes one generator, with independent draws per row in row order.
+
+    A batch x of shape (R, n, d) takes a sequence of R generators, one per
+    batch item, and quantizes the rows ``src`` of each item (all n when
+    omitted) into an (R, len(src), d) result; a row listed twice gets two
+    independent draws.  Norms and level fractions are computed once per row
+    of x, and generator k fills the uniforms of item k's nonzero output rows
+    in order, so every item's result is a function of that item alone.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    if X.ndim != 2:
-        raise ValueError("expected a vector or a matrix of row vectors")
-    norms = np.linalg.norm(X, axis=1)
-    out = np.zeros_like(X)
-    live = norms > 0.0
-    if np.any(live):
-        sub = X[live]
-        nrm = norms[live][:, None]
-        tau = np.abs(sub) / nrm
-        u = rng.random(sub.shape)
-        levels = zeta(tau, s, u)
-        out[live] = np.sign(sub) * nrm * (levels / s)
-    return out[0] if single else out
+    if x.ndim in (1, 2):
+        return stochastic_quantize(np.atleast_2d(x)[None], s, [rng])[0].reshape(x.shape)
+    if x.ndim != 3:
+        raise ValueError("expected a vector, a matrix of row vectors or a batch of matrices")
+    src = np.arange(x.shape[1]) if src is None else src
+    norms = np.sqrt((x * x).sum(-1))
+    nrm = np.where(norms > 0.0, norms, 1.0)[..., None]
+    scaled = s * np.minimum(np.abs(x) / nrm, 1.0)  # |x_j| <= ||x|| up to rounding
+    low = np.floor(scaled)
+    frac = np.take(scaled - low, src, axis=1)
+    u = np.zeros(frac.shape)
+    for k, live in enumerate(np.take(norms > 0.0, src, axis=1)):
+        if live.all():
+            rng[k].random(out=u[k])
+        elif live.any():
+            u[k, live] = rng[k].random((int(live.sum()), x.shape[2]))
+    levels = np.take(low, src, axis=1) + (u < frac)
+    return np.take(np.sign(x) * norms[..., None], src, axis=1) * (levels / s)
 
 
 def quantizer_variance_coeff(d: int, s: int) -> float:

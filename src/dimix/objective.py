@@ -147,10 +147,12 @@ class Problem:
     strong_convexity: float
     smoothness: float
 
-    def pooled_loss(self, x) -> float:
-        """Mean square over the whole pool at a single point, (1/2N)||v - Ux||^2."""
-        resid = self.v - self.U @ np.asarray(x, dtype=float)
-        return float(resid @ resid / (2 * self.N))
+    def pooled_loss(self, x):
+        """Mean square over the whole pool at a single point, (1/2N)||v - Ux||^2;
+        a batch (R, d) of points gives R values, each from its own point."""
+        resid = self.v - np.matmul(self.U, np.asarray(x, dtype=float)[..., None])[..., 0]
+        loss = (resid * resid).sum(-1) / (2 * self.N)
+        return float(loss) if loss.ndim == 0 else loss
 
     def weighted_value(self, X: np.ndarray) -> float:
         """sum_i r_i f_i(x_i) at per-agent states X (n, d)."""

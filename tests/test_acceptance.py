@@ -180,7 +180,7 @@ def test_criterion_5_gradient_descent_reduction(verdict):
         T=T, noise=noiseless(),
     )
     t0 = time.monotonic()
-    trace = run(cfg, seed=0)
+    trace = run(cfg, [0])[0]
     x = np.zeros(d)
     for t in range(1, T):
         x = x - steps.alpha(t) * steps.beta(t) * (agent.H @ x - agent.b)

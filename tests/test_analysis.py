@@ -293,6 +293,22 @@ class TestTheoremBound:
             theorem_bound(tc, tc.thresholds.T_min)
         assert theorem_bound(tc, tc.thresholds.T_min, strict=False) > 0
 
+    @pytest.mark.parametrize("lam, xi2_overflows", [(1e-3, False), (1e-4, True), (1e-5, True)])
+    def test_regime1_burn_in_term_cannot_overflow(self, lam, xi2_overflows):
+        # mu + nu < 1 with c2 = 1: from lambda = 1e-4 down, T0 is large enough
+        # that xi2 = 2 exp(xi3 T0^(1-mu-nu)) q0 is beyond the float range,
+        # while the burn-in term it scales is at most 2 q0 past T0.
+        steps = StepSchedule(alpha0=0.25, nu=0.05, beta0=0.8, mu=0.1)
+        tc = xi_constants(steps, lam, kappa_factor(lam, 0.8, B=20), 2.0, 2.0, 0.5, 3.0, 1.5)
+        assert math.isinf(tc.xi2) == xi2_overflows
+        T0 = tc.thresholds.T_min
+        T = np.array([T0, 2 * T0, 10 * T0])
+        bound = theorem_bound(tc, T)
+        tail = tc.xi1 * T**-0.1 + tc.xi4 * T**-0.05
+        assert bound[0] == pytest.approx(tail[0] + 2.0 * 1.5, rel=1e-12)
+        assert np.all(np.isfinite(bound)) and np.all(np.diff(bound) < 0)
+        assert np.all(bound - tail <= 2.0 * 1.5 * (1 + 1e-12))
+
     def test_vectorized_and_scalar(self):
         tc = TestXiConstants().small_regime1()
         T0 = tc.thresholds.T_min

@@ -115,7 +115,7 @@ class TestCsvRoundTrip:
         from dimix.dynamics import run
         from test_dynamics import simple_config
 
-        trace = run(simple_config(T=9), seed=4)
+        trace = run(simple_config(T=9), [4])[0]
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace)
         assert path.read_text().splitlines()[0] == TRACE_HEADER
@@ -277,6 +277,22 @@ T_grid = 500, 2200
         out = capsys.readouterr().out
         assert "assumed (--assume-q0)" in out
         assert "below burn-in, not covered" in out
+
+
+    def test_regime1_certificate_at_n20_does_not_overflow(self, tmp_path, capsys):
+        # n = 20 gossip puts lambda near 1e-7 and T0 near 1e7, where
+        # xi2 = 2 exp(xi3 T0^(1-mu-nu)) q0 is beyond the float range.
+        cfg = tmp_path / "cfg"
+        cfg.write_text(
+            self.THEORY_CONFIG.replace("n = 4", "n = 20")
+            .replace("T = 2200", "T = 60")
+            .replace("T_grid = 500, 2200", "T_grid = 30, 60")
+        )
+        rc = main(["theory", "--config", str(cfg), "--assume-q0", "1"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        assert "xi2 = inf" in captured.out
 
 
 class TestLemmasCommand:

@@ -6,13 +6,12 @@ from dimix.dynamics import (
     DIVERGENCE_LIMIT,
     MonteCarlo,
     RunConfig,
+    TRACE_COLUMNS,
     RunTrace,
     config_from_problem,
     empirical_bounds,
     monte_carlo,
     run,
-    step,
-    step_matrix,
 )
 from dimix.noise import gaussian_channel, neighbor_estimate, noiseless, stochastic_quantizer
 from dimix.objective import build_problem, local_objective
@@ -20,6 +19,7 @@ from dimix.rng import philox
 from dimix.topology import fixed_cycle_schedule, gossip_schedule, matrix_list_schedule
 
 from conftest import random_weights
+from oracles import step, step_matrix
 
 DEFAULT_STEPS = StepSchedule(alpha0=0.1, nu=0.25, beta0=0.7, mu=0.75)
 
@@ -93,7 +93,7 @@ class TestRunConfig:
 class TestSingleTrajectory:
     def test_starts_from_zero(self):
         cfg = simple_config(T=1)
-        trace = run(cfg, seed=5)
+        trace = run(cfg, [5])[0]
         assert trace.t.tolist() == [1]
         np.testing.assert_array_equal(trace.final_state, np.zeros((3, 4)))
         assert trace.deviation_sq[0] == 0.0
@@ -103,7 +103,7 @@ class TestSingleTrajectory:
         p = default_problem
         sched = fixed_cycle_schedule(p.r)
         cfg = config_from_problem(p, sched, DEFAULT_STEPS, noiseless(), 3)
-        trace = run(cfg, seed=1)
+        trace = run(cfg, [1])[0]
         assert trace.loss_pooled[0] == pytest.approx(p.pooled_loss(np.zeros(25)))
         assert trace.loss_weighted[0] == pytest.approx(
             p.weighted_value(np.zeros((20, 25))), rel=1e-12
@@ -111,7 +111,7 @@ class TestSingleTrajectory:
 
     def test_final_row_matches_final_state(self):
         cfg = simple_config(T=40)
-        trace = run(cfg, seed=2)
+        trace = run(cfg, [2])[0]
         r = cfg.schedule.r
         assert trace.dist_opt_sq[-1] == pytest.approx(
             dist_opt_sq(trace.final_state, r, cfg.x_star), rel=1e-12
@@ -121,7 +121,7 @@ class TestSingleTrajectory:
         )
 
     def test_trace_length_and_column_access(self):
-        trace = run(simple_config(T=17), seed=3)
+        trace = run(simple_config(T=17), [3])[0]
         assert trace.t.size == 17
         assert trace.column("loss_weighted").size == 17
         with pytest.raises(KeyError):
@@ -129,8 +129,8 @@ class TestSingleTrajectory:
 
     def test_noiseless_runs_identical_across_seeds(self):
         cfg = simple_config(T=25)
-        a = run(cfg, seed=1)
-        b = run(cfg, seed=2)
+        a = run(cfg, [1])[0]
+        b = run(cfg, [2])[0]
         np.testing.assert_array_equal(a.final_state, b.final_state)
 
 
@@ -159,7 +159,7 @@ class TestBatchedEstimates:
             T=12, noise=noise,
         )
 
-        fast = run(cfg, seed=31)
+        fast = run(cfg, [31])[0]
 
         rng = philox(31)
         X = np.zeros((n, d))
@@ -176,12 +176,86 @@ class TestBatchedEstimates:
 
     def test_step_agrees_with_run(self):
         cfg = simple_config(T=6, noise=stochastic_quantizer(3))
-        full = run(cfg, seed=8)
+        full = run(cfg, [8])[0]
         rng = philox(8)
         X = np.zeros((3, 4))
         for t in range(1, 6):
             X = step(X, t, cfg, rng)
         np.testing.assert_allclose(full.final_state, X, atol=5e-14)
+
+
+def small_instance_config(family, noise, T):
+    p = build_problem(n=4, d=3, N=20, seed=5)
+    schedule = gossip_schedule(p.r) if family == "gossip" else fixed_cycle_schedule(p.r)
+    return config_from_problem(p, schedule, DEFAULT_STEPS, noise, T)
+
+
+def divergent_config():
+    # A huge transmission noise makes the very first update cross the
+    # divergence limit for some seeds only.
+    return simple_config(n=3, d=2, T=8, noise=gaussian_channel(2.0 * DIVERGENCE_LIMIT))
+
+
+def assert_same_trace(a, b):
+    assert a.seed == b.seed
+    for name in TRACE_COLUMNS:
+        np.testing.assert_array_equal(a.column(name), b.column(name))
+    np.testing.assert_array_equal(a.final_state, b.final_state)
+    assert (a.max_grad_sq, a.max_state_norm, a.aborted, a.abort_t) == (
+        b.max_grad_sq, b.max_state_norm, b.aborted, b.abort_t
+    )
+
+
+class TestBatchInvariance:
+    """A trace is a pure function of (config, seed): bit-identical whichever
+    seeds share its batch and however monte_carlo splits them over jobs."""
+
+    @staticmethod
+    def check(cfg):
+        seeds = list(range(7, 27))
+        whole = run(cfg, seeds)
+        fives = [tr for k in range(0, 20, 5) for tr in run(cfg, seeds[k : k + 5])]
+        ones = [run(cfg, [s])[0] for s in seeds]
+        serial = monte_carlo(cfg, 20, base_seed=7, jobs=1).traces
+        parallel = monte_carlo(cfg, 20, base_seed=7, jobs=2).traces
+        for other in (fives, ones, serial, parallel):
+            assert len(other) == len(whole)
+            for a, b in zip(whole, other):
+                assert_same_trace(a, b)
+
+    @pytest.mark.parametrize("noise", [
+        noiseless(),
+        gaussian_channel(0.3),
+        stochastic_quantizer(4),
+    ], ids=["noiseless", "gaussian", "quantizer"])
+    @pytest.mark.parametrize("family", ["fixed_cycle", "gossip"])
+    def test_batch_sizes_and_jobs_agree(self, family, noise):
+        self.check(small_instance_config(family, noise, 30))
+
+    def test_partial_divergence_batches_agree(self):
+        cfg = divergent_config()
+        # Survivors are shown untouched only if a seed ahead of them aborts.
+        aborted = [tr.aborted for tr in run(cfg, range(7, 27))]
+        assert False in aborted[aborted.index(True) + 1 :]
+        self.check(cfg)
+
+
+class TestExactExpectation:
+    """The update is affine in X and every noise model is conditionally
+    unbiased, so E[X(T)] equals the noiseless trajectory's X(T) exactly."""
+
+    @pytest.mark.parametrize("noise", [gaussian_channel(0.5), stochastic_quantizer(2)],
+                             ids=["gaussian", "quantizer"])
+    @pytest.mark.parametrize("family", ["fixed_cycle", "gossip"])
+    def test_mean_final_state_is_noiseless_state(self, family, noise):
+        T = 12
+        exact = run(small_instance_config(family, noiseless(), T), [0])[0].final_state
+        traces = run(small_instance_config(family, noise, T), range(400))
+        assert not any(tr.aborted for tr in traces)
+        finals = np.stack([tr.final_state for tr in traces])
+        se = finals.std(axis=0, ddof=1) / np.sqrt(len(traces))
+        assert np.all(se > 0.0)
+        assert np.all(np.abs(finals.mean(axis=0) - exact) <= 4.0 * se)
 
 
 class TestStepMatrix:
@@ -265,7 +339,7 @@ class TestDivergenceHandling:
         )
 
     def test_abort_flags_and_truncation(self):
-        trace = run(self.unstable_config(), seed=1)
+        trace = run(self.unstable_config(), [1])[0]
         assert trace.aborted
         assert trace.abort_t is not None and trace.abort_t <= 20
         # Recording stops at the last finite iterate.
@@ -278,12 +352,9 @@ class TestDivergenceHandling:
             monte_carlo(self.unstable_config(), 3, base_seed=0)
 
     def test_partial_divergence_excluded_from_stats(self):
-        # A huge transmission noise makes the very first update cross the
-        # limit for some seeds only; the survivors carry the statistics.
-        cfg = simple_config(
-            n=3, d=2, T=8, noise=gaussian_channel(2.0 * DIVERGENCE_LIMIT)
-        )
-        mc = monte_carlo(cfg, 12, base_seed=7)
+        # Some seeds abort at the very first update; the survivors carry
+        # the statistics.
+        mc = monte_carlo(divergent_config(), 12, base_seed=7)
         assert 0 < mc.aborted < 12
         assert mc.completed == 12 - mc.aborted
         assert len(mc.traces) == 12
@@ -358,7 +429,7 @@ class TestMonteCarlo:
 class TestEmpiricalBounds:
     def test_max_over_traces(self):
         cfg = simple_config(T=15)
-        traces = [run(cfg, s) for s in (1, 2)]
+        traces = [run(cfg, [s])[0] for s in (1, 2)]
         K, norm = empirical_bounds(traces)
         assert K == max(tr.max_grad_sq for tr in traces)
         assert norm == max(tr.max_state_norm for tr in traces)
@@ -375,7 +446,7 @@ class TestGradientDescentReduction:
         x <- x - alpha(t) beta(t) grad f(x); an independently coded loop must
         agree to near machine precision."""
         cfg = simple_config(n=1, d=6, T=2000)
-        trace = run(cfg, seed=0)
+        trace = run(cfg, [0])[0]
 
         f = cfg.agents[0]
         x = np.zeros(6)
@@ -396,6 +467,6 @@ class TestGradientDescentReduction:
             x_star=target,
             T=2000,
         )
-        trace = run(cfg, seed=0)
+        trace = run(cfg, [0])[0]
         assert not trace.aborted
         assert trace.dist_opt_sq[-1] <= 1e-12 * trace.dist_opt_sq[0]
