@@ -26,7 +26,6 @@ from .dynamics import (
     MonteCarlo,
     RunConfig,
     RunTrace,
-    config_from_problem,
     empirical_bounds,
     monte_carlo,
     run,
@@ -35,21 +34,18 @@ from .lemmas import CheckReport, SuiteReport, run_suite
 from .noise import (
     NoiseModel,
     gaussian_channel,
-    neighbor_estimate,
     noise_variance_bound,
     noiseless,
     quantizer_variance_coeff,
     stochastic_quantize,
     stochastic_quantizer,
-    zeta,
 )
 from .objective import (
-    LocalObjective,
     Problem,
     apportion_counts,
     build_problem,
-    global_optimum,
-    local_objective,
+    local_quadratics,
+    quadratic_problem,
     partition_indices,
     synthesize_regression,
 )

@@ -309,7 +309,7 @@ def xi_constants(
         try:
             xi2 = 2.0 * math.exp(xi3 * T0 ** (1.0 - mu - nu)) * q0
         except OverflowError:  # reported only: theorem_bound never forms xi2
-            xi2 = math.inf
+            xi2 = math.inf if q0 else 0.0
         xi5 = None
         side_ok = True
     else:
@@ -367,13 +367,18 @@ def theorem_bound(constants: TheoryConstants, T, strict: bool = True):
         raise ValueError(f"bound only covers T >= {T_min}")
     if constants.regime == 1:
         # xi2 exp(-xi3 T^p) = 2 q0 exp(xi3 (T0^p - T^p)): at most 2 q0 for
-        # T >= T0, where xi2 alone can overflow.
+        # T >= T0, where xi2 alone can overflow.  Below burn-in the exp can
+        # overflow too, so q0 = 0 must give 0 outright, not 0 * inf.
         p = 1.0 - mu - nu
-        with np.errstate(over="ignore"):
-            burn_in = np.exp(constants.xi3 * (constants.thresholds.T0**p - T_arr**p))
+        burn_in = 0.0
+        if constants.q0:
+            with np.errstate(over="ignore"):
+                burn_in = 2.0 * constants.q0 * np.exp(
+                    constants.xi3 * (constants.thresholds.T0**p - T_arr**p)
+                )
         out = (
             constants.xi1 * T_arr ** -min(mu, 2.0 * nu)
-            + 2.0 * constants.q0 * burn_in
+            + burn_in
             + constants.xi4 * T_arr ** -min(mu - nu, 2.0 * nu)
         )
     else:

@@ -24,11 +24,13 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import (
     StepSchedule,
+    Thresholds,
     contraction_factor,
     fit_rate,
     kappa_factor,
@@ -36,23 +38,12 @@ from .analysis import (
     thresholds,
     xi_constants,
 )
-from .dynamics import MonteCarlo, RunConfig, config_from_problem, empirical_bounds, monte_carlo
+from .dynamics import TRACE_COLUMNS, MonteCarlo, RunConfig, empirical_bounds, monte_carlo
 from .lemmas import run_suite
 from .noise import NoiseModel, noise_variance_bound
-from .objective import Problem, build_problem
-from .reporting import (
-    VERSION,
-    Config,
-    fmt,
-    parse_config,
-    svg_loglog,
-    write_manifest,
-    write_mean_csv,
-    write_sweep_csv,
-    write_trace_csv,
-)
+from .objective import build_problem
+from .reporting import VERSION, Config, fmt, parse_config, svg_loglog, write_csv, write_manifest
 from .topology import (
-    MixingSchedule,
     fixed_cycle_schedule,
     gossip_schedule,
     matrix_list_schedule,
@@ -67,10 +58,6 @@ class Experiment:
     (including any command-line seed override) for the manifest echo."""
 
     values: dict
-    problem: Problem
-    schedule: MixingSchedule
-    steps: StepSchedule
-    noise: NoiseModel
     run_config: RunConfig
 
 
@@ -114,14 +101,11 @@ def build_experiment(cfg: Config, seed_override: int | None = None, T_override: 
     steps = StepSchedule(
         alpha0=values["alpha0"], nu=values["nu"], beta0=values["beta0"], mu=values["mu"]
     )
-    run_config = config_from_problem(problem, schedule, steps, noise, values["T"])
     return Experiment(
         values=values,
-        problem=problem,
-        schedule=schedule,
-        steps=steps,
-        noise=noise,
-        run_config=run_config,
+        run_config=RunConfig(
+            problem=problem, schedule=schedule, steps=steps, T=values["T"], noise=noise
+        ),
     )
 
 
@@ -132,37 +116,67 @@ def resolve_out_dir(arg_out: str | None, values: dict) -> Path:
     return out
 
 
-def _derived_facts(exp: Experiment, mc: MonteCarlo) -> dict:
-    sched = exp.schedule
+# mean.csv and sweep.csv columns: each trace column's mean, then its stderr.
+_STAT_COLUMNS = tuple(f"{name}_{stat}" for name in TRACE_COLUMNS for stat in ("mean", "stderr"))
+_DIST = TRACE_COLUMNS.index("dist_opt_sq")
+
+
+def _stats(mc: MonteCarlo) -> np.ndarray:
+    """(T, 8) rows of mean and stderr in _STAT_COLUMNS order."""
+    return np.stack([mc.mean, mc.stderr], axis=-1).reshape(mc.t.size, -1)
+
+
+class _Constants(NamedTuple):
+    """The certificate's inputs that the schedule, the problem and the
+    completed runs fix; ``th`` is None, with the reason in ``note``, when
+    the step sizes admit no burn-in thresholds."""
+
+    lam: float
+    kappa: float
+    K: float
+    norm_bound: float
+    gamma: float
+    th: Thresholds | None
+    note: str
+
+
+def _constants(cfg: RunConfig, mc: MonteCarlo) -> _Constants:
+    sched, problem = cfg.schedule, cfg.problem
     lam = contraction_factor(sched.eta, float(sched.r.min()), sched.B, sched.n)
-    good = [tr for tr in mc.traces if not tr.aborted]
-    K, norm_bound = empirical_bounds(good)
-    gamma = noise_variance_bound(exp.noise, exp.problem.d, state_norm_bound=norm_bound)
+    K, norm_bound = empirical_bounds(tr for tr in mc.traces if not tr.aborted)
+    gamma = noise_variance_bound(cfg.noise, problem.d, state_norm_bound=norm_bound)
+    try:
+        th, note = thresholds(cfg.steps, lam, problem.strong_convexity, problem.smoothness), ""
+    except ValueError as exc:
+        th, note = None, str(exc)
+    kappa = kappa_factor(lam, cfg.steps.beta0, sched.B)
+    return _Constants(lam, kappa, K, norm_bound, gamma, th, note)
+
+
+def _derived_facts(exp: Experiment, mc: MonteCarlo) -> dict:
+    sched, problem = exp.run_config.schedule, exp.run_config.problem
+    c = _constants(exp.run_config, mc)
     facts = {
         "version": VERSION,
-        "r": exp.schedule.r,
+        "r": sched.r,
         "eta": sched.eta,
         "B": sched.B,
-        "lambda": lam,
-        "kappa": kappa_factor(lam, exp.steps.beta0, sched.B),
-        "mu_f": exp.problem.strong_convexity,
-        "L_f": exp.problem.smoothness,
-        "K": K,
-        "state_norm_bound": norm_bound,
-        "gamma": gamma,
+        "lambda": c.lam,
+        "kappa": c.kappa,
+        "mu_f": problem.strong_convexity,
+        "L_f": problem.smoothness,
+        "K": c.K,
+        "state_norm_bound": c.norm_bound,
+        "gamma": c.gamma,
         "run_seeds": [tr.seed for tr in mc.traces],
         "completed": mc.completed,
         "aborted": mc.aborted,
     }
-    try:
-        th = thresholds(exp.steps, lam, exp.problem.strong_convexity, exp.problem.smoothness)
-        facts["T1"] = th.T1
-        facts["T2"] = th.T2
-        facts["T3"] = th.T3
-        facts["T4"] = "none" if th.T4 is None else th.T4
-        facts["T0"] = th.T0
-    except ValueError as exc:
-        facts["theory_note"] = str(exc)
+    if c.th is None:
+        facts["theory_note"] = c.note
+    else:
+        th = c.th
+        facts.update(T1=th.T1, T2=th.T2, T3=th.T3, T4="none" if th.T4 is None else th.T4, T0=th.T0)
     return facts
 
 
@@ -174,28 +188,30 @@ def cmd_run(args) -> int:
         exp.run_config, exp.values["runs"], base_seed=exp.values["seed"], jobs=args.jobs
     )
     for k, trace in enumerate(mc.traces):
-        write_trace_csv(out / f"run_{k:02d}.csv", trace)
-    write_mean_csv(out / "mean.csv", mc)
+        write_csv(out / f"run_{k:02d}.csv", ("t", *TRACE_COLUMNS), trace.t, trace.values)
+    write_csv(out / "mean.csv", ("t", *_STAT_COLUMNS), mc.t, _stats(mc))
     write_manifest(out / "manifest.txt", exp.values, _derived_facts(exp, mc))
+    n = exp.run_config.problem.n
     if args.plots:
+        mean = dict(zip(TRACE_COLUMNS, mc.mean.T))
         svg_loglog(
             out / "loss.svg",
             {
-                "loss_pooled": (mc.t, mc.mean["loss_pooled"]),
-                "loss_weighted": (mc.t, mc.mean["loss_weighted"]),
+                "loss_pooled": (mc.t, mean["loss_pooled"]),
+                "loss_weighted": (mc.t, mean["loss_weighted"]),
             },
-            title=f"{exp.values['family']}, n={exp.schedule.n}, mean over {mc.completed} runs",
+            title=f"{exp.values['family']}, n={n}, mean over {mc.completed} runs",
             ylabel="mean loss",
         )
         svg_loglog(
             out / "deviation.svg",
-            {"deviation_sq": (mc.t, mc.mean["deviation_sq"])},
+            {"deviation_sq": (mc.t, mean["deviation_sq"])},
             title="consensus error",
             ylabel="mean deviation_sq",
         )
-    final = mc.mean["dist_opt_sq"][-1]
+    final = mc.mean[-1, _DIST]
     print(
-        f"{exp.values['family']}: n={exp.schedule.n} T={exp.values['T']} "
+        f"{exp.values['family']}: n={n} T={exp.values['T']} "
         f"runs={mc.completed} completed, {mc.aborted} aborted"
     )
     if mc.aborted:
@@ -210,7 +226,7 @@ def cmd_validate(args) -> int:
     exp = build_experiment(cfg, seed_override=args.seed)
     horizon = exp.values["horizon"] or exp.values["T"]
     window = exp.values["window"] or None
-    report = validate_schedule(exp.schedule, horizon, window)
+    report = validate_schedule(exp.run_config.schedule, horizon, window)
     print(report.summary())
     return 0 if report.passed else 1
 
@@ -221,15 +237,12 @@ def cmd_theory(args) -> int:
     mc = monte_carlo(
         exp.run_config, exp.values["runs"], base_seed=exp.values["seed"], jobs=args.jobs
     )
-    sched = exp.schedule
-    lam = contraction_factor(sched.eta, float(sched.r.min()), sched.B, sched.n)
-    kappa = kappa_factor(lam, exp.steps.beta0, sched.B)
-    good = [tr for tr in mc.traces if not tr.aborted]
-    K, norm_bound = empirical_bounds(good)
-    gamma = noise_variance_bound(exp.noise, exp.problem.d, state_norm_bound=norm_bound)
-    mu_f, L_f = exp.problem.strong_convexity, exp.problem.smoothness
-
-    th = thresholds(exp.steps, lam, mu_f, L_f)
+    sched, steps = exp.run_config.schedule, exp.run_config.steps
+    mu_f, L_f = exp.run_config.problem.strong_convexity, exp.run_config.problem.smoothness
+    c = _constants(exp.run_config, mc)
+    if c.th is None:
+        raise ValueError(c.note)
+    lam, kappa, th = c.lam, c.kappa, c.th
     if th.T0 <= mc.t.size:
         q0 = mc.q0_estimate(th.T0)
         q0_source = f"measured over {mc.completed} runs"
@@ -242,11 +255,11 @@ def cmd_theory(args) -> int:
             "raise T or supply --assume-q0"
         )
 
-    tc = xi_constants(exp.steps, lam, kappa, mu_f, L_f, gamma, K, q0)
+    tc = xi_constants(steps, lam, kappa, mu_f, L_f, c.gamma, c.K, q0)
     print(f"schedule {exp.values['family']}: n={sched.n} B={sched.B} eta={fmt(sched.eta)}")
     print(f"lambda = {fmt(lam)}   kappa = {fmt(kappa)}")
     print(f"mu_f = {fmt(mu_f)}   L_f = {fmt(L_f)}   c1 = {fmt(tc.c1)}   c2 = {fmt(tc.c2)}")
-    print(f"gamma = {fmt(gamma)}   K = {fmt(K)}   q0 = {fmt(q0)} ({q0_source})")
+    print(f"gamma = {fmt(c.gamma)}   K = {fmt(c.K)}   q0 = {fmt(q0)} ({q0_source})")
     t4 = "-" if th.T4 is None else str(th.T4)
     print(f"T1 = {th.T1}   T2 = {th.T2}   T3 = {th.T3}   T4 = {t4}   T0 = {th.T0}")
     for name in ("eps1", "eps2", "eps3", "eps4", "eps5", "xi1", "xi2", "xi3", "xi4", "xi5"):
@@ -255,9 +268,9 @@ def cmd_theory(args) -> int:
             print(f"{name} = {fmt(val)}")
     print(f"regime: mu + nu {'<' if tc.regime == 1 else '=='} 1")
     if tc.regime == 2 and not tc.side_condition_ok:
-        need = min(exp.steps.mu - exp.steps.nu, 2 * exp.steps.nu) / tc.c2
+        need = min(steps.mu - steps.nu, 2 * steps.nu) / tc.c2
         print(
-            f"WARNING: alpha0*beta0 = {fmt(exp.steps.alpha0 * exp.steps.beta0)} is below "
+            f"WARNING: alpha0*beta0 = {fmt(steps.alpha0 * steps.beta0)} is below "
             f"the certification threshold {fmt(need)}; the bound below is reported "
             "but not certified for these steps"
         )
@@ -267,7 +280,7 @@ def cmd_theory(args) -> int:
         bound = theorem_bound(tc, T, strict=False)
         note = "" if T >= tc.thresholds.T_min else "  (below burn-in, not covered)"
         if T <= mc.t.size:
-            emp = float(mc.mean["dist_opt_sq"][T - 1])
+            emp = float(mc.mean[T - 1, _DIST])
             ratio = bound / emp if emp > 0 else float("inf")
             print(f"{T}, {fmt(bound)}, {fmt(emp)}, {fmt(ratio)}{note}")
         else:
@@ -297,9 +310,10 @@ def cmd_sweep(args) -> int:
     mc = monte_carlo(
         exp.run_config, exp.values["runs"], base_seed=exp.values["seed"], jobs=args.jobs
     )
-    write_sweep_csv(out / "sweep.csv", grid, mc)
+    rows = np.array(grid) - 1
+    write_csv(out / "sweep.csv", ("T", *_STAT_COLUMNS), grid, _stats(mc)[rows])
     write_manifest(out / "manifest.txt", exp.values, _derived_facts(exp, mc))
-    finals = np.array([mc.mean["dist_opt_sq"][T - 1] for T in grid], dtype=float)
+    finals = mc.mean[rows, _DIST]
     print(f"horizon grid: {', '.join(str(T) for T in grid)}")
     print(f"final mean dist_opt_sq: {', '.join(fmt(v) for v in finals)}")
     if len(grid) >= 2 and np.all(finals > 0):
@@ -309,7 +323,7 @@ def cmd_sweep(args) -> int:
         svg_loglog(
             out / "sweep.svg",
             {"dist_opt_sq(T)": (np.array(grid, dtype=float), finals)},
-            title=f"final error vs horizon ({exp.values['family']}, n={exp.schedule.n})",
+            title=f"final error vs horizon ({exp.values['family']}, n={exp.run_config.problem.n})",
             xlabel="T",
             ylabel="mean dist_opt_sq",
         )
@@ -362,6 +376,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

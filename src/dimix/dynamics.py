@@ -33,7 +33,7 @@ import numpy as np
 
 from .analysis import StepSchedule, deviation_sq, dist_opt_sq, weighted_mean
 from .noise import NoiseModel, noiseless, stochastic_quantize
-from .objective import LocalObjective, Problem
+from .objective import Problem
 from .rng import philox
 from .topology import MixingSchedule
 
@@ -46,64 +46,31 @@ TRACE_COLUMNS = ("loss_pooled", "loss_weighted", "deviation_sq", "dist_opt_sq")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a single trajectory depends on, apart from the seed.
+    """Everything a single trajectory depends on, apart from the seed."""
 
-    ``problem`` supplies the pooled data behind the loss_pooled column; when
-    absent (synthetic quadratics with no pool) that column falls back to the
-    r-weighted objective evaluated at the weighted mean state.
-    """
-
+    problem: Problem
     schedule: MixingSchedule
     steps: StepSchedule
-    agents: tuple[LocalObjective, ...]
-    x_star: np.ndarray
     T: int
     noise: NoiseModel = field(default_factory=noiseless)
-    problem: Problem | None = None
 
     def __post_init__(self) -> None:
         if self.T < 1:
             raise ValueError("need a horizon T >= 1")
-        if len(self.agents) != self.schedule.n:
+        if self.problem.n != self.schedule.n:
             raise ValueError(
-                f"{len(self.agents)} local objectives for {self.schedule.n} agents"
+                f"{self.problem.n} local objectives for {self.schedule.n} agents"
             )
-        d = self.agents[0].b.size
-        if any(f.b.size != d for f in self.agents):
-            raise ValueError("all local objectives must share one dimension")
-        if np.asarray(self.x_star).shape != (d,):
+        if np.shape(self.problem.x_star) != (self.problem.d,):
             raise ValueError("x_star dimension does not match the objectives")
-        if self.problem is not None and not np.allclose(
-            self.problem.r, self.schedule.r, atol=1e-12
-        ):
+        if not np.allclose(self.problem.r, self.schedule.r, atol=1e-12):
             raise ValueError("problem weights and schedule weights disagree")
-
-    @property
-    def dimension(self) -> int:
-        return self.agents[0].b.size
-
-
-def config_from_problem(
-    problem: Problem,
-    schedule: MixingSchedule,
-    steps: StepSchedule,
-    noise: NoiseModel,
-    T: int,
-) -> RunConfig:
-    return RunConfig(
-        schedule=schedule,
-        steps=steps,
-        agents=problem.agents,
-        x_star=problem.x_star,
-        T=T,
-        noise=noise,
-        problem=problem,
-    )
 
 
 @dataclass
 class RunTrace:
-    """One trajectory's diagnostics, row t in [1, len].
+    """One trajectory's diagnostics: row k of ``values`` holds the
+    TRACE_COLUMNS at iteration t[k], t in [1, len].
 
     An aborted (diverged) trace is truncated at the last finite-magnitude
     iterate; ``abort_t`` is the iteration whose update blew past the limit.
@@ -112,20 +79,12 @@ class RunTrace:
     seed: int
     T: int
     t: np.ndarray
-    loss_pooled: np.ndarray
-    loss_weighted: np.ndarray
-    deviation_sq: np.ndarray
-    dist_opt_sq: np.ndarray
+    values: np.ndarray
     final_state: np.ndarray
     max_grad_sq: float
     max_state_norm: float
     aborted: bool = False
     abort_t: int | None = None
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in TRACE_COLUMNS:
-            raise KeyError(name)
-        return getattr(self, name)
 
 
 @dataclass
@@ -147,13 +106,6 @@ def _slot_plan(schedule: MixingSchedule, t: int) -> _SlotPlan:
     return _SlotPlan(W=W, src=src, M=M)
 
 
-def _local_terms(H, b, c, X):
-    """Gradients H_i x_i - b_i and values f_i(x_i) of every agent at its row
-    of X (..., n, d); one matmul per agent row."""
-    HX = np.matmul(H, X[..., None])[..., 0]
-    return HX - b, (X * (0.5 * HX - b)).sum(-1) + c
-
-
 def run(cfg: RunConfig, seeds) -> list[RunTrace]:
     """Full trajectories from X(1) = 0 through X(T), one per seed.
 
@@ -169,18 +121,14 @@ def run(cfg: RunConfig, seeds) -> list[RunTrace]:
     if not seeds:
         raise ValueError("need at least one seed")
     gens = [philox(seed) for seed in seeds]
-    n, d, T, R = cfg.schedule.n, cfg.dimension, cfg.T, len(seeds)
-    r = cfg.schedule.r
-    H = np.stack([f.H for f in cfg.agents])
-    bvec = np.stack([f.b for f in cfg.agents])
-    cvec = np.array([f.c for f in cfg.agents])
-    x_star = np.asarray(cfg.x_star, dtype=float)
-    noise = cfg.noise
+    problem, noise = cfg.problem, cfg.noise
+    n, d, T, R = problem.n, problem.d, cfg.T, len(seeds)
+    r, x_star = cfg.schedule.r, problem.x_star
     plans = [_slot_plan(cfg.schedule, t) for t in range(1, cfg.schedule.period + 1)]
     ts = np.arange(1, T + 1)
     alphas, betas = cfg.steps.alpha(ts), cfg.steps.beta(ts)
 
-    cols = np.empty((R, len(TRACE_COLUMNS), T))
+    values = np.empty((R, T, len(TRACE_COLUMNS)))
     final = np.empty((R, n, d))
     max_grad_sq = np.zeros(R)
     max_state_norm = np.zeros(R)
@@ -189,15 +137,14 @@ def run(cfg: RunConfig, seeds) -> list[RunTrace]:
     X = np.zeros((R, n, d))
 
     for t in range(1, T + 1):
-        G, local_values = _local_terms(H, bvec, cvec, X)
-        xbar = weighted_mean(X, r)
-        if cfg.problem is not None:
-            pooled = cfg.problem.pooled_loss(xbar)
-        else:  # the r-weighted objective at the mean state
-            at_mean = np.broadcast_to(xbar[:, None], X.shape)
-            pooled = (_local_terms(H, bvec, cvec, at_mean)[1] * r).sum(-1)
-        cols[live, :, t - 1] = np.stack(
-            [pooled, (local_values * r).sum(-1), deviation_sq(X, r), dist_opt_sq(X, r, x_star)],
+        G, local_values = problem.local_terms(X)
+        values[live, t - 1] = np.stack(
+            [
+                problem.pooled_loss(weighted_mean(X, r)),
+                (local_values * r).sum(-1),
+                deviation_sq(X, r),
+                dist_opt_sq(X, r, x_star),
+            ],
             axis=-1,
         )
         max_grad_sq[live] = np.maximum(max_grad_sq[live], (G * G).sum(-1).max(-1))
@@ -233,7 +180,7 @@ def run(cfg: RunConfig, seeds) -> list[RunTrace]:
                 seed=seed,
                 T=T,
                 t=ts[rows],
-                **{name: cols[k, j, rows] for j, name in enumerate(TRACE_COLUMNS)},
+                values=values[k, rows],
                 final_state=final[k],
                 max_grad_sq=float(max_grad_sq[k]),
                 max_state_norm=float(max_state_norm[k]),
@@ -248,16 +195,16 @@ def run(cfg: RunConfig, seeds) -> list[RunTrace]:
 class MonteCarlo:
     """Aggregate of repeated runs with seeds base_seed + k.
 
-    ``mean`` and ``stderr`` hold one array per trace column, averaged over
-    the completed (non-aborted) runs; aborted runs are kept in ``traces``
-    but excluded from the statistics.
+    ``mean`` and ``stderr`` are (T, 4) arrays over the TRACE_COLUMNS, taken
+    over the completed (non-aborted) runs; aborted runs are kept in
+    ``traces`` but excluded from the statistics.
     """
 
     traces: list[RunTrace]
     base_seed: int
     t: np.ndarray
-    mean: dict[str, np.ndarray]
-    stderr: dict[str, np.ndarray]
+    mean: np.ndarray
+    stderr: np.ndarray
     completed: int
     aborted: int
 
@@ -269,11 +216,8 @@ class MonteCarlo:
         idx = T0 - 1
         if T0 < 1 or idx >= self.t.size:
             raise ValueError(f"T0 = {T0} outside the recorded horizon")
-        vals = [
-            tr.dist_opt_sq[idx] - tr.deviation_sq[idx]
-            for tr in self.traces
-            if not tr.aborted
-        ]
+        dev, dist = TRACE_COLUMNS.index("deviation_sq"), TRACE_COLUMNS.index("dist_opt_sq")
+        vals = [tr.values[idx, dist] - tr.values[idx, dev] for tr in self.traces if not tr.aborted]
         return max(float(np.mean(vals)), 0.0)
 
 
@@ -302,20 +246,16 @@ def monte_carlo(
         raise RuntimeError(
             f"all {num_runs} runs diverged (first abort at t = {traces[0].abort_t})"
         )
-    mean: dict[str, np.ndarray] = {}
-    stderr: dict[str, np.ndarray] = {}
-    for name in TRACE_COLUMNS:
-        stacked = np.stack([tr.column(name) for tr in good])
-        mean[name] = stacked.mean(axis=0)
-        if len(good) > 1:
-            stderr[name] = stacked.std(axis=0, ddof=1) / np.sqrt(len(good))
-        else:
-            stderr[name] = np.zeros(stacked.shape[1])
+    stacked = np.stack([tr.values for tr in good])
+    if len(good) > 1:
+        stderr = stacked.std(axis=0, ddof=1) / np.sqrt(len(good))
+    else:
+        stderr = np.zeros(stacked.shape[1:])
     return MonteCarlo(
         traces=traces,
         base_seed=base_seed,
         t=good[0].t.copy(),
-        mean=mean,
+        mean=stacked.mean(axis=0),
         stderr=stderr,
         completed=len(good),
         aborted=len(traces) - len(good),

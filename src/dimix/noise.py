@@ -69,26 +69,6 @@ def stochastic_quantizer(levels: int) -> NoiseModel:
     return NoiseModel("stochastic_quantizer", levels=int(levels))
 
 
-def zeta(tau, s: int, u) -> np.ndarray:
-    """Randomized rounding of s*tau to a neighboring integer level.
-
-    For tau in [0, 1], returns floor(s*tau) + 1 with probability
-    s*tau - floor(s*tau) (decided by the uniform draw u) and floor(s*tau)
-    otherwise, so E[zeta] = s*tau exactly.  tau slightly outside [0, 1] from
-    floating-point division is clipped; genuinely out-of-range values raise.
-    """
-    tau = np.asarray(tau, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if s < 1:
-        raise ValueError("quantizer needs at least one level")
-    if np.any(tau < -1e-9) or np.any(tau > 1.0 + 1e-9):
-        raise ValueError("normalized magnitudes must lie in [0, 1]")
-    tau = np.clip(tau, 0.0, 1.0)
-    scaled = s * tau
-    low = np.floor(scaled)
-    return low + (u < scaled - low)
-
-
 def stochastic_quantize(x, s: int, rng, src=None) -> np.ndarray:
     """Unbiased random quantization of x to s magnitude levels.
 
@@ -149,32 +129,3 @@ def noise_variance_bound(
     if state_norm_bound is None or state_norm_bound < 0.0:
         raise ValueError("quantizer variance bound needs a nonnegative state norm bound")
     return quantizer_variance_coeff(d, model.levels) * state_norm_bound**2
-
-
-def neighbor_estimate(
-    states: np.ndarray, w_row: np.ndarray, model: NoiseModel, rng: np.random.Generator
-) -> np.ndarray:
-    """One agent's estimate of the W-weighted neighborhood average.
-
-    ``states`` is the full (n, d) state matrix, ``w_row`` the agent's row of
-    the mixing matrix.  Independent corruption is drawn for every positive
-    entry of the row, including the agent's own (a node quantizes or
-    transmits its own state through the same pipeline), in ascending neighbor
-    order so scalar and batched paths consume the generator identically.
-    """
-    states = np.asarray(states, dtype=float)
-    w_row = np.asarray(w_row, dtype=float)
-    if states.ndim != 2 or w_row.ndim != 1 or w_row.size != states.shape[0]:
-        raise ValueError("states must be (n, d) and w_row length n")
-    if np.any(w_row < 0.0) or abs(w_row.sum() - 1.0) > 1e-9:
-        raise ValueError("mixing row must be nonnegative and sum to 1")
-
-    support = np.flatnonzero(w_row > 0.0)
-    if model.kind == "noiseless":
-        return w_row[support] @ states[support]
-    if model.kind == "gaussian_channel":
-        d = states.shape[1]
-        z = rng.normal(0.0, model.sigma / np.sqrt(d), size=(support.size, d))
-        return w_row[support] @ (states[support] + z)
-    q = stochastic_quantize(states[support], model.levels, rng)
-    return w_row[support] @ q

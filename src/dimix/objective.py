@@ -77,72 +77,38 @@ def partition_indices(r, N: int, rng: np.random.Generator) -> list[np.ndarray]:
     return [np.sort(part) for part in np.split(perm, splits)]
 
 
-@dataclass(frozen=True)
-class LocalObjective:
-    """One agent's quadratic: value 0.5 x'Hx - b'x + c over its shard.
-
-    ``curvature_lo``/``curvature_hi`` are the extreme eigenvalues of H; a
-    shard with fewer points than dimensions is rank deficient and reports
-    curvature_lo == 0.
-    """
-
-    indices: np.ndarray
-    U: np.ndarray
-    v: np.ndarray
-    H: np.ndarray
-    b: np.ndarray
-    c: float
-    curvature_lo: float
-    curvature_hi: float
-
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.H @ x - self.b @ x + self.c)
-
-    def gradient(self, x) -> np.ndarray:
-        return self.H @ np.asarray(x, dtype=float) - self.b
-
-
-def local_objective(U: np.ndarray, v: np.ndarray, indices: np.ndarray) -> LocalObjective:
-    indices = np.asarray(indices, dtype=int)
-    if indices.size == 0:
-        raise ValueError("shard must hold at least one point")
-    Ui = U[indices]
-    vi = v[indices]
-    m = indices.size
-    H = Ui.T @ Ui / m
-    eigs = np.linalg.eigvalsh(H)
-    lo = float(eigs[0])
-    if lo < 0.0:
-        if lo < -1e-10:
-            raise ValueError("shard Hessian has a significantly negative eigenvalue")
-        lo = 0.0
-    return LocalObjective(
-        indices=indices,
-        U=Ui,
-        v=vi,
-        H=H,
-        b=Ui.T @ vi / m,
-        c=float(vi @ vi / (2 * m)),
-        curvature_lo=lo,
-        curvature_hi=float(eigs[-1]),
-    )
+def local_quadratics(U: np.ndarray, v: np.ndarray, shards):
+    """Stacked shard mean squares: H (n, d, d), b (n, d) and c (n,) with
+    f_i(x) = 0.5 x'H_i x - b_i'x + c_i over the points ``shards[i]``."""
+    H, b, c = [], [], []
+    for idx in shards:
+        # One gathered copy: numpy computes Ui.T @ Ui of a single buffer as
+        # a symmetric product, whose rounding x_star is pinned to.
+        Ui, vi, m = U[idx], v[idx], idx.size
+        if m == 0:
+            raise ValueError("shard must hold at least one point")
+        H.append(Ui.T @ Ui / m)
+        b.append(Ui.T @ vi / m)
+        c.append(vi @ vi / (2 * m))
+    return np.stack(H), np.stack(b), np.array(c)
 
 
 @dataclass(frozen=True)
 class Problem:
-    """A full sharded instance: the pool, the weights, the per-agent
-    quadratics, and the minimizer of the weighted objective."""
+    """A sharded instance: the data pool (U, v), the weights r, agent i's
+    point indices ``shards[i]`` and quadratic (H[i], b[i], c[i]), and the
+    minimizer x_star of the weighted objective sum_i r_i f_i."""
 
     n: int
     d: int
     N: int
     U: np.ndarray
     v: np.ndarray
-    x_tilde: np.ndarray
-    theta: np.ndarray
     r: np.ndarray
-    agents: tuple[LocalObjective, ...]
+    shards: tuple[np.ndarray, ...]
+    H: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
     x_star: np.ndarray
     strong_convexity: float
     smoothness: float
@@ -154,29 +120,37 @@ class Problem:
         loss = (resid * resid).sum(-1) / (2 * self.N)
         return float(loss) if loss.ndim == 0 else loss
 
-    def weighted_value(self, X: np.ndarray) -> float:
-        """sum_i r_i f_i(x_i) at per-agent states X (n, d)."""
-        X = np.asarray(X, dtype=float)
-        return float(sum(r_i * f.value(x_i) for r_i, f, x_i in zip(self.r, self.agents, X)))
-
-    def gradients(self, X: np.ndarray) -> np.ndarray:
-        """Stacked local gradients: row i is grad f_i(X[i])."""
-        X = np.asarray(X, dtype=float)
-        H = np.stack([f.H for f in self.agents])
-        B = np.stack([f.b for f in self.agents])
-        return np.einsum("nij,nj->ni", H, X) - B
-
-    def value_weighted_at(self, x) -> float:
-        """The network objective f(x) = sum_i r_i f_i(x) at one shared point."""
-        x = np.asarray(x, dtype=float)
-        return float(sum(r_i * f.value(x) for r_i, f in zip(self.r, self.agents)))
+    def local_terms(self, X):
+        """Gradients H_i x_i - b_i (..., n, d) and values f_i(x_i) (..., n) of
+        every agent at its row of X (..., n, d); one matmul per agent row,
+        so each row's result is independent of the rest of the batch."""
+        HX = np.matmul(self.H, X[..., None])[..., 0]
+        return HX - self.b, (X * (0.5 * HX - self.b)).sum(-1) + self.c
 
 
-def global_optimum(r, agents) -> np.ndarray:
-    """Minimizer of sum_i r_i f_i: solves (sum r_i H_i) x = sum r_i b_i."""
-    A = sum(r_i * f.H for r_i, f in zip(r, agents))
-    rhs = sum(r_i * f.b for r_i, f in zip(r, agents))
-    return np.linalg.solve(A, rhs)
+def quadratic_problem(U: np.ndarray, v: np.ndarray, r: np.ndarray, shards) -> Problem:
+    """The instance in which agent i holds the pool points ``shards[i]``."""
+    H, b, c = local_quadratics(U, v, shards)
+    # Left folds, sum(r_i * H_i): x_star and the curvature bounds are pinned
+    # to this summation order.
+    H_bar = sum(r_i * H_i for r_i, H_i in zip(r, H))
+    x_star = np.linalg.solve(H_bar, sum(r_i * b_i for r_i, b_i in zip(r, b)))
+    eigs = np.linalg.eigvalsh(H_bar)
+    return Problem(
+        n=len(shards),
+        d=U.shape[1],
+        N=len(v),
+        U=U,
+        v=v,
+        r=r,
+        shards=shards,
+        H=H,
+        b=b,
+        c=c,
+        x_star=x_star,
+        strong_convexity=max(float(eigs[0]), 0.0),
+        smoothness=float(eigs[-1]),
+    )
 
 
 def build_problem(
@@ -198,7 +172,7 @@ def build_problem(
     if n < 1:
         raise ValueError("need at least one agent")
     rng = philox(seed, 0)
-    U, v, x_tilde, theta = synthesize_regression(N, d, rng)
+    U, v, _, _ = synthesize_regression(N, d, rng)
     if r is None:
         p = p_low + (p_high - p_low) * rng.random(n)
         r = make_weight_vector(p)
@@ -206,22 +180,4 @@ def build_problem(
         r = np.asarray(r, dtype=float)
         if r.shape != (n,):
             raise ValueError("explicit weights must have one entry per agent")
-    shards = partition_indices(r, N, rng)
-    agents = tuple(local_objective(U, v, idx) for idx in shards)
-    x_star = global_optimum(r, agents)
-    H_bar = sum(r_i * f.H for r_i, f in zip(r, agents))
-    eigs = np.linalg.eigvalsh(H_bar)
-    return Problem(
-        n=n,
-        d=d,
-        N=N,
-        U=U,
-        v=v,
-        x_tilde=x_tilde,
-        theta=theta,
-        r=r,
-        agents=agents,
-        x_star=x_star,
-        strong_convexity=max(float(eigs[0]), 0.0),
-        smoothness=float(eigs[-1]),
-    )
+    return quadratic_problem(U, v, r, tuple(partition_indices(r, N, rng)))

@@ -159,63 +159,13 @@ def write_manifest(path, values: dict, derived: dict) -> None:
 # ---------------------------------------------------------------------------
 # CSV output
 
-TRACE_HEADER = "t,loss_pooled,loss_weighted,deviation_sq,dist_opt_sq"
 
-
-def write_trace_csv(path, trace) -> None:
-    rows = [TRACE_HEADER]
-    for i, t in enumerate(trace.t):
-        rows.append(
-            ",".join(
-                (
-                    str(int(t)),
-                    fmt(trace.loss_pooled[i]),
-                    fmt(trace.loss_weighted[i]),
-                    fmt(trace.deviation_sq[i]),
-                    fmt(trace.dist_opt_sq[i]),
-                )
-            )
-        )
+def write_csv(path, names, index, data) -> None:
+    """A CSV table: header ``names``, then one row per entry of ``index``
+    (printed as an integer) followed by that row of the 2-D ``data``."""
+    rows = [",".join(names)]
+    rows += [",".join([str(int(i)), *map(fmt, row)]) for i, row in zip(index, data.tolist())]
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
-
-
-def write_mean_csv(path, mc) -> None:
-    """Per-iteration mean and standard error of every trace column over the
-    completed runs."""
-    names = ("loss_pooled", "loss_weighted", "deviation_sq", "dist_opt_sq")
-    header = "t," + ",".join(f"{n}_mean,{n}_stderr" for n in names)
-    rows = [header]
-    for i, t in enumerate(mc.t):
-        cells = [str(int(t))]
-        for name in names:
-            cells.append(fmt(mc.mean[name][i]))
-            cells.append(fmt(mc.stderr[name][i]))
-        rows.append(",".join(cells))
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
-
-
-def write_sweep_csv(path, ts, mc) -> None:
-    """Final-iterate statistics at each horizon in ts, sliced from one run
-    at the largest horizon (iteration t never depends on the horizon)."""
-    names = ("loss_pooled", "loss_weighted", "deviation_sq", "dist_opt_sq")
-    header = "T," + ",".join(f"{n}_mean,{n}_stderr" for n in names)
-    rows = [header]
-    for T in ts:
-        i = T - 1
-        cells = [str(int(T))]
-        for name in names:
-            cells.append(fmt(mc.mean[name][i]))
-            cells.append(fmt(mc.stderr[name][i]))
-        rows.append(",".join(cells))
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
-
-
-def read_csv_columns(path) -> dict[str, np.ndarray]:
-    """Read one of this package's CSV files back into named float arrays."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    names = lines[0].split(",")
-    data = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
-    return {name: data[:, j] for j, name in enumerate(names)}
 
 
 # ---------------------------------------------------------------------------

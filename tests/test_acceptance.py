@@ -14,14 +14,7 @@ import pytest
 
 from dimix.analysis import StepSchedule, fit_rate, theorem_bound, thresholds, xi_constants
 from dimix.analysis import contraction_factor, kappa_factor
-from dimix.dynamics import (
-    MonteCarlo,
-    RunConfig,
-    config_from_problem,
-    empirical_bounds,
-    monte_carlo,
-    run,
-)
+from dimix.dynamics import MonteCarlo, RunConfig, empirical_bounds, monte_carlo, run
 from dimix.lemmas import run_suite
 from dimix.noise import (
     noise_variance_bound,
@@ -29,7 +22,7 @@ from dimix.noise import (
     stochastic_quantize,
     stochastic_quantizer,
 )
-from dimix.objective import build_problem, local_objective
+from dimix.objective import build_problem
 from dimix.rng import philox
 from dimix.topology import (
     fixed_cycle_schedule,
@@ -37,6 +30,8 @@ from dimix.topology import (
     matrix_list_schedule,
     validate_schedule,
 )
+
+from helpers import col, model
 
 GRID = (500, 1000, 2000, 4000, 5000)
 SECTION3_STEPS = StepSchedule(alpha0=0.1, nu=0.25, beta0=0.7, mu=0.75)
@@ -64,8 +59,9 @@ def _benchmark_mc(problem, family: str) -> TimedMC:
         if family == "fixed_cycle"
         else gossip_schedule(problem.r)
     )
-    cfg = config_from_problem(
-        problem, schedule, SECTION3_STEPS, stochastic_quantizer(4), 5000
+    cfg = RunConfig(
+        problem=problem, schedule=schedule, steps=SECTION3_STEPS, T=5000,
+        noise=stochastic_quantizer(4),
     )
     t0 = time.monotonic()
     mc = monte_carlo(cfg, 20, base_seed=100)
@@ -171,19 +167,16 @@ def test_criterion_4_lemma_suite(verdict):
 def test_criterion_5_gradient_descent_reduction(verdict):
     d, T = 4, 10_000
     target = philox(5).normal(size=d)
-    agent = local_objective(2.0 * np.eye(d), target, np.arange(d))
     schedule = matrix_list_schedule([np.ones((1, 1))], r=np.array([1.0]), B=1)
+    problem = model([2.0 * np.eye(d)], [target], schedule.r)
+    H, b, x_star = problem.H[0], problem.b[0], problem.x_star
     steps = StepSchedule(alpha0=1.75, nu=0.25, beta0=1.0, mu=0.75)
-    x_star = np.linalg.solve(agent.H, agent.b)
-    cfg = RunConfig(
-        schedule=schedule, steps=steps, agents=(agent,), x_star=x_star,
-        T=T, noise=noiseless(),
-    )
+    cfg = RunConfig(problem=problem, schedule=schedule, steps=steps, T=T, noise=noiseless())
     t0 = time.monotonic()
     trace = run(cfg, [0])[0]
     x = np.zeros(d)
     for t in range(1, T):
-        x = x - steps.alpha(t) * steps.beta(t) * (agent.H @ x - agent.b)
+        x = x - steps.alpha(t) * steps.beta(t) * (H @ x - b)
     elapsed = time.monotonic() - t0
     gap = float(np.max(np.abs(trace.final_state[0] - x)))
     ratio = float(np.linalg.norm(x - x_star) / np.linalg.norm(x_star))
@@ -198,7 +191,7 @@ def test_criterion_5_gradient_descent_reduction(verdict):
 
 def test_criterion_6_optimality_rate(mc_fixed, verdict):
     t0 = time.monotonic()
-    finals = np.array([mc_fixed.mc.mean["dist_opt_sq"][T - 1] for T in GRID])
+    finals = np.array([col(mc_fixed.mc.mean, "dist_opt_sq")[T - 1] for T in GRID])
     fit = fit_rate(np.array(GRID, dtype=float), finals)
     elapsed = mc_fixed.seconds + (time.monotonic() - t0)
     in_window = -0.85 <= fit.slope <= -0.35
@@ -216,7 +209,7 @@ def test_criterion_7_consensus_decay(mc_fixed, mc_gossip, verdict):
     ts = np.arange(500, 5001, dtype=float)
     slopes = {}
     for name, timed in (("fixed_cycle", mc_fixed), ("gossip", mc_gossip)):
-        ys = timed.mc.mean["deviation_sq"][499:5000]
+        ys = col(timed.mc.mean, "deviation_sq")[499:5000]
         slopes[name] = fit_rate(ts, ys).slope
     ok = all(s <= -0.35 for s in slopes.values())
     assert verdict(
@@ -236,7 +229,7 @@ def test_criterion_8_theorem_bound_dominance(verdict):
     schedule = gossip_schedule(problem.r)
     steps = StepSchedule(alpha0=0.25, nu=0.05, beta0=0.8, mu=0.1)
     noise = stochastic_quantizer(s)
-    cfg = config_from_problem(problem, schedule, steps, noise, 5000)
+    cfg = RunConfig(problem=problem, schedule=schedule, steps=steps, T=5000, noise=noise)
     mc = monte_carlo(cfg, 50, base_seed=100)
 
     lam = contraction_factor(schedule.eta, float(schedule.r.min()), schedule.B, n)
@@ -253,7 +246,7 @@ def test_criterion_8_theorem_bound_dominance(verdict):
     dominated = True
     for T in report_ts:
         bound = float(theorem_bound(tc, T, strict=True))
-        emp = float(mc.mean["dist_opt_sq"][T - 1])
+        emp = float(col(mc.mean, "dist_opt_sq")[T - 1])
         dominated &= bound >= emp
         rows.append(f"T={T}: bound/empirical = {bound / emp:.1e}")
     elapsed = time.monotonic() - t0
@@ -268,8 +261,8 @@ def test_criterion_8_theorem_bound_dominance(verdict):
 
 
 def test_criterion_9_mixing_family_loss_comparison(mc_fixed, mc_gossip, verdict):
-    loss_fixed = mc_fixed.mc.mean["loss_pooled"]
-    loss_gossip = mc_gossip.mc.mean["loss_pooled"]
+    loss_fixed = col(mc_fixed.mc.mean, "loss_pooled")
+    loss_gossip = col(mc_gossip.mc.mean, "loss_pooled")
     at_or_below = loss_fixed[4999] <= loss_gossip[4999]
 
     checkpoints = np.unique(np.geomspace(100, 5000, 25).astype(int))

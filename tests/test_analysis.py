@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,19 @@ class TestTheoremBound:
         assert bound[0] == pytest.approx(tail[0] + 2.0 * 1.5, rel=1e-12)
         assert np.all(np.isfinite(bound)) and np.all(np.diff(bound) < 0)
         assert np.all(bound - tail <= 2.0 * 1.5 * (1 + 1e-12))
+
+    def test_zero_q0_below_burn_in_gives_the_tail(self):
+        # Below T0 the burn-in factor exp(xi3 (T0^p - T^p)) overflows at
+        # lambda = 1e-5; with q0 = 0 the term is exactly 0, not 0 * inf.
+        steps = StepSchedule(alpha0=0.25, nu=0.05, beta0=0.8, mu=0.1)
+        lam = 1e-5
+        tc = xi_constants(steps, lam, kappa_factor(lam, 0.8, B=20), 2.0, 2.0, 0.5, 3.0, 0.0)
+        assert tc.xi2 == 0.0
+        T = np.array([30.0, 60.0, 200.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = theorem_bound(tc, T, strict=False)
+        np.testing.assert_array_equal(bound, tc.xi1 * T**-0.1 + 0.0 + tc.xi4 * T**-0.05)
 
     def test_vectorized_and_scalar(self):
         tc = TestXiConstants().small_regime1()

@@ -1,20 +1,31 @@
+import importlib.util
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dimix.cli import main
+from dimix.dynamics import TRACE_COLUMNS
 from dimix.reporting import (
     Config,
     SCHEMA,
-    TRACE_HEADER,
     fmt,
     format_config,
     parse_config_text,
-    read_csv_columns,
+    write_csv,
     write_manifest,
-    write_trace_csv,
 )
+
+from helpers import col
+
+
+def read_csv_columns(path) -> dict[str, np.ndarray]:
+    """Read one of the package's CSV files back into named float arrays."""
+    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    names = lines[0].split(",")
+    data = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
+    return {name: data[:, j] for j, name in enumerate(names)}
 
 
 SMALL_CONFIG = """
@@ -117,12 +128,14 @@ class TestCsvRoundTrip:
 
         trace = run(simple_config(T=9), [4])[0]
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, trace)
-        assert path.read_text().splitlines()[0] == TRACE_HEADER
+        write_csv(path, ("t", *TRACE_COLUMNS), trace.t, trace.values)
+        assert path.read_text().splitlines()[0] == (
+            "t,loss_pooled,loss_weighted,deviation_sq,dist_opt_sq"
+        )
         cols = read_csv_columns(path)
         np.testing.assert_array_equal(cols["t"], trace.t.astype(float))
-        np.testing.assert_array_equal(cols["dist_opt_sq"], trace.dist_opt_sq)
-        np.testing.assert_array_equal(cols["loss_weighted"], trace.loss_weighted)
+        np.testing.assert_array_equal(cols["dist_opt_sq"], col(trace.values, "dist_opt_sq"))
+        np.testing.assert_array_equal(cols["loss_weighted"], col(trace.values, "loss_weighted"))
 
 
 class TestRunCommand:
@@ -295,6 +308,22 @@ T_grid = 500, 2200
         assert "xi2 = inf" in captured.out
 
 
+    def test_zero_q0_below_burn_in_prints_no_nan(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(
+            self.THEORY_CONFIG.replace("n = 4", "n = 20")
+            .replace("T = 2200", "T = 60")
+            .replace("T_grid = 500, 2200", "T_grid = 30, 60, 200")
+        )
+        rc = main(["theory", "--config", str(cfg), "--assume-q0", "0"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        rows = captured.out.split("bound/empirical\n")[1].splitlines()
+        assert len(rows) == 3
+        assert "nan" not in captured.out
+
+
 class TestLemmasCommand:
     def test_passes_and_prints_summary(self, capsys):
         rc = main(["lemmas"])
@@ -331,6 +360,14 @@ class TestSweepCommand:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("command, jobs", [("run", "-5"), ("sweep", "0"), ("theory", "0")])
+    def test_jobs_below_one_rejected(self, config_file, tmp_path, capsys, command, jobs):
+        out = tmp_path / "out"
+        rc = main([command, "--config", config_file, "--out", str(out), "--jobs", jobs])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert not (out / "manifest.txt").exists()
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text("volume = 11\n")
@@ -350,3 +387,27 @@ class TestErrorPaths:
         cfg.write_text("noise = stochastic_quantizer\n")
         rc = main(["validate", "--config", str(cfg)])
         assert rc == 2
+
+
+class TestBenchmarkHooks:
+    """perfbench/ times dimix from outside by rebinding public names and
+    builds an experiment as its setup snippet does; a rename that drops one
+    of those names would otherwise leave a per-layer metric silently empty."""
+
+    def test_every_traced_name_exists(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert tracer.absent == []
+        finally:
+            tracer.uninstall()
+
+    def test_setup_snippet_builds_an_experiment(self, config_file):
+        import dimix.cli
+
+        exp = dimix.cli.build_experiment(dimix.cli.parse_config(config_file))
+        assert exp.run_config.problem.n == 4

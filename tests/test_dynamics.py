@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,49 +8,42 @@ from dimix.dynamics import (
     DIVERGENCE_LIMIT,
     MonteCarlo,
     RunConfig,
-    TRACE_COLUMNS,
     RunTrace,
-    config_from_problem,
     empirical_bounds,
     monte_carlo,
     run,
 )
-from dimix.noise import gaussian_channel, neighbor_estimate, noiseless, stochastic_quantizer
-from dimix.objective import build_problem, local_objective
+from dimix.noise import gaussian_channel, noiseless, stochastic_quantizer
+from dimix.objective import build_problem
 from dimix.rng import philox
 from dimix.topology import fixed_cycle_schedule, gossip_schedule, matrix_list_schedule
 
 from conftest import random_weights
-from oracles import step, step_matrix
+from helpers import col, model
+from oracles import neighbor_estimate, step, step_matrix
 
 DEFAULT_STEPS = StepSchedule(alpha0=0.1, nu=0.25, beta0=0.7, mu=0.75)
 
 
-def quadratic_agents(n: int, d: int, seed: int, points: int = 30):
+def quadratic_model(n: int, d: int, seed: int, r, points: int = 30):
     """n independent well-conditioned local quadratics from synthetic data."""
     rng = philox(seed)
-    agents = []
+    Us, vs = [], []
     for _ in range(n):
-        U = rng.random((points, d)) + 0.2
-        v = rng.random(points)
-        agents.append(local_objective(U, v, np.arange(points)))
-    return tuple(agents)
+        Us.append(rng.random((points, d)) + 0.2)
+        vs.append(rng.random(points))
+    return model(Us, vs, r)
 
 
 def simple_config(n=3, d=4, T=30, noise=None, steps=DEFAULT_STEPS, seed=0):
-    agents = quadratic_agents(n, d, seed)
     if n == 1:
         schedule = matrix_list_schedule([np.ones((1, 1))], r=np.array([1.0]), B=1)
     else:
         schedule = fixed_cycle_schedule(random_weights(philox(seed + 1), n))
-    H = sum(r_i * f.H for r_i, f in zip(schedule.r, agents))
-    b = sum(r_i * f.b for r_i, f in zip(schedule.r, agents))
-    x_star = np.linalg.solve(H, b)
     return RunConfig(
+        problem=quadratic_model(n, d, seed, schedule.r),
         schedule=schedule,
         steps=steps,
-        agents=agents,
-        x_star=x_star,
         T=T,
         noise=noise or noiseless(),
     )
@@ -63,10 +58,9 @@ class TestRunConfig:
         cfg = simple_config(n=3)
         with pytest.raises(ValueError, match="local objectives"):
             RunConfig(
+                problem=quadratic_model(2, 4, 0, np.full(2, 0.5)),
                 schedule=cfg.schedule,
                 steps=cfg.steps,
-                agents=cfg.agents[:2],
-                x_star=cfg.x_star,
                 T=10,
             )
 
@@ -74,20 +68,19 @@ class TestRunConfig:
         cfg = simple_config(d=4)
         with pytest.raises(ValueError, match="x_star"):
             RunConfig(
+                problem=replace(cfg.problem, x_star=np.zeros(5)),
                 schedule=cfg.schedule,
                 steps=cfg.steps,
-                agents=cfg.agents,
-                x_star=np.zeros(5),
                 T=10,
             )
 
     def test_rejects_weight_disagreement(self, default_problem):
         other = gossip_schedule(random_weights(philox(99), 20))
         with pytest.raises(ValueError, match="weights"):
-            config_from_problem(default_problem, other, DEFAULT_STEPS, noiseless(), 10)
+            RunConfig(problem=default_problem, schedule=other, steps=DEFAULT_STEPS, T=10)
 
     def test_dimension(self):
-        assert simple_config(d=7).dimension == 7
+        assert simple_config(d=7).problem.d == 7
 
 
 class TestSingleTrajectory:
@@ -96,36 +89,37 @@ class TestSingleTrajectory:
         trace = run(cfg, [5])[0]
         assert trace.t.tolist() == [1]
         np.testing.assert_array_equal(trace.final_state, np.zeros((3, 4)))
-        assert trace.deviation_sq[0] == 0.0
-        assert trace.dist_opt_sq[0] == pytest.approx(float(np.sum(cfg.x_star**2)))
+        assert col(trace.values, "deviation_sq")[0] == 0.0
+        assert col(trace.values, "dist_opt_sq")[0] == pytest.approx(
+            float(np.sum(cfg.problem.x_star**2))
+        )
 
     def test_first_row_metrics_at_zero_state(self, default_problem):
         p = default_problem
         sched = fixed_cycle_schedule(p.r)
-        cfg = config_from_problem(p, sched, DEFAULT_STEPS, noiseless(), 3)
+        cfg = RunConfig(problem=p, schedule=sched, steps=DEFAULT_STEPS, T=3)
         trace = run(cfg, [1])[0]
-        assert trace.loss_pooled[0] == pytest.approx(p.pooled_loss(np.zeros(25)))
-        assert trace.loss_weighted[0] == pytest.approx(
-            p.weighted_value(np.zeros((20, 25))), rel=1e-12
+        assert col(trace.values, "loss_pooled")[0] == pytest.approx(p.pooled_loss(np.zeros(25)))
+        at_zero = [np.mean(p.v[idx] ** 2) / 2 for idx in p.shards]  # f_i(0)
+        assert col(trace.values, "loss_weighted")[0] == pytest.approx(
+            float(np.dot(p.r, at_zero)), rel=1e-12
         )
 
     def test_final_row_matches_final_state(self):
         cfg = simple_config(T=40)
         trace = run(cfg, [2])[0]
         r = cfg.schedule.r
-        assert trace.dist_opt_sq[-1] == pytest.approx(
-            dist_opt_sq(trace.final_state, r, cfg.x_star), rel=1e-12
+        assert col(trace.values, "dist_opt_sq")[-1] == pytest.approx(
+            dist_opt_sq(trace.final_state, r, cfg.problem.x_star), rel=1e-12
         )
-        assert trace.deviation_sq[-1] == pytest.approx(
+        assert col(trace.values, "deviation_sq")[-1] == pytest.approx(
             deviation_sq(trace.final_state, r), rel=1e-12
         )
 
     def test_trace_length_and_column_access(self):
         trace = run(simple_config(T=17), [3])[0]
         assert trace.t.size == 17
-        assert trace.column("loss_weighted").size == 17
-        with pytest.raises(KeyError):
-            trace.column("nope")
+        assert col(trace.values, "loss_weighted").size == 17
 
     def test_noiseless_runs_identical_across_seeds(self):
         cfg = simple_config(T=25)
@@ -147,17 +141,12 @@ class TestBatchedEstimates:
     @pytest.mark.parametrize("n", [1, 3, 20])
     def test_matches_per_agent_loop(self, n, noise):
         d = 5
-        agents = quadratic_agents(n, d, seed=n)
         if n == 1:
             schedule = matrix_list_schedule([np.ones((1, 1))], r=np.array([1.0]), B=1)
         else:
             schedule = gossip_schedule(random_weights(philox(n), n))
-        H = sum(r_i * f.H for r_i, f in zip(schedule.r, agents))
-        x_star = np.linalg.solve(H, sum(r_i * f.b for r_i, f in zip(schedule.r, agents)))
-        cfg = RunConfig(
-            schedule=schedule, steps=DEFAULT_STEPS, agents=agents, x_star=x_star,
-            T=12, noise=noise,
-        )
+        p = quadratic_model(n, d, n, schedule.r)
+        cfg = RunConfig(problem=p, schedule=schedule, steps=DEFAULT_STEPS, T=12, noise=noise)
 
         fast = run(cfg, [31])[0]
 
@@ -168,7 +157,7 @@ class TestBatchedEstimates:
             Xhat = np.stack(
                 [neighbor_estimate(X, W[i], noise, rng) for i in range(n)]
             )
-            G = np.stack([f.gradient(X[i]) for i, f in enumerate(agents)])
+            G = np.stack([p.H[i] @ X[i] - p.b[i] for i in range(n)])
             a_t = float(DEFAULT_STEPS.alpha(t))
             b_t = float(DEFAULT_STEPS.beta(t))
             X = X + b_t * (Xhat - X) - a_t * b_t * G
@@ -187,7 +176,7 @@ class TestBatchedEstimates:
 def small_instance_config(family, noise, T):
     p = build_problem(n=4, d=3, N=20, seed=5)
     schedule = gossip_schedule(p.r) if family == "gossip" else fixed_cycle_schedule(p.r)
-    return config_from_problem(p, schedule, DEFAULT_STEPS, noise, T)
+    return RunConfig(problem=p, schedule=schedule, steps=DEFAULT_STEPS, T=T, noise=noise)
 
 
 def divergent_config():
@@ -198,8 +187,7 @@ def divergent_config():
 
 def assert_same_trace(a, b):
     assert a.seed == b.seed
-    for name in TRACE_COLUMNS:
-        np.testing.assert_array_equal(a.column(name), b.column(name))
+    np.testing.assert_array_equal(a.values, b.values)
     np.testing.assert_array_equal(a.final_state, b.final_state)
     assert (a.max_grad_sq, a.max_state_norm, a.aborted, a.abort_t) == (
         b.max_grad_sq, b.max_state_norm, b.aborted, b.abort_t
@@ -271,7 +259,8 @@ class TestStepMatrix:
         Xhat = np.stack(
             [neighbor_estimate(X, W[i], cfg.noise, rng) for i in range(4)]
         )
-        G = np.stack([f.gradient(X[i]) for i, f in enumerate(cfg.agents)])
+        p = cfg.problem
+        G = np.stack([p.H[i] @ X[i] - p.b[i] for i in range(4)])
         a_t, b_t = float(cfg.steps.alpha(t)), float(cfg.steps.beta(t))
         incremental = X + b_t * (Xhat - X) - a_t * b_t * G
         explicit = step_matrix(X, W, Xhat - W @ X, G, a_t, b_t)
@@ -288,15 +277,13 @@ class TestConservationLaws:
     def zero_gradient_config(self, schedule, T, d=4):
         n = schedule.n
         # Zero data rows give H = 0 and b = 0: the dynamics reduce to mixing.
-        agents = tuple(
-            local_objective(np.zeros((2, d)), np.zeros(2), np.arange(2))
-            for _ in range(n)
+        problem = model(
+            [np.zeros((2, d))] * n, [np.zeros(2)] * n, schedule.r, x_star=np.zeros(d)
         )
         return RunConfig(
+            problem=problem,
             schedule=schedule,
             steps=StepSchedule(alpha0=0.1, nu=0.25, beta0=1.0, mu=0.01),
-            agents=agents,
-            x_star=np.zeros(d),
             T=T,
         )
 
@@ -344,7 +331,7 @@ class TestDivergenceHandling:
         assert trace.abort_t is not None and trace.abort_t <= 20
         # Recording stops at the last finite iterate.
         assert trace.t.size == trace.abort_t - 1
-        assert np.all(np.isfinite(trace.dist_opt_sq))
+        assert np.all(np.isfinite(col(trace.values, "dist_opt_sq")))
         assert trace.t.size < 20
 
     def test_all_diverged_raises(self):
@@ -359,11 +346,11 @@ class TestDivergenceHandling:
         assert mc.completed == 12 - mc.aborted
         assert len(mc.traces) == 12
         for name in ("loss_weighted", "dist_opt_sq"):
-            assert mc.mean[name].size == 8
-            assert np.all(np.isfinite(mc.mean[name]))
+            assert col(mc.mean, name).size == 8
+            assert np.all(np.isfinite(col(mc.mean, name)))
         good = [tr for tr in mc.traces if not tr.aborted]
-        manual = np.mean([tr.dist_opt_sq for tr in good], axis=0)
-        np.testing.assert_allclose(mc.mean["dist_opt_sq"], manual, rtol=1e-12)
+        manual = np.mean([col(tr.values, "dist_opt_sq") for tr in good], axis=0)
+        np.testing.assert_allclose(col(mc.mean, "dist_opt_sq"), manual, rtol=1e-12)
 
 
 class TestMonteCarlo:
@@ -378,29 +365,34 @@ class TestMonteCarlo:
         for a, b in zip(serial.traces, parallel.traces):
             assert a.seed == b.seed
             np.testing.assert_array_equal(a.final_state, b.final_state)
-            np.testing.assert_array_equal(a.dist_opt_sq, b.dist_opt_sq)
+            np.testing.assert_array_equal(
+                col(a.values, "dist_opt_sq"), col(b.values, "dist_opt_sq")
+            )
         np.testing.assert_array_equal(
-            serial.mean["loss_weighted"], parallel.mean["loss_weighted"]
+            col(serial.mean, "loss_weighted"), col(parallel.mean, "loss_weighted")
         )
 
     def test_stderr_zero_for_single_or_identical_runs(self):
         cfg = simple_config(T=10)
         one = monte_carlo(cfg, 1, base_seed=0)
-        assert np.all(one.stderr["dist_opt_sq"] == 0.0)
+        assert np.all(col(one.stderr, "dist_opt_sq") == 0.0)
         several = monte_carlo(cfg, 3, base_seed=0)  # noiseless: identical
-        scale = np.max(several.mean["dist_opt_sq"])
-        assert np.all(several.stderr["dist_opt_sq"] <= 1e-15 * scale)
+        scale = np.max(col(several.mean, "dist_opt_sq"))
+        assert np.all(col(several.stderr, "dist_opt_sq") <= 1e-15 * scale)
 
     def test_noisy_stderr_positive(self):
         cfg = simple_config(T=10, noise=stochastic_quantizer(2))
         mc = monte_carlo(cfg, 5, base_seed=3)
-        assert np.any(mc.stderr["dist_opt_sq"][1:] > 0.0)
+        assert np.any(col(mc.stderr, "dist_opt_sq")[1:] > 0.0)
 
     def test_q0_estimate_recovers_mean_error(self):
         cfg = simple_config(T=30, noise=stochastic_quantizer(4))
         mc = monte_carlo(cfg, 6, base_seed=19)
         manual = np.mean(
-            [tr.dist_opt_sq[14] - tr.deviation_sq[14] for tr in mc.traces]
+            [
+                col(tr.values, "dist_opt_sq")[14] - col(tr.values, "deviation_sq")[14]
+                for tr in mc.traces
+            ]
         )
         assert mc.q0_estimate(15) == pytest.approx(max(manual, 0.0), rel=1e-12)
         with pytest.raises(ValueError):
@@ -411,13 +403,12 @@ class TestMonteCarlo:
     def test_q0_estimate_clamps_cancellation_noise(self):
         trace = RunTrace(
             seed=0, T=1, t=np.array([1]),
-            loss_pooled=np.array([0.0]), loss_weighted=np.array([0.0]),
-            deviation_sq=np.array([1.0]), dist_opt_sq=np.array([1.0 - 1e-18]),
+            values=np.array([[0.0, 0.0, 1.0, 1.0 - 1e-18]]),
             final_state=np.zeros((1, 1)), max_grad_sq=0.0, max_state_norm=0.0,
         )
         mc = MonteCarlo(
             traces=[trace], base_seed=0, t=trace.t,
-            mean={}, stderr={}, completed=1, aborted=0,
+            mean=np.empty((1, 4)), stderr=np.empty((1, 4)), completed=1, aborted=0,
         )
         assert mc.q0_estimate(1) == 0.0
 
@@ -448,25 +439,24 @@ class TestGradientDescentReduction:
         cfg = simple_config(n=1, d=6, T=2000)
         trace = run(cfg, [0])[0]
 
-        f = cfg.agents[0]
+        H, b = cfg.problem.H[0], cfg.problem.b[0]
         x = np.zeros(6)
         steps = cfg.steps
         for t in range(1, 2000):
-            x = x - steps.alpha(t) * steps.beta(t) * (f.H @ x - f.b)
+            x = x - steps.alpha(t) * steps.beta(t) * (H @ x - b)
         np.testing.assert_allclose(trace.final_state[0], x, atol=1e-12)
 
     def test_single_agent_converges_on_identity_hessian(self):
         d = 6
         target = philox(51).normal(size=d)
-        agent = local_objective(np.eye(d), target, np.arange(d))
         schedule = matrix_list_schedule([np.ones((1, 1))], r=np.array([1.0]), B=1)
         cfg = RunConfig(
+            problem=model([np.eye(d)], [target], schedule.r, x_star=target),
             schedule=schedule,
             steps=StepSchedule(alpha0=1.0, nu=0.25, beta0=1.0, mu=0.01),
-            agents=(agent,),
-            x_star=target,
             T=2000,
         )
         trace = run(cfg, [0])[0]
         assert not trace.aborted
-        assert trace.dist_opt_sq[-1] <= 1e-12 * trace.dist_opt_sq[0]
+        dist = col(trace.values, "dist_opt_sq")
+        assert dist[-1] <= 1e-12 * dist[0]

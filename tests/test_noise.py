@@ -5,15 +5,15 @@ from hypothesis import given, strategies as st
 from dimix.noise import (
     NoiseModel,
     gaussian_channel,
-    neighbor_estimate,
     noise_variance_bound,
     noiseless,
     quantizer_variance_coeff,
     stochastic_quantize,
     stochastic_quantizer,
-    zeta,
 )
 from dimix.rng import philox
+
+from oracles import neighbor_estimate, zeta
 
 
 class TestModelValidation:

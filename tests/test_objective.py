@@ -4,12 +4,19 @@ import pytest
 from dimix.objective import (
     apportion_counts,
     build_problem,
-    global_optimum,
-    local_objective,
+    local_quadratics,
     partition_indices,
+    quadratic_problem,
     synthesize_regression,
 )
 from dimix.rng import philox
+
+from helpers import model
+
+
+def at_each_agent(p, x):
+    """Gradients (n, d) and values (n,) of every local objective at x."""
+    return p.local_terms(np.tile(x, (p.n, 1)))
 
 
 class TestSynthesize:
@@ -91,55 +98,41 @@ class TestLocalObjective:
         # f(x) = 0.5 (v - u'x)^2 gives grad f(0) = -v u.
         u = np.array([0.3, -1.2, 0.5])
         v = np.array([2.0])
-        f = local_objective(u[None, :], v, np.array([0]))
-        np.testing.assert_allclose(f.gradient(np.zeros(3)), -v[0] * u)
+        p = model([u[None, :]], [v], [1.0], x_star=np.zeros(3))  # rank one
+        np.testing.assert_allclose(at_each_agent(p, np.zeros(3))[0][0], -v[0] * u)
 
     def test_quadratic_identity(self):
         rng = philox(7)
         U = rng.random((12, 5))
         v = rng.random(12)
-        f = local_objective(U, v, np.arange(12))
+        p = model([U], [v], [1.0])
         for _ in range(20):
             x = rng.normal(size=5)
             resid = v - U @ x
             direct = float(resid @ resid) / (2 * 12)
-            assert f.value(x) == pytest.approx(direct, abs=1e-9, rel=1e-9)
+            assert at_each_agent(p, x)[1][0] == pytest.approx(direct, abs=1e-9, rel=1e-9)
 
     def test_finite_difference_gradient(self, default_problem):
         rng = philox(8)
         h = 1e-6
         checked = 0
         while checked < 100:
-            f = default_problem.agents[int(rng.integers(20))]
+            i = int(rng.integers(20))
             x = rng.normal(size=25)
-            grad = f.gradient(x)
+            grad = at_each_agent(default_problem, x)[0][i]
             fd = np.empty(25)
             for j in range(25):
                 e = np.zeros(25)
                 e[j] = h
-                fd[j] = (f.value(x + e) - f.value(x - e)) / (2 * h)
+                up = at_each_agent(default_problem, x + e)[1][i]
+                down = at_each_agent(default_problem, x - e)[1][i]
+                fd[j] = (up - down) / (2 * h)
             assert np.linalg.norm(fd - grad) <= 1e-5 * max(1.0, np.linalg.norm(grad))
             checked += 1
 
-    def test_curvature_against_singular_values(self):
-        rng = philox(9)
-        for m in (3, 30):
-            U = rng.random((m, 6))
-            v = rng.random(m)
-            f = local_objective(U, v, np.arange(m))
-            sv = np.linalg.svd(U / np.sqrt(m), compute_uv=False)
-            assert f.curvature_hi == pytest.approx(sv[0] ** 2, abs=1e-8)
-            lo = 0.0 if m < 6 else sv[-1] ** 2
-            assert f.curvature_lo == pytest.approx(lo, abs=1e-8)
-
-    def test_rank_deficient_shard_reports_zero_floor(self, default_problem):
-        smallest = min(default_problem.agents, key=lambda f: f.indices.size)
-        assert smallest.indices.size < default_problem.d
-        assert smallest.curvature_lo == 0.0
-
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError):
-            local_objective(np.zeros((3, 2)), np.zeros(3), np.array([], dtype=int))
+            local_quadratics(np.zeros((3, 2)), np.zeros(3), [np.array([], dtype=int)])
 
 
 class TestProblem:
@@ -148,15 +141,13 @@ class TestProblem:
         b = build_problem(seed=42)
         np.testing.assert_array_equal(a.U, b.U)
         np.testing.assert_array_equal(a.x_star, b.x_star)
-        assert [f.indices.tolist() for f in a.agents] == [
-            f.indices.tolist() for f in b.agents
-        ]
+        assert [idx.tolist() for idx in a.shards] == [idx.tolist() for idx in b.shards]
 
     def test_frozen_seed42_instance(self, default_problem):
         """Regression pin for the default instance; a change here means the
         generator stream or the dealing rule moved."""
         p = default_problem
-        assert [f.indices.size for f in p.agents] == [
+        assert [idx.size for idx in p.shards] == [
             7, 8, 9, 1, 5, 9, 5, 4, 2, 3, 3, 3, 5, 4, 9, 6, 7, 4, 2, 4,
         ]
         assert p.strong_convexity == pytest.approx(0.0293194690638, rel=1e-9)
@@ -167,7 +158,7 @@ class TestProblem:
 
     def test_optimum_is_stationary(self, default_problem):
         p = default_problem
-        g = sum(ri * f.gradient(p.x_star) for ri, f in zip(p.r, p.agents))
+        g = sum(ri * g_i for ri, g_i in zip(p.r, at_each_agent(p, p.x_star)[0]))
         assert np.linalg.norm(g) <= 1e-9
 
     def test_noiseless_labels_recover_planted_vector(self):
@@ -176,9 +167,7 @@ class TestProblem:
         rng = philox(11, 0)
         U, v, x_tilde, _ = synthesize_regression(100, 25, rng, theta_high=0.0)
         r = np.array([0.3, 0.2, 0.4, 0.1])
-        shards = partition_indices(r, 100, rng)
-        agents = [local_objective(U, v, idx) for idx in shards]
-        x_star = global_optimum(r, agents)
+        x_star = quadratic_problem(U, v, r, partition_indices(r, 100, rng)).x_star
         assert np.max(np.abs(x_star - x_tilde)) <= 1e-8
 
     def test_pooled_loss_form(self, default_problem):
@@ -191,19 +180,21 @@ class TestProblem:
         p = default_problem
         X = philox(13).normal(size=(20, 25))
         direct = sum(
-            ri * f.value(x_i) for ri, f, x_i in zip(p.r, p.agents, X)
+            ri * (0.5 * x_i @ H_i @ x_i - b_i @ x_i + c_i)
+            for ri, H_i, b_i, c_i, x_i in zip(p.r, p.H, p.b, p.c, X)
         )
-        assert p.weighted_value(X) == pytest.approx(direct, rel=1e-12)
-        G = p.gradients(X)
+        G, values = p.local_terms(X)
+        assert float(values @ p.r) == pytest.approx(direct, rel=1e-12)
         for i in (0, 7, 19):
-            np.testing.assert_allclose(G[i], p.agents[i].gradient(X[i]), atol=1e-12)
+            np.testing.assert_allclose(G[i], p.H[i] @ X[i] - p.b[i], atol=1e-12)
 
     def test_value_weighted_at_optimum_is_minimal(self, default_problem):
         p = default_problem
-        base = p.value_weighted_at(p.x_star)
+        base = float(at_each_agent(p, p.x_star)[1] @ p.r)
         rng = philox(14)
         for _ in range(10):
-            assert p.value_weighted_at(p.x_star + 0.1 * rng.normal(size=25)) >= base
+            x = p.x_star + 0.1 * rng.normal(size=25)
+            assert float(at_each_agent(p, x)[1] @ p.r) >= base
 
     def test_explicit_weights_skip_score_draw(self):
         r = np.array([0.1, 0.2, 0.3, 0.4])
@@ -221,7 +212,7 @@ class TestProblem:
 
     def test_smoothness_bounds_local_curvature(self, default_problem):
         p = default_problem
-        H_bar = sum(ri * f.H for ri, f in zip(p.r, p.agents))
+        H_bar = sum(ri * H_i for ri, H_i in zip(p.r, p.H))
         eigs = np.linalg.eigvalsh(H_bar)
         assert p.strong_convexity == pytest.approx(eigs[0], abs=1e-12)
         assert p.smoothness == pytest.approx(eigs[-1], abs=1e-12)
