@@ -47,10 +47,6 @@ def r_norm_sq(A: np.ndarray, r: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def r_norm(A: np.ndarray, r: np.ndarray) -> float:
-    return math.sqrt(r_norm_sq(A, r))
-
-
 def deviation_sq(X: np.ndarray, r: np.ndarray):
     """Consensus error ||X - 1 xbar'||_r^2 at the r-weighted mean."""
     X = np.asarray(X, dtype=float)
@@ -117,21 +113,6 @@ def kappa_factor(lam: float, beta0: float, B: int) -> float:
     return 1.0 / (1.0 - x)
 
 
-def pi_factor(steps: StepSchedule, lam: float, kappa: float, t: int, s: int) -> float:
-    """Decay weight pi(t : s) = beta(s) sqrt(kappa) prod_{k=s+1}^{t-1}
-    sqrt(1 - lambda beta(k)): how much of the perturbation injected at
-    iteration s survives to iteration t.  Requires 1 <= s < t.
-    """
-    if not 1 <= s < t:
-        raise ValueError("need 1 <= s < t")
-    k = np.arange(s + 1, t, dtype=float)
-    shrink = lam * steps.beta(k) if k.size else np.array([])
-    if np.any(shrink >= 1.0):
-        raise ValueError("lambda * beta(k) must stay below 1")
-    log_prod = float(np.log1p(-shrink).sum()) if k.size else 0.0
-    return float(steps.beta(s)) * math.sqrt(kappa) * math.exp(0.5 * log_prod)
-
-
 # ---------------------------------------------------------------------------
 # the A(a, sigma, delta) envelope constant
 
@@ -195,20 +176,27 @@ class Thresholds:
         return self.T0 if self.T4 is None else max(self.T0, self.T4)
 
 
-def _ceil_pow(base: float, exponent: float) -> int:
-    return max(1, math.ceil(base**exponent))
+def _ceil_pow(name: str, base: float, exponent: float) -> int:
+    try:
+        return max(1, math.ceil(base**exponent))
+    except OverflowError:
+        raise ValueError(
+            f"burn-in threshold {name} = {base:.4g}^{exponent:.4g}, about "
+            f"10^{exponent * math.log10(base):.1f} iterations, is beyond the float range"
+        ) from None
 
 
 def thresholds(steps: StepSchedule, lam: float, mu_f: float, L_f: float) -> Thresholds:
     """Burn-in iteration counts for the guarantee's ingredients."""
     mu, nu = steps.mu, steps.nu
     _check_regime(steps, mu_f, L_f)
-    T1 = _ceil_pow(2.0 * mu / (lam * steps.beta0), 1.0 / (1.0 - mu))
-    T2 = _ceil_pow(8.0 * nu / (lam * steps.beta0), 1.0 / (1.0 - mu))
-    T3 = _ceil_pow(steps.alpha0 * steps.beta0 * (mu_f + L_f) / 2.0, 1.0 / (mu + nu))
+    T1 = _ceil_pow("T1", 2.0 * mu / (lam * steps.beta0), 1.0 / (1.0 - mu))
+    T2 = _ceil_pow("T2", 8.0 * nu / (lam * steps.beta0), 1.0 / (1.0 - mu))
+    T3 = _ceil_pow("T3", steps.alpha0 * steps.beta0 * (mu_f + L_f) / 2.0, 1.0 / (mu + nu))
     if mu + nu < 1.0:
         c2 = mu_f * L_f / (mu_f + L_f)
         T4 = _ceil_pow(
+            "T4",
             2.0 * min(mu - nu, 2.0 * nu) / (c2 * steps.alpha0 * steps.beta0),
             1.0 / (1.0 - mu - nu),
         )
@@ -241,14 +229,8 @@ class TheoryConstants:
     """
 
     steps: StepSchedule
-    lam: float
-    kappa: float
-    mu_f: float
-    L_f: float
     c1: float
     c2: float
-    gamma: float
-    K: float
     q0: float
     thresholds: Thresholds
     eps1: float
@@ -281,8 +263,8 @@ def xi_constants(
     local gradients along the trajectory, q0 the mean squared error at T0.
     """
     _check_regime(steps, mu_f, L_f)
-    if gamma < 0.0 or K < 0.0 or q0 < 0.0:
-        raise ValueError("gamma, K, q0 must be nonnegative")
+    if not all(math.isfinite(v) and v >= 0.0 for v in (gamma, K, q0)):
+        raise ValueError(f"gamma, K, q0 must be finite and nonnegative, got {gamma}, {K}, {q0}")
     a0, b0, mu, nu = steps.alpha0, steps.beta0, steps.mu, steps.nu
     c1 = 1.0 / (mu_f + L_f)
     c2 = mu_f * L_f / (mu_f + L_f)
@@ -321,14 +303,8 @@ def xi_constants(
 
     return TheoryConstants(
         steps=steps,
-        lam=lam,
-        kappa=kappa,
-        mu_f=mu_f,
-        L_f=L_f,
         c1=c1,
         c2=c2,
-        gamma=gamma,
-        K=K,
         q0=q0,
         thresholds=th,
         eps1=eps1,

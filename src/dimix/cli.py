@@ -185,7 +185,7 @@ def cmd_run(args) -> int:
     exp = build_experiment(cfg, seed_override=args.seed)
     out = resolve_out_dir(args.out, exp.values)
     mc = monte_carlo(
-        exp.run_config, exp.values["runs"], base_seed=exp.values["seed"], jobs=args.jobs
+        exp.run_config, exp.values["runs"], seed=exp.values["seed"], jobs=args.jobs
     )
     for k, trace in enumerate(mc.traces):
         write_csv(out / f"run_{k:02d}.csv", ("t", *TRACE_COLUMNS), trace.t, trace.values)
@@ -235,7 +235,7 @@ def cmd_theory(args) -> int:
     cfg = parse_config(args.config)
     exp = build_experiment(cfg, seed_override=args.seed)
     mc = monte_carlo(
-        exp.run_config, exp.values["runs"], base_seed=exp.values["seed"], jobs=args.jobs
+        exp.run_config, exp.values["runs"], seed=exp.values["seed"], jobs=args.jobs
     )
     sched, steps = exp.run_config.schedule, exp.run_config.steps
     mu_f, L_f = exp.run_config.problem.strong_convexity, exp.run_config.problem.smoothness
@@ -308,7 +308,7 @@ def cmd_sweep(args) -> int:
     exp = build_experiment(cfg, seed_override=args.seed, T_override=max(grid))
     out = resolve_out_dir(args.out, exp.values)
     mc = monte_carlo(
-        exp.run_config, exp.values["runs"], base_seed=exp.values["seed"], jobs=args.jobs
+        exp.run_config, exp.values["runs"], seed=exp.values["seed"], jobs=args.jobs
     )
     rows = np.array(grid) - 1
     write_csv(out / "sweep.csv", ("T", *_STAT_COLUMNS), grid, _stats(mc)[rows])

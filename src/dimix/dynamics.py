@@ -13,8 +13,8 @@ optimization drifts, which is what the rate certificate exploits.
 ``run`` produces a per-iteration trace of four scalar diagnostics:
 pooled-data loss at the weighted mean state, the r-weighted sum of local
 losses at the agent states, the consensus error, and the squared r-weighted
-distance to the weighted optimum x*.  ``monte_carlo`` runs seeds
-base_seed, base_seed+1, ... and aggregates the columns.
+distance to the weighted optimum x*.  ``monte_carlo(cfg, runs, seed)``
+runs seeds seed, seed+1, ... and aggregates the columns.
 
 ``run`` advances all of its seeds together as one (R, n, d) state.  Each
 seed draws from its own Philox stream in a fixed canonical order (iteration
@@ -193,7 +193,7 @@ def run(cfg: RunConfig, seeds) -> list[RunTrace]:
 
 @dataclass
 class MonteCarlo:
-    """Aggregate of repeated runs with seeds base_seed + k.
+    """Aggregate of the runs ``monte_carlo`` made, one per seed.
 
     ``mean`` and ``stderr`` are (T, 4) arrays over the TRACE_COLUMNS, taken
     over the completed (non-aborted) runs; aborted runs are kept in
@@ -201,7 +201,6 @@ class MonteCarlo:
     """
 
     traces: list[RunTrace]
-    base_seed: int
     t: np.ndarray
     mean: np.ndarray
     stderr: np.ndarray
@@ -222,7 +221,7 @@ class MonteCarlo:
 
 
 def monte_carlo(
-    cfg: RunConfig, num_runs: int, base_seed: int, jobs: int = 1
+    cfg: RunConfig, num_runs: int, seed: int, jobs: int = 1
 ) -> MonteCarlo:
     """Run ``num_runs`` seeded trajectories and aggregate their columns.
 
@@ -232,7 +231,7 @@ def monte_carlo(
     """
     if num_runs < 1:
         raise ValueError("need at least one run")
-    seeds = [base_seed + k for k in range(num_runs)]
+    seeds = [seed + k for k in range(num_runs)]
     if jobs > 1:
         size = -(-num_runs // jobs)
         chunks = [seeds[i : i + size] for i in range(0, num_runs, size)]
@@ -253,7 +252,6 @@ def monte_carlo(
         stderr = np.zeros(stacked.shape[1:])
     return MonteCarlo(
         traces=traces,
-        base_seed=base_seed,
         t=good[0].t.copy(),
         mean=stacked.mean(axis=0),
         stderr=stderr,

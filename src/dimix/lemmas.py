@@ -4,17 +4,21 @@ Every bound the convergence analysis chains together is checked here on
 randomized instances: mixing-product contraction in the weighted norm, the
 weighted operator bound, the split inequality, decaying-step product and sum
 envelopes, the exact step-sum telescope, and the curvature split for
-quadratics.  Each check draws at least a thousand instances from a seeded
-generator (plus a few pinned corner cases), evaluates both sides exactly as
-stated, and reports the worst slack seen.  A violation beyond floating-point
-tolerance means the implementation and the certificate disagree, so the
-command-line entry point turns any violation into a nonzero exit.
+quadratics.  Each check is one instance generator behind ``Check``, which
+draws at least a thousand instances from a seeded stream (plus a few pinned
+corner cases), compares both sides exactly as stated, and reports the worst
+slack seen.  A violation beyond floating-point tolerance means the
+implementation and the certificate disagree, so the command-line entry point
+turns any violation into a nonzero exit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -51,12 +55,34 @@ class CheckReport:
         )
 
 
-def _track(report: CheckReport, slack: float, params: dict) -> None:
-    if slack < report.min_slack:
-        report.min_slack = slack
-        report.worst = params
-    if slack < 0.0:
-        report.violations += 1
+Instance = tuple[float, float, float, dict]
+
+
+@dataclass(frozen=True)
+class Check:
+    """One inequality value <= bound.  ``instances(rng)`` yields an endless
+    stream of (value, bound, scale, params) drawn from ``rng`` (a rejected
+    draw yields nothing); an instance passes when its slack
+    bound - value + tol * max(1, scale) is nonnegative.  Calling the check
+    runs the first ``instances`` of them off Philox stream ``stream`` of
+    ``seed``."""
+
+    name: str
+    stream: int
+    tol: float
+    instances: Callable[[np.random.Generator], Iterator[Instance]]
+
+    def __call__(self, seed: int = 0, instances: int = 1000) -> CheckReport:
+        report = CheckReport(self.name, 0, 0, math.inf, self.tol)
+        drawn = self.instances(philox(seed, self.stream))
+        for value, bound, scale, params in islice(drawn, instances):
+            slack = bound - value + self.tol * max(1.0, scale)
+            report.instances += 1
+            if slack < report.min_slack:
+                report.min_slack, report.worst = slack, params
+            if slack < 0.0:
+                report.violations += 1
+        return report
 
 
 def _random_schedule(rng: np.random.Generator) -> MixingSchedule:
@@ -68,16 +94,15 @@ def _random_schedule(rng: np.random.Generator) -> MixingSchedule:
     return gossip_schedule(r)
 
 
-def check_mixing_contraction(seed: int = 0, instances: int = 1000) -> CheckReport:
+@partial(Check, "mixing product contraction", 71, 1e-9)
+def check_mixing_contraction(rng: np.random.Generator) -> Iterator[Instance]:
     """Products of the per-iteration mixing maps forget the initial spread
     geometrically: with A(k) = (1 - beta(k)) I + beta(k) W(k),
 
         ||(A(t-1)...A(s+1) - 1 r') U||_r^2
             <= kappa * prod_{k=s+1}^{t-1} (1 - lambda beta(k)) * ||U||_r^2.
     """
-    rng = philox(seed, 71)
-    report = CheckReport("mixing product contraction", 0, 0, math.inf, 0.0)
-    for _ in range(instances):
+    while True:
         sched = _random_schedule(rng)
         n = sched.n
         r = sched.r
@@ -102,22 +127,14 @@ def check_mixing_contraction(seed: int = 0, instances: int = 1000) -> CheckRepor
         ks = np.arange(s + 1, t, dtype=float)
         decay = float(np.prod(1.0 - lam * steps.beta0 / ks**steps.mu)) if ks.size else 1.0
         rhs = kap * decay * r_norm_sq(U, r)
-        tol = 1e-9 * max(1.0, rhs)
-        _track(
-            report,
-            rhs - lhs + tol,
-            {"kind": sched.kind, "n": n, "s": s, "t": t, "beta0": steps.beta0, "mu": steps.mu},
-        )
-        report.instances += 1
-    report.tol = 1e-9
-    return report
+        params = {"kind": sched.kind, "n": n, "s": s, "t": t, "beta0": steps.beta0, "mu": steps.mu}
+        yield lhs, rhs, rhs, params
 
 
-def check_weighted_operator_bound(seed: int = 0, instances: int = 1000) -> CheckReport:
+@partial(Check, "weighted operator bound", 72, 1e-9)
+def check_weighted_operator_bound(rng: np.random.Generator) -> Iterator[Instance]:
     """||A B||_r <= ||A||_r ||B||_F for conformable matrices and weights r."""
-    rng = philox(seed, 72)
-    report = CheckReport("weighted operator bound", 0, 0, math.inf, 0.0)
-    for _ in range(instances):
+    while True:
         n = int(rng.integers(1, 8))
         m = int(rng.integers(1, 8))
         d = int(rng.integers(1, 8))
@@ -127,19 +144,14 @@ def check_weighted_operator_bound(seed: int = 0, instances: int = 1000) -> Check
         B = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-2, 3)
         lhs = math.sqrt(r_norm_sq(A @ B, r))
         rhs = math.sqrt(r_norm_sq(A, r)) * float(np.linalg.norm(B))
-        tol = 1e-9 * max(1.0, rhs)
-        _track(report, rhs - lhs + tol, {"n": n, "m": m, "d": d})
-        report.instances += 1
-    report.tol = 1e-9
-    return report
+        yield lhs, rhs, rhs, {"n": n, "m": m, "d": d}
 
 
-def check_young_split(seed: int = 0, instances: int = 1000) -> CheckReport:
+@partial(Check, "young split", 73, 1e-9)
+def check_young_split(rng: np.random.Generator) -> Iterator[Instance]:
     """||u + v||^2 <= (1 + theta)||u||^2 + (1 + 1/theta)||v||^2, theta > 0,
     in both the vector and the weighted-matrix norm."""
-    rng = philox(seed, 73)
-    report = CheckReport("young split", 0, 0, math.inf, 0.0)
-    for _ in range(instances):
+    while True:
         theta = float(10.0 ** rng.uniform(-3, 3))
         if rng.random() < 0.5:
             d = int(rng.integers(1, 10))
@@ -158,20 +170,15 @@ def check_young_split(seed: int = 0, instances: int = 1000) -> CheckReport:
             lhs = r_norm_sq(U + V, r)
             rhs = (1 + theta) * r_norm_sq(U, r) + (1 + 1 / theta) * r_norm_sq(V, r)
             params = {"form": "matrix", "n": n, "d": d, "theta": theta}
-        tol = 1e-9 * max(1.0, abs(rhs))
-        _track(report, rhs - lhs + tol, params)
-        report.instances += 1
-    report.tol = 1e-9
-    return report
+        yield lhs, rhs, abs(rhs), params
 
 
-def check_step_product_envelope(seed: int = 0, instances: int = 1000) -> CheckReport:
+@partial(Check, "step product envelope", 74, 1e-9)
+def check_step_product_envelope(rng: np.random.Generator) -> Iterator[Instance]:
     """prod_{k=s}^{t-1} (1 - a/k^delta) is killed at the integrated rate:
     bounded by exp(-a (t^(1-delta) - s^(1-delta)) / (1-delta)) for delta < 1
     and by (t/s)^-a for delta == 1."""
-    rng = philox(seed, 74)
-    report = CheckReport("step product envelope", 0, 0, math.inf, 0.0)
-    for _ in range(instances):
+    while True:
         a = float(rng.uniform(1e-3, 0.999))
         delta = 1.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 0.999))
         s = int(rng.integers(1, 50))
@@ -182,14 +189,11 @@ def check_step_product_envelope(seed: int = 0, instances: int = 1000) -> CheckRe
             rhs = (t / s) ** (-a)
         else:
             rhs = math.exp(-a / (1.0 - delta) * (t ** (1.0 - delta) - s ** (1.0 - delta)))
-        tol = 1e-9 * max(1.0, rhs)
-        _track(report, rhs - lhs + tol, {"a": a, "delta": delta, "s": s, "t": t})
-        report.instances += 1
-    report.tol = 1e-9
-    return report
+        yield lhs, rhs, rhs, {"a": a, "delta": delta, "s": s, "t": t}
 
 
-def check_step_sum_telescope(seed: int = 0, instances: int = 1000) -> CheckReport:
+@partial(Check, "step sum telescope", 75, 1e-10)
+def check_step_sum_telescope(rng: np.random.Generator) -> Iterator[Instance]:
     """The weighted sum of survival products telescopes exactly:
 
         sum_{s=1}^{t-1} beta(s) prod_{k=s+1}^{t-1} (1 - lam beta(k))
@@ -197,9 +201,7 @@ def check_step_sum_telescope(seed: int = 0, instances: int = 1000) -> CheckRepor
 
     for any real sequence beta and lam != 0, to 1e-10 * max(1, 1/|lam|).
     """
-    rng = philox(seed, 75)
-    report = CheckReport("step sum telescope", 0, 0, math.inf, 0.0)
-    for _ in range(instances):
+    while True:
         t = int(rng.integers(2, 200))
         if rng.random() < 0.5:
             # Canonical decaying steps; lam > 0 keeps all survival factors
@@ -221,11 +223,7 @@ def check_step_sum_telescope(seed: int = 0, instances: int = 1000) -> CheckRepor
             suffix[:-1] = np.cumprod(factors[::-1])[:-1][::-1]
         lhs = float(np.sum(beta * suffix))
         rhs = (1.0 - float(np.prod(factors))) / lam
-        tol = 1e-10 * max(1.0, 1.0 / abs(lam))
-        _track(report, tol - abs(lhs - rhs), {"t": t, "lam": lam})
-        report.instances += 1
-    report.tol = 1e-10
-    return report
+        yield abs(lhs - rhs), 0.0, 1.0 / abs(lam), {"t": t, "lam": lam}
 
 
 def _decaying_sum(a: float, sigma: float, delta: float, t: int) -> float:
@@ -240,7 +238,8 @@ def _decaying_sum(a: float, sigma: float, delta: float, t: int) -> float:
     return float(np.sum(s**-sigma * suffix))
 
 
-def check_decaying_sum_envelope(seed: int = 0, instances: int = 1000) -> CheckReport:
+@partial(Check, "decaying sum envelope", 76, 1e-9)
+def check_decaying_sum_envelope(rng: np.random.Generator) -> Iterator[Instance]:
     """The decaying-weight sum obeys the closed-form envelope constant:
 
         sum_{s=1}^{t-1} s^-sigma prod_{k=s+1}^{t-1} (1 - a/k^delta)
@@ -249,26 +248,22 @@ def check_decaying_sum_envelope(seed: int = 0, instances: int = 1000) -> CheckRe
     past the burn-in t > (2(sigma-delta)/a)^(1/(1-delta)); for delta == 1
     the decay exponent is min(sigma - 1, a) instead.
     """
-    rng = philox(seed, 76)
-    report = CheckReport("decaying sum envelope", 0, 0, math.inf, 0.0)
 
-    def one(a: float, sigma: float, delta: float, t: int) -> None:
+    def one(a: float, sigma: float, delta: float, t: int) -> Instance:
         lhs = _decaying_sum(a, sigma, delta, t)
         if delta == 1.0:
             rhs = A_constant(a, sigma, delta) * t ** -min(sigma - 1.0, a)
         else:
             rhs = A_constant(a, sigma, delta) * t ** -(sigma - delta)
-        tol = 1e-9 * max(1.0, rhs)
-        _track(report, rhs - lhs + tol, {"a": a, "sigma": sigma, "delta": delta, "t": t})
-        report.instances += 1
+        return lhs, rhs, rhs, {"a": a, "sigma": sigma, "delta": delta, "t": t}
 
     # The branch boundary sigma == 1 and the delta == 1 family with a past 1.
     for t in (4, 7, 20, 200):
-        one(2.0, 1.5, 1.0, t)
+        yield one(2.0, 1.5, 1.0, t)
     for t in (40, 200, 1000):
-        one(0.5, 1.0, 0.0, t)
+        yield one(0.5, 1.0, 0.0, t)
 
-    while report.instances < instances:
+    while True:
         branch = rng.random()
         if branch < 0.25:
             a = float(rng.uniform(0.1, 1.0))
@@ -291,22 +286,18 @@ def check_decaying_sum_envelope(seed: int = 0, instances: int = 1000) -> CheckRe
             if tau > 1500.0:
                 continue
             t_lo = math.floor(tau) + 2
-        one(a, sigma, delta, t_lo + int(rng.integers(0, 1000)))
-
-    report.tol = 1e-9
-    return report
+        yield one(a, sigma, delta, t_lo + int(rng.integers(0, 1000)))
 
 
-def check_curvature_split(seed: int = 0, instances: int = 1000) -> CheckReport:
+@partial(Check, "curvature split", 77, 1e-9)
+def check_curvature_split(rng: np.random.Generator) -> Iterator[Instance]:
     """For a quadratic with spectrum inside [mu, L] and minimizer x*:
 
         <x - x*, grad(x)> >= ||grad(x)||^2 / (mu + L)
                              + (mu L / (mu + L)) ||x - x*||^2,
 
     including the rank-deficient case mu == 0."""
-    rng = philox(seed, 77)
-    report = CheckReport("curvature split", 0, 0, math.inf, 0.0)
-    for _ in range(instances):
+    while True:
         d = int(rng.integers(1, 7))
         eigs = rng.uniform(0.0, 3.0, size=d)
         if rng.random() < 0.3:
@@ -328,11 +319,7 @@ def check_curvature_split(seed: int = 0, instances: int = 1000) -> CheckReport:
         g = H @ (x - x_star)
         lhs = float((x - x_star) @ g)
         rhs = float(g @ g) / (mu + L) + (mu * L / (mu + L)) * float((x - x_star) @ (x - x_star))
-        tol = 1e-9 * max(1.0, abs(lhs), abs(rhs))
-        _track(report, lhs - rhs + tol, {"d": d, "mu": mu, "L": L})
-        report.instances += 1
-    report.tol = 1e-9
-    return report
+        yield rhs, lhs, max(abs(lhs), abs(rhs)), {"d": d, "mu": mu, "L": L}
 
 
 ALL_CHECKS = (

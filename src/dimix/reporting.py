@@ -24,19 +24,11 @@ _FAMILIES = ("gossip", "fixed_cycle", "matrix_file")
 _NOISE_KINDS = ("noiseless", "gaussian_channel", "stochastic_quantizer")
 
 
-def _cast_int(raw: str) -> int:
-    return int(raw)
-
-
 def _cast_float(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError("must be finite")
     return value
-
-
-def _cast_str(raw: str) -> str:
-    return raw
 
 
 def _cast_int_list(raw: str) -> tuple[int, ...]:
@@ -59,26 +51,26 @@ def _cast_choice(*choices: str):
 # (outside the derived. namespace) is rejected.
 SCHEMA: dict[str, tuple] = {
     "family": (_cast_choice(*_FAMILIES), "fixed_cycle"),
-    "matrix_file": (_cast_str, ""),
-    "n": (_cast_int, 20),
-    "d": (_cast_int, 25),
-    "N": (_cast_int, 100),
-    "seed": (_cast_int, 0),
+    "matrix_file": (str, ""),
+    "n": (int, 20),
+    "d": (int, 25),
+    "N": (int, 100),
+    "seed": (int, 0),
     "noise": (_cast_choice(*_NOISE_KINDS), "noiseless"),
     "sigma": (_cast_float, 0.0),
-    "quantizer_levels": (_cast_int, 0),
+    "quantizer_levels": (int, 0),
     "alpha0": (_cast_float, 0.1),
     "nu": (_cast_float, 0.25),
     "beta0": (_cast_float, 0.7),
     "mu": (_cast_float, 0.75),
-    "T": (_cast_int, 5000),
-    "runs": (_cast_int, 20),
+    "T": (int, 5000),
+    "runs": (int, 20),
     "T_grid": (_cast_int_list, (500, 1000, 2000, 4000, 5000)),
     "p_low": (_cast_float, 0.01),
     "p_high": (_cast_float, 0.09),
-    "horizon": (_cast_int, 0),
-    "window": (_cast_int, 0),
-    "output_dir": (_cast_str, ""),
+    "horizon": (int, 0),
+    "window": (int, 0),
+    "output_dir": (str, ""),
 }
 
 

@@ -64,7 +64,7 @@ def _benchmark_mc(problem, family: str) -> TimedMC:
         noise=stochastic_quantizer(4),
     )
     t0 = time.monotonic()
-    mc = monte_carlo(cfg, 20, base_seed=100)
+    mc = monte_carlo(cfg, 20, seed=100)
     return TimedMC(mc, time.monotonic() - t0)
 
 
@@ -230,7 +230,7 @@ def test_criterion_8_theorem_bound_dominance(verdict):
     steps = StepSchedule(alpha0=0.25, nu=0.05, beta0=0.8, mu=0.1)
     noise = stochastic_quantizer(s)
     cfg = RunConfig(problem=problem, schedule=schedule, steps=steps, T=5000, noise=noise)
-    mc = monte_carlo(cfg, 50, base_seed=100)
+    mc = monte_carlo(cfg, 50, seed=100)
 
     lam = contraction_factor(schedule.eta, float(schedule.r.min()), schedule.B, n)
     kappa = kappa_factor(lam, steps.beta0, schedule.B)

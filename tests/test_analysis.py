@@ -12,8 +12,6 @@ from dimix.analysis import (
     dist_opt_sq,
     fit_rate,
     kappa_factor,
-    pi_factor,
-    r_norm,
     r_norm_sq,
     theorem_bound,
     thresholds,
@@ -32,7 +30,6 @@ class TestWeightedNorm:
         # Per-agent scalars (5, 0) under weights (0.25, 0.75).
         r = np.array([0.25, 0.75])
         assert r_norm_sq(np.array([5.0, 0.0]), r) == pytest.approx(6.25)
-        assert r_norm(np.array([5.0, 0.0]), r) == pytest.approx(2.5)
 
     def test_matrix_rows(self):
         A = np.array([[3.0, 4.0], [1.0, 0.0]])
@@ -106,30 +103,6 @@ class TestContractionFactors:
             kappa_factor(0.2, 1.0, 5)  # B lam beta0 == 1
         with pytest.raises(ValueError):
             kappa_factor(0.0, 0.5, 10)
-
-    def test_pi_factor_small_case(self):
-        s = StepSchedule(alpha0=1.0, nu=0.25, beta0=0.5, mu=0.5)
-        lam, kappa = 0.1, 2.0
-        expected = (
-            0.5
-            * math.sqrt(2.0)
-            * math.sqrt((1 - lam * 0.5 / math.sqrt(2)) * (1 - lam * 0.5 / math.sqrt(3)))
-        )
-        assert pi_factor(s, lam, kappa, 4, 1) == pytest.approx(expected, rel=1e-12)
-
-    def test_pi_factor_adjacent_iterations(self):
-        s = StepSchedule(alpha0=1.0, nu=0.25, beta0=0.5, mu=0.5)
-        # Empty survival product: just beta(s) * sqrt(kappa).
-        assert pi_factor(s, 0.1, 4.0, 3, 2) == pytest.approx(s.beta(2) * 2.0)
-
-    def test_pi_factor_rejections(self):
-        s = StepSchedule(alpha0=1.0, nu=0.25, beta0=1.0, mu=0.5)
-        with pytest.raises(ValueError):
-            pi_factor(s, 0.1, 2.0, 2, 2)
-        with pytest.raises(ValueError):
-            pi_factor(s, 0.1, 2.0, 2, 0)
-        with pytest.raises(ValueError):
-            pi_factor(s, 3.0, 2.0, 4, 1)  # lam * beta(2) > 1
 
 
 class TestAConstant:
@@ -211,6 +184,12 @@ class TestThresholds:
         with pytest.raises(ValueError):
             thresholds(StepSchedule(0.1, 0.25, 0.7, 0.75), 1e-6, 3.0, 2.0)
 
+    def test_out_of_range_threshold_raises_value_error(self):
+        # mu = 0.99 raises T1's base to the power 100: about 10^707.7 here.
+        s = StepSchedule(alpha0=0.1, nu=0.01, beta0=0.7, mu=0.99)
+        with pytest.raises(ValueError, match=r"T1 = .* about 10\^707\.7 iterations"):
+            thresholds(s, lam=2.37e-7, mu_f=0.03, L_f=6.2)
+
 
 class TestXiConstants:
     def small_regime1(self, gamma=0.2, K=3.0, q0=1.5):
@@ -268,6 +247,12 @@ class TestXiConstants:
     def test_nonnegativity_enforced(self):
         with pytest.raises(ValueError):
             self.small_regime1(gamma=-0.1)
+
+    @pytest.mark.parametrize("name", ["gamma", "K", "q0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_inputs_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            self.small_regime1(**{name: value})
 
 
 class TestTheoremBound:

@@ -323,6 +323,16 @@ T_grid = 500, 2200
         assert len(rows) == 3
         assert "nan" not in captured.out
 
+    @pytest.mark.parametrize("q0", ["nan", "inf"])
+    def test_non_finite_assumed_q0_rejected(self, tmp_path, capsys, q0):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(self.THEORY_CONFIG.replace("T = 2200", "T = 60"))
+        rc = main(["theory", "--config", str(cfg), "--assume-q0", q0])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: gamma, K, q0 must be finite")
+        assert err.count("\n") == 1
+
 
 class TestLemmasCommand:
     def test_passes_and_prints_summary(self, capsys):
@@ -381,6 +391,30 @@ class TestErrorPaths:
         rc = main(["validate", "--config", str(cfg)])
         assert rc == 2
         assert "matrix_file" in capsys.readouterr().err
+
+    # mu = 0.99 puts T1 near 10^707.7 on the default n = 20 gossip network.
+    OVERFLOW_CONFIG = "family = gossip\nmu = 0.99\nnu = 0.01\nT = 20\nruns = 2\nT_grid = 10, 20\n"
+    OVERFLOW_NOTE = "burn-in threshold T1 = 1.193e+07^100, about 10^707.7 iterations"
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_out_of_range_burn_in_is_noted(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(self.OVERFLOW_CONFIG)
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        manifest = (out / "manifest.txt").read_text()
+        assert f"derived.theory_note = {self.OVERFLOW_NOTE}" in manifest
+
+    def test_out_of_range_burn_in_fails_theory(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(self.OVERFLOW_CONFIG)
+        rc = main(["theory", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {self.OVERFLOW_NOTE}")
+        assert err.count("\n") == 1
 
     def test_quantizer_without_levels(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"

@@ -204,8 +204,8 @@ class TestBatchInvariance:
         whole = run(cfg, seeds)
         fives = [tr for k in range(0, 20, 5) for tr in run(cfg, seeds[k : k + 5])]
         ones = [run(cfg, [s])[0] for s in seeds]
-        serial = monte_carlo(cfg, 20, base_seed=7, jobs=1).traces
-        parallel = monte_carlo(cfg, 20, base_seed=7, jobs=2).traces
+        serial = monte_carlo(cfg, 20, seed=7, jobs=1).traces
+        parallel = monte_carlo(cfg, 20, seed=7, jobs=2).traces
         for other in (fives, ones, serial, parallel):
             assert len(other) == len(whole)
             for a, b in zip(whole, other):
@@ -336,12 +336,12 @@ class TestDivergenceHandling:
 
     def test_all_diverged_raises(self):
         with pytest.raises(RuntimeError, match="diverged"):
-            monte_carlo(self.unstable_config(), 3, base_seed=0)
+            monte_carlo(self.unstable_config(), 3, seed=0)
 
     def test_partial_divergence_excluded_from_stats(self):
         # Some seeds abort at the very first update; the survivors carry
         # the statistics.
-        mc = monte_carlo(divergent_config(), 12, base_seed=7)
+        mc = monte_carlo(divergent_config(), 12, seed=7)
         assert 0 < mc.aborted < 12
         assert mc.completed == 12 - mc.aborted
         assert len(mc.traces) == 12
@@ -355,13 +355,13 @@ class TestDivergenceHandling:
 
 class TestMonteCarlo:
     def test_seeds_are_base_plus_offset(self):
-        mc = monte_carlo(simple_config(T=5), 3, base_seed=100)
+        mc = monte_carlo(simple_config(T=5), 3, seed=100)
         assert [tr.seed for tr in mc.traces] == [100, 101, 102]
 
     def test_parallel_equals_serial(self):
         cfg = simple_config(T=20, noise=stochastic_quantizer(4))
-        serial = monte_carlo(cfg, 4, base_seed=11, jobs=1)
-        parallel = monte_carlo(cfg, 4, base_seed=11, jobs=2)
+        serial = monte_carlo(cfg, 4, seed=11, jobs=1)
+        parallel = monte_carlo(cfg, 4, seed=11, jobs=2)
         for a, b in zip(serial.traces, parallel.traces):
             assert a.seed == b.seed
             np.testing.assert_array_equal(a.final_state, b.final_state)
@@ -374,20 +374,20 @@ class TestMonteCarlo:
 
     def test_stderr_zero_for_single_or_identical_runs(self):
         cfg = simple_config(T=10)
-        one = monte_carlo(cfg, 1, base_seed=0)
+        one = monte_carlo(cfg, 1, seed=0)
         assert np.all(col(one.stderr, "dist_opt_sq") == 0.0)
-        several = monte_carlo(cfg, 3, base_seed=0)  # noiseless: identical
+        several = monte_carlo(cfg, 3, seed=0)  # noiseless: identical
         scale = np.max(col(several.mean, "dist_opt_sq"))
         assert np.all(col(several.stderr, "dist_opt_sq") <= 1e-15 * scale)
 
     def test_noisy_stderr_positive(self):
         cfg = simple_config(T=10, noise=stochastic_quantizer(2))
-        mc = monte_carlo(cfg, 5, base_seed=3)
+        mc = monte_carlo(cfg, 5, seed=3)
         assert np.any(col(mc.stderr, "dist_opt_sq")[1:] > 0.0)
 
     def test_q0_estimate_recovers_mean_error(self):
         cfg = simple_config(T=30, noise=stochastic_quantizer(4))
-        mc = monte_carlo(cfg, 6, base_seed=19)
+        mc = monte_carlo(cfg, 6, seed=19)
         manual = np.mean(
             [
                 col(tr.values, "dist_opt_sq")[14] - col(tr.values, "deviation_sq")[14]
@@ -407,14 +407,14 @@ class TestMonteCarlo:
             final_state=np.zeros((1, 1)), max_grad_sq=0.0, max_state_norm=0.0,
         )
         mc = MonteCarlo(
-            traces=[trace], base_seed=0, t=trace.t,
+            traces=[trace], t=trace.t,
             mean=np.empty((1, 4)), stderr=np.empty((1, 4)), completed=1, aborted=0,
         )
         assert mc.q0_estimate(1) == 0.0
 
     def test_rejects_empty_request(self):
         with pytest.raises(ValueError):
-            monte_carlo(simple_config(T=5), 0, base_seed=0)
+            monte_carlo(simple_config(T=5), 0, seed=0)
 
 
 class TestEmpiricalBounds:

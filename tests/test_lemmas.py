@@ -132,3 +132,38 @@ class TestIndividualChecks:
     def test_curvature_split_small(self):
         rep = check_curvature_split(seed=9, instances=80)
         assert rep.violations == 0
+
+
+class TestPinnedSuite:
+    """Frozen output of the seed-0 suite.  TestDeterminism compares two runs
+    of the same code, so only pinned values catch a change that reorders a
+    check's draws or its slack arithmetic."""
+
+    SUMMARY = """\
+ok   mixing product contraction: 150 instances, 0 violations, min slack 6.423e-03
+ok   weighted operator bound: 150 instances, 0 violations, min slack 1.000e-09
+ok   young split: 150 instances, 0 violations, min slack 3.035e-03
+ok   step product envelope: 150 instances, 0 violations, min slack 1.000e-09
+ok   step sum telescope: 150 instances, 0 violations, min slack 1.000e-10
+ok   decaying sum envelope: 150 instances, 0 violations, min slack 1.802e-04
+ok   curvature split: 150 instances, 0 violations, min slack 1.000e-09
+all checks passed (1050 instances total)"""
+
+    # Only the checks whose min slack sits well above tolerance: in the
+    # others many instances tie at the tolerance floor, and which one wins
+    # depends on the machine's last-bit rounding.
+    WORST = {
+        "mixing product contraction": {
+            "kind": "gossip", "n": 4, "s": 25, "t": 26,
+            "beta0": 0.4056276237954143, "mu": 0.7164574928882056,
+        },
+        "young split": {"form": "vector", "d": 2, "theta": 5.700519156468544},
+        "decaying sum envelope": {"a": 2.0, "sigma": 2.805646849825822, "delta": 1.0, "t": 908},
+    }
+
+    def test_summary(self, small_suite):
+        assert small_suite.summary() == self.SUMMARY
+
+    def test_worst_instances(self, small_suite):
+        worst = {rep.name: rep.worst for rep in small_suite.reports if rep.name in self.WORST}
+        assert worst == self.WORST

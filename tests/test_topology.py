@@ -182,6 +182,13 @@ class TestSchedules:
         assert not report.passed
         assert len(report.connectivity_failures) == report.windows_checked
 
+    def test_every_failing_window_reported(self):
+        s = matrix_list_schedule([np.eye(3)], r=np.full(3, 1 / 3), B=1)
+        report = validate_schedule(s, horizon=5000, window=1)
+        assert report.windows_checked == 4999
+        assert len(report.connectivity_failures) == report.windows_checked
+        assert "(+4994 more) of 4999" in report.summary()
+
     def test_matrix_at_cycles(self):
         s = gossip_schedule(random_weights(philox(9), 5))
         assert np.array_equal(s.matrix_at(3), s.matrix_at(13))

@@ -1,0 +1,78 @@
+"""Record what the dimix CLI prints and writes, for byte-identity checks.
+
+    PYTHONPATH=<tree>/src python3 tools/cli_outputs.py DEST
+
+runs ``run --plots``, ``sweep --plots`` and ``theory`` (each at --jobs 1 and
+2), ``validate`` and ``lemmas`` on six configs with whichever dimix the
+PYTHONPATH gives.  Each command runs in its own directory
+DEST/<config>/<command> with a relative --out, so nothing it prints holds an
+absolute path; stdout, stderr, the exit code and every output file are kept
+there.  Record two trees into two DEST directories and compare them with
+``diff -r``: an empty diff means the CLI output is byte-identical.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
+# Two doubly stochastic slots on three agents: connected over any window of 2.
+MATRICES = "0.5, 0.5, 0\n0, 0.5, 0.5\n0.5, 0, 0.5\n\n0.5, 0, 0.5\n0.5, 0.5, 0\n0, 0.5, 0.5\n"
+SMALL = "T = 60\nruns = 3\nT_grid = 20, 40, 60\n"
+
+# name -> (config text, extra theory arguments)
+CONFIGS = {
+    **{name: (wl.config_text(0, wl.size), ()) for name, wl in WORKLOADS.items()},
+    "noiseless_cycle": ("family = fixed_cycle\nn = 5\nd = 6\nN = 30\n" + SMALL, ()),
+    "matrix_file": ("family = matrix_file\nmatrix_file = slots.txt\nd = 4\nN = 12\n" + SMALL, ()),
+    # The n = 20 mu + nu < 1 certificate, whose burn-in lies far past T.
+    "regime1_n20": (
+        "family = gossip\nn = 20\nseed = 3\nnoise = stochastic_quantizer\n"
+        "quantizer_levels = 4\nalpha0 = 0.25\nnu = 0.05\nbeta0 = 0.8\nmu = 0.1\n"
+        "T = 60\nruns = 2\nT_grid = 30, 60\n",
+        ("--assume-q0", "1"),
+    ),
+}
+
+
+def commands(theory_extra):
+    out = {"validate": ["validate"], "lemmas": ["lemmas"]}
+    for jobs in ("1", "2"):
+        out[f"run-j{jobs}"] = ["run", "--plots", "--jobs", jobs]
+        out[f"sweep-j{jobs}"] = ["sweep", "--plots", "--jobs", jobs]
+        out[f"theory-j{jobs}"] = ["theory", "--jobs", jobs, *theory_extra]
+    return out
+
+
+def main(argv):
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    # Commands run in their own directories, so relative entries resolve here.
+    entries = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(str(Path(p).resolve()) for p in entries if p)}
+    for name, (text, theory_extra) in CONFIGS.items():
+        for label, args in commands(theory_extra).items():
+            here = Path(argv[0]) / name / label
+            here.mkdir(parents=True, exist_ok=True)
+            (here / "config.cfg").write_text(text, encoding="utf-8")
+            (here / "slots.txt").write_text(MATRICES, encoding="utf-8")
+            proc = subprocess.run(
+                [sys.executable, "-m", "dimix.cli", *args, "--config", "config.cfg", "--out", "out"],
+                cwd=here,
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            results = {"stdout": proc.stdout, "stderr": proc.stderr, "exit": f"{proc.returncode}\n"}
+            for fname, body in results.items():
+                (here / fname).write_text(body, encoding="utf-8")
+            print(f"{name}/{label}: exit {proc.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
