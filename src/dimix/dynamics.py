@@ -16,12 +16,13 @@ losses at the agent states, the consensus error, and the squared r-weighted
 distance to the weighted optimum x*.  ``monte_carlo(cfg, runs, seed)``
 runs seeds seed, seed+1, ... and aggregates the columns.
 
-``run`` advances all of its seeds together as one (R, n, d) state.  Each
-seed draws from its own Philox stream in a fixed canonical order (iteration
-by iteration; within an iteration, receiving agents in ascending index,
-each one's neighbors in ascending index), and no per-seed value depends on
-the other seeds in the batch, so a trace is a pure function of (config,
-seed): bit-identical for every batch size and every ``--jobs`` value.
+``run`` advances all of its seeds as one (R, n, d) state and evaluates the
+diagnostics of recorded states a chunk of iterations at a time.  Each seed
+draws from its own Philox stream in a fixed canonical order (by iteration;
+then receivers, and each one's neighbors, in ascending index), and no value
+of a seed depends on the rest of its batch or its chunk, so a trace is a pure
+function of (config, seed): bit-identical for every chunk length, batch size
+and ``--jobs`` value.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ from .topology import MixingSchedule
 # States beyond this magnitude mean the configuration diverged; the run is
 # cut short and flagged rather than allowed to overflow into inf/nan.
 DIVERGENCE_LIMIT = 1e12
+
+# Bytes per batch of recorded states X(t) and products H_i x_i(t).
+CHUNK_BYTES = 256 * 1024
 
 TRACE_COLUMNS = ("loss_pooled", "loss_weighted", "deviation_sq", "dist_opt_sq")
 
@@ -87,23 +91,15 @@ class RunTrace:
     abort_t: int | None = None
 
 
-@dataclass
-class _SlotPlan:
+def _slot_plan(schedule: MixingSchedule, t: int):
     """One period slot's mixing: W, the sender of every shared message
     (receivers in ascending order, each one's support ascending) and the
     (n, messages) matrix M that sums each receiver's weighted messages."""
-
-    W: np.ndarray
-    src: np.ndarray
-    M: np.ndarray
-
-
-def _slot_plan(schedule: MixingSchedule, t: int) -> _SlotPlan:
     W = schedule.matrix_at(t)
     receiver, src = np.nonzero(W > 0.0)
     M = np.zeros((W.shape[0], src.size))
     M[receiver, np.arange(src.size)] = W[receiver, src]
-    return _SlotPlan(W=W, src=src, M=M)
+    return W, src, M
 
 
 def run(cfg: RunConfig, seeds) -> list[RunTrace]:
@@ -113,9 +109,9 @@ def run(cfg: RunConfig, seeds) -> list[RunTrace]:
     own Philox stream in the canonical order.  Every per-seed quantity comes
     from elementwise operations, reductions over a contiguous last axis, or
     matmuls with one product per batch item, so a seed's trace is
-    bit-identical whichever seeds share its batch.  A seed whose update
-    diverges leaves the batch, its trace truncated at the last finite
-    iterate.
+    bit-identical whichever seeds share its batch or iterations its chunk.
+    A seed whose update diverges leaves the batch after the chunk is
+    evaluated, its trace truncated at the last finite iterate.
     """
     seeds = list(seeds)
     if not seeds:
@@ -126,51 +122,75 @@ def run(cfg: RunConfig, seeds) -> list[RunTrace]:
     r, x_star = cfg.schedule.r, problem.x_star
     plans = [_slot_plan(cfg.schedule, t) for t in range(1, cfg.schedule.period + 1)]
     ts = np.arange(1, T + 1)
-    alphas, betas = cfg.steps.alpha(ts), cfg.steps.beta(ts)
+    betas = cfg.steps.beta(ts)
+    betas, alpha_betas = betas.tolist(), (cfg.steps.alpha(ts) * betas).tolist()
 
     values = np.empty((R, T, len(TRACE_COLUMNS)))
     final = np.empty((R, n, d))
-    max_grad_sq = np.zeros(R)
-    max_state_norm = np.zeros(R)
+    max_grad_sq, max_norm_sq = np.zeros(R), np.zeros(R)
     abort_t = np.zeros(R, dtype=int)
     live = np.arange(R)
-    X = np.zeros((R, n, d))
+    # Slot j of the chunk holds X(t) and H_i x_i(t) until ``record`` reads it.
+    chunk = int(max(1, min(T, CHUNK_BYTES // (16 * R * n * d))))
+    Xs, HXs = np.zeros((chunk, R, n, d)), np.empty((chunk, R, n, d))
+    G, Xhat = np.empty((R, n, d)), np.empty((R, n, d))
+    work: dict = {}
 
-    for t in range(1, T + 1):
-        G, local_values = problem.local_terms(X)
-        values[live, t - 1] = np.stack(
+    def record(t, m):
+        """Diagnostics of the live seeds at iterations t-m+1..t (slots 0..m-1)."""
+        Xk = Xs[:m, : live.size]
+        grads, local_values = problem.local_terms(Xk, HXs[:m, : live.size])
+        values[live, t - m : t] = np.stack(
             [
-                problem.pooled_loss(weighted_mean(X, r)),
+                problem.pooled_loss(weighted_mean(Xk, r)),
                 (local_values * r).sum(-1),
-                deviation_sq(X, r),
-                dist_opt_sq(X, r, x_star),
+                deviation_sq(Xk, r),
+                dist_opt_sq(Xk, r, x_star),
             ],
             axis=-1,
-        )
-        max_grad_sq[live] = np.maximum(max_grad_sq[live], (G * G).sum(-1).max(-1))
-        max_state_norm[live] = np.maximum(max_state_norm[live], np.sqrt((X * X).sum(-1).max(-1)))
+        ).swapaxes(0, 1)
+        max_grad_sq[live] = np.maximum(max_grad_sq[live], (grads * grads).sum(-1).max(-1).max(0))
+        max_norm_sq[live] = np.maximum(max_norm_sq[live], (Xk * Xk).sum(-1).max(-1).max(0))
 
-        if t == T:
-            break
-        plan = plans[(t - 1) % len(plans)]
+    j = 0
+    for t in range(1, T + 1):
+        L = live.size
+        X, HX = Xs[j, :L], HXs[j, :L]
+        np.matmul(problem.H, X[..., None], out=HX[..., None])
+        if t == T or j == chunk - 1:
+            record(t, j + 1)
+            if t == T:
+                break
+        np.subtract(HX, problem.b, out=G[:L])
+        W, src, M = plans[(t - 1) % len(plans)]
         if noise.kind == "noiseless":
-            Xhat = plan.W @ X
+            np.matmul(W, X, out=Xhat[:L])
         elif noise.kind == "gaussian_channel":
-            shape, scale = (plan.src.size, d), noise.sigma / np.sqrt(d)
+            shape, scale = (src.size, d), noise.sigma / np.sqrt(d)
             Z = np.stack([g.normal(0.0, scale, size=shape) for g in gens])
-            Xhat = plan.M @ (X[:, plan.src] + Z)
+            np.matmul(M, X[:, src] + Z, out=Xhat[:L])
         else:
-            Xhat = plan.M @ stochastic_quantize(X, noise.levels, gens, plan.src)
-        X = X + betas[t - 1] * (Xhat - X) - alphas[t - 1] * betas[t - 1] * G
-        ok = (np.abs(X) <= DIVERGENCE_LIMIT).all(axis=(1, 2))  # False on inf/nan
-        if not ok.all():
-            final[live[~ok]] = X[~ok]
+            np.matmul(M, stochastic_quantize(X, noise.levels, gens, src, work), out=Xhat[:L])
+        # X(t+1) = X + beta (Xhat - X) - alpha beta G, evaluated in that order.
+        j = (j + 1) % chunk
+        Xn, D = Xs[j, :L], Xhat[:L]
+        np.subtract(D, X, out=D)
+        D *= betas[t - 1]
+        np.add(X, D, out=Xn)
+        G[:L] *= alpha_betas[t - 1]
+        Xn -= G[:L]
+        if not np.abs(Xn, out=D).max() <= DIVERGENCE_LIMIT:  # also true on inf/nan
+            ok = (D <= DIVERGENCE_LIMIT).all(axis=(1, 2))
+            if j:  # the pending rows belong to the live set before it shrinks
+                record(t, j)
+            final[live[~ok]] = Xn[~ok]
             abort_t[live[~ok]] = t + 1
-            X, live = X[ok], live[ok]
+            Xs[0, : ok.sum()] = Xn[ok]
+            live, j = live[ok], 0
             gens = [g for g, keep in zip(gens, ok) if keep]
             if not live.size:
                 break
-    final[live] = X
+    final[live] = Xs[j, : live.size]
 
     traces = []
     for k, seed in enumerate(seeds):
@@ -183,7 +203,7 @@ def run(cfg: RunConfig, seeds) -> list[RunTrace]:
                 values=values[k, rows],
                 final_state=final[k],
                 max_grad_sq=float(max_grad_sq[k]),
-                max_state_norm=float(max_state_norm[k]),
+                max_state_norm=float(np.sqrt(max_norm_sq[k])),
                 aborted=bool(abort_t[k]),
                 abort_t=int(abort_t[k]) or None,
             )

@@ -69,7 +69,7 @@ def stochastic_quantizer(levels: int) -> NoiseModel:
     return NoiseModel("stochastic_quantizer", levels=int(levels))
 
 
-def stochastic_quantize(x, s: int, rng, src=None) -> np.ndarray:
+def stochastic_quantize(x, s: int, rng, src=None, work=None) -> np.ndarray:
     """Unbiased random quantization of x to s magnitude levels.
 
     Each coordinate is mapped to sign(x_j) * ||x|| * (level / s) where the
@@ -80,29 +80,44 @@ def stochastic_quantize(x, s: int, rng, src=None) -> np.ndarray:
     A batch x of shape (R, n, d) takes a sequence of R generators, one per
     batch item, and quantizes the rows ``src`` of each item (all n when
     omitted) into an (R, len(src), d) result; a row listed twice gets two
-    independent draws.  Norms and level fractions are computed once per row
-    of x, and generator k fills the uniforms of item k's nonzero output rows
-    in order, so every item's result is a function of that item alone.
+    independent draws.  Per-row terms are computed once per row of x and
+    gathered in one take, and generator k fills the uniforms of item k's
+    nonzero output rows in order, so every item's result is a function of
+    that item alone.  A dict ``work`` kept between calls holds the scratch
+    arrays; the result is a view into it, valid until the next call with it.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim in (1, 2):
         return stochastic_quantize(np.atleast_2d(x)[None], s, [rng])[0].reshape(x.shape)
     if x.ndim != 3:
         raise ValueError("expected a vector, a matrix of row vectors or a batch of matrices")
-    src = np.arange(x.shape[1]) if src is None else src
+    R, n, d = x.shape
+    src = np.arange(n) if src is None else src
+    work = {} if work is None else work
+    q = len(src)
+    if work.get("size") != (R, n, q, d):  # first call, or a new batch or slot size
+        work.update(size=(R, n, q, d), rows=np.zeros((3, R, n, d)), msg=np.zeros((4, R, q, d)))
+    rows, msg = work["rows"], work["msg"]
     norms = np.sqrt((x * x).sum(-1))
     nrm = np.where(norms > 0.0, norms, 1.0)[..., None]
     scaled = s * np.minimum(np.abs(x) / nrm, 1.0)  # |x_j| <= ||x|| up to rounding
-    low = np.floor(scaled)
-    frac = np.take(scaled - low, src, axis=1)
-    u = np.zeros(frac.shape)
-    for k, live in enumerate(np.take(norms > 0.0, src, axis=1)):
-        if live.all():
+    # low, frac and the signed magnitude of each row, gathered in one take
+    low = np.floor(scaled, out=rows[0])
+    np.subtract(scaled, low, out=rows[1])
+    np.multiply(np.sign(x), norms[..., None], out=rows[2])
+    np.take(rows, src, axis=2, out=msg[:3], mode="wrap")
+    # Uniforms of zero rows are never drawn: there mag = 0 whatever u holds.
+    low, frac, mag, u = msg
+    live = np.take(norms > 0.0, src, axis=1)
+    if live.all():
+        for k in range(R):
             rng[k].random(out=u[k])
-        elif live.any():
-            u[k, live] = rng[k].random((int(live.sum()), x.shape[2]))
-    levels = np.take(low, src, axis=1) + (u < frac)
-    return np.take(np.sign(x) * norms[..., None], src, axis=1) * (levels / s)
+    else:
+        for k in np.flatnonzero(live.any(-1)):
+            u[k, live[k]] = rng[k].random((int(live[k].sum()), d))
+    levels = np.add(low, u < frac, out=low)
+    np.divide(levels, s, out=levels)
+    return np.multiply(mag, levels, out=levels)
 
 
 def quantizer_variance_coeff(d: int, s: int) -> float:

@@ -120,11 +120,12 @@ class Problem:
         loss = (resid * resid).sum(-1) / (2 * self.N)
         return float(loss) if loss.ndim == 0 else loss
 
-    def local_terms(self, X):
+    def local_terms(self, X, HX=None):
         """Gradients H_i x_i - b_i (..., n, d) and values f_i(x_i) (..., n) of
-        every agent at its row of X (..., n, d); one matmul per agent row,
-        so each row's result is independent of the rest of the batch."""
-        HX = np.matmul(self.H, X[..., None])[..., 0]
+        every agent at its row of X (..., n, d), from products H_i x_i given
+        as ``HX`` or made by one matmul per agent row, so that each row's
+        result is independent of the rest of the batch."""
+        HX = np.matmul(self.H, X[..., None])[..., 0] if HX is None else HX
         return HX - self.b, (X * (0.5 * HX - self.b)).sum(-1) + self.c
 
 

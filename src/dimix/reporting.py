@@ -155,8 +155,9 @@ def write_manifest(path, values: dict, derived: dict) -> None:
 def write_csv(path, names, index, data) -> None:
     """A CSV table: header ``names``, then one row per entry of ``index``
     (printed as an integer) followed by that row of the 2-D ``data``."""
+    template = "%d" + ",%.17g" * data.shape[1]  # the tokens fmt gives
     rows = [",".join(names)]
-    rows += [",".join([str(int(i)), *map(fmt, row)]) for i, row in zip(index, data.tolist())]
+    rows += [template % (i, *row) for i, row in zip(np.asarray(index).tolist(), data.tolist())]
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
 
 

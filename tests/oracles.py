@@ -29,6 +29,24 @@ def zeta(tau, s: int, u) -> np.ndarray:
     return low + (u < scaled - low)
 
 
+def quantize_formula(x, s: int, gens, src) -> np.ndarray:
+    """The quantizer as one formula, mag * ((low + (u < frac)) / s), with
+    every (R, n, d) row quantity gathered to the ``src`` rows separately and
+    one uniform vector drawn per nonzero output row, in row order."""
+    x = np.asarray(x, dtype=float)
+    norms = np.sqrt((x * x).sum(-1))
+    nrm = np.where(norms > 0.0, norms, 1.0)[..., None]
+    scaled = s * np.minimum(np.abs(x) / nrm, 1.0)
+    low = np.floor(scaled)
+    u = np.zeros((x.shape[0], len(src), x.shape[2]))
+    for k, g in enumerate(gens):
+        for m, i in enumerate(src):
+            if norms[k, i] > 0.0:
+                u[k, m] = g.random(x.shape[2])
+    mag = np.sign(x) * norms[..., None]
+    return mag[:, src] * ((low[:, src] + (u < (scaled - low)[:, src])) / s)
+
+
 def neighbor_estimate(states, w_row, model, rng) -> np.ndarray:
     """One agent's estimate of the W-weighted neighborhood average.
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dimix import dynamics
 from dimix.analysis import StepSchedule, deviation_sq, dist_opt_sq, weighted_mean
 from dimix.dynamics import (
     DIVERGENCE_LIMIT,
@@ -226,6 +227,60 @@ class TestBatchInvariance:
         aborted = [tr.aborted for tr in run(cfg, range(7, 27))]
         assert False in aborted[aborted.index(True) + 1 :]
         self.check(cfg)
+
+
+class TestChunkInvariance:
+    """``run`` evaluates the diagnostics of recorded states a chunk at a
+    time; the chunk length must not change a bit of any trace."""
+
+    @staticmethod
+    def check(monkeypatch, cfg, seeds=range(7, 27)):
+        seeds = list(seeds)
+        row_bytes = 16 * len(seeds) * cfg.problem.n * cfg.problem.d
+        by_rows = {}
+        for rows in (1, 3, cfg.T + 5):
+            monkeypatch.setattr(dynamics, "CHUNK_BYTES", rows * row_bytes)
+            by_rows[rows] = run(cfg, seeds)
+        whole = by_rows.pop(1)
+        for other in by_rows.values():
+            for a, b in zip(whole, other, strict=True):
+                assert_same_trace(a, b)
+        return whole
+
+    @pytest.mark.parametrize("noise", [
+        noiseless(),
+        gaussian_channel(0.3),
+        stochastic_quantizer(4),
+    ], ids=["noiseless", "gaussian", "quantizer"])
+    @pytest.mark.parametrize("family", ["fixed_cycle", "gossip"])
+    def test_chunk_lengths_agree(self, monkeypatch, family, noise):
+        self.check(monkeypatch, small_instance_config(family, noise, 11))
+
+    def test_aborts_in_mid_chunk(self, monkeypatch):
+        traces = self.check(monkeypatch, divergent_config())
+        # Seeds leave the batch at several iterations, survivors stay.
+        abort_ts = {tr.abort_t for tr in traces}
+        assert None in abort_ts and len(abort_ts - {None, 2}) >= 2
+
+    def test_single_iteration(self, monkeypatch):
+        self.check(monkeypatch, small_instance_config("gossip", stochastic_quantizer(4), 1))
+
+    def test_zero_state_quantizer_draws_nothing(self, monkeypatch):
+        # Zero data keeps every state at zero, so no row is ever quantized.
+        schedule = gossip_schedule(np.full(4, 0.25))
+        cfg = TestConservationLaws().zero_gradient_config(schedule, T=9)
+        cfg = replace(cfg, noise=stochastic_quantizer(4))
+        gens = []
+
+        def tracked_philox(seed):
+            gens.append(philox(seed))
+            return gens[-1]
+
+        monkeypatch.setattr(dynamics, "philox", tracked_philox)
+        for tr in self.check(monkeypatch, cfg, seeds=range(3)):
+            assert not tr.values.any() and not tr.final_state.any()
+        # One run per chunk length, each with seeds 0, 1, 2: no draw was made.
+        assert [g.random() for g in gens] == [philox(s).random() for _ in range(3) for s in range(3)]
 
 
 class TestExactExpectation:

@@ -13,7 +13,7 @@ from dimix.noise import (
 )
 from dimix.rng import philox
 
-from oracles import neighbor_estimate, zeta
+from oracles import neighbor_estimate, quantize_formula, zeta
 
 
 class TestModelValidation:
@@ -153,6 +153,29 @@ class TestStochasticQuantize:
         alone = stochastic_quantize(X[[0, 2]], 4, philox(11))
         np.testing.assert_array_equal(batched[[0, 2]], alone)
         np.testing.assert_array_equal(batched[1], np.zeros(6))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_formula_bit_for_bit(self, seed):
+        # Random batches with zero rows, sender rows listed twice or never,
+        # and a workspace reused across calls of different shapes.
+        rng = philox(50, seed)
+        work = {}
+        for R, n, d in ((1, 1, 1), (3, 4, 5), (6, 5, 25), (2, 7, 3)):
+            x = rng.normal(size=(R, n, d)) * 10.0 ** rng.integers(-8, 8, size=(R, n, 1))
+            x[rng.random((R, n)) < 0.3] = 0.0
+            src = rng.integers(0, n, size=2 * n)
+            s = int(rng.integers(1, 9))
+            got = stochastic_quantize(x, s, [philox(seed, k) for k in range(R)], src, work)
+            want = quantize_formula(x, s, [philox(seed, k) for k in range(R)], src)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_single_generator_matches_formula(self):
+        x = philox(51).normal(size=(6, 4))
+        x[2] = 0.0
+        got = stochastic_quantize(x, 3, philox(52))
+        want = quantize_formula(x[None], 3, [philox(52)], np.arange(6))[0]
+        assert got.tobytes() == want.tobytes()
 
 
 class TestVarianceBound:
