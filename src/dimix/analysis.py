@@ -37,11 +37,12 @@ def weighted_mean(X: np.ndarray, r: np.ndarray) -> np.ndarray:
 def r_norm_sq(A: np.ndarray, r: np.ndarray):
     """||A||_r^2 = sum_i r_i ||A_i||^2 over rows (a vector counts as one
     scalar per row).  A batch (R, n, d) gives an array of R values, each
-    computed from its own item alone."""
+    computed from its own item alone; r is one (n,) vector or one per item,
+    (R, n)."""
     A = np.asarray(A, dtype=float)
     r = np.asarray(r, dtype=float)
     sq = A * A if A.ndim == 1 else (A * A).sum(-1)
-    if sq.shape[-1] != r.size:
+    if sq.shape[-1:] != r.shape[-1:]:
         raise ValueError("row count must match the weight vector")
     out = (sq * r).sum(-1)
     return float(out) if out.ndim == 0 else out
@@ -126,7 +127,7 @@ def A_constant(a: float, sigma: float, delta: float) -> float:
     defined for a > 0 and sigma > 1 except on the line a == sigma - 1 where
     this form degenerates.
     """
-    if not np.isfinite(a) or not np.isfinite(sigma) or not np.isfinite(delta):
+    if not (math.isfinite(a) and math.isfinite(sigma) and math.isfinite(delta)):
         raise ValueError("arguments must be finite")
     if delta == 1.0:
         if a <= 0.0:

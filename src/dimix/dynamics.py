@@ -81,7 +81,6 @@ class RunTrace:
     """
 
     seed: int
-    T: int
     t: np.ndarray
     values: np.ndarray
     final_state: np.ndarray
@@ -198,7 +197,6 @@ def run(cfg: RunConfig, seeds) -> list[RunTrace]:
         traces.append(
             RunTrace(
                 seed=seed,
-                T=T,
                 t=ts[rows],
                 values=values[k, rows],
                 final_state=final[k],

@@ -4,12 +4,26 @@ Every bound the convergence analysis chains together is checked here on
 randomized instances: mixing-product contraction in the weighted norm, the
 weighted operator bound, the split inequality, decaying-step product and sum
 envelopes, the exact step-sum telescope, and the curvature split for
-quadratics.  Each check is one instance generator behind ``Check``, which
-draws at least a thousand instances from a seeded stream (plus a few pinned
-corner cases), compares both sides exactly as stated, and reports the worst
-slack seen.  A violation beyond floating-point tolerance means the
+quadratics.  A violation beyond floating-point tolerance means the
 implementation and the certificate disagree, so the command-line entry point
 turns any violation into a nonzero exit.
+
+Each check is a draw phase and an evaluate phase behind ``Check``:
+
+* the draw generator makes one instance's random draws at a time off the
+  check's seeded stream, rejected draws included, pinned corner cases first;
+* the evaluate function takes a block of drawn instances and computes value,
+  bound and scale as arrays: instances of one shape are stacked, chains of
+  different length advance under a mask, and rows of different length are
+  padded, in blocks of at most ``BLOCK_BYTES``.
+
+The invariant: each instance's draws and arithmetic are those of the
+per-instance code (``tests/lemma_oracles.py``), so a report is a pure
+function of (seed, instances), bit for bit, whatever the block sizes.
+Padding only multiplies by 1.0; BLAS products, QR factorizations and short
+reductions run on stacks of exactly the per-instance shapes; a sum whose
+pairwise-summation tree depends on its length runs row by row; and scalar
+formulas evaluated by libm (``math.exp``, float ``**``) stay Python scalars.
 """
 
 from __future__ import annotations
@@ -22,9 +36,15 @@ from itertools import islice
 
 import numpy as np
 
-from .analysis import A_constant, StepSchedule, contraction_factor, kappa_factor, r_norm_sq
+from .analysis import A_constant, contraction_factor, kappa_factor, r_norm_sq
 from .rng import philox
-from .topology import MixingSchedule, fixed_cycle_schedule, gossip_schedule
+from .topology import entry_floor, family_matrices, family_window
+
+# Instances drawn and evaluated together (a bound on the draws held at once).
+BLOCK = 1000
+# The largest padded (rows, length) array of a check over rows of different
+# length (step products and sums run to about 2,500 terms).
+BLOCK_BYTES = 1 << 17
 
 
 @dataclass
@@ -55,145 +75,356 @@ class CheckReport:
         )
 
 
-Instance = tuple[float, float, float, dict]
+# value, bound and scale per instance, and the params of instance i.
+Values = tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[int], dict]]
 
 
 @dataclass(frozen=True)
 class Check:
-    """One inequality value <= bound.  ``instances(rng)`` yields an endless
-    stream of (value, bound, scale, params) drawn from ``rng`` (a rejected
-    draw yields nothing); an instance passes when its slack
-    bound - value + tol * max(1, scale) is nonnegative.  Calling the check
-    runs the first ``instances`` of them off Philox stream ``stream`` of
-    ``seed``."""
+    """One inequality value <= bound.  ``draw(rng)`` yields an endless
+    stream of per-instance inputs drawn from ``rng`` (a rejected draw yields
+    nothing), and ``evaluate(block)`` turns a list of them into value, bound
+    and scale arrays plus the params of each instance.  An instance passes when
+    its slack bound - value + tol * max(1, scale) is nonnegative; a
+    non-finite slack is a violation and outranks every finite one as the
+    worst case.  Calling the check runs the first ``instances`` of them off
+    Philox stream ``stream`` of ``seed``."""
 
     name: str
     stream: int
     tol: float
-    instances: Callable[[np.random.Generator], Iterator[Instance]]
+    draw: Callable[[np.random.Generator], Iterator[tuple]]
+    evaluate: Callable[[list[tuple]], Values]
 
     def __call__(self, seed: int = 0, instances: int = 1000) -> CheckReport:
         report = CheckReport(self.name, 0, 0, math.inf, self.tol)
-        drawn = self.instances(philox(seed, self.stream))
-        for value, bound, scale, params in islice(drawn, instances):
-            slack = bound - value + self.tol * max(1.0, scale)
-            report.instances += 1
-            if slack < report.min_slack:
-                report.min_slack, report.worst = slack, params
-            if slack < 0.0:
-                report.violations += 1
+        drawn = self.draw(philox(seed, self.stream))
+        worst = (2, 0.0)  # (0, 0.0) for a non-finite slack, else (1, slack)
+        while report.instances < instances:
+            block = list(islice(drawn, min(BLOCK, instances - report.instances)))
+            if not block:
+                break
+            value, bound, scale, params = self.evaluate(block)
+            with np.errstate(invalid="ignore"):
+                slack = bound - value + self.tol * np.fmax(1.0, scale)
+            bad = ~np.isfinite(slack)
+            report.instances += len(block)
+            report.violations += int(np.count_nonzero(bad | (slack < 0.0)))
+            # The first minimum, as a strict < over the stream would keep.
+            i = int(np.argmax(bad)) if bad.any() else int(np.argmin(slack))
+            key = (0, 0.0) if bad[i] else (1, float(slack[i]))
+            if key < worst:
+                worst = key
+                report.min_slack, report.worst = float(slack[i]), params(i)
         return report
 
 
-def _random_schedule(rng: np.random.Generator) -> MixingSchedule:
-    n = int(rng.integers(3, 9))
-    p = 0.05 + rng.random(n)
-    r = p / p.sum()
-    if rng.random() < 0.5:
-        return fixed_cycle_schedule(r)
-    return gossip_schedule(r)
+# -- evaluation helpers -------------------------------------------------------
 
 
-@partial(Check, "mixing product contraction", 71, 1e-9)
-def check_mixing_contraction(rng: np.random.Generator) -> Iterator[Instance]:
+def _groups(keys: list) -> list[list[int]]:
+    """Indices of the instances sharing each key, keys in first-seen order."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _stacked(fn: Callable, keys: list, *columns) -> np.ndarray:
+    """``fn`` over every instance, one call per key: the inputs of the
+    instances sharing a key (which must fix their shapes) are stacked into
+    (G, ...) arrays, and ``fn`` returns one row of G values per output.  Any
+    BLAS product, reduction or LAPACK call then runs on exactly the shapes
+    of the per-instance code."""
+    out = None
+    for idx in _groups(keys):
+        rows = np.asarray(fn(*(np.array([col[i] for i in idx]) for col in columns)))
+        if out is None:
+            out = np.empty(rows.shape[:-1] + (len(keys),))
+        out[..., idx] = rows
+    return out
+
+
+def _rows(lengths: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Instances in order of length, in blocks whose padded (rows, width)
+    float arrays stay within BLOCK_BYTES.  Yields the block's instance
+    indices and its column numbers 0.0 .. width-1."""
+    order = np.argsort(lengths, kind="stable")
+    start = 0
+    while start < order.size:
+        stop = start + 1
+        while stop < order.size and (stop + 1 - start) * lengths[order[stop]] * 8 <= BLOCK_BYTES:
+            stop += 1
+        yield order[start:stop], np.arange(float(lengths[order[stop - 1]]))
+        start = stop
+
+
+def _pad_ones(x: np.ndarray, lengths: np.ndarray) -> None:
+    """Set every entry of row i of x past its first lengths[i] to 1.0."""
+    for row, n in zip(x, lengths.tolist()):
+        row[n:] = 1.0
+
+
+def _row_sums(terms: np.ndarray, lengths: np.ndarray) -> list[float]:
+    """Each row's sum over its first ``length`` entries.  numpy's pairwise
+    summation tree depends on the length, so padding would change it."""
+    return [np.add.reduce(row[:n]) for row, n in zip(terms, lengths.tolist())]
+
+
+def _suffix_products(factors: np.ndarray) -> np.ndarray:
+    """suffix[:, j] = prod_{i >= j} factors[:, i], multiplied from the last
+    factor down as ``np.cumprod(f[::-1])[::-1]`` does for one row; padding
+    factors of 1.0 change nothing."""
+    return np.cumprod(factors[:, ::-1], axis=1)[:, ::-1]
+
+
+# numpy's scalar ``**`` may take a shortcut (reciprocal, sqrt, square, ...)
+# for these exponents; an array of exponents always runs the power loop.
+_SCALAR_SHORTCUTS = (-1.0, 0.0, 0.5, 1.0, 2.0)
+
+
+def _power(base: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """base ** exps[i] along row i, each row bit-identical to
+    ``row ** float(exps[i])``; ``base`` may be one row for all."""
+    base = np.broadcast_to(base, (exps.size, np.shape(base)[-1]))
+    out = base ** exps[:, None]
+    for e in _SCALAR_SHORTCUTS:
+        rows = np.flatnonzero(exps == e)
+        if rows.size:
+            out[rows] = base[rows] ** e
+    return out
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise ``x[i] @ y[i]`` of (G, d) stacks."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+# -- the checks ---------------------------------------------------------------
+
+# 10.0 ** k for the exponents k in [-2, 2] that rng.integers(-2, 3) draws,
+# each by the scalar expression the draws were defined with.
+_DECADES = {k: 10.0 ** np.int64(k) for k in range(-2, 3)}
+
+
+def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """``rng.uniform(low, high)`` without its argument handling: numpy's
+    Generator maps one ``random()`` double u to low + (high - low) * u."""
+    return low + (high - low) * rng.random()
+
+
+def _weights(p: list[np.ndarray]) -> list[np.ndarray]:
+    """The weight vector r = q / sum(q), q = 0.05 + p, of every drawn p."""
+    r = [None] * len(p)
+    for idx in _groups([x.size for x in p]):
+        q = 0.05 + np.array([p[i] for i in idx])
+        for i, row in zip(idx, q / q.sum(axis=1)[:, None]):
+            r[i] = row
+    return r
+
+
+def _mixing_sides(r, W, U, beta0, mu, lam, kap, s, t):
+    """Both sides for G instances of one family and n, longest chain first:
+    weights r (G, n), one period of matrices W (G, period, n, n), and a list
+    of G arrays U."""
+    G, period, n, _ = W.shape
+    steps = t - s - 1
+    k = s[:, None] + 1 + np.arange(steps[0])  # k = s+1 .. t-1, padded
+    k_mu = _power(k.astype(float), mu)
+    beta = beta0[:, None] / k_mu  # the mixing step beta(k) = beta0 / k^mu
+    slot = (k - 1) % period
+    eye = np.eye(n)
+    P = np.tile(eye, (G, 1, 1))
+    for j, m in enumerate(np.count_nonzero(steps[:, None] > np.arange(steps[0]), axis=0).tolist()):
+        # The chains still running are the first m.
+        b = beta[:m, j, None, None]
+        A = (1.0 - b) * eye + b * W[np.arange(m), slot[:m, j]]
+        P[:m] = A @ P[:m]
+    decay = 1.0 - (lam * beta0)[:, None] / k_mu
+    _pad_ones(decay, steps)
+    decay = decay.prod(axis=1)
+    lhs, rhs = np.empty(G), np.empty(G)
+    for sub in _groups([u.shape for u in U]):
+        V = np.array([U[i] for i in sub])
+        lhs[sub] = r_norm_sq((P[sub] - r[sub, None, :]) @ V, r[sub])
+        rhs[sub] = kap[sub] * decay[sub] * r_norm_sq(V, r[sub])
+    return lhs, rhs
+
+
+def _mixing_values(block: list[tuple]) -> Values:
+    kind, p, beta0, mu, s, t, U = zip(*block)
+    b0, m0, s0, t0 = (np.array(col) for col in (beta0, mu, s, t))
+    lhs, rhs = np.empty(len(block)), np.empty(len(block))
+    for idx in _groups(list(zip(kind, map(len, p)))):
+        idx = np.array(idx)[np.argsort(s0[idx] - t0[idx], kind="stable")]
+        family, n = kind[idx[0]], len(p[idx[0]])
+        q = 0.05 + np.array([p[i] for i in idx])
+        r = q / q.sum(axis=1)[:, None]
+        W, B = family_matrices(family, r), family_window(family, n)
+        lam = [contraction_factor(e, x, B, n) for e, x in zip(entry_floor(W).tolist(), r.min(axis=1).tolist())]
+        kap = [kappa_factor(x, b, B) for x, b in zip(lam, b0[idx].tolist())]
+        lhs[idx], rhs[idx] = _mixing_sides(
+            r, W, [U[i] for i in idx], b0[idx], m0[idx], np.array(lam), np.array(kap), s0[idx], t0[idx]
+        )
+    def params(i: int) -> dict:
+        return {"kind": kind[i], "n": len(p[i]), "s": s[i], "t": t[i], "beta0": beta0[i], "mu": mu[i]}
+
+    return lhs, rhs, rhs, params
+
+
+@partial(Check, "mixing product contraction", 71, 1e-9, evaluate=_mixing_values)
+def check_mixing_contraction(rng: np.random.Generator) -> Iterator[tuple]:
     """Products of the per-iteration mixing maps forget the initial spread
     geometrically: with A(k) = (1 - beta(k)) I + beta(k) W(k),
 
         ||(A(t-1)...A(s+1) - 1 r') U||_r^2
-            <= kappa * prod_{k=s+1}^{t-1} (1 - lambda beta(k)) * ||U||_r^2.
-    """
+            <= kappa * prod_{k=s+1}^{t-1} (1 - lambda beta(k)) * ||U||_r^2,
+
+    for a fixed-cycle or gossip schedule on n agents with weights
+    r = q / sum(q), q = 0.05 + p."""
     while True:
-        sched = _random_schedule(rng)
-        n = sched.n
-        r = sched.r
-        steps = StepSchedule(
-            alpha0=1.0,
-            nu=0.25,
-            beta0=float(0.1 + 0.9 * rng.random()),
-            mu=float(0.55 + 0.4 * rng.random()),
-        )
-        lam = contraction_factor(sched.eta, float(r.min()), sched.B, n)
-        kap = kappa_factor(lam, steps.beta0, sched.B)
+        n = int(rng.integers(3, 9))
+        p = rng.random(n)
+        kind = "fixed_cycle" if rng.random() < 0.5 else "gossip"
+        beta0 = 0.1 + 0.9 * rng.random()
+        mu = 0.55 + 0.4 * rng.random()
         s = int(rng.integers(1, 40))
-        t = s + 1 + int(rng.integers(0, 3 * sched.B + 1))
-        P = np.eye(n)
-        for k in range(s + 1, t):
-            beta_k = float(steps.beta(k))
-            A = (1.0 - beta_k) * np.eye(n) + beta_k * sched.matrix_at(k)
-            P = A @ P
+        t = s + 1 + int(rng.integers(0, 3 * family_window(kind, n) + 1))
         d = int(rng.integers(1, 5))
-        U = rng.normal(size=(n, d))
-        lhs = r_norm_sq((P - np.outer(np.ones(n), r)) @ U, r)
-        ks = np.arange(s + 1, t, dtype=float)
-        decay = float(np.prod(1.0 - lam * steps.beta0 / ks**steps.mu)) if ks.size else 1.0
-        rhs = kap * decay * r_norm_sq(U, r)
-        params = {"kind": sched.kind, "n": n, "s": s, "t": t, "beta0": steps.beta0, "mu": steps.mu}
-        yield lhs, rhs, rhs, params
+        yield kind, p, beta0, mu, s, t, rng.normal(size=(n, d))
 
 
-@partial(Check, "weighted operator bound", 72, 1e-9)
-def check_weighted_operator_bound(rng: np.random.Generator) -> Iterator[Instance]:
-    """||A B||_r <= ||A||_r ||B||_F for conformable matrices and weights r."""
+def _operator_values(block: list[tuple]) -> Values:
+    p, A, B = zip(*block)
+    r = _weights(p)
+    # Per instance: the BLAS kernel of a product depends on its shape.
+    AB = [a @ b for a, b in zip(A, B)]
+    frobenius = np.sqrt([x.dot(x) for x in (b.ravel() for b in B)])  # as np.linalg.norm
+    lhs = np.sqrt(_stacked(r_norm_sq, [x.shape for x in AB], AB, r))
+    rhs = np.sqrt(_stacked(r_norm_sq, [a.shape for a in A], A, r)) * frobenius
+    return lhs, rhs, rhs, lambda i: {"n": A[i].shape[0], "m": A[i].shape[1], "d": B[i].shape[1]}
+
+
+@partial(Check, "weighted operator bound", 72, 1e-9, evaluate=_operator_values)
+def check_weighted_operator_bound(rng: np.random.Generator) -> Iterator[tuple]:
+    """||A B||_r <= ||A||_r ||B||_F for conformable matrices and weights
+    r = q / sum(q), q = 0.05 + p."""
     while True:
         n = int(rng.integers(1, 8))
         m = int(rng.integers(1, 8))
         d = int(rng.integers(1, 8))
-        p = 0.05 + rng.random(n)
-        r = p / p.sum()
-        A = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-2, 3)
-        B = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-2, 3)
-        lhs = math.sqrt(r_norm_sq(A @ B, r))
-        rhs = math.sqrt(r_norm_sq(A, r)) * float(np.linalg.norm(B))
-        yield lhs, rhs, rhs, {"n": n, "m": m, "d": d}
+        p = rng.random(n)
+        A = rng.normal(size=(n, m)) * _DECADES[rng.integers(-2, 3)]
+        B = rng.normal(size=(m, d)) * _DECADES[rng.integers(-2, 3)]
+        yield p, A, B
 
 
-@partial(Check, "young split", 73, 1e-9)
-def check_young_split(rng: np.random.Generator) -> Iterator[Instance]:
+def _young_sides(r, U, V):
+    """(||U + V||^2, ||U||^2, ||V||^2): dot products for stacked vectors,
+    r-weighted norms for stacked matrices."""
+    if U.ndim == 2:
+        uu, vv = _dot(U, U), _dot(V, V)
+        return uu + _dot(2 * U, V) + vv, uu, vv
+    return r_norm_sq(U + V, r), r_norm_sq(U, r), r_norm_sq(V, r)
+
+
+def _young_values(block: list[tuple]) -> Values:
+    theta, p, U, V = zip(*block)
+    matrix = [i for i, x in enumerate(p) if x is not None]
+    r = [None] * len(block)
+    for i, x in zip(matrix, _weights([p[i] for i in matrix])):
+        r[i] = x
+    lhs, uu, vv = _stacked(_young_sides, [u.shape for u in U], r, U, V)
+    th = np.array(theta)
+    rhs = (1 + th) * uu + (1 + 1 / th) * vv
+    def params(i: int) -> dict:
+        if p[i] is None:
+            return {"form": "vector", "d": U[i].size, "theta": theta[i]}
+        return {"form": "matrix", "n": U[i].shape[0], "d": U[i].shape[1], "theta": theta[i]}
+
+    return lhs, rhs, np.abs(rhs), params
+
+
+@partial(Check, "young split", 73, 1e-9, evaluate=_young_values)
+def check_young_split(rng: np.random.Generator) -> Iterator[tuple]:
     """||u + v||^2 <= (1 + theta)||u||^2 + (1 + 1/theta)||v||^2, theta > 0,
-    in both the vector and the weighted-matrix norm."""
+    in both the vector and the weighted-matrix norm (weights
+    r = q / sum(q), q = 0.05 + p)."""
     while True:
-        theta = float(10.0 ** rng.uniform(-3, 3))
+        theta = 10.0 ** _uniform(rng, -3.0, 3.0)
         if rng.random() < 0.5:
             d = int(rng.integers(1, 10))
-            u = rng.normal(size=d) * 10.0 ** rng.integers(-2, 3)
-            v = rng.normal(size=d) * 10.0 ** rng.integers(-2, 3)
-            lhs = float(u @ u + 2 * u @ v + v @ v)
-            rhs = (1 + theta) * float(u @ u) + (1 + 1 / theta) * float(v @ v)
-            params = {"form": "vector", "d": d, "theta": theta}
+            u = rng.normal(size=d) * _DECADES[rng.integers(-2, 3)]
+            v = rng.normal(size=d) * _DECADES[rng.integers(-2, 3)]
+            yield theta, None, u, v
         else:
             n = int(rng.integers(1, 6))
             d = int(rng.integers(1, 6))
-            p = 0.05 + rng.random(n)
-            r = p / p.sum()
+            p = rng.random(n)
             U = rng.normal(size=(n, d))
             V = rng.normal(size=(n, d))
-            lhs = r_norm_sq(U + V, r)
-            rhs = (1 + theta) * r_norm_sq(U, r) + (1 + 1 / theta) * r_norm_sq(V, r)
-            params = {"form": "matrix", "n": n, "d": d, "theta": theta}
-        yield lhs, rhs, abs(rhs), params
+            yield theta, p, U, V
 
 
-@partial(Check, "step product envelope", 74, 1e-9)
-def check_step_product_envelope(rng: np.random.Generator) -> Iterator[Instance]:
+def _step_product_values(block: list[tuple]) -> Values:
+    a, delta, s, t = (np.array(col) for col in zip(*block))
+    lhs, first = np.empty(len(block)), s.astype(float)
+    for idx, cols in _rows(t - s):
+        f = _power(first[idx, None] + cols, delta[idx])  # k = s .. t-1, padded
+        np.divide(a[idx, None], f, out=f)
+        np.subtract(1.0, f, out=f)
+        _pad_ones(f, (t - s)[idx])
+        lhs[idx] = f.prod(axis=1)
+    rhs = np.array([
+        (t / s) ** (-a)
+        if delta == 1.0
+        else math.exp(-a / (1.0 - delta) * (t ** (1.0 - delta) - s ** (1.0 - delta)))
+        for a, delta, s, t in block
+    ])
+    return lhs, rhs, rhs, lambda i: dict(zip(("a", "delta", "s", "t"), block[i]))
+
+
+@partial(Check, "step product envelope", 74, 1e-9, evaluate=_step_product_values)
+def check_step_product_envelope(rng: np.random.Generator) -> Iterator[tuple]:
     """prod_{k=s}^{t-1} (1 - a/k^delta) is killed at the integrated rate:
     bounded by exp(-a (t^(1-delta) - s^(1-delta)) / (1-delta)) for delta < 1
     and by (t/s)^-a for delta == 1."""
     while True:
-        a = float(rng.uniform(1e-3, 0.999))
-        delta = 1.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 0.999))
+        a = _uniform(rng, 1e-3, 0.999)
+        delta = 1.0 if rng.random() < 0.3 else _uniform(rng, 0.0, 0.999)
         s = int(rng.integers(1, 50))
         t = s + 1 + int(rng.integers(0, 2000))
-        ks = np.arange(s, t, dtype=float)
-        lhs = float(np.prod(1.0 - a / ks**delta))
-        if delta == 1.0:
-            rhs = (t / s) ** (-a)
-        else:
-            rhs = math.exp(-a / (1.0 - delta) * (t ** (1.0 - delta) - s ** (1.0 - delta)))
-        yield lhs, rhs, rhs, {"a": a, "delta": delta, "s": s, "t": t}
+        yield a, delta, s, t
 
 
-@partial(Check, "step sum telescope", 75, 1e-10)
-def check_step_sum_telescope(rng: np.random.Generator) -> Iterator[Instance]:
+def _telescope_values(block: list[tuple]) -> Values:
+    t, lam, beta0, mu, u = zip(*block)
+    t, lam = np.array(t), np.array(lam)
+    canonical = np.array([x is None for x in u])
+    beta0, mu = np.array(beta0, dtype=float), np.array(mu, dtype=float)
+    lhs, prod = np.empty(len(block)), np.empty(len(block))
+    for idx, cols in _rows(t - 1):
+        # beta(k) for k = 1 .. t-1, padded with zeros
+        c = canonical[idx]
+        beta = np.zeros((idx.size, cols.size))
+        beta[c] = beta0[idx[c], None] / _power(cols + 1.0, mu[idx[c]])
+        for row, i in zip(np.flatnonzero(~c).tolist(), idx[~c].tolist()):
+            beta[row, : t[i] - 1] = u[i]
+        beta[~c] = (0.0 + 2.0 * beta[~c]) / lam[idx[~c], None]
+        f = 1.0 - lam[idx, None] * beta
+        _pad_ones(f, t[idx] - 1)
+        prod[idx] = f.prod(axis=1)
+        # The term at s is beta(s) prod_{k > s} f(k); past the row's end
+        # the suffix products are 1.0, so the last term is beta(t-1) itself.
+        beta[:, :-1] *= _suffix_products(f)[:, 1:]
+        lhs[idx] = _row_sums(beta, t[idx] - 1)
+    rhs = (1.0 - prod) / lam
+    value = np.abs(lhs - rhs)
+    return value, np.zeros(len(block)), 1.0 / np.abs(lam), lambda i: dict(zip(("t", "lam"), block[i]))
+
+
+@partial(Check, "step sum telescope", 75, 1e-10, evaluate=_telescope_values)
+def check_step_sum_telescope(rng: np.random.Generator) -> Iterator[tuple]:
     """The weighted sum of survival products telescopes exactly:
 
         sum_{s=1}^{t-1} beta(s) prod_{k=s+1}^{t-1} (1 - lam beta(k))
@@ -204,42 +435,56 @@ def check_step_sum_telescope(rng: np.random.Generator) -> Iterator[Instance]:
     while True:
         t = int(rng.integers(2, 200))
         if rng.random() < 0.5:
-            # Canonical decaying steps; lam > 0 keeps all survival factors
-            # inside (-1, 1) so the float error stays far below tolerance.
-            lam = float(10.0 ** rng.uniform(-2, 1))
-            beta0 = float(rng.uniform(0.05, 1.0))
+            # Canonical decaying steps beta0 / k^mu; lam > 0 keeps all
+            # survival factors inside (-1, 1) so the float error stays far
+            # below tolerance.
+            lam = 10.0 ** _uniform(rng, -2.0, 1.0)
+            beta0 = _uniform(rng, 0.05, 1.0)
             if lam * beta0 >= 2.0:
                 lam = 1.0 / beta0
-            mu = float(rng.uniform(0.1, 0.95))
-            beta = beta0 / np.arange(1, t, dtype=float) ** mu
+            mu = _uniform(rng, 0.1, 0.95)
+            yield t, lam, beta0, mu, None
         else:
-            # Arbitrary real steps of either sign, scaled so lam * beta(k)
-            # lands in [0, 2] and the factors stay bounded by 1.
-            lam = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2, 1))
-            beta = rng.uniform(0.0, 2.0, size=t - 1) / lam
-        factors = 1.0 - lam * beta
-        suffix = np.ones(t - 1)
-        if t > 2:
-            suffix[:-1] = np.cumprod(factors[::-1])[:-1][::-1]
-        lhs = float(np.sum(beta * suffix))
-        rhs = (1.0 - float(np.prod(factors))) / lam
-        yield abs(lhs - rhs), 0.0, 1.0 / abs(lam), {"t": t, "lam": lam}
+            # Arbitrary real steps of either sign, u / lam with u uniform in
+            # [0, 2), so lam * beta(k) lands in [0, 2] and the factors stay
+            # bounded by 1.  The sign is rng.choice([-1.0, 1.0]), which
+            # draws integers(0, 2); u = 2 v for v = rng.random(t - 1), as
+            # rng.uniform(0.0, 2.0, size=t - 1) computes it.
+            lam = (-1.0, 1.0)[rng.integers(0, 2)] * 10.0 ** _uniform(rng, -2.0, 1.0)
+            yield t, lam, None, None, rng.random(t - 1)
 
 
-def _decaying_sum(a: float, sigma: float, delta: float, t: int) -> float:
-    """sum_{s=1}^{t-1} s^-sigma prod_{k=s+1}^{t-1} (1 - a/k^delta), exactly."""
-    s = np.arange(1, t, dtype=float)
-    # factors[j] is the survival factor at k = j + 2; the term at s needs the
-    # product over k = s+1 .. t-1, which is the suffix product from j = s - 1.
-    factors = 1.0 - a / np.arange(2, t, dtype=float) ** delta
-    suffix = np.ones(t - 1)
-    if t > 2:
-        suffix[:-1] = np.cumprod(factors[::-1])[::-1]
-    return float(np.sum(s**-sigma * suffix))
+def _decaying_sum(a, sigma, delta, t):
+    """sum_{s=1}^{t-1} s^-sigma prod_{k=s+1}^{t-1} (1 - a/k^delta), exactly,
+    for arrays of instances (scalars give a float)."""
+    scalar = np.ndim(t) == 0
+    a, sigma, delta, t = (np.atleast_1d(x) for x in (a, sigma, delta, t))
+    out = np.empty(t.shape)
+    for idx, cols in _rows(t - 1):
+        # Column j holds the term at s = j + 1 and the survival factor at
+        # k = j + 2; the term at s needs the product over k = s+1 .. t-1,
+        # the suffix product from column s - 1.
+        f = _power(cols + 2.0, delta[idx])
+        np.divide(a[idx, None], f, out=f)
+        np.subtract(1.0, f, out=f)
+        _pad_ones(f, t[idx] - 2)
+        terms = _power(cols + 1.0, -sigma[idx])
+        terms *= _suffix_products(f)
+        out[idx] = _row_sums(terms, t[idx] - 1)
+    return float(out[0]) if scalar else out
 
 
-@partial(Check, "decaying sum envelope", 76, 1e-9)
-def check_decaying_sum_envelope(rng: np.random.Generator) -> Iterator[Instance]:
+def _decaying_values(block: list[tuple]) -> Values:
+    lhs = _decaying_sum(*(np.array(col) for col in zip(*block)))
+    rhs = np.array([
+        A_constant(a, sigma, delta) * t ** -(min(sigma - 1.0, a) if delta == 1.0 else sigma - delta)
+        for a, sigma, delta, t in block
+    ])
+    return lhs, rhs, rhs, lambda i: dict(zip(("a", "sigma", "delta", "t"), block[i]))
+
+
+@partial(Check, "decaying sum envelope", 76, 1e-9, evaluate=_decaying_values)
+def check_decaying_sum_envelope(rng: np.random.Generator) -> Iterator[tuple]:
     """The decaying-weight sum obeys the closed-form envelope constant:
 
         sum_{s=1}^{t-1} s^-sigma prod_{k=s+1}^{t-1} (1 - a/k^delta)
@@ -248,37 +493,28 @@ def check_decaying_sum_envelope(rng: np.random.Generator) -> Iterator[Instance]:
     past the burn-in t > (2(sigma-delta)/a)^(1/(1-delta)); for delta == 1
     the decay exponent is min(sigma - 1, a) instead.
     """
-
-    def one(a: float, sigma: float, delta: float, t: int) -> Instance:
-        lhs = _decaying_sum(a, sigma, delta, t)
-        if delta == 1.0:
-            rhs = A_constant(a, sigma, delta) * t ** -min(sigma - 1.0, a)
-        else:
-            rhs = A_constant(a, sigma, delta) * t ** -(sigma - delta)
-        return lhs, rhs, rhs, {"a": a, "sigma": sigma, "delta": delta, "t": t}
-
     # The branch boundary sigma == 1 and the delta == 1 family with a past 1.
     for t in (4, 7, 20, 200):
-        yield one(2.0, 1.5, 1.0, t)
+        yield 2.0, 1.5, 1.0, t
     for t in (40, 200, 1000):
-        yield one(0.5, 1.0, 0.0, t)
+        yield 0.5, 1.0, 0.0, t
 
     while True:
         branch = rng.random()
         if branch < 0.25:
-            a = float(rng.uniform(0.1, 1.0))
+            a = _uniform(rng, 0.1, 1.0)
             sigma = 1.0
-            delta = float(rng.uniform(0.0, 0.45))
+            delta = _uniform(rng, 0.0, 0.45)
         elif branch < 0.45:
-            a = float(rng.uniform(0.1, 1.0)) if rng.random() < 0.7 else 2.0
-            sigma = float(rng.uniform(1.05, 3.0))
+            a = _uniform(rng, 0.1, 1.0) if rng.random() < 0.7 else 2.0
+            sigma = _uniform(rng, 1.05, 3.0)
             delta = 1.0
             if abs(a - sigma + 1.0) < 1e-6:
                 continue
         else:
-            delta = float(rng.uniform(0.0, 0.9))
-            sigma = delta + float(rng.uniform(0.05, 2.5))
-            a = float(rng.uniform(0.05, 1.0))
+            delta = _uniform(rng, 0.0, 0.9)
+            sigma = delta + _uniform(rng, 0.05, 2.5)
+            a = _uniform(rng, 0.05, 1.0)
         if delta == 1.0:
             t_lo = 4
         else:
@@ -286,40 +522,58 @@ def check_decaying_sum_envelope(rng: np.random.Generator) -> Iterator[Instance]:
             if tau > 1500.0:
                 continue
             t_lo = math.floor(tau) + 2
-        yield one(a, sigma, delta, t_lo + int(rng.integers(0, 1000)))
+        yield a, sigma, delta, t_lo + int(rng.integers(0, 1000))
 
 
-@partial(Check, "curvature split", 77, 1e-9)
-def check_curvature_split(rng: np.random.Generator) -> Iterator[Instance]:
+def _curvature_sides(eigs, G, x_star, mode, step, scale):
+    """Both sides, the scale, mu and L for G stacked instances of one d and
+    one kind of step."""
+    eigs = 0.0 + 3.0 * eigs
+    eigs[~eigs.any(axis=1), 0] = 1.0  # the zero quadratic becomes rank one
+    Q = np.linalg.qr(G)[0]
+    H = (Q * eigs[:, None, :]) @ Q.transpose(0, 2, 1)
+    if step.ndim == 1:
+        # A scalar step along the eigenvector of the smallest (mode < 0.2)
+        # or the largest eigenvalue.
+        col = np.where(mode < 0.2, eigs.argmin(axis=1), eigs.argmax(axis=1))
+        x = x_star + Q[np.arange(len(col)), :, col] * step[:, None]
+    else:
+        x = x_star + step * scale[:, None]
+    v = x - x_star
+    g = (H @ v[:, :, None])[:, :, 0]
+    mu, L = eigs.min(axis=1), eigs.max(axis=1)
+    lhs = _dot(v, g)
+    rhs = _dot(g, g) / (mu + L) + (mu * L / (mu + L)) * _dot(v, v)
+    return rhs, lhs, np.maximum(np.abs(lhs), np.abs(rhs)), mu, L
+
+
+def _curvature_values(block: list[tuple]) -> Values:
+    keys = [(eigs.size, mode < 0.4) for eigs, _, _, mode, *_ in block]
+    value, bound, scale, mu, L = _stacked(_curvature_sides, keys, *zip(*block))
+    return value, bound, scale, lambda i: {"d": keys[i][0], "mu": float(mu[i]), "L": float(L[i])}
+
+
+@partial(Check, "curvature split", 77, 1e-9, evaluate=_curvature_values)
+def check_curvature_split(rng: np.random.Generator) -> Iterator[tuple]:
     """For a quadratic with spectrum inside [mu, L] and minimizer x*:
 
         <x - x*, grad(x)> >= ||grad(x)||^2 / (mu + L)
                              + (mu L / (mu + L)) ||x - x*||^2,
 
-    including the rank-deficient case mu == 0."""
+    including the rank-deficient case mu == 0.  The quadratic is
+    H = Q diag(eigs) Q' with Q from the QR factors of a Gaussian matrix."""
     while True:
         d = int(rng.integers(1, 7))
-        eigs = rng.uniform(0.0, 3.0, size=d)
+        eigs = rng.random(d)  # the spectrum is 3 * eigs, as rng.uniform(0.0, 3.0, size=d)
         if rng.random() < 0.3:
             eigs[int(rng.integers(0, d))] = 0.0
-        if np.all(eigs == 0.0):
-            eigs[0] = 1.0
-        mu = float(eigs.min())
-        L = float(eigs.max())
-        Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        H = (Q * eigs) @ Q.T
+        G = rng.normal(size=(d, d))
         x_star = rng.normal(size=d)
         mode = rng.random()
-        if mode < 0.2:
-            x = x_star + Q[:, int(np.argmin(eigs))] * rng.normal()
-        elif mode < 0.4:
-            x = x_star + Q[:, int(np.argmax(eigs))] * rng.normal()
+        if mode < 0.4:
+            yield eigs, G, x_star, mode, rng.normal(), None
         else:
-            x = x_star + rng.normal(size=d) * 10.0 ** rng.integers(-2, 3)
-        g = H @ (x - x_star)
-        lhs = float((x - x_star) @ g)
-        rhs = float(g @ g) / (mu + L) + (mu * L / (mu + L)) * float((x - x_star) @ (x - x_star))
-        yield rhs, lhs, max(abs(lhs), abs(rhs)), {"d": d, "mu": mu, "L": L}
+            yield eigs, G, x_star, mode, rng.normal(size=d), _DECADES[rng.integers(-2, 3)]
 
 
 ALL_CHECKS = (

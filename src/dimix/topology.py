@@ -50,11 +50,13 @@ def make_weight_vector(p) -> np.ndarray:
     return r
 
 
-def _check_weights(r: np.ndarray, n_min: int = 1) -> np.ndarray:
+def _check_weights(r: np.ndarray, n_min: int = 1, batch: bool = False) -> np.ndarray:
+    """r as a float array, checked; with ``batch``, every row of a 2-D r."""
     r = np.asarray(r, dtype=float)
-    if r.ndim != 1 or r.size < n_min:
-        raise ValueError(f"weight vector must be 1-D with at least {n_min} entries")
-    if np.any(r <= 0.0) or abs(r.sum() - 1.0) > STOCHASTICITY_TOL:
+    if r.ndim != 1 + batch or r.shape[-1] < n_min:
+        shape = "a 2-D batch of rows" if batch else "1-D"
+        raise ValueError(f"weight vector must be {shape} with at least {n_min} entries")
+    if (r <= 0.0).any() or np.abs(r.sum(-1) - 1.0).max() > STOCHASTICITY_TOL:
         raise ValueError("weight vector must be positive and sum to 1")
     return r
 
@@ -68,15 +70,21 @@ def fixed_cycle_matrix(r) -> np.ndarray:
     (``r[i] W[i, j] == r[j] W[j, i]``) is what makes r left-stationary, and
     each row sums to exactly 1/2 + 1/2 by construction.
     """
-    r = _check_weights(r, n_min=3)
-    n = r.size
-    W = np.zeros((n, n))
-    for i in range(n):
-        up = (i + 1) % n
-        dn = (i - 1) % n
-        W[i, up] = r[up] / (2.0 * (r[i] + r[up]))
-        W[i, dn] = r[dn] / (2.0 * (r[i] + r[dn]))
-        W[i, i] = r[i] / (2.0 * (r[i] + r[up])) + r[i] / (2.0 * (r[i] + r[dn]))
+    return _fixed_cycle_matrix(_check_weights(r, n_min=3))
+
+
+def _fixed_cycle_matrix(r: np.ndarray) -> np.ndarray:
+    """The matrix for weights r (n,), or one per row of r (..., n)."""
+    n = r.shape[-1]
+    i = np.arange(n)
+    up = (i + 1) % n
+    dn = i - 1  # index -1 is agent n - 1
+    to_up = 2.0 * (r + r[..., up])
+    to_dn = 2.0 * (r + r[..., dn])
+    W = np.zeros(r.shape + (n,))
+    W[..., i, up] = r[..., up] / to_up
+    W[..., i, dn] = r[..., dn] / to_dn
+    W[..., i, i] = r / to_up + r / to_dn
     return W
 
 
@@ -95,14 +103,22 @@ def gossip_matrix(r, t: int) -> np.ndarray:
     r = _check_weights(r, n_min=3)
     if t < 1:
         raise ValueError("iterations are numbered from 1")
-    n = r.size
+    return _gossip_matrices(r, np.array([t]))[0]
+
+
+def _gossip_matrices(r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Gossip matrices at the iterations in t, stacked (t.size, n, n), for
+    weights r (n,), or stacked (..., t.size, n, n) for every row of r."""
+    n = r.shape[-1]
     a, b = gossip_pair(n, t)
-    W = np.eye(n)
-    s = r[a] + r[b]
-    W[a, a] = r[a] / s
-    W[a, b] = r[b] / s
-    W[b, a] = r[a] / s
-    W[b, b] = r[b] / s
+    s = r[..., a] + r[..., b]
+    W = np.zeros(r.shape[:-1] + (t.size, n, n))
+    i, k = np.arange(n), np.arange(t.size)
+    W[..., i, i] = 1.0
+    W[..., k, a, a] = r[..., a] / s
+    W[..., k, a, b] = r[..., b] / s
+    W[..., k, b, a] = r[..., a] / s
+    W[..., k, b, b] = r[..., b] / s
     return W
 
 
@@ -187,29 +203,60 @@ class MixingSchedule:
         return self._support_cache[slot]
 
 
-def _min_positive_entry(matrices) -> float:
-    smallest = np.inf
-    for W in matrices:
-        positive = W[W > 0.0]
-        if positive.size:
-            smallest = min(smallest, float(positive.min()))
-    if not np.isfinite(smallest):
+def entry_floor(matrices):
+    """The entry floor eta: the smallest positive entry of one period of
+    mixing matrices (period, n, n), or one per item of a batch
+    (G, period, n, n)."""
+    W = np.asarray(matrices)
+    positive = W > 0.0
+    if not positive.any(axis=(-3, -2, -1)).all():
         raise ValueError("schedule has no positive entries")
-    return smallest
+    floors = W.min(axis=(-3, -2, -1), where=positive, initial=np.inf)
+    return floors if floors.ndim else float(floors)
+
+
+def family_window(kind: str, n: int) -> int:
+    """Connectivity window B of the built-in family ``kind`` on n agents:
+    every fixed-cycle matrix connects the whole cycle, and n consecutive
+    gossip links (one period) cover it."""
+    if kind == "fixed_cycle":
+        return 1
+    if kind == "gossip":
+        return n
+    raise ValueError(f"unknown schedule family {kind!r}")
+
+
+def family_matrices(kind: str, r) -> np.ndarray:
+    """One period of the built-in family's mixing matrices for every row of
+    a batch (G, n) of weight vectors, stacked (G, period, n, n).  Item g is
+    what the family's schedule constructor builds from row g."""
+    r = _check_weights(r, n_min=3, batch=True)
+    if kind == "fixed_cycle":
+        return _fixed_cycle_matrix(r)[:, None]
+    if kind == "gossip":
+        return _gossip_matrices(r, np.arange(1, r.shape[1] + 1))
+    raise ValueError(f"unknown schedule family {kind!r}")
+
+
+def _family_schedule(kind: str, r) -> MixingSchedule:
+    r = _check_weights(r, n_min=3)
+    n = r.size
+    W = family_matrices(kind, r[None])[0]
+    links = [{gossip_pair(n, t)} for t in range(1, n + 1)] if kind == "gossip" else None
+    return MixingSchedule(
+        kind=kind,
+        n=n,
+        r=r,
+        eta=entry_floor(W),
+        B=family_window(kind, n),
+        matrices=list(W),
+        activation_edges=links,
+    )
 
 
 def fixed_cycle_schedule(r) -> MixingSchedule:
     """Static cycle schedule; every window of length B = 1 is the whole cycle."""
-    r = _check_weights(r, n_min=3)
-    W = fixed_cycle_matrix(r)
-    return MixingSchedule(
-        kind="fixed_cycle",
-        n=r.size,
-        r=r,
-        eta=_min_positive_entry([W]),
-        B=1,
-        matrices=[W],
-    )
+    return _family_schedule("fixed_cycle", r)
 
 
 def gossip_schedule(r) -> MixingSchedule:
@@ -222,19 +269,7 @@ def gossip_schedule(r) -> MixingSchedule:
     exchange (which is bidirectional), so any window the certificate accepts
     is also connected in the realized graph.
     """
-    r = _check_weights(r, n_min=3)
-    n = r.size
-    matrices = [gossip_matrix(r, t) for t in range(1, n + 1)]
-    links = [{gossip_pair(n, t)} for t in range(1, n + 1)]
-    return MixingSchedule(
-        kind="gossip",
-        n=n,
-        r=r,
-        eta=_min_positive_entry(matrices),
-        B=n,
-        matrices=matrices,
-        activation_edges=links,
-    )
+    return _family_schedule("gossip", r)
 
 
 def stationary_weights(matrices, tol: float = 1e-9) -> np.ndarray:
@@ -302,7 +337,7 @@ def matrix_list_schedule(matrices, r=None, B: int | None = None) -> MixingSchedu
         kind="matrix_list",
         n=n,
         r=r,
-        eta=_min_positive_entry(mats),
+        eta=entry_floor(mats),
         B=B,
         matrices=mats,
     )
@@ -432,7 +467,7 @@ def validate_schedule(
         W = schedule.matrix_at(t)
         row_dev = max(row_dev, float(np.max(np.abs(W.sum(axis=1) - 1.0))))
         stat_dev = max(stat_dev, float(np.max(np.abs(r @ W - r))))
-    min_pos = _min_positive_entry([schedule.matrix_at(t) for t in range(1, slots + 1)])
+    min_pos = entry_floor([schedule.matrix_at(t) for t in range(1, slots + 1)])
 
     edge_source = (
         "declared activation links"

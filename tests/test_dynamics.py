@@ -457,7 +457,7 @@ class TestMonteCarlo:
 
     def test_q0_estimate_clamps_cancellation_noise(self):
         trace = RunTrace(
-            seed=0, T=1, t=np.array([1]),
+            seed=0, t=np.array([1]),
             values=np.array([[0.0, 0.0, 1.0, 1.0 - 1e-18]]),
             final_state=np.zeros((1, 1)), max_grad_sq=0.0, max_state_norm=0.0,
         )

@@ -1,9 +1,15 @@
 import math
+from itertools import islice
 
+import numpy as np
 import pytest
 
+import lemma_oracles
+from dimix import lemmas
+from dimix.analysis import contraction_factor, kappa_factor, r_norm_sq
 from dimix.lemmas import (
     ALL_CHECKS,
+    Check,
     CheckReport,
     SuiteReport,
     check_curvature_split,
@@ -12,6 +18,8 @@ from dimix.lemmas import (
     check_step_sum_telescope,
     run_suite,
 )
+from dimix.rng import philox
+from dimix.topology import gossip_schedule
 
 EXPECTED_NAMES = [
     "mixing product contraction",
@@ -167,3 +175,99 @@ all checks passed (1050 instances total)"""
     def test_worst_instances(self, small_suite):
         worst = {rep.name: rep.worst for rep in small_suite.reports if rep.name in self.WORST}
         assert worst == self.WORST
+
+
+def synthetic_check(slacks) -> Check:
+    """A check whose instance i has slack slacks[i] (value 0, scale 0, tol 0)
+    and params {"i": i}."""
+
+    def evaluate(block):
+        n = len(block)
+        bound = np.array([x for _, x in block])
+        return np.zeros(n), bound, np.zeros(n), lambda i: {"i": block[i][0]}
+
+    return Check("synthetic", 0, 0.0, lambda rng: iter(enumerate(slacks)), evaluate)
+
+
+class TestWorstCase:
+    """The driver folds blocks of slacks into one report."""
+
+    @pytest.mark.parametrize("block", [1000, 2])
+    def test_first_minimum_wins_ties(self, monkeypatch, block):
+        monkeypatch.setattr(lemmas, "BLOCK", block)
+        rep = synthetic_check([0.3, 0.1, 0.1, 0.2, 0.1])(instances=5)
+        assert (rep.instances, rep.violations, rep.min_slack, rep.worst) == (5, 0, 0.1, {"i": 1})
+
+    @pytest.mark.parametrize("block", [1000, 2])
+    def test_nan_slack_is_a_violation_and_the_worst(self, monkeypatch, block):
+        monkeypatch.setattr(lemmas, "BLOCK", block)
+        rep = synthetic_check([-0.2, 0.5, math.nan, 0.1, math.nan])(instances=5)
+        assert rep.violations == 3
+        assert math.isnan(rep.min_slack) and rep.worst == {"i": 2}
+        assert not rep.passed
+
+    def test_infinite_slack_is_a_violation(self):
+        rep = synthetic_check([0.5, math.inf])(instances=2)
+        assert rep.violations == 1 and rep.worst == {"i": 1}
+
+    def test_stream_shorter_than_asked(self):
+        rep = synthetic_check([0.5, 0.25])(instances=10)
+        assert (rep.instances, rep.min_slack) == (2, 0.25)
+
+
+def same_bits(x, y) -> bool:
+    return np.asarray(x, dtype=float).tobytes() == np.asarray(y, dtype=float).tobytes()
+
+
+class TestBatchedEvaluation:
+    """Each check's draw-then-evaluate split reproduces the per-instance
+    code of ``lemma_oracles`` bit for bit, whatever the block sizes."""
+
+    @pytest.mark.parametrize("block, block_bytes", [(1000, 1 << 17), (7, 4096)])
+    @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda c: c.name.replace(" ", "_"))
+    def test_matches_per_instance_code(self, monkeypatch, check, block, block_bytes):
+        monkeypatch.setattr(lemmas, "BLOCK_BYTES", block_bytes)
+        count = 240
+        drawn = check.draw(philox(1, check.stream))
+        got = []
+        while len(got) < count:
+            value, bound, scale, params = check.evaluate(list(islice(drawn, min(block, count - len(got)))))
+            got += [(v, b, s, params(i)) for i, (v, b, s) in enumerate(zip(value, bound, scale))]
+        for (v, b, s, p), (ov, ob, os_, op) in zip(got, lemma_oracles.instances(check.name, 1, count)):
+            assert same_bits([v, b, s], [ov, ob, os_]) and repr(p) == repr(op), (p, op)
+
+    def test_decaying_sum_stops_inside_the_pinned_cases(self):
+        rep = check_decaying_sum_envelope(seed=0, instances=3)
+        assert rep.instances == 3
+        assert rep.worst["sigma"] == 1.5 and rep.worst["t"] in (4, 7, 20)
+
+    def test_mixing_empty_product(self):
+        """t = s + 1 applies no mixing step: P = I, and the decay is the
+        empty product 1, next to a longer chain of the same shape."""
+        rng = philox(5, 0)
+        p, U = rng.random(4), rng.normal(size=(4, 2))
+        block = [("gossip", p, 0.5, 0.7, 12, 13, U), ("gossip", p, 0.5, 0.7, 3, 11, U)]
+        lhs, rhs, _, params = check_mixing_contraction.evaluate(block)
+        q = 0.05 + p
+        r = q / q.sum()
+        sched = gossip_schedule(r)
+        kap = kappa_factor(contraction_factor(sched.eta, float(r.min()), sched.B, 4), 0.5, sched.B)
+        assert same_bits(lhs[0], r_norm_sq((np.eye(4) - np.outer(np.ones(4), r)) @ U, r))
+        assert same_bits(rhs[0], kap * 1.0 * r_norm_sq(U, r))
+        assert lhs[1] < lhs[0] and rhs[1] < rhs[0]
+        assert params(0) == {"kind": "gossip", "n": 4, "s": 12, "t": 13, "beta0": 0.5, "mu": 0.7}
+
+    def test_telescope_single_step(self):
+        """t = 2: the one term beta(1) has an empty survival product."""
+        block = [
+            (2, 0.7, 0.4, 0.3, None),
+            (2, -1.3, None, None, np.array([0.6])),
+            (9, 0.5, 0.2, 0.6, None),
+            (6, 2.0, None, None, np.array([0.1, 0.9, 0.3, 0.5, 0.7])),
+        ]
+        value, bound, scale, _ = check_step_sum_telescope.evaluate(block)
+        for i, beta1 in ((0, 0.4 / 1.0**0.3), (1, (0.0 + 2.0 * 0.6) / -1.3)):
+            lam = block[i][1]
+            assert same_bits(value[i], abs(beta1 - (1.0 - (1.0 - lam * beta1)) / lam))
+        assert same_bits(bound, np.zeros(4))
+        assert same_bits(scale[:2], [1.0 / 0.7, 1.0 / 1.3])

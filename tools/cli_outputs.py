@@ -7,10 +7,14 @@ runs ``run --plots``, ``sweep --plots`` and ``theory`` (each at --jobs 1 and
 PYTHONPATH gives.  Each command runs in its own directory
 DEST/<config>/<command> with a relative --out, so nothing it prints holds an
 absolute path; stdout, stderr, the exit code and every output file are kept
-there.  Record two trees into two DEST directories and compare them with
-``diff -r``: an empty diff means the CLI output is byte-identical.
+there.  DEST/lemma_reports.json holds every field of the lemma suite's
+reports, exactly (repr), for seeds 0-2 at 1000, 150 and 60 instances: the
+``lemmas`` command prints min slack to four digits only.  Record two trees
+into two DEST directories and compare them with ``diff -r``: an empty diff
+means the CLI output is byte-identical.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -47,10 +51,26 @@ def commands(theory_extra):
     return out
 
 
+def lemma_reports():
+    """One row per check report: (seed, instances asked, name, instances,
+    violations, repr(min_slack), repr(tol), repr(worst))."""
+    from dimix.lemmas import run_suite
+
+    return [
+        [seed, size, rep.name, rep.instances, rep.violations, repr(rep.min_slack), repr(rep.tol), repr(rep.worst)]
+        for seed in (0, 1, 2)
+        for size in (1000, 150, 60)
+        for rep in run_suite(seed, size).reports
+    ]
+
+
 def main(argv):
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
+    Path(argv[0]).mkdir(parents=True, exist_ok=True)
+    rows = ",\n".join(json.dumps(row) for row in lemma_reports())
+    (Path(argv[0]) / "lemma_reports.json").write_text(f"[\n{rows}\n]\n", encoding="utf-8")
     # Commands run in their own directories, so relative entries resolve here.
     entries = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(str(Path(p).resolve()) for p in entries if p)}
