@@ -20,7 +20,7 @@ connectivity of every length-B window of the communication graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,20 +61,11 @@ def _check_weights(r: np.ndarray, n_min: int = 1, batch: bool = False) -> np.nda
     return r
 
 
-def fixed_cycle_matrix(r) -> np.ndarray:
-    """Mixing matrix of the static cycle for weights r (n >= 3).
-
-    Neighbor weights follow a detailed-balance rule,
-    ``W[i, j] = r[j] / (2 (r[i] + r[j]))`` for j adjacent to i on the cycle,
-    with the diagonal absorbing the remainder.  Detailed balance
-    (``r[i] W[i, j] == r[j] W[j, i]``) is what makes r left-stationary, and
-    each row sums to exactly 1/2 + 1/2 by construction.
-    """
-    return _fixed_cycle_matrix(_check_weights(r, n_min=3))
-
-
 def _fixed_cycle_matrix(r: np.ndarray) -> np.ndarray:
-    """The matrix for weights r (n,), or one per row of r (..., n)."""
+    """Static-cycle matrix for weights r (n,), or one per row of r (..., n):
+    ``W[i, j] = r[j] / (2 (r[i] + r[j]))`` for the cycle neighbors j of i and
+    the rest on the diagonal.  Detailed balance (r[i] W[i, j] == r[j] W[j, i])
+    keeps r left-stationary, and each row sums to 1/2 + 1/2."""
     n = r.shape[-1]
     i = np.arange(n)
     up = (i + 1) % n
@@ -93,22 +84,11 @@ def gossip_pair(n: int, t: int) -> tuple[int, int]:
     return t % n, (t + 1) % n
 
 
-def gossip_matrix(r, t: int) -> np.ndarray:
-    """Mixing matrix of the single-edge gossip schedule at iteration t >= 1.
-
-    Only the two active agents average; the 2x2 block puts weight
-    ``r[j] / (r[a] + r[b])`` on column j, which keeps r left-stationary.
-    All other rows are identity rows.
-    """
-    r = _check_weights(r, n_min=3)
-    if t < 1:
-        raise ValueError("iterations are numbered from 1")
-    return _gossip_matrices(r, np.array([t]))[0]
-
-
 def _gossip_matrices(r: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Gossip matrices at the iterations in t, stacked (t.size, n, n), for
-    weights r (n,), or stacked (..., t.size, n, n) for every row of r."""
+    weights r (n,), or (..., t.size, n, n) for every row of r.  The active
+    pair (a, b) puts weight ``r[j] / (r[a] + r[b])`` on column j, which keeps
+    r left-stationary; every other row is an identity row."""
     n = r.shape[-1]
     a, b = gossip_pair(n, t)
     s = r[..., a] + r[..., b]
@@ -122,42 +102,17 @@ def _gossip_matrices(r: np.ndarray, t: np.ndarray) -> np.ndarray:
     return W
 
 
-def edge_set(W: np.ndarray) -> set[tuple[int, int]]:
-    """Directed edges (j, i) such that W[i, j] > 0 (j's state flows into i)."""
-    rows, cols = np.nonzero(np.asarray(W) > 0.0)
-    return {(int(j), int(i)) for i, j in zip(rows, cols)}
-
-
-def strongly_connected(n: int, edges) -> bool:
-    """Whether the digraph on n vertices with directed edges (u, v) is strongly
-    connected.  Checked by forward and reverse reachability from vertex 0,
-    which is equivalent and avoids recursion.
+def strongly_connected(links: np.ndarray):
+    """Whether the digraph with adjacency ``links`` (n, n), ``links[i, j]``
+    meaning an edge from j to i, is strongly connected; one verdict per item
+    of a stack (..., n, n).  ceil(log2 n) boolean squarings of ``links | I``
+    give the reachability closure, which must be all true.
     """
-    if n <= 1:
-        return True
-    fwd: list[list[int]] = [[] for _ in range(n)]
-    rev: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        if u == v:
-            continue
-        fwd[u].append(v)
-        rev[v].append(u)
-
-    def _reaches_all(adj: list[list[int]]) -> bool:
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        return count == n
-
-    return _reaches_all(fwd) and _reaches_all(rev)
+    n = links.shape[-1]
+    reach = links | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
+    return reach.all(axis=(-2, -1))
 
 
 @dataclass
@@ -166,10 +121,11 @@ class MixingSchedule:
     needs: the common stationary weights r, the entry floor eta, and the
     connectivity window length B.
 
-    ``matrices`` holds one period; ``matrix_at(t)`` cycles it for t >= 1.
-    ``activation_edges``, when present, declares the per-iteration
-    communication links the family is defined by (used by the connectivity
-    check); otherwise links are read off the matrix supports.
+    ``matrices`` holds one period, stacked (period, n, n); ``matrix_at(t)``
+    cycles it for t >= 1.  ``links`` (period, n, n) holds the communication
+    links the connectivity check pools: ``links[s, i, j]`` means agent j's
+    state reaches agent i in slot s.  Gossip declares its activation pair;
+    every other schedule uses the matrix support.
     """
 
     kind: str
@@ -177,11 +133,8 @@ class MixingSchedule:
     r: np.ndarray
     eta: float
     B: int
-    matrices: list[np.ndarray]
-    activation_edges: list[set[tuple[int, int]]] | None = None
-    _support_cache: list[set[tuple[int, int]]] = field(
-        default_factory=list, repr=False, compare=False
-    )
+    matrices: np.ndarray
+    links: np.ndarray
 
     @property
     def period(self) -> int:
@@ -191,16 +144,6 @@ class MixingSchedule:
         if t < 1:
             raise ValueError("iterations are numbered from 1")
         return self.matrices[(t - 1) % self.period]
-
-    def edges_at(self, t: int) -> set[tuple[int, int]]:
-        """Communication links in effect at iteration t, as directed (j, i)
-        pairs meaning agent j's state reaches agent i."""
-        slot = (t - 1) % self.period
-        if self.activation_edges is not None:
-            return self.activation_edges[slot]
-        if not self._support_cache:
-            self._support_cache = [edge_set(W) for W in self.matrices]
-        return self._support_cache[slot]
 
 
 def entry_floor(matrices):
@@ -242,15 +185,13 @@ def _family_schedule(kind: str, r) -> MixingSchedule:
     r = _check_weights(r, n_min=3)
     n = r.size
     W = family_matrices(kind, r[None])[0]
-    links = [{gossip_pair(n, t)} for t in range(1, n + 1)] if kind == "gossip" else None
+    links = W > 0.0
+    if kind == "gossip":
+        a, b = gossip_pair(n, np.arange(1, n + 1))
+        links = np.zeros_like(links)
+        links[np.arange(n), b, a] = True
     return MixingSchedule(
-        kind=kind,
-        n=n,
-        r=r,
-        eta=entry_floor(W),
-        B=family_window(kind, n),
-        matrices=list(W),
-        activation_edges=links,
+        kind=kind, n=n, r=r, eta=entry_floor(W), B=family_window(kind, n), matrices=W, links=links
     )
 
 
@@ -263,24 +204,24 @@ def gossip_schedule(r) -> MixingSchedule:
     """Single-edge gossip schedule with period n and window length B = n.
 
     The declared link at iteration t is the ordered activation pair
-    ``(t mod n, (t+1) mod n)``, one edge of the directed cycle.  Unions of n
-    consecutive links cover the whole directed cycle, so the declared-link
-    certificate is B-connected exactly at B = n; this undercounts the realized
-    exchange (which is bidirectional), so any window the certificate accepts
-    is also connected in the realized graph.
+    ``(t mod n, (t+1) mod n)``, one edge of the directed cycle, so the declared
+    links are B-connected exactly at B = n.  The realized exchange is
+    bidirectional, so any window they accept is connected in it too.
     """
     return _family_schedule("gossip", r)
 
 
 def stationary_weights(matrices, tol: float = 1e-9) -> np.ndarray:
-    """Common positive left-fixed vector of a matrix family, normalized to
-    sum 1.  Solves the joint system r'(W_b - I) = 0 by SVD; when the solution
-    space has extra dimensions (e.g. all matrices are the identity) the
-    uniform vector is projected onto it.  Raises ValueError when no strictly
-    positive common stationary vector exists within tolerance.
+    """Common positive left-fixed vector of a matrix family (period, n, n),
+    normalized to sum 1.  Solves the joint system r'(W_b - I) = 0 by SVD;
+    when the solution space has extra dimensions (e.g. all matrices are the
+    identity) the uniform vector is projected onto it.  Raises ValueError
+    when no strictly positive common stationary vector exists within
+    tolerance.
     """
-    n = matrices[0].shape[0]
-    stacked = np.vstack([W.T - np.eye(n) for W in matrices])
+    W = np.asarray(matrices, dtype=float)
+    n = W.shape[-1]
+    stacked = (W.transpose(0, 2, 1) - np.eye(n)).reshape(-1, n)
     _, svals, vt = np.linalg.svd(stacked)
     svals = np.concatenate([svals, np.zeros(n - svals.size)])
     null_mask = svals <= tol * max(1.0, svals[0] if svals.size else 1.0)
@@ -301,11 +242,9 @@ def stationary_weights(matrices, tol: float = 1e-9) -> np.ndarray:
                 "supply the weight vector explicitly"
             )
     r = candidate / candidate.sum()
-    worst = max(float(np.max(np.abs(r @ W - r))) for W in matrices)
+    worst = float(np.abs(r @ W - r).max())
     if worst > tol:
-        raise ValueError(
-            f"candidate stationary vector has residual {worst:.2e} (tol {tol:.0e})"
-        )
+        raise ValueError(f"candidate stationary vector has residual {worst:.2e} (tol {tol:.0e})")
     return r
 
 
@@ -316,30 +255,26 @@ def matrix_list_schedule(matrices, r=None, B: int | None = None) -> MixingSchedu
     be stochastic to 1e-9 here (the strict 1e-12 measurement is
     ``validate_schedule``'s job).
     """
-    mats = [np.asarray(W, dtype=float) for W in matrices]
-    if not mats:
+    shapes = {np.shape(M) for M in matrices}
+    if not shapes:
         raise ValueError("need at least one matrix")
-    n = mats[0].shape[0]
-    for W in mats:
-        if W.shape != (n, n):
-            raise ValueError("all matrices must be square with equal size")
-        if not np.all(np.isfinite(W)) or np.any(W < 0.0):
-            raise ValueError("matrix entries must be finite and nonnegative")
-        if np.max(np.abs(W.sum(axis=1) - 1.0)) > 1e-9:
-            raise ValueError("matrix rows must sum to 1")
-    r = stationary_weights(mats) if r is None else _check_weights(r)
+    shape = shapes.pop()
+    if shapes or len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError("all matrices must be square with equal size")
+    W = np.array(matrices, dtype=float)
+    if not np.isfinite(W).all() or (W < 0.0).any():
+        raise ValueError("matrix entries must be finite and nonnegative")
+    if np.abs(W.sum(axis=2) - 1.0).max() > 1e-9:
+        raise ValueError("matrix rows must sum to 1")
+    n = W.shape[1]
+    r = stationary_weights(W) if r is None else _check_weights(r)
     if r.size != n:
         raise ValueError("weight vector size does not match the matrices")
-    B = len(mats) if B is None else int(B)
+    B = len(W) if B is None else int(B)
     if B < 1:
         raise ValueError("connectivity window B must be >= 1")
     return MixingSchedule(
-        kind="matrix_list",
-        n=n,
-        r=r,
-        eta=entry_floor(mats),
-        B=B,
-        matrices=mats,
+        kind="matrix_list", n=n, r=r, eta=entry_floor(W), B=B, matrices=W, links=W > 0.0
     )
 
 
@@ -348,25 +283,26 @@ def parse_matrix_file(path) -> list[np.ndarray]:
     blank-line-separated block per iteration slot."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    blocks: list[np.ndarray] = []
-    current: list[list[float]] = []
+    slots: list[list[list[float]]] = [[]]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
-            if current:
-                blocks.append(np.array(current, dtype=float))
-                current = []
+            if slots[-1]:
+                slots.append([])
             continue
         try:
-            current.append([float(tok) for tok in line.split(",")])
+            row = [float(tok) for tok in line.split(",")]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad matrix row: {raw!r}") from exc
-    if current:
-        blocks.append(np.array(current, dtype=float))
+        block = slots[-1]
+        if block and len(row) != len(block[0]):
+            raise ValueError(f"{path}:{lineno}: row has {len(row)} entries, block has {len(block[0])}")
+        block.append(row)
+    blocks = [np.array(rows, dtype=float) for rows in slots if rows]
     if not blocks:
         raise ValueError(f"{path}: no matrix blocks found")
     for b, W in enumerate(blocks):
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
+        if W.shape[0] != W.shape[1]:
             raise ValueError(f"{path}: block {b + 1} is not square")
         if W.shape != blocks[0].shape:
             raise ValueError(f"{path}: block {b + 1} size differs from block 1")
@@ -392,10 +328,7 @@ class ValidationReport:
 
     @property
     def stochasticity_ok(self) -> bool:
-        return (
-            self.max_row_sum_dev <= self.tol
-            and self.max_stationarity_dev <= self.tol
-        )
+        return self.max_row_sum_dev <= self.tol and self.max_stationarity_dev <= self.tol
 
     @property
     def eta_ok(self) -> bool:
@@ -427,11 +360,9 @@ class ValidationReport:
                     f" connected ({self.edge_source})"
                 )
             else:
-                shown = ", ".join(str(t) for t in self.connectivity_failures[:5])
-                more = (
-                    "" if len(self.connectivity_failures) <= 5
-                    else f" (+{len(self.connectivity_failures) - 5} more)"
-                )
+                failures = self.connectivity_failures
+                shown = ", ".join(str(t) for t in failures[:5])
+                more = f" (+{len(failures) - 5} more)" if len(failures) > 5 else ""
                 lines.append(
                     f"  connectivity    FAIL at window starts {shown}{more}"
                     f" of {self.windows_checked} ({self.edge_source})"
@@ -447,11 +378,13 @@ def validate_schedule(
 ) -> ValidationReport:
     """Measure a schedule against the mixing assumptions over t in [1, horizon].
 
-    Stochasticity and the entry floor are checked once per period slot (the
-    matrices repeat exactly, so this covers every t).  Connectivity is checked
-    for every window start t in [1, horizon - window]: the links of iterations
-    t+1 .. t+window are pooled and the pooled digraph must be strongly
-    connected.  ``window`` defaults to the schedule's declared B.
+    Stochasticity and the entry floor are checked on the period slots that
+    occur by the horizon (the matrices repeat exactly, so this covers every
+    t).  Connectivity is checked for every window start t in
+    [1, horizon - window]: the links of iterations t+1 .. t+window are pooled
+    and the pooled digraph must be strongly connected.  Starts one period
+    apart pool the same slots, so one closure per residue mod the period
+    decides them all.  ``window`` defaults to the schedule's declared B.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -459,41 +392,22 @@ def validate_schedule(
     if window < 1:
         raise ValueError("window must be >= 1")
 
-    r = schedule.r
-    row_dev = 0.0
-    stat_dev = 0.0
-    slots = min(schedule.period, horizon)
-    for t in range(1, slots + 1):
-        W = schedule.matrix_at(t)
-        row_dev = max(row_dev, float(np.max(np.abs(W.sum(axis=1) - 1.0))))
-        stat_dev = max(stat_dev, float(np.max(np.abs(r @ W - r))))
-    min_pos = entry_floor([schedule.matrix_at(t) for t in range(1, slots + 1)])
-
-    edge_source = (
-        "declared activation links"
-        if schedule.activation_edges is not None
-        else "matrix support"
-    )
-    failures: list[int] = []
-    last_start = horizon - window
-    slot_edges = [schedule.edges_at(t) for t in range(1, schedule.period + 1)]
-    for start in range(1, last_start + 1):
-        union: set[tuple[int, int]] = set()
-        for k in range(start + 1, start + window + 1):
-            union |= slot_edges[(k - 1) % schedule.period]
-        if not strongly_connected(schedule.n, union):
-            failures.append(start)
+    r, period, W = schedule.r, schedule.period, schedule.matrices[:horizon]
+    starts = np.arange(1, horizon - window + 1)
+    # Start s pools slots s .. s+window-1 (mod period), which is every slot
+    # once the window outgrows the period.
+    slots = (starts[:period, None] + np.arange(min(window, period))) % period
+    pooled = np.zeros((len(slots), schedule.n, schedule.n), dtype=bool)
+    for column in slots.T:
+        pooled |= schedule.links[column]
+    ok = np.zeros(period, dtype=bool)
+    ok[starts[:period] % period] = strongly_connected(pooled)
 
     return ValidationReport(
-        kind=schedule.kind,
-        n=schedule.n,
-        horizon=horizon,
-        window=window,
-        max_row_sum_dev=row_dev,
-        max_stationarity_dev=stat_dev,
-        min_positive_entry=min_pos,
-        eta=schedule.eta,
-        windows_checked=max(last_start, 0),
-        connectivity_failures=failures,
-        edge_source=edge_source,
+        kind=schedule.kind, n=schedule.n, horizon=horizon, window=window,
+        max_row_sum_dev=float(np.abs(W.sum(axis=2) - 1.0).max()),
+        max_stationarity_dev=float(np.abs(r @ W - r).max()),
+        min_positive_entry=entry_floor(W), eta=schedule.eta, windows_checked=starts.size,
+        connectivity_failures=starts[~ok[starts % period]].tolist(),
+        edge_source="declared activation links" if schedule.kind == "gossip" else "matrix support",
     )

@@ -1,12 +1,15 @@
 """Reference implementations that tests compare the engine against.
 
-They are written agent by agent (one neighbor estimate and one local
-gradient at a time) and share no code with ``dimix.dynamics``.
+The engine references are written agent by agent (one neighbor estimate and
+one local gradient at a time) and share no code with ``dimix.dynamics``; the
+schedule validator's reference pools and walks every window start as edge
+sets, sharing no connectivity code with ``dimix.topology``.
 """
 
 import numpy as np
 
 from dimix.noise import stochastic_quantize
+from dimix.topology import ValidationReport, entry_floor, gossip_pair
 
 
 def zeta(tau, s: int, u) -> np.ndarray:
@@ -102,3 +105,76 @@ def step(X, t, cfg, rng):
     a_t = float(cfg.steps.alpha(t))
     b_t = float(cfg.steps.beta(t))
     return X + b_t * (Xhat - X) - a_t * b_t * G
+
+
+def edge_set(W) -> set[tuple[int, int]]:
+    """Directed edges (j, i) such that W[i, j] > 0 (j's state flows into i)."""
+    rows, cols = np.nonzero(np.asarray(W) > 0.0)
+    return {(int(j), int(i)) for i, j in zip(rows, cols)}
+
+
+def strongly_connected_dfs(n: int, edges) -> bool:
+    """Whether the digraph on n vertices with directed edges (u, v) is strongly
+    connected: forward and reverse depth-first reachability from vertex 0."""
+    if n <= 1:
+        return True
+    fwd: list[list[int]] = [[] for _ in range(n)]
+    rev: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if u != v:
+            fwd[u].append(v)
+            rev[v].append(u)
+
+    def reaches_all(adj: list[list[int]]) -> bool:
+        seen = [False] * n
+        seen[0] = True
+        stack = [0]
+        while stack:
+            for v in adj[stack.pop()]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        return all(seen)
+
+    return reaches_all(fwd) and reaches_all(rev)
+
+
+def validate_windows(schedule, horizon: int, window: int | None = None) -> ValidationReport:
+    """``validate_schedule`` one slot and one window start at a time.
+
+    Stochasticity and the entry floor are measured per slot up to the
+    horizon.  The links of a slot are gossip's declared activation pair, or
+    else the matrix support, as edge sets; every start t in
+    [1, horizon - window] pools the sets of iterations t+1 .. t+window and
+    walks the union.
+    """
+    window = schedule.B if window is None else window
+    r, n, period = schedule.r, schedule.n, schedule.period
+    slots = [schedule.matrix_at(t) for t in range(1, min(period, horizon) + 1)]
+    row_dev = max(float(np.max(np.abs(W.sum(axis=1) - 1.0))) for W in slots)
+    stat_dev = max(float(np.max(np.abs(r @ W - r))) for W in slots)
+    gossip = schedule.kind == "gossip"
+    slot_edges = [
+        {gossip_pair(n, t)} if gossip else edge_set(schedule.matrix_at(t))
+        for t in range(1, period + 1)
+    ]
+    failures = []
+    for start in range(1, horizon - window + 1):
+        union: set[tuple[int, int]] = set()
+        for k in range(start + 1, start + window + 1):
+            union |= slot_edges[(k - 1) % period]
+        if not strongly_connected_dfs(n, union):
+            failures.append(start)
+    return ValidationReport(
+        kind=schedule.kind,
+        n=n,
+        horizon=horizon,
+        window=window,
+        max_row_sum_dev=row_dev,
+        max_stationarity_dev=stat_dev,
+        min_positive_entry=entry_floor(slots),
+        eta=schedule.eta,
+        windows_checked=max(horizon - window, 0),
+        connectivity_failures=failures,
+        edge_source="declared activation links" if gossip else "matrix support",
+    )

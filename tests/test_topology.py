@@ -4,11 +4,8 @@ import pytest
 from dimix.rng import philox
 from dimix.topology import (
     STOCHASTICITY_TOL,
-    MixingSchedule,
-    edge_set,
-    fixed_cycle_matrix,
+    family_matrices,
     fixed_cycle_schedule,
-    gossip_matrix,
     gossip_pair,
     gossip_schedule,
     make_weight_vector,
@@ -20,6 +17,19 @@ from dimix.topology import (
 )
 
 from conftest import random_weights
+from oracles import strongly_connected_dfs, validate_windows
+
+# A three-agent cycle slot (doubly stochastic, connected on its own).
+CYCLE = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+
+
+def cycle_slot(r) -> np.ndarray:
+    return family_matrices("fixed_cycle", [r])[0, 0]
+
+
+def gossip_slot(r, t: int) -> np.ndarray:
+    """The gossip matrix at iteration t: slot t - 1 of the period."""
+    return family_matrices("gossip", [r])[0, (t - 1) % len(r)]
 
 
 class TestMakeWeightVector:
@@ -46,11 +56,11 @@ class TestFixedCycleMatrix:
     def test_frozen_row(self):
         # r = (0.2, 0.3, 0.5): neighbor weights of agent 0 are
         # 0.3/(2*0.5) = 0.3 and 0.5/(2*0.7) = 5/14; diagonal takes the rest.
-        W = fixed_cycle_matrix([0.2, 0.3, 0.5])
+        W = cycle_slot([0.2, 0.3, 0.5])
         np.testing.assert_allclose(W[0], [0.2 / 1.0 + 0.2 / 1.4, 0.3, 0.5 / 1.4], atol=1e-15)
 
     def test_uniform_three(self):
-        W = fixed_cycle_matrix(np.full(3, 1 / 3))
+        W = cycle_slot(np.full(3, 1 / 3))
         np.testing.assert_allclose(W, [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
 
     def test_stochasticity_random_r(self):
@@ -58,33 +68,33 @@ class TestFixedCycleMatrix:
         for n in (3, 5, 20):
             for _ in range(50):
                 r = random_weights(rng, n)
-                W = fixed_cycle_matrix(r)
+                W = cycle_slot(r)
                 assert np.max(np.abs(W.sum(axis=1) - 1.0)) <= STOCHASTICITY_TOL
                 assert np.max(np.abs(r @ W - r)) <= STOCHASTICITY_TOL
 
     def test_support_is_cycle(self):
-        W = fixed_cycle_matrix(random_weights(philox(7), 6))
+        W = cycle_slot(random_weights(philox(7), 6))
         for i in range(6):
             expected = {(i - 1) % 6, i, (i + 1) % 6}
             assert set(np.flatnonzero(W[i] > 0)) == expected
 
     def test_entry_floor(self):
         r = random_weights(philox(8), 20)
-        W = fixed_cycle_matrix(r)
+        W = cycle_slot(r)
         floor = r.min() / (2 * (r.min() + r.max()))
         positive = W[W > 0]
         assert positive.min() >= floor - 1e-15
 
     def test_needs_three_agents(self):
         with pytest.raises(ValueError):
-            fixed_cycle_matrix([0.5, 0.5])
+            cycle_slot([0.5, 0.5])
 
 
 class TestGossipMatrix:
     def test_frozen_pair_t1(self):
         # t=1 activates agents 1 and 2 (0-based); the 2x2 block splits the
         # pair's weights proportionally and everyone else keeps their state.
-        W = gossip_matrix([0.1, 0.2, 0.3, 0.4], 1)
+        W = gossip_slot([0.1, 0.2, 0.3, 0.4], 1)
         assert gossip_pair(4, 1) == (1, 2)
         np.testing.assert_allclose(W[1], [0.0, 0.4, 0.6, 0.0])
         np.testing.assert_allclose(W[2], [0.0, 0.4, 0.6, 0.0])
@@ -92,61 +102,66 @@ class TestGossipMatrix:
         np.testing.assert_allclose(W[3], [0.0, 0.0, 0.0, 1.0])
 
     def test_frozen_pair_wraparound(self):
-        W = gossip_matrix([0.1, 0.2, 0.3, 0.4], 4)
+        W = gossip_slot([0.1, 0.2, 0.3, 0.4], 4)
         assert gossip_pair(4, 4) == (0, 1)
         np.testing.assert_allclose(W[0], [1 / 3, 2 / 3, 0.0, 0.0])
         np.testing.assert_allclose(W[1], [1 / 3, 2 / 3, 0.0, 0.0])
 
     def test_uniform_three_block(self):
-        W = gossip_matrix(np.full(3, 1 / 3), 1)
+        W = gossip_slot(np.full(3, 1 / 3), 1)
         np.testing.assert_allclose(W[1, 1:], [0.5, 0.5])
         np.testing.assert_allclose(W[0], [1.0, 0.0, 0.0])
 
     def test_periodicity_exact(self):
+        # Slot t - 1 averages the pair active at t and at t + 7 alike.
         r = random_weights(philox(11), 7)
         for t in range(1, 8):
-            assert np.array_equal(gossip_matrix(r, t), gossip_matrix(r, t + 7))
+            W = gossip_slot(r, t)
+            a, b = gossip_pair(7, t + 7)
+            off_diagonal = set(zip(*np.nonzero(W - np.diag(np.diag(W)))))
+            assert off_diagonal == {(a, b), (b, a)}
 
     def test_stochasticity_random_r(self):
         rng = philox(12)
         r = random_weights(rng, 20)
         for t in range(1, 21):
-            W = gossip_matrix(r, t)
+            W = gossip_slot(r, t)
             assert np.max(np.abs(W.sum(axis=1) - 1.0)) <= STOCHASTICITY_TOL
             assert np.max(np.abs(r @ W - r)) <= STOCHASTICITY_TOL
 
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
-            gossip_matrix([0.2, 0.3, 0.5], 0)
+            gossip_schedule([0.2, 0.3, 0.5]).matrix_at(0)
 
 
 class TestStronglyConnected:
-    def brute_force(self, n: int, edges) -> bool:
-        """Transitive closure by boolean matrix powering."""
-        reach = np.eye(n, dtype=bool)
-        for j, i in edges:
-            reach[j, i] = True
-        for _ in range(n):
-            reach = reach | (reach @ reach)
-        return bool(reach.all())
-
-    def test_agrees_with_transitive_closure(self):
+    def test_agrees_with_dfs_oracle(self):
         rng = philox(31)
+        stacks: dict[int, tuple[list, list]] = {}
         for _ in range(1200):
             n = int(rng.integers(2, 7))
             density = rng.uniform(0.05, 0.6)
-            adj = rng.random((n, n)) < density
-            edges = {(j, i) for j in range(n) for i in range(n) if adj[j, i]}
-            assert strongly_connected(n, edges) == self.brute_force(n, edges)
+            links = rng.random((n, n)) < density
+            edges = {(j, i) for i in range(n) for j in range(n) if links[i, j]}
+            expected = strongly_connected_dfs(n, edges)
+            assert strongly_connected(links) == expected
+            stacked, verdicts = stacks.setdefault(n, ([], []))
+            stacked.append(links)
+            verdicts.append(expected)
+        # A stack gets one verdict per item.
+        for stacked, verdicts in stacks.values():
+            assert strongly_connected(np.array(stacked)).tolist() == verdicts
 
     def test_cycle_is_connected(self):
         n = 9
-        edges = {(i, (i + 1) % n) for i in range(n)}
-        assert strongly_connected(n, edges)
-        assert not strongly_connected(n, edges - {(3, 4)})
+        links = np.zeros((n, n), dtype=bool)
+        links[(np.arange(n) + 1) % n, np.arange(n)] = True
+        assert strongly_connected(links)
+        links[4, 3] = False
+        assert not strongly_connected(links)
 
     def test_single_vertex(self):
-        assert strongly_connected(1, set())
+        assert strongly_connected(np.zeros((1, 1), dtype=bool))
 
 
 class TestSchedules:
@@ -189,6 +204,36 @@ class TestSchedules:
         assert len(report.connectivity_failures) == report.windows_checked
         assert "(+4994 more) of 4999" in report.summary()
 
+    @pytest.mark.parametrize(
+        "window, failures",
+        [(1, [1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17, 19]), (2, [1, 4, 7, 10, 13, 16])],
+    )
+    def test_only_some_windows_fail(self, window, failures):
+        # [cycle, I, I]: a start fails exactly when its window misses slot 0.
+        s = matrix_list_schedule([CYCLE, np.eye(3), np.eye(3)])
+        report = validate_schedule(s, horizon=20, window=window)
+        assert report.windows_checked == 20 - window
+        assert report.connectivity_failures == failures
+        assert report == validate_windows(s, 20, window)
+
+    def test_horizon_shorter_than_period(self):
+        # Only the slots used by t = horizon are measured: the third slot
+        # breaks r-stationarity but lies beyond horizon 2.
+        skewed = np.array([[0.99, 0.01, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        s = matrix_list_schedule([CYCLE, np.eye(3), skewed], r=np.full(3, 1 / 3))
+        short = validate_schedule(s, horizon=2, window=1)
+        assert short.stochasticity_ok and short.min_positive_entry == 0.5
+        assert short.windows_checked == 1 and short.connectivity_failures == [1]
+        assert not validate_schedule(s, horizon=3, window=1).stochasticity_ok
+
+    @pytest.mark.parametrize("horizon", [1, 3, 4])
+    def test_horizon_within_one_window(self, horizon):
+        s = gossip_schedule(np.full(4, 0.25))
+        report = validate_schedule(s, horizon=horizon, window=4)
+        assert report.windows_checked == 0 and report.connectivity_failures == []
+        assert "no complete window inside horizon" in report.summary()
+        assert report.passed
+
     def test_matrix_at_cycles(self):
         s = gossip_schedule(random_weights(philox(9), 5))
         assert np.array_equal(s.matrix_at(3), s.matrix_at(13))
@@ -204,13 +249,13 @@ class TestSchedules:
 class TestMatrixListSchedule:
     def test_solves_stationary_weights(self):
         r = random_weights(philox(21), 6)
-        s = matrix_list_schedule([fixed_cycle_matrix(r)])
+        s = matrix_list_schedule([cycle_slot(r)])
         np.testing.assert_allclose(s.r, r, atol=1e-9)
         assert s.B == 1
 
     def test_b_defaults_to_period(self):
         r = random_weights(philox(22), 4)
-        mats = [gossip_matrix(r, t) for t in range(1, 5)]
+        mats = [gossip_slot(r, t) for t in range(1, 5)]
         s = matrix_list_schedule(mats)
         assert s.B == 4
         np.testing.assert_allclose(s.r, r, atol=1e-9)
@@ -238,7 +283,7 @@ class TestMatrixListSchedule:
         r1 = np.array([0.2, 0.3, 0.5])
         r2 = np.array([0.5, 0.3, 0.2])
         with pytest.raises(ValueError):
-            stationary_weights([fixed_cycle_matrix(r1), fixed_cycle_matrix(r2)])
+            stationary_weights([cycle_slot(r1), cycle_slot(r2)])
 
 
 class TestParseMatrixFile:
@@ -269,6 +314,12 @@ class TestParseMatrixFile:
         with pytest.raises(ValueError, match="no matrix blocks"):
             parse_matrix_file(path)
 
+    def test_ragged_row_names_line(self, tmp_path):
+        path = tmp_path / "ragged.txt"
+        path.write_text("0.5, 0.5\n1\n")
+        with pytest.raises(ValueError, match=r"ragged\.txt:2: row has 1 entries, block has 2"):
+            parse_matrix_file(path)
+
     def test_nonsquare_rejected(self, tmp_path):
         path = tmp_path / "rect.txt"
         path.write_text("0.5, 0.5\n")
@@ -276,19 +327,56 @@ class TestParseMatrixFile:
             parse_matrix_file(path)
 
 
-def test_edge_set_reads_support():
+def test_matrix_list_links_read_support():
     W = np.array([[0.7, 0.3], [0.0, 1.0]])
-    assert edge_set(W) == {(0, 0), (1, 0), (1, 1)}
+    s = matrix_list_schedule([W], r=[0.5, 0.5])
+    assert s.links.tolist() == [[[True, True], [False, True]]]
 
 
 def test_gossip_activation_edges_drive_connectivity():
     # The declared certificate is one directed link per iteration; the matrix
     # support would also accept window n-1 because each exchange is mutual.
     s = gossip_schedule(np.full(4, 0.25))
-    assert s.edges_at(1) == {(1, 2)}
-    assert s.edges_at(5) == {(1, 2)}
-    support_only = MixingSchedule(
-        kind="gossip", n=4, r=s.r, eta=s.eta, B=4, matrices=s.matrices
-    )
-    assert not validate_schedule(s, horizon=40, window=3).connectivity_ok
-    assert validate_schedule(support_only, horizon=40, window=3).connectivity_ok
+    assert gossip_pair(4, 1) == (1, 2)
+    assert np.argwhere(s.links[0]).tolist() == [[2, 1]]  # agent 1 reaches agent 2
+    assert s.links.sum() == 4 and not (s.links & ~(s.matrices > 0)).any()
+    support_only = matrix_list_schedule(s.matrices, r=s.r, B=4)
+    assert np.array_equal(support_only.links, s.matrices > 0)
+    declared = validate_schedule(s, horizon=40, window=3)
+    support = validate_schedule(support_only, horizon=40, window=3)
+    assert not declared.connectivity_ok and declared.edge_source == "declared activation links"
+    assert support.connectivity_ok and support.edge_source == "matrix support"
+
+
+class TestValidateAgainstOracle:
+    """``validate_schedule`` decides one closure per residue mod the period;
+    the oracle pools and walks every window start separately."""
+
+    @staticmethod
+    def assert_same(schedule, window):
+        reach = schedule.period + (schedule.B if window is None else window)
+        for horizon in (1, reach - 1, reach, reach + 1, 3 * reach + 2):
+            got = validate_schedule(schedule, horizon, window)
+            want = validate_windows(schedule, horizon, window)
+            assert got == want  # every field, floats exactly
+            assert got.summary() == want.summary()
+
+    def test_random_sparse_matrix_lists(self):
+        rng = philox(41)
+        for _ in range(400):
+            n, period = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            mask = rng.random((period, n, n)) < rng.uniform(0.05, 0.5)
+            mask[:, np.arange(n), rng.integers(0, n, n)] = True  # no empty row
+            W = mask * rng.uniform(0.1, 1.0, mask.shape)
+            s = matrix_list_schedule(W / W.sum(axis=2, keepdims=True), r=np.full(n, 1 / n))
+            for window in (None, 1, 2, period + 1):
+                self.assert_same(s, window)
+
+    @pytest.mark.parametrize("kind", ["fixed_cycle", "gossip"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 20])
+    def test_families(self, kind, n):
+        s = (fixed_cycle_schedule if kind == "fixed_cycle" else gossip_schedule)(
+            random_weights(philox(n), n)
+        )
+        for window in (None, 1, n - 1, n, 2 * n + 1):
+            self.assert_same(s, window)

@@ -3,7 +3,7 @@
     PYTHONPATH=<tree>/src python3 tools/cli_outputs.py DEST
 
 runs ``run --plots``, ``sweep --plots`` and ``theory`` (each at --jobs 1 and
-2), ``validate`` and ``lemmas`` on six configs with whichever dimix the
+2), ``validate`` and ``lemmas`` on seven configs with whichever dimix the
 PYTHONPATH gives.  Each command runs in its own directory
 DEST/<config>/<command> with a relative --out, so nothing it prints holds an
 absolute path; stdout, stderr, the exit code and every output file are kept
@@ -23,8 +23,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
-# Two doubly stochastic slots on three agents: connected over any window of 2.
-MATRICES = "0.5, 0.5, 0\n0, 0.5, 0.5\n0.5, 0, 0.5\n\n0.5, 0, 0.5\n0.5, 0.5, 0\n0, 0.5, 0.5\n"
+# Matrix files written next to every config.  slots.txt: two doubly
+# stochastic slots on three agents, connected over any window of 2.
+# gaps.txt: a cycle slot then two identity slots, so at window 2 only the
+# starts t = 1 (mod 3), whose window holds both identities, are disconnected.
+MATRIX_FILES = {
+    "slots.txt": "0.5, 0.5, 0\n0, 0.5, 0.5\n0.5, 0, 0.5\n\n0.5, 0, 0.5\n0.5, 0.5, 0\n0, 0.5, 0.5\n",
+    "gaps.txt": "0.5, 0.5, 0\n0, 0.5, 0.5\n0.5, 0, 0.5\n\n1, 0, 0\n0, 1, 0\n0, 0, 1\n\n1, 0, 0\n0, 1, 0\n0, 0, 1\n",
+}
 SMALL = "T = 60\nruns = 3\nT_grid = 20, 40, 60\n"
 
 # name -> (config text, extra theory arguments)
@@ -32,6 +38,7 @@ CONFIGS = {
     **{name: (wl.config_text(0, wl.size), ()) for name, wl in WORKLOADS.items()},
     "noiseless_cycle": ("family = fixed_cycle\nn = 5\nd = 6\nN = 30\n" + SMALL, ()),
     "matrix_file": ("family = matrix_file\nmatrix_file = slots.txt\nd = 4\nN = 12\n" + SMALL, ()),
+    "matrix_file_gaps": ("family = matrix_file\nmatrix_file = gaps.txt\nwindow = 2\nd = 4\nN = 12\n" + SMALL, ()),
     # The n = 20 mu + nu < 1 certificate, whose burn-in lies far past T.
     "regime1_n20": (
         "family = gossip\nn = 20\nseed = 3\nnoise = stochastic_quantizer\n"
@@ -79,7 +86,8 @@ def main(argv):
             here = Path(argv[0]) / name / label
             here.mkdir(parents=True, exist_ok=True)
             (here / "config.cfg").write_text(text, encoding="utf-8")
-            (here / "slots.txt").write_text(MATRICES, encoding="utf-8")
+            for fname, body in MATRIX_FILES.items():
+                (here / fname).write_text(body, encoding="utf-8")
             proc = subprocess.run(
                 [sys.executable, "-m", "dimix.cli", *args, "--config", "config.cfg", "--out", "out"],
                 cwd=here,
