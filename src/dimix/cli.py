@@ -122,40 +122,41 @@ _DIST = TRACE_COLUMNS.index("dist_opt_sq")
 
 
 def _stats(mc: MonteCarlo) -> np.ndarray:
-    """(T, 8) rows of mean and stderr in _STAT_COLUMNS order."""
+    """(len(t), 8) rows of mean and stderr in _STAT_COLUMNS order."""
     return np.stack([mc.mean, mc.stderr], axis=-1).reshape(mc.t.size, -1)
 
 
-class _Constants(NamedTuple):
-    """The certificate's inputs that the schedule, the problem and the
-    completed runs fix; ``th`` is None, with the reason in ``note``, when
-    the step sizes admit no burn-in thresholds."""
+class _Certificate(NamedTuple):
+    """The certificate's inputs that the schedule, the problem and the steps
+    fix; ``th`` is None, with the reason in ``note``, when the step sizes
+    admit no burn-in thresholds."""
 
     lam: float
     kappa: float
-    K: float
-    norm_bound: float
-    gamma: float
     th: Thresholds | None
     note: str
 
 
-def _constants(cfg: RunConfig, mc: MonteCarlo) -> _Constants:
+def _certificate(cfg: RunConfig) -> _Certificate:
     sched, problem = cfg.schedule, cfg.problem
     lam = contraction_factor(sched.eta, float(sched.r.min()), sched.B, sched.n)
-    K, norm_bound = empirical_bounds(tr for tr in mc.traces if not tr.aborted)
-    gamma = noise_variance_bound(cfg.noise, problem.d, state_norm_bound=norm_bound)
     try:
         th, note = thresholds(cfg.steps, lam, problem.strong_convexity, problem.smoothness), ""
     except ValueError as exc:
         th, note = None, str(exc)
-    kappa = kappa_factor(lam, cfg.steps.beta0, sched.B)
-    return _Constants(lam, kappa, K, norm_bound, gamma, th, note)
+    return _Certificate(lam, kappa_factor(lam, cfg.steps.beta0, sched.B), th, note)
+
+
+def _measured(cfg: RunConfig, mc: MonteCarlo) -> tuple[float, float, float]:
+    """(K, state norm bound, gamma) from the completed runs."""
+    K, norm_bound = empirical_bounds(tr for tr in mc.traces if not tr.aborted)
+    return K, norm_bound, noise_variance_bound(cfg.noise, cfg.problem.d, state_norm_bound=norm_bound)
 
 
 def _derived_facts(exp: Experiment, mc: MonteCarlo) -> dict:
     sched, problem = exp.run_config.schedule, exp.run_config.problem
-    c = _constants(exp.run_config, mc)
+    c = _certificate(exp.run_config)
+    K, norm_bound, gamma = _measured(exp.run_config, mc)
     facts = {
         "version": VERSION,
         "r": sched.r,
@@ -165,9 +166,9 @@ def _derived_facts(exp: Experiment, mc: MonteCarlo) -> dict:
         "kappa": c.kappa,
         "mu_f": problem.strong_convexity,
         "L_f": problem.smoothness,
-        "K": c.K,
-        "state_norm_bound": c.norm_bound,
-        "gamma": c.gamma,
+        "K": K,
+        "state_norm_bound": norm_bound,
+        "gamma": gamma,
         "run_seeds": [tr.seed for tr in mc.traces],
         "completed": mc.completed,
         "aborted": mc.aborted,
@@ -234,32 +235,34 @@ def cmd_validate(args) -> int:
 def cmd_theory(args) -> int:
     cfg = parse_config(args.config)
     exp = build_experiment(cfg, seed_override=args.seed)
-    mc = monte_carlo(
-        exp.run_config, exp.values["runs"], seed=exp.values["seed"], jobs=args.jobs
-    )
-    sched, steps = exp.run_config.schedule, exp.run_config.steps
-    mu_f, L_f = exp.run_config.problem.strong_convexity, exp.run_config.problem.smoothness
-    c = _constants(exp.run_config, mc)
+    rc = exp.run_config
+    sched, steps, T_sim = rc.schedule, rc.steps, rc.T
+    mu_f, L_f = rc.problem.strong_convexity, rc.problem.smoothness
+    c = _certificate(rc)
     if c.th is None:
         raise ValueError(c.note)
     lam, kappa, th = c.lam, c.kappa, c.th
-    if th.T0 <= mc.t.size:
-        q0 = mc.q0_estimate(th.T0)
-        q0_source = f"measured over {mc.completed} runs"
-    elif args.assume_q0 is not None:
-        q0 = args.assume_q0
-        q0_source = "assumed (--assume-q0)"
-    else:
+    if th.T0 > T_sim and args.assume_q0 is None:
         raise ValueError(
-            f"burn-in T0 = {th.T0} lies beyond the simulated horizon T = {mc.t.size}; "
+            f"burn-in T0 = {th.T0} lies beyond the simulated horizon T = {T_sim}; "
             "raise T or supply --assume-q0"
         )
+    # Only the table's horizons and T0 are read from the runs.
+    at = [T for T in exp.values["T_grid"] if 1 <= T <= T_sim] + [th.T0] * (th.T0 <= T_sim)
+    mc = monte_carlo(rc, exp.values["runs"], seed=exp.values["seed"], jobs=args.jobs, at=at)
+    K, _, gamma = _measured(rc, mc)
+    if th.T0 <= T_sim:
+        q0 = mc.q0_estimate(th.T0)
+        q0_source = f"measured over {mc.completed} runs"
+    else:
+        q0 = args.assume_q0
+        q0_source = "assumed (--assume-q0)"
 
-    tc = xi_constants(steps, lam, kappa, mu_f, L_f, c.gamma, c.K, q0)
+    tc = xi_constants(steps, lam, kappa, mu_f, L_f, gamma, K, q0)
     print(f"schedule {exp.values['family']}: n={sched.n} B={sched.B} eta={fmt(sched.eta)}")
     print(f"lambda = {fmt(lam)}   kappa = {fmt(kappa)}")
     print(f"mu_f = {fmt(mu_f)}   L_f = {fmt(L_f)}   c1 = {fmt(tc.c1)}   c2 = {fmt(tc.c2)}")
-    print(f"gamma = {fmt(c.gamma)}   K = {fmt(c.K)}   q0 = {fmt(q0)} ({q0_source})")
+    print(f"gamma = {fmt(gamma)}   K = {fmt(K)}   q0 = {fmt(q0)} ({q0_source})")
     t4 = "-" if th.T4 is None else str(th.T4)
     print(f"T1 = {th.T1}   T2 = {th.T2}   T3 = {th.T3}   T4 = {t4}   T0 = {th.T0}")
     for name in ("eps1", "eps2", "eps3", "eps4", "eps5", "xi1", "xi2", "xi3", "xi4", "xi5"):
@@ -279,8 +282,8 @@ def cmd_theory(args) -> int:
     for T in exp.values["T_grid"]:
         bound = theorem_bound(tc, T, strict=False)
         note = "" if T >= tc.thresholds.T_min else "  (below burn-in, not covered)"
-        if T <= mc.t.size:
-            emp = float(mc.mean[T - 1, _DIST])
+        if T <= T_sim:
+            emp = float(mc.mean[np.searchsorted(mc.t, T), _DIST])
             ratio = bound / emp if emp > 0 else float("inf")
             print(f"{T}, {fmt(bound)}, {fmt(emp)}, {fmt(ratio)}{note}")
         else:
@@ -308,12 +311,11 @@ def cmd_sweep(args) -> int:
     exp = build_experiment(cfg, seed_override=args.seed, T_override=max(grid))
     out = resolve_out_dir(args.out, exp.values)
     mc = monte_carlo(
-        exp.run_config, exp.values["runs"], seed=exp.values["seed"], jobs=args.jobs
+        exp.run_config, exp.values["runs"], seed=exp.values["seed"], jobs=args.jobs, at=grid
     )
-    rows = np.array(grid) - 1
-    write_csv(out / "sweep.csv", ("T", *_STAT_COLUMNS), grid, _stats(mc)[rows])
+    write_csv(out / "sweep.csv", ("T", *_STAT_COLUMNS), grid, _stats(mc))
     write_manifest(out / "manifest.txt", exp.values, _derived_facts(exp, mc))
-    finals = mc.mean[rows, _DIST]
+    finals = mc.mean[:, _DIST]
     print(f"horizon grid: {', '.join(str(T) for T in grid)}")
     print(f"final mean dist_opt_sq: {', '.join(fmt(v) for v in finals)}")
     if len(grid) >= 2 and np.all(finals > 0):

@@ -10,19 +10,21 @@ average.  Mixing decays at beta(t) = beta0/t^mu and descent at
 alpha(t)*beta(t); with nu < mu the consensus error contracts faster than the
 optimization drifts, which is what the rate certificate exploits.
 
-``run`` produces a per-iteration trace of four scalar diagnostics:
-pooled-data loss at the weighted mean state, the r-weighted sum of local
-losses at the agent states, the consensus error, and the squared r-weighted
-distance to the weighted optimum x*.  ``monte_carlo(cfg, runs, seed)``
-runs seeds seed, seed+1, ... and aggregates the columns.
+``run`` produces a trace of four scalar diagnostics at the iterations it is
+asked to record (all of them by default): pooled-data loss at the weighted
+mean state, the r-weighted sum of local losses at the agent states, the
+consensus error, and the squared r-weighted distance to the weighted optimum
+x*.  ``monte_carlo(cfg, runs, seed)`` runs seeds seed, seed+1, ... and
+aggregates the columns.
 
 ``run`` advances all of its seeds as one (R, n, d) state and evaluates the
-diagnostics of recorded states a chunk of iterations at a time.  Each seed
+diagnostics of stored states a chunk of iterations at a time.  Each seed
 draws from its own Philox stream in a fixed canonical order (by iteration;
-then receivers, and each one's neighbors, in ascending index), and no value
-of a seed depends on the rest of its batch or its chunk, so a trace is a pure
-function of (config, seed): bit-identical for every chunk length, batch size
-and ``--jobs`` value.
+then receivers, and each one's neighbors, in ascending index), a block of
+iterations ahead, and no value of a seed depends on the rest of its batch,
+its chunk, its draw block or the recorded iterations, so a trace is a pure
+function of (config, seed): bit-identical for every chunk length, draw
+block, batch size and ``--jobs`` value.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ import numpy as np
 from .analysis import StepSchedule, deviation_sq, dist_opt_sq, weighted_mean
 from .noise import NoiseModel, noiseless, stochastic_quantize
 from .objective import Problem
-from .rng import philox
-from .topology import MixingSchedule
+from .rng import DrawStream, philox
+from .topology import STATIONARITY_TOL, MixingSchedule
 
 # States beyond this magnitude mean the configuration diverged; the run is
 # cut short and flagged rather than allowed to overflow into inf/nan.
@@ -69,12 +71,19 @@ class RunConfig:
             raise ValueError("x_star dimension does not match the objectives")
         if not np.allclose(self.problem.r, self.schedule.r, atol=1e-12):
             raise ValueError("problem weights and schedule weights disagree")
+        r, W = self.schedule.r, self.schedule.matrices
+        dev = float(np.abs(r @ W - r).max())
+        if not dev <= STATIONARITY_TOL:
+            raise ValueError(
+                f"schedule weights r are not left-stationary: max |r'W(s) - r| = {dev:.3g} "
+                f"over the period (tol {STATIONARITY_TOL:.0e})"
+            )
 
 
 @dataclass
 class RunTrace:
     """One trajectory's diagnostics: row k of ``values`` holds the
-    TRACE_COLUMNS at iteration t[k], t in [1, len].
+    TRACE_COLUMNS at the recorded iteration t[k].
 
     An aborted (diverged) trace is truncated at the last finite-magnitude
     iterate; ``abort_t`` is the iteration whose update blew past the limit.
@@ -101,30 +110,48 @@ def _slot_plan(schedule: MixingSchedule, t: int):
     return W, src, M
 
 
-def run(cfg: RunConfig, seeds) -> list[RunTrace]:
-    """Full trajectories from X(1) = 0 through X(T), one per seed.
+def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
+    """Trajectories from X(1) = 0 through X(T), one per seed, with trace rows
+    at the iterations ``at`` (every t in [1, T] when omitted).
 
     The seeds advance together as one (R, n, d) state, each drawing from its
-    own Philox stream in the canonical order.  Every per-seed quantity comes
-    from elementwise operations, reductions over a contiguous last axis, or
-    matmuls with one product per batch item, so a seed's trace is
-    bit-identical whichever seeds share its batch or iterations its chunk.
-    A seed whose update diverges leaves the batch after the chunk is
-    evaluated, its trace truncated at the last finite iterate.
+    own Philox stream in the canonical order, a block of iterations at a time.
+    Every per-seed quantity comes from elementwise operations, reductions
+    over a contiguous last axis, or matmuls with one product per batch item,
+    so a seed's trace is bit-identical whichever seeds share its batch,
+    iterations its chunk or values its draw block, and whichever iterations
+    are recorded.  The maxima behind ``max_grad_sq`` and ``max_state_norm``
+    cover every iterate.  A seed whose update diverges leaves the batch after
+    the chunk is evaluated, its trace truncated at the last finite iterate.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    gens = [philox(seed) for seed in seeds]
     problem, noise = cfg.problem, cfg.noise
     n, d, T, R = problem.n, problem.d, cfg.T, len(seeds)
+    ts = np.arange(1, T + 1)
+    at = ts if at is None else np.array(sorted({int(t) for t in at}), dtype=int)
+    if at.size and not 1 <= at[0] <= at[-1] <= T:
+        raise ValueError(f"recorded iterations must lie in [1, {T}]")
+    row_of = np.full(T + 1, -1)  # trace row of each iteration, -1 if not recorded
+    row_of[at] = np.arange(at.size)
     r, x_star = cfg.schedule.r, problem.x_star
     plans = [_slot_plan(cfg.schedule, t) for t in range(1, cfg.schedule.period + 1)]
-    ts = np.arange(1, T + 1)
     betas = cfg.steps.beta(ts)
     betas, alpha_betas = betas.tolist(), (cfg.steps.alpha(ts) * betas).tolist()
+    draws, sent = None, None
+    if noise.kind != "noiseless":
+        # Each seed's values at iterations 1..T-1 when every row it sends is
+        # nonzero.  X(1) = 0 makes the quantizer take none at t = 1, so no
+        # block is ever planned from that step.
+        sizes = np.array([src.size * d for _, src, _ in plans])[np.arange(T - 1) % len(plans)]
+        scale = None
+        if noise.kind == "gaussian_channel":
+            scale = noise.sigma / np.sqrt(d)
+            sent = np.empty(R * sizes.max(initial=0))  # X[:, src] + Z of one iteration
+        draws = DrawStream([philox(seed) for seed in seeds], sizes, scale)
 
-    values = np.empty((R, T, len(TRACE_COLUMNS)))
+    values = np.empty((R, at.size, len(TRACE_COLUMNS)))
     final = np.empty((R, n, d))
     max_grad_sq, max_norm_sq = np.zeros(R), np.zeros(R)
     abort_t = np.zeros(R, dtype=int)
@@ -136,10 +163,23 @@ def run(cfg: RunConfig, seeds) -> list[RunTrace]:
     work: dict = {}
 
     def record(t, m):
-        """Diagnostics of the live seeds at iterations t-m+1..t (slots 0..m-1)."""
-        Xk = Xs[:m, : live.size]
-        grads, local_values = problem.local_terms(Xk, HXs[:m, : live.size])
-        values[live, t - m : t] = np.stack(
+        """Maxima over iterations t-m+1..t (slots 0..m-1) of the live seeds,
+        and the trace columns at those of them that are recorded."""
+        Xk, HXk = Xs[:m, : live.size], HXs[:m, : live.size]
+        rows = row_of[t - m + 1 : t + 1]
+        slots = np.flatnonzero(rows >= 0)
+        if slots.size == m:
+            grads, local_values = problem.local_terms(Xk, HXk)
+        else:  # the gradients local_terms returns, at every slot
+            grads = HXk - problem.b
+        max_grad_sq[live] = np.maximum(max_grad_sq[live], (grads * grads).sum(-1).max(-1).max(0))
+        max_norm_sq[live] = np.maximum(max_norm_sq[live], (Xk * Xk).sum(-1).max(-1).max(0))
+        if not slots.size:
+            return
+        if slots.size < m:
+            Xk = Xk[slots]
+            _, local_values = problem.local_terms(Xk, HXk[slots])
+        values[live, rows[slots[0]] : rows[slots[-1]] + 1] = np.stack(
             [
                 problem.pooled_loss(weighted_mean(Xk, r)),
                 (local_values * r).sum(-1),
@@ -148,8 +188,6 @@ def run(cfg: RunConfig, seeds) -> list[RunTrace]:
             ],
             axis=-1,
         ).swapaxes(0, 1)
-        max_grad_sq[live] = np.maximum(max_grad_sq[live], (grads * grads).sum(-1).max(-1).max(0))
-        max_norm_sq[live] = np.maximum(max_norm_sq[live], (Xk * Xk).sum(-1).max(-1).max(0))
 
     j = 0
     for t in range(1, T + 1):
@@ -165,11 +203,11 @@ def run(cfg: RunConfig, seeds) -> list[RunTrace]:
         if noise.kind == "noiseless":
             np.matmul(W, X, out=Xhat[:L])
         elif noise.kind == "gaussian_channel":
-            shape, scale = (src.size, d), noise.sigma / np.sqrt(d)
-            Z = np.stack([g.normal(0.0, scale, size=shape) for g in gens])
-            np.matmul(M, X[:, src] + Z, out=Xhat[:L])
+            Y = X.take(src, axis=1, out=sent[: L * src.size * d].reshape(L, src.size, d))
+            Y += draws.take(src.size * d).reshape(Y.shape)
+            np.matmul(M, Y, out=Xhat[:L])
         else:
-            np.matmul(M, stochastic_quantize(X, noise.levels, gens, src, work), out=Xhat[:L])
+            np.matmul(M, stochastic_quantize(X, noise.levels, draws, src, work), out=Xhat[:L])
         # X(t+1) = X + beta (Xhat - X) - alpha beta G, evaluated in that order.
         j = (j + 1) % chunk
         Xn, D = Xs[j, :L], Xhat[:L]
@@ -186,18 +224,20 @@ def run(cfg: RunConfig, seeds) -> list[RunTrace]:
             abort_t[live[~ok]] = t + 1
             Xs[0, : ok.sum()] = Xn[ok]
             live, j = live[ok], 0
-            gens = [g for g, keep in zip(gens, ok) if keep]
             if not live.size:
                 break
+            if draws is not None:
+                draws.keep(ok)
     final[live] = Xs[j, : live.size]
 
     traces = []
     for k, seed in enumerate(seeds):
-        rows = slice(0, abort_t[k] - 1 if abort_t[k] else T)
+        # An aborted seed has rows up to iteration abort_t - 1.
+        rows = slice(0, int((at < abort_t[k]).sum()) if abort_t[k] else at.size)
         traces.append(
             RunTrace(
                 seed=seed,
-                t=ts[rows],
+                t=at[rows],
                 values=values[k, rows],
                 final_state=final[k],
                 max_grad_sq=float(max_grad_sq[k]),
@@ -213,9 +253,10 @@ def run(cfg: RunConfig, seeds) -> list[RunTrace]:
 class MonteCarlo:
     """Aggregate of the runs ``monte_carlo`` made, one per seed.
 
-    ``mean`` and ``stderr`` are (T, 4) arrays over the TRACE_COLUMNS, taken
-    over the completed (non-aborted) runs; aborted runs are kept in
-    ``traces`` but excluded from the statistics.
+    ``mean`` and ``stderr`` are (len(t), 4) arrays over the TRACE_COLUMNS at
+    the recorded iterations ``t``, taken over the completed (non-aborted)
+    runs; aborted runs are kept in ``traces`` but excluded from the
+    statistics.
     """
 
     traces: list[RunTrace]
@@ -230,18 +271,20 @@ class MonteCarlo:
         E||xbar(T0) - x*||^2, recovered from the recorded columns (the
         r-weighted distance splits exactly into consensus plus mean parts).
         """
-        idx = T0 - 1
-        if T0 < 1 or idx >= self.t.size:
-            raise ValueError(f"T0 = {T0} outside the recorded horizon")
+        idx = np.flatnonzero(self.t == T0)
+        if not idx.size:
+            raise ValueError(f"T0 = {T0} is not a recorded iteration")
+        idx = idx[0]
         dev, dist = TRACE_COLUMNS.index("deviation_sq"), TRACE_COLUMNS.index("dist_opt_sq")
         vals = [tr.values[idx, dist] - tr.values[idx, dev] for tr in self.traces if not tr.aborted]
         return max(float(np.mean(vals)), 0.0)
 
 
 def monte_carlo(
-    cfg: RunConfig, num_runs: int, seed: int, jobs: int = 1
+    cfg: RunConfig, num_runs: int, seed: int, jobs: int = 1, at=None
 ) -> MonteCarlo:
-    """Run ``num_runs`` seeded trajectories and aggregate their columns.
+    """Run ``num_runs`` seeded trajectories and aggregate their columns at
+    the iterations ``at`` (all of them when omitted).
 
     ``jobs = 1`` runs all seeds as one batch; ``jobs > 1`` gives each worker
     process one contiguous chunk of seeds.  The traces are identical either
@@ -254,9 +297,10 @@ def monte_carlo(
         size = -(-num_runs // jobs)
         chunks = [seeds[i : i + size] for i in range(0, num_runs, size)]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            traces = [tr for part in pool.map(run, [cfg] * len(chunks), chunks) for tr in part]
+            parts = pool.map(run, [cfg] * len(chunks), chunks, [at] * len(chunks))
+            traces = [tr for part in parts for tr in part]
     else:
-        traces = run(cfg, seeds)
+        traces = run(cfg, seeds, at)
 
     good = [tr for tr in traces if not tr.aborted]
     if not good:

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import DrawStream
+
 _KINDS = ("noiseless", "gaussian_channel", "stochastic_quantizer")
 
 
@@ -77,14 +79,16 @@ def stochastic_quantize(x, s: int, rng, src=None, work=None) -> np.ndarray:
     through unchanged and draws nothing.  A vector or an (m, d) matrix of
     rows takes one generator, with independent draws per row in row order.
 
-    A batch x of shape (R, n, d) takes a sequence of R generators, one per
-    batch item, and quantizes the rows ``src`` of each item (all n when
-    omitted) into an (R, len(src), d) result; a row listed twice gets two
-    independent draws.  Per-row terms are computed once per row of x and
-    gathered in one take, and generator k fills the uniforms of item k's
-    nonzero output rows in order, so every item's result is a function of
-    that item alone.  A dict ``work`` kept between calls holds the scratch
-    arrays; the result is a view into it, valid until the next call with it.
+    A batch x of shape (R, n, d) takes R generators, one per batch item, or
+    a uniform ``DrawStream`` over R seeds, and quantizes the rows ``src`` of
+    each item (all n when omitted) into an (R, len(src), d) result; a row
+    listed twice gets two independent draws.  Per-row terms are computed once
+    per row of x and gathered in one take, and item k's nonzero output rows
+    take item k's next uniforms in order, so every item's result is a
+    function of that item alone.  Generators are read through a stream that
+    draws exactly what this call uses.  A dict ``work`` kept between calls
+    holds the scratch arrays; the result is a view into it, valid until the
+    next call with it.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim in (1, 2):
@@ -96,7 +100,7 @@ def stochastic_quantize(x, s: int, rng, src=None, work=None) -> np.ndarray:
     work = {} if work is None else work
     q = len(src)
     if work.get("size") != (R, n, q, d):  # first call, or a new batch or slot size
-        work.update(size=(R, n, q, d), rows=np.zeros((3, R, n, d)), msg=np.zeros((4, R, q, d)))
+        work.update(size=(R, n, q, d), rows=np.zeros((3, R, n, d)), msg=np.zeros((3, R, q, d)))
     rows, msg = work["rows"], work["msg"]
     norms = np.sqrt((x * x).sum(-1))
     nrm = np.where(norms > 0.0, norms, 1.0)[..., None]
@@ -105,16 +109,17 @@ def stochastic_quantize(x, s: int, rng, src=None, work=None) -> np.ndarray:
     low = np.floor(scaled, out=rows[0])
     np.subtract(scaled, low, out=rows[1])
     np.multiply(np.sign(x), norms[..., None], out=rows[2])
-    np.take(rows, src, axis=2, out=msg[:3], mode="wrap")
-    # Uniforms of zero rows are never drawn: there mag = 0 whatever u holds.
-    low, frac, mag, u = msg
+    np.take(rows, src, axis=2, out=msg, mode="wrap")
+    low, frac, mag = msg
     live = np.take(norms > 0.0, src, axis=1)
+    if not isinstance(rng, DrawStream):
+        rng = DrawStream(rng, [q * d], need=live.sum(-1) * d)
     if live.all():
-        for k in range(R):
-            rng[k].random(out=u[k])
-    else:
-        for k in np.flatnonzero(live.any(-1)):
-            u[k, live[k]] = rng[k].random((int(live[k].sum()), d))
+        u = rng.take(q * d).reshape(R, q, d)
+    else:  # zero rows draw nothing: there mag = 0 whatever u holds
+        u = np.zeros((R, q, d))
+        for k, vals in enumerate(rng.take_each(live.sum(-1) * d)):
+            u[k, live[k]] = vals.reshape(-1, d)
     levels = np.add(low, u < frac, out=low)
     np.divide(levels, s, out=levels)
     return np.multiply(mag, levels, out=levels)

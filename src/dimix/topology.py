@@ -26,6 +26,9 @@ import numpy as np
 
 # Absolute tolerance for "sums to one" checks on weight vectors and matrix rows.
 STOCHASTICITY_TOL = 1e-12
+# Largest max |r'W - r| accepted when weights must be left-stationary for a
+# schedule's matrices, found or given.
+STATIONARITY_TOL = 1e-9
 
 
 def make_weight_vector(p) -> np.ndarray:
@@ -211,7 +214,7 @@ def gossip_schedule(r) -> MixingSchedule:
     return _family_schedule("gossip", r)
 
 
-def stationary_weights(matrices, tol: float = 1e-9) -> np.ndarray:
+def stationary_weights(matrices, tol: float = STATIONARITY_TOL) -> np.ndarray:
     """Common positive left-fixed vector of a matrix family (period, n, n),
     normalized to sum 1.  Solves the joint system r'(W_b - I) = 0 by SVD;
     when the solution space has extra dimensions (e.g. all matrices are the

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dimix.cli
 from dimix.cli import main
-from dimix.dynamics import TRACE_COLUMNS
+from dimix.dynamics import TRACE_COLUMNS, monte_carlo
 from dimix.reporting import (
     Config,
     SCHEMA,
@@ -275,6 +276,20 @@ T_grid = 500, 2200
         assert "regime: mu + nu < 1" in out
         assert "certified bound" in out
 
+    def test_q0_measured_at_burn_in_off_the_grid(self, tmp_path, capsys):
+        # T0 is not on T_grid, so theory records it on top of the grid rows.
+        cfg = tmp_path / "cfg"
+        cfg.write_text(self.THEORY_CONFIG)
+        assert main(["theory", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        T0 = int(re.search(r"T0 = (\d+)", out).group(1))
+        assert T0 not in (500, 2200)
+        exp = dimix.cli.build_experiment(dimix.cli.parse_config(str(cfg)))
+        full = monte_carlo(exp.run_config, 2, seed=3)
+        assert f"q0 = {fmt(full.q0_estimate(T0))} (measured over 2 runs)" in out
+        for T in (500, 2200):
+            assert f", {fmt(float(full.mean[T - 1, TRACE_COLUMNS.index('dist_opt_sq')]))}, " in out
+
     def test_burn_in_beyond_horizon_needs_assumption(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text(self.THEORY_CONFIG.replace("T = 2200", "T = 60"))
@@ -415,6 +430,24 @@ class TestErrorPaths:
         assert rc == 2
         assert err.startswith(f"error: {self.OVERFLOW_NOTE}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", ["no thresholds", "burn-in beyond T"])
+    def test_theory_fails_before_simulating(self, tmp_path, capsys, monkeypatch, case):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("theory simulated a run it could not use")
+
+        monkeypatch.setattr(dimix.cli, "monte_carlo", no_simulation)
+        cfg = tmp_path / "cfg"
+        if case == "no thresholds":
+            cfg.write_text(self.OVERFLOW_CONFIG)
+            expected = f"error: {self.OVERFLOW_NOTE}"
+        else:
+            cfg.write_text(TestTheoryCommand.THEORY_CONFIG.replace("T = 2200", "T = 60"))
+            expected = "error: burn-in T0 = "
+        rc = main(["theory", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith(expected) and captured.err.count("\n") == 1
 
     def test_quantizer_without_levels(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"

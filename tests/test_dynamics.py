@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dimix import dynamics
+from dimix import rng as rng_module
 from dimix.analysis import StepSchedule, deviation_sq, dist_opt_sq, weighted_mean
 from dimix.dynamics import (
     DIVERGENCE_LIMIT,
@@ -16,7 +17,7 @@ from dimix.dynamics import (
 )
 from dimix.noise import gaussian_channel, noiseless, stochastic_quantizer
 from dimix.objective import build_problem
-from dimix.rng import philox
+from dimix.rng import DrawStream, philox
 from dimix.topology import fixed_cycle_schedule, gossip_schedule, matrix_list_schedule
 
 from conftest import random_weights
@@ -82,6 +83,22 @@ class TestRunConfig:
 
     def test_dimension(self):
         assert simple_config(d=7).problem.d == 7
+
+    def test_rejects_weights_the_matrices_do_not_preserve(self):
+        # The third slot moves weight from agent 1 to agent 2: r'W(3) - r
+        # reaches 1/3 * 0.01 for uniform r.
+        skewed = np.array([[0.99, 0.01, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        schedule = matrix_list_schedule([CYCLE, np.eye(3), skewed], r=np.full(3, 1 / 3))
+        problem = build_problem(n=3, d=4, N=12, seed=5, r=schedule.r)
+        with pytest.raises(ValueError, match=r"not left-stationary: max \|r'W\(s\) - r\| = 0.00333"):
+            RunConfig(problem=problem, schedule=schedule, steps=DEFAULT_STEPS, T=10)
+        # The same r passes on the matrices it is stationary for.
+        RunConfig(
+            problem=problem,
+            schedule=matrix_list_schedule([CYCLE, np.eye(3)], r=np.full(3, 1 / 3)),
+            steps=DEFAULT_STEPS,
+            T=10,
+        )
 
 
 class TestSingleTrajectory:
@@ -283,6 +300,187 @@ class TestChunkInvariance:
         assert [g.random() for g in gens] == [philox(s).random() for _ in range(3) for s in range(3)]
 
 
+CYCLE = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+
+
+def gaps_config(noise, T=13):
+    """[cycle, I, I] on three agents: each seed takes 6 d values at a cycle
+    slot and 3 d at an identity slot."""
+    schedule = matrix_list_schedule([CYCLE, np.eye(3), np.eye(3)])
+    p = build_problem(n=3, d=4, N=12, seed=5, r=schedule.r)
+    return RunConfig(problem=p, schedule=schedule, steps=DEFAULT_STEPS, T=T, noise=noise)
+
+
+BLOCK_CONFIGS = {
+    **{
+        f"{family}-{label}": (lambda family=family, noise=noise: small_instance_config(family, noise, 11))
+        for family in ("fixed_cycle", "gossip")
+        for label, noise in (("gaussian", gaussian_channel(0.3)), ("quantizer", stochastic_quantizer(4)))
+    },
+    "divergent": divergent_config,
+    "gaps-gaussian": lambda: gaps_config(gaussian_channel(0.3)),
+    "gaps-quantizer": lambda: gaps_config(stochastic_quantizer(4)),
+}
+
+
+def iteration_values(cfg):
+    """Values one seed takes per iteration when every row it sends is nonzero;
+    at t = 1 the quantizer sends only zero rows."""
+    W = cfg.schedule.matrices
+    per_slot = (W > 0.0).sum(axis=(1, 2)) * cfg.problem.d
+    sizes = per_slot[np.arange(cfg.T - 1) % len(W)]
+    if cfg.noise.kind == "stochastic_quantizer":
+        sizes[:1] = 0
+    return sizes
+
+
+class TestDrawBlockInvariance:
+    """Noise is drawn a block of iterations at a time; neither the block
+    length nor the iterations recorded may change a bit of any trace."""
+
+    SEEDS = list(range(7, 27))
+
+    @pytest.mark.parametrize("name", BLOCK_CONFIGS)
+    def test_block_lengths_agree(self, monkeypatch, name):
+        cfg = BLOCK_CONFIGS[name]()
+        row_bytes = 8 * int(iteration_values(cfg).max())
+        step_bytes = len(self.SEEDS) * row_bytes
+        whole = run(cfg, self.SEEDS)
+        for batch, row in (
+            (step_bytes, rng_module.ROW_BYTES),
+            (3 * step_bytes // 2, rng_module.ROW_BYTES),
+            (2 * cfg.T * step_bytes, rng_module.ROW_BYTES),
+            (rng_module.DRAW_BYTES, row_bytes),  # the per-seed bound decides
+        ):
+            monkeypatch.setattr(rng_module, "DRAW_BYTES", batch)
+            monkeypatch.setattr(rng_module, "ROW_BYTES", row)
+            for a, b in zip(whole, run(cfg, self.SEEDS), strict=True):
+                assert_same_trace(a, b)
+
+    @pytest.mark.parametrize("name", [n for n in BLOCK_CONFIGS if n != "divergent"])
+    @pytest.mark.parametrize("block", ["one", "one-and-a-half", "default"])
+    def test_draws_exactly_what_is_consumed(self, monkeypatch, name, block):
+        cfg = BLOCK_CONFIGS[name]()
+        sizes = iteration_values(cfg)
+        if block != "default":
+            per_row = int(sizes.max()) * (2 if block == "one" else 3) // 2
+            monkeypatch.setattr(rng_module, "DRAW_BYTES", 8 * 3 * per_row)
+        gens = []
+
+        def tracked_philox(seed):
+            gens.append(philox(seed))
+            return gens[-1]
+
+        monkeypatch.setattr(dynamics, "philox", tracked_philox)
+        traces = run(cfg, range(3))
+        assert not any(tr.aborted for tr in traces) and len(gens) == 3
+        for seed, g in enumerate(gens):
+            fresh = philox(seed)
+            if cfg.noise.kind == "gaussian_channel":
+                fresh.standard_normal(int(sizes.sum()))
+            else:
+                fresh.random(int(sizes.sum()))
+            assert g.random(4).tolist() == fresh.random(4).tolist()
+
+    @pytest.mark.parametrize("name", BLOCK_CONFIGS)
+    def test_recorded_rows_match_full_run(self, monkeypatch, name):
+        cfg = BLOCK_CONFIGS[name]()
+        pick = philox(61)
+        subsets = [[cfg.T], [1], list(range(1, cfg.T + 1, 3)), []]
+        subsets += [pick.choice(np.arange(1, cfg.T + 1), size=k, replace=False) for k in (2, 5)]
+        row_bytes = 16 * len(self.SEEDS) * cfg.problem.n * cfg.problem.d
+        for rows in (1, 3, cfg.T + 5):
+            monkeypatch.setattr(dynamics, "CHUNK_BYTES", rows * row_bytes)
+            full = run(cfg, self.SEEDS)
+            for at in subsets:
+                for a, b in zip(full, run(cfg, self.SEEDS, at), strict=True):
+                    keep = np.isin(a.t, at)
+                    assert b.t.tolist() == a.t[keep].tolist()
+                    assert b.values.tobytes() == a.values[keep].tobytes()
+                    np.testing.assert_array_equal(a.final_state, b.final_state)
+                    assert (a.max_grad_sq, a.max_state_norm, a.aborted, a.abort_t) == (
+                        b.max_grad_sq, b.max_state_norm, b.aborted, b.abort_t
+                    )
+
+    def test_rejects_iterations_outside_horizon(self):
+        cfg = simple_config(T=5)
+        for at in ([0, 3], [6]):
+            with pytest.raises(ValueError, match="recorded iterations"):
+                run(cfg, [0], at)
+
+
+class TestDrawStream:
+    """Each seed's values are those of one call per take, whatever the
+    blocks, the skipped counts and the seeds dropped on the way."""
+
+    @pytest.mark.parametrize("trial", range(6))
+    def test_matches_one_call_per_take(self, monkeypatch, trial):
+        pick = philox(70, trial)
+        R, steps = int(pick.integers(1, 5)), int(pick.integers(1, 30))
+        sizes = pick.integers(0, 12, size=steps)
+        monkeypatch.setattr(rng_module, "DRAW_BYTES", 8 * R * int(pick.integers(1, 3 * sizes.max() + 2)))
+        scale = [None, 0.7][trial % 2]
+        stream = DrawStream([philox(trial, k) for k in range(R)], sizes, scale)
+        refs = {k: philox(trial, k) for k in range(R)}
+        seeds = list(range(R))
+        for m in sizes:
+            full = pick.random() < 0.5
+            counts = np.full(len(seeds), m) if full else pick.integers(0, m + 1, size=len(seeds))
+            got = stream.take(int(m)) if full else stream.take_each(counts)
+            for k, vals, c in zip(seeds, got, counts, strict=True):
+                g = refs[k]
+                want = g.random(c) if scale is None else g.normal(0.0, scale, c)
+                assert np.asarray(vals).tobytes() == want.tobytes()
+            if len(seeds) > 1 and pick.random() < 0.15:
+                ok = np.arange(len(seeds)) != pick.integers(len(seeds))
+                stream.keep(ok)
+                seeds = [k for k, keep in zip(seeds, ok) if keep]
+        # No seed ever draws more than the sum of the sizes.
+        assert min(stream.left, default=0) >= 0
+
+    def test_one_call_stream_draws_each_seed_its_count(self):
+        gens = [philox(4, k) for k in range(3)]
+        counts = [0, 5, 2]
+        got = DrawStream(gens, [6], need=counts).take_each(counts)
+        for k, (g, c) in enumerate(zip(gens, counts)):
+            fresh = philox(4, k)
+            assert got[k].tolist() == fresh.random(c).tolist()
+            assert g.random() == fresh.random()
+
+    def test_normals_are_loc_plus_scaled_values(self):
+        # Generator.normal returns loc + scale * z: at loc 0 a z of -0.0
+        # gives +0.0, not the -0.0 of scale * z alone.
+        class Fixed:
+            def standard_normal(self, out):
+                out[:] = [-0.0, 1.5, -2.0]
+                return out
+
+        vals = DrawStream([Fixed()], [3], scale=0.25).take(3)[0]
+        assert vals.tobytes() == np.array([0.0, 0.375, -0.5]).tobytes()
+
+    @pytest.mark.parametrize("R", [1, 2, 50])
+    def test_buffer_within_byte_bounds(self, R):
+        # Whole steps of 100 values: a seed's row holds at most ROW_BYTES,
+        # the batch at most DRAW_BYTES.
+        stream = DrawStream([philox(5, k) for k in range(R)], np.full(10_000, 100))
+        width = stream.buf.shape[1]
+        assert width <= rng_module.ROW_BYTES // 8 and R * width * 8 <= rng_module.DRAW_BYTES
+        assert width >= min(rng_module.ROW_BYTES, rng_module.DRAW_BYTES // R) // 8 - 100
+        stream.take(100)
+        assert stream.end == [width // 100 * 100] * R
+
+    def test_never_draws_beyond_need(self, monkeypatch):
+        monkeypatch.setattr(rng_module, "DRAW_BYTES", 8 * 2 * 5)
+        gens = [philox(3, 0), philox(3, 1)]
+        stream = DrawStream(gens, [4, 4, 4])
+        stream.take_each([0, 4])  # seed 0 skips a whole step
+        stream.take(4)
+        stream.take(4)
+        fresh = philox(3, 0)
+        fresh.random(8)
+        assert gens[0].random() == fresh.random()  # drew its 8 values, not 12
+
+
 class TestExactExpectation:
     """The update is affine in X and every noise model is conditionally
     unbiased, so E[X(T)] equals the noiseless trajectory's X(T) exactly."""
@@ -454,6 +652,17 @@ class TestMonteCarlo:
             mc.q0_estimate(31)
         with pytest.raises(ValueError):
             mc.q0_estimate(0)
+
+    def test_q0_estimate_reads_recorded_iterations_only(self):
+        cfg = simple_config(T=30, noise=stochastic_quantizer(4))
+        full = monte_carlo(cfg, 4, seed=19)
+        mc = monte_carlo(cfg, 4, seed=19, at=[10, 15, 30])
+        assert mc.t.tolist() == [10, 15, 30]
+        assert mc.q0_estimate(15) == full.q0_estimate(15)
+        np.testing.assert_array_equal(mc.mean, full.mean[[9, 14, 29]])
+        for T0 in (14, 16, 1):
+            with pytest.raises(ValueError, match="not a recorded iteration"):
+                mc.q0_estimate(T0)
 
     def test_q0_estimate_clamps_cancellation_noise(self):
         trace = RunTrace(

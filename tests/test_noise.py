@@ -170,6 +170,16 @@ class TestStochasticQuantize:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    def test_generators_resume_after_zero_rows(self):
+        # A call draws exactly the uniforms of its nonzero rows, so the next
+        # call on the same generators goes on where the row-by-row oracle does.
+        x = philox(53).normal(size=(2, 3, 4))
+        x[0, 1] = 0.0
+        gens, ref = [philox(54, k) for k in range(2)], [philox(54, k) for k in range(2)]
+        for _ in range(3):
+            got = stochastic_quantize(x, 3, gens)
+            assert got.tobytes() == quantize_formula(x, 3, ref, np.arange(3)).tobytes()
+
     def test_single_generator_matches_formula(self):
         x = philox(51).normal(size=(6, 4))
         x[2] = 0.0

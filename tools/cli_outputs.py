@@ -3,7 +3,7 @@
     PYTHONPATH=<tree>/src python3 tools/cli_outputs.py DEST
 
 runs ``run --plots``, ``sweep --plots`` and ``theory`` (each at --jobs 1 and
-2), ``validate`` and ``lemmas`` on seven configs with whichever dimix the
+2), ``validate`` and ``lemmas`` on ten configs with whichever dimix the
 PYTHONPATH gives.  Each command runs in its own directory
 DEST/<config>/<command> with a relative --out, so nothing it prints holds an
 absolute path; stdout, stderr, the exit code and every output file are kept
@@ -39,6 +39,23 @@ CONFIGS = {
     "noiseless_cycle": ("family = fixed_cycle\nn = 5\nd = 6\nN = 30\n" + SMALL, ()),
     "matrix_file": ("family = matrix_file\nmatrix_file = slots.txt\nd = 4\nN = 12\n" + SMALL, ()),
     "matrix_file_gaps": ("family = matrix_file\nmatrix_file = gaps.txt\nwindow = 2\nd = 4\nN = 12\n" + SMALL, ()),
+    # gaps.txt with noise: each seed takes 6 d values at a cycle slot and 3 d
+    # at an identity slot, so draw blocks do not hold equal-sized iterations.
+    "matrix_file_gaps_gauss": (
+        "family = matrix_file\nmatrix_file = gaps.txt\nd = 4\nN = 12\n"
+        "noise = gaussian_channel\nsigma = 0.5\n" + SMALL,
+        ("--assume-q0", "1"),
+    ),
+    "matrix_file_gaps_quant": (
+        "family = matrix_file\nmatrix_file = gaps.txt\nd = 4\nN = 12\n"
+        "noise = stochastic_quantizer\nquantizer_levels = 4\n" + SMALL,
+        ("--assume-q0", "1"),
+    ),
+    # T0 = 1025 lies inside the horizon but off the T_grid (500, 1030).
+    "certify_gossip_n4_tiny": (
+        WORKLOADS["certify_gossip_n4"].config_text(0, WORKLOADS["certify_gossip_n4"].tiny),
+        (),
+    ),
     # The n = 20 mu + nu < 1 certificate, whose burn-in lies far past T.
     "regime1_n20": (
         "family = gossip\nn = 20\nseed = 3\nnoise = stochastic_quantizer\n"
