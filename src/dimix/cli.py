@@ -39,7 +39,6 @@ from .analysis import (
     xi_constants,
 )
 from .dynamics import TRACE_COLUMNS, MonteCarlo, RunConfig, empirical_bounds, monte_carlo
-from .lemmas import run_suite
 from .noise import NoiseModel, noise_variance_bound
 from .objective import build_problem
 from .reporting import VERSION, Config, fmt, parse_config, svg_loglog, write_csv, write_manifest
@@ -147,6 +146,14 @@ def _certificate(cfg: RunConfig) -> _Certificate:
     return _Certificate(lam, kappa_factor(lam, cfg.steps.beta0, sched.B), th, note)
 
 
+def _horizon_grid(cfg: Config) -> tuple[int, ...]:
+    """The config's T_grid, checked before a command does any work."""
+    grid = cfg["T_grid"]
+    if min(grid) < 1:
+        raise ValueError("T_grid entries must be >= 1")
+    return grid
+
+
 def _measured(cfg: RunConfig, mc: MonteCarlo) -> tuple[float, float, float]:
     """(K, state norm bound, gamma) from the completed runs."""
     K, norm_bound = empirical_bounds(tr for tr in mc.traces if not tr.aborted)
@@ -234,6 +241,7 @@ def cmd_validate(args) -> int:
 
 def cmd_theory(args) -> int:
     cfg = parse_config(args.config)
+    T_grid = _horizon_grid(cfg)
     exp = build_experiment(cfg, seed_override=args.seed)
     rc = exp.run_config
     sched, steps, T_sim = rc.schedule, rc.steps, rc.T
@@ -248,7 +256,7 @@ def cmd_theory(args) -> int:
             "raise T or supply --assume-q0"
         )
     # Only the table's horizons and T0 are read from the runs.
-    at = [T for T in exp.values["T_grid"] if 1 <= T <= T_sim] + [th.T0] * (th.T0 <= T_sim)
+    at = [T for T in T_grid if T <= T_sim] + [th.T0] * (th.T0 <= T_sim)
     mc = monte_carlo(rc, exp.values["runs"], seed=exp.values["seed"], jobs=args.jobs, at=at)
     K, _, gamma = _measured(rc, mc)
     if th.T0 <= T_sim:
@@ -279,7 +287,7 @@ def cmd_theory(args) -> int:
         )
     print()
     print("T, certified bound, empirical mean dist_opt_sq, bound/empirical")
-    for T in exp.values["T_grid"]:
+    for T in T_grid:
         bound = theorem_bound(tc, T, strict=False)
         note = "" if T >= tc.thresholds.T_min else "  (below burn-in, not covered)"
         if T <= T_sim:
@@ -289,6 +297,14 @@ def cmd_theory(args) -> int:
         else:
             print(f"{T}, {fmt(bound)}, -, -{note}")
     return 0
+
+
+def run_suite(seed: int):
+    """The lemma suite.  dimix.lemmas is the largest module and only this
+    command runs it, so it is loaded on the first call, not at start-up."""
+    from .lemmas import run_suite as suite
+
+    return suite(seed=seed)
 
 
 def cmd_lemmas(args) -> int:
@@ -305,9 +321,7 @@ def cmd_lemmas(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
-    grid = sorted(set(cfg["T_grid"]))
-    if grid[0] < 1:
-        raise ValueError("T_grid entries must be >= 1")
+    grid = sorted(set(_horizon_grid(cfg)))
     exp = build_experiment(cfg, seed_override=args.seed, T_override=max(grid))
     out = resolve_out_dir(args.out, exp.values)
     mc = monte_carlo(

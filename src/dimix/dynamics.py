@@ -29,7 +29,6 @@ block, batch size and ``--jobs`` value.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -294,6 +293,10 @@ def monte_carlo(
         raise ValueError("need at least one run")
     seeds = [seed + k for k in range(num_runs)]
     if jobs > 1:
+        # Loaded here: concurrent.futures pulls in multiprocessing, which
+        # would otherwise add to every command's start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         size = -(-num_runs // jobs)
         chunks = [seeds[i : i + size] for i in range(0, num_runs, size)]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:

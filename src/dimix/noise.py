@@ -100,27 +100,39 @@ def stochastic_quantize(x, s: int, rng, src=None, work=None) -> np.ndarray:
     work = {} if work is None else work
     q = len(src)
     if work.get("size") != (R, n, q, d):  # first call, or a new batch or slot size
-        work.update(size=(R, n, q, d), rows=np.zeros((3, R, n, d)), msg=np.zeros((3, R, q, d)))
-    rows, msg = work["rows"], work["msg"]
-    norms = np.sqrt((x * x).sum(-1))
-    nrm = np.where(norms > 0.0, norms, 1.0)[..., None]
-    scaled = s * np.minimum(np.abs(x) / nrm, 1.0)  # |x_j| <= ||x|| up to rounding
+        work.update(
+            size=(R, n, q, d),
+            rows=np.zeros((3, R, n, d)),
+            msg=np.zeros((3, R, q, d)),
+            hit=np.zeros((R, q, d), dtype=bool),
+        )
+    rows, msg, hit = work["rows"], work["msg"], work["hit"]
+    low, frac, mag = rows
+    norms = np.sqrt(np.multiply(x, x, out=frac).sum(-1))
+    # Every row is live unless some norm is zero (or nan): then the zero
+    # rows divide by 1 and draw nothing.
+    live = None if norms.min() > 0.0 else norms > 0.0
+    # frac holds s min(|x_j| / ||x||, 1) first: |x_j| <= ||x|| up to rounding
+    nrm = norms if live is None else np.where(live, norms, 1.0)
+    np.divide(np.abs(x, out=frac), nrm[..., None], out=frac)
+    np.multiply(np.minimum(frac, 1.0, out=frac), s, out=frac)
     # low, frac and the signed magnitude of each row, gathered in one take
-    low = np.floor(scaled, out=rows[0])
-    np.subtract(scaled, low, out=rows[1])
-    np.multiply(np.sign(x), norms[..., None], out=rows[2])
+    np.floor(frac, out=low)
+    np.subtract(frac, low, out=frac)
+    np.multiply(np.sign(x, out=mag), norms[..., None], out=mag)
     np.take(rows, src, axis=2, out=msg, mode="wrap")
     low, frac, mag = msg
-    live = np.take(norms > 0.0, src, axis=1)
+    if live is not None:
+        live = np.take(live, src, axis=1)
     if not isinstance(rng, DrawStream):
-        rng = DrawStream(rng, [q * d], need=live.sum(-1) * d)
-    if live.all():
+        rng = DrawStream(rng, [q * d], need=None if live is None else live.sum(-1) * d)
+    if live is None or live.all():
         u = rng.take(q * d).reshape(R, q, d)
     else:  # zero rows draw nothing: there mag = 0 whatever u holds
         u = np.zeros((R, q, d))
         for k, vals in enumerate(rng.take_each(live.sum(-1) * d)):
             u[k, live[k]] = vals.reshape(-1, d)
-    levels = np.add(low, u < frac, out=low)
+    levels = np.add(low, np.less(u, frac, out=hit), out=low)
     np.divide(levels, s, out=levels)
     return np.multiply(mag, levels, out=levels)
 

@@ -1,5 +1,8 @@
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -431,7 +434,7 @@ class TestErrorPaths:
         assert err.startswith(f"error: {self.OVERFLOW_NOTE}")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("case", ["no thresholds", "burn-in beyond T"])
+    @pytest.mark.parametrize("case", ["no thresholds", "burn-in beyond T", "T_grid below 1"])
     def test_theory_fails_before_simulating(self, tmp_path, capsys, monkeypatch, case):
         def no_simulation(*args, **kwargs):
             raise AssertionError("theory simulated a run it could not use")
@@ -441,9 +444,13 @@ class TestErrorPaths:
         if case == "no thresholds":
             cfg.write_text(self.OVERFLOW_CONFIG)
             expected = f"error: {self.OVERFLOW_NOTE}"
-        else:
+        elif case == "burn-in beyond T":
             cfg.write_text(TestTheoryCommand.THEORY_CONFIG.replace("T = 2200", "T = 60"))
             expected = "error: burn-in T0 = "
+        else:
+            grid = "T_grid = 0, 300, 1200"
+            cfg.write_text(TestTheoryCommand.THEORY_CONFIG.replace("T_grid = 500, 2200", grid))
+            expected = "error: T_grid entries must be >= 1"
         rc = main(["theory", "--config", str(cfg)])
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
@@ -461,20 +468,53 @@ class TestBenchmarkHooks:
     builds an experiment as its setup snippet does; a rename that drops one
     of those names would otherwise leave a per-layer metric silently empty."""
 
-    def test_every_traced_name_exists(self):
+    @staticmethod
+    def tracer():
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
         spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
-        tracer = tracing.Tracer()
+        return tracing.Tracer()
+
+    def test_every_traced_name_exists(self):
+        tracer = self.tracer()
         tracer.install()
         try:
             assert tracer.absent == []
         finally:
             tracer.uninstall()
 
+    def test_traced_lemmas_command_records_the_suite(self, capsys):
+        tracer = self.tracer()
+        tracer.install()
+        try:
+            assert main(["lemmas"]) == 0
+        finally:
+            tracer.uninstall()
+        assert [span[0] for span in tracer.spans].count("lemmas.suite") == 1
+        assert tracer.counts["lemmas.instances"] == 7000
+
     def test_setup_snippet_builds_an_experiment(self, config_file):
         import dimix.cli
 
         exp = dimix.cli.build_experiment(dimix.cli.parse_config(config_file))
         assert exp.run_config.problem.n == 4
+
+    def test_building_an_experiment_loads_no_pool_or_lemma_suite(self, config_file):
+        # A fresh interpreter, as every CLI call and the setup snippet start.
+        code = (
+            "import sys\n"
+            "import dimix.cli\n"
+            "dimix.cli.build_experiment(dimix.cli.parse_config(sys.argv[1]))\n"
+            "names = ('concurrent.futures', 'multiprocessing', 'dimix.lemmas')\n"
+            "print(' '.join(name for name in names if name in sys.modules))\n"
+        )
+        src = str(Path(dimix.cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code, config_file],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout == "\n"
