@@ -371,6 +371,26 @@ def theorem_bound(constants: TheoryConstants, T, strict: bool = True):
     return float(out[0]) if scalar else out
 
 
+def theorem_log10_bound(constants: TheoryConstants, T):
+    """log10 of ``theorem_bound(constants, T, strict=False)``, summed in log
+    space: finite below burn-in too, where 2 q0 exp(xi3 (T0^p - T^p)) is not."""
+    mu, nu = constants.steps.mu, constants.steps.nu
+    T = np.asarray(T, dtype=float)
+    if np.any(T < 1):
+        raise ValueError("iterations are numbered from 1")
+    tail = constants.xi4 if constants.regime == 1 else constants.xi5
+    with np.errstate(divide="ignore"):  # a zero term has log -inf
+        out = np.logaddexp(
+            np.log(constants.xi1) - min(mu, 2.0 * nu) * np.log(T),
+            np.log(tail) - min(mu - nu, 2.0 * nu) * np.log(T),
+        )
+        if constants.regime == 1:
+            p = 1.0 - mu - nu
+            burn_in = constants.xi3 * (constants.thresholds.T0**p - T**p)
+            out = np.logaddexp(out, np.log(2.0 * constants.q0) + burn_in)
+    return out / np.log(10.0)
+
+
 # ---------------------------------------------------------------------------
 # empirical rate fitting
 

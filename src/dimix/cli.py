@@ -35,6 +35,7 @@ from .analysis import (
     fit_rate,
     kappa_factor,
     theorem_bound,
+    theorem_log10_bound,
     thresholds,
     xi_constants,
 )
@@ -289,7 +290,9 @@ def cmd_theory(args) -> int:
     print("T, certified bound, empirical mean dist_opt_sq, bound/empirical")
     for T in T_grid:
         bound = theorem_bound(tc, T, strict=False)
-        note = "" if T >= tc.thresholds.T_min else "  (below burn-in, not covered)"
+        notes = ["below burn-in, not covered"] * (T < tc.thresholds.T_min)
+        notes += [f"log10 bound = {fmt(theorem_log10_bound(tc, T))}"] * (not np.isfinite(bound))
+        note = f"  ({'; '.join(notes)})" if notes else ""
         if T <= T_sim:
             emp = float(mc.mean[np.searchsorted(mc.t, T), _DIST])
             ratio = bound / emp if emp > 0 else float("inf")

@@ -18,13 +18,13 @@ x*.  ``monte_carlo(cfg, runs, seed)`` runs seeds seed, seed+1, ... and
 aggregates the columns.
 
 ``run`` advances all of its seeds as one (R, n, d) state and evaluates the
-diagnostics of stored states a chunk of iterations at a time.  Each seed
-draws from its own Philox stream in a fixed canonical order (by iteration;
-then receivers, and each one's neighbors, in ascending index), a block of
-iterations ahead, and no value of a seed depends on the rest of its batch,
-its chunk, its draw block or the recorded iterations, so a trace is a pure
-function of (config, seed): bit-identical for every chunk length, draw
-block, batch size and ``--jobs`` value.
+diagnostics of stored states a chunk of iterations at a time.  The seeds
+draw in lockstep: d values per message, zero rows included (none at t = 1
+for the quantizer, as X(1) = 0), each from its own Philox stream in a fixed
+order (by iteration, then receiver, then sender, ascending), a block of
+iterations ahead.  No value of a seed depends on its batch, chunk, draw
+block or recorded iterations, so a trace is a pure function of (config,
+seed), bit-identical for every batch size and ``--jobs`` value.
 """
 
 from __future__ import annotations
@@ -140,15 +140,15 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
     betas, alpha_betas = betas.tolist(), (cfg.steps.alpha(ts) * betas).tolist()
     draws, sent = None, None
     if noise.kind != "noiseless":
-        # Each seed's values at iterations 1..T-1 when every row it sends is
-        # nonzero.  X(1) = 0 makes the quantizer take none at t = 1, so no
-        # block is ever planned from that step.
+        # d values per message at t = 1..T-1; the quantizer takes none at t = 1.
         sizes = np.array([src.size * d for _, src, _ in plans])[np.arange(T - 1) % len(plans)]
         scale = None
         if noise.kind == "gaussian_channel":
             scale = noise.sigma / np.sqrt(d)
             sent = np.empty(R * sizes.max(initial=0))  # X[:, src] + Z of one iteration
-        draws = DrawStream([philox(seed) for seed in seeds], sizes, scale)
+        else:
+            sizes[:1] = 0
+        draws = DrawStream([philox(seed) for seed in seeds], sizes.sum(), sizes.max(initial=0), scale)
 
     values = np.empty((R, at.size, len(TRACE_COLUMNS)))
     final = np.empty((R, n, d))
@@ -205,6 +205,8 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
             Y = X.take(src, axis=1, out=sent[: L * src.size * d].reshape(L, src.size, d))
             Y += draws.take(src.size * d).reshape(Y.shape)
             np.matmul(M, Y, out=Xhat[:L])
+        elif t == 1:  # X(1) = 0 quantizes to 0: nothing to quantize or draw
+            Xhat[:L] = 0.0
         else:
             np.matmul(M, stochastic_quantize(X, noise.levels, draws, src, work), out=Xhat[:L])
         # X(t+1) = X + beta (Xhat - X) - alpha beta G, evaluated in that order.

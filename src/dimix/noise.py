@@ -71,33 +71,21 @@ def stochastic_quantizer(levels: int) -> NoiseModel:
     return NoiseModel("stochastic_quantizer", levels=int(levels))
 
 
-def stochastic_quantize(x, s: int, rng, src=None, work=None) -> np.ndarray:
-    """Unbiased random quantization of x to s magnitude levels.
+def stochastic_quantize(x, s: int, draws: DrawStream, src, work: dict) -> np.ndarray:
+    """Unbiased random quantization of the rows ``src`` of a batch x.
 
-    Each coordinate is mapped to sign(x_j) * ||x|| * (level / s) where the
-    level is the randomized rounding of s|x_j|/||x||.  The zero vector passes
-    through unchanged and draws nothing.  A vector or an (m, d) matrix of
-    rows takes one generator, with independent draws per row in row order.
-
-    A batch x of shape (R, n, d) takes R generators, one per batch item, or
-    a uniform ``DrawStream`` over R seeds, and quantizes the rows ``src`` of
-    each item (all n when omitted) into an (R, len(src), d) result; a row
-    listed twice gets two independent draws.  Per-row terms are computed once
-    per row of x and gathered in one take, and item k's nonzero output rows
-    take item k's next uniforms in order, so every item's result is a
-    function of that item alone.  Generators are read through a stream that
-    draws exactly what this call uses.  A dict ``work`` kept between calls
-    holds the scratch arrays; the result is a view into it, valid until the
-    next call with it.
+    Each coordinate of a row is mapped to sign(x_j) * ||x|| * (level / s)
+    where the level is the randomized rounding of s|x_j|/||x||.  x has shape
+    (R, n, d), ``draws`` reads one stream per batch item, and the result has
+    shape (R, len(src), d); a row listed twice gets two independent draws.
+    Every output row takes the next d uniforms of its item's stream, zero
+    rows included (they come out zero whatever they draw), so each item's
+    result and draw count are functions of that item alone.  Per-row terms
+    are computed once per row of x and gathered in one take into ``work``,
+    a dict of scratch arrays kept between calls; the result is a view into
+    it, valid until the next call with it.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim in (1, 2):
-        return stochastic_quantize(np.atleast_2d(x)[None], s, [rng])[0].reshape(x.shape)
-    if x.ndim != 3:
-        raise ValueError("expected a vector, a matrix of row vectors or a batch of matrices")
     R, n, d = x.shape
-    src = np.arange(n) if src is None else src
-    work = {} if work is None else work
     q = len(src)
     if work.get("size") != (R, n, q, d):  # first call, or a new batch or slot size
         work.update(
@@ -109,12 +97,9 @@ def stochastic_quantize(x, s: int, rng, src=None, work=None) -> np.ndarray:
     rows, msg, hit = work["rows"], work["msg"], work["hit"]
     low, frac, mag = rows
     norms = np.sqrt(np.multiply(x, x, out=frac).sum(-1))
-    # Every row is live unless some norm is zero (or nan): then the zero
-    # rows divide by 1 and draw nothing.
-    live = None if norms.min() > 0.0 else norms > 0.0
-    # frac holds s min(|x_j| / ||x||, 1) first: |x_j| <= ||x|| up to rounding
-    nrm = norms if live is None else np.where(live, norms, 1.0)
-    np.divide(np.abs(x, out=frac), nrm[..., None], out=frac)
+    # frac holds s min(|x_j| / ||x||, 1) first: |x_j| <= ||x|| up to rounding.
+    # A zero row's norm is raised to the least double, so its terms stay 0.
+    np.divide(np.abs(x, out=frac), np.maximum(norms, 5e-324, out=norms)[..., None], out=frac)
     np.multiply(np.minimum(frac, 1.0, out=frac), s, out=frac)
     # low, frac and the signed magnitude of each row, gathered in one take
     np.floor(frac, out=low)
@@ -122,16 +107,7 @@ def stochastic_quantize(x, s: int, rng, src=None, work=None) -> np.ndarray:
     np.multiply(np.sign(x, out=mag), norms[..., None], out=mag)
     np.take(rows, src, axis=2, out=msg, mode="wrap")
     low, frac, mag = msg
-    if live is not None:
-        live = np.take(live, src, axis=1)
-    if not isinstance(rng, DrawStream):
-        rng = DrawStream(rng, [q * d], need=None if live is None else live.sum(-1) * d)
-    if live is None or live.all():
-        u = rng.take(q * d).reshape(R, q, d)
-    else:  # zero rows draw nothing: there mag = 0 whatever u holds
-        u = np.zeros((R, q, d))
-        for k, vals in enumerate(rng.take_each(live.sum(-1) * d)):
-            u[k, live[k]] = vals.reshape(-1, d)
+    u = draws.take(q * d).reshape(R, q, d)
     levels = np.add(low, np.less(u, frac, out=hit), out=low)
     np.divide(levels, s, out=levels)
     return np.multiply(mag, levels, out=levels)

@@ -9,6 +9,7 @@ sets, sharing no connectivity code with ``dimix.topology``.
 import numpy as np
 
 from dimix.noise import stochastic_quantize
+from dimix.rng import DrawStream
 from dimix.topology import ValidationReport, entry_floor, gossip_pair
 
 
@@ -32,20 +33,25 @@ def zeta(tau, s: int, u) -> np.ndarray:
     return low + (u < scaled - low)
 
 
+def quantize(x, s: int, rng) -> np.ndarray:
+    """``stochastic_quantize`` of a vector or an (m, d) matrix of rows with
+    one generator: d uniforms per row in row order, zero rows included."""
+    x = np.asarray(x, dtype=float)
+    rows = np.atleast_2d(x)
+    draws = DrawStream([rng], rows.size, rows.size)
+    return stochastic_quantize(rows[None], s, draws, np.arange(len(rows)), {})[0].reshape(x.shape)
+
+
 def quantize_formula(x, s: int, gens, src) -> np.ndarray:
     """The quantizer as one formula, mag * ((low + (u < frac)) / s), with
     every (R, n, d) row quantity gathered to the ``src`` rows separately and
-    one uniform vector drawn per nonzero output row, in row order."""
+    one uniform drawn per output coordinate, in row order."""
     x = np.asarray(x, dtype=float)
     norms = np.sqrt((x * x).sum(-1))
     nrm = np.where(norms > 0.0, norms, 1.0)[..., None]
     scaled = s * np.minimum(np.abs(x) / nrm, 1.0)
     low = np.floor(scaled)
-    u = np.zeros((x.shape[0], len(src), x.shape[2]))
-    for k, g in enumerate(gens):
-        for m, i in enumerate(src):
-            if norms[k, i] > 0.0:
-                u[k, m] = g.random(x.shape[2])
+    u = np.stack([g.random((len(src), x.shape[2])) for g in gens])
     mag = np.sign(x) * norms[..., None]
     return mag[:, src] * ((low[:, src] + (u < (scaled - low)[:, src])) / s)
 
@@ -57,7 +63,9 @@ def neighbor_estimate(states, w_row, model, rng) -> np.ndarray:
     the mixing matrix.  Independent corruption is drawn for every positive
     entry of the row, including the agent's own (a node quantizes or
     transmits its own state through the same pipeline), in ascending neighbor
-    order, the order the batched engine consumes the generator in.
+    order, the order the batched engine consumes the generator in.  While
+    every state is zero the quantizer draws nothing, as the engine does at
+    t = 1.
     """
     states = np.asarray(states, dtype=float)
     w_row = np.asarray(w_row, dtype=float)
@@ -73,8 +81,9 @@ def neighbor_estimate(states, w_row, model, rng) -> np.ndarray:
         d = states.shape[1]
         z = rng.normal(0.0, model.sigma / np.sqrt(d), size=(support.size, d))
         return w_row[support] @ (states[support] + z)
-    q = stochastic_quantize(states[support], model.levels, rng)
-    return w_row[support] @ q
+    if not states.any():
+        return np.zeros(states.shape[1])
+    return w_row[support] @ quantize(states[support], model.levels, rng)
 
 
 def step_matrix(X, W, E, grads, alpha_t, beta_t):

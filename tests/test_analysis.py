@@ -14,6 +14,7 @@ from dimix.analysis import (
     kappa_factor,
     r_norm_sq,
     theorem_bound,
+    theorem_log10_bound,
     thresholds,
     weighted_mean,
     xi_constants,
@@ -307,6 +308,28 @@ class TestTheoremBound:
             warnings.simplefilter("error")
             bound = theorem_bound(tc, T, strict=False)
         np.testing.assert_array_equal(bound, tc.xi1 * T**-0.1 + 0.0 + tc.xi4 * T**-0.05)
+
+    @pytest.mark.parametrize("case", ["regime1", "regime1-overflow", "regime1-zero-q0", "regime2"])
+    def test_log10_bound_matches_where_finite(self, case):
+        steps = StepSchedule(alpha0=0.25, nu=0.05, beta0=0.8, mu=0.1)
+        if case == "regime1":
+            tc = TestXiConstants().small_regime1()
+        elif case == "regime2":
+            steps = StepSchedule(alpha0=0.1, nu=0.25, beta0=0.7, mu=0.75)
+            tc = xi_constants(steps, 1e-3, kappa_factor(1e-3, 0.7, B=4), 0.0293, 6.229, 1.25, 200.0, 1.0)
+        else:
+            q0 = 0.0 if case == "regime1-zero-q0" else 1.5
+            tc = xi_constants(steps, 1e-5, kappa_factor(1e-5, 0.8, B=20), 2.0, 2.0, 0.5, 3.0, q0)
+        T0 = tc.thresholds.T0
+        T = np.unique(np.geomspace(1, 100 * T0, 60).round())
+        bound = theorem_bound(tc, T, strict=False)
+        got = theorem_log10_bound(tc, T)
+        finite = np.isfinite(bound)
+        assert np.all(np.isfinite(got))
+        assert finite.any() and (case != "regime1-overflow" or not finite.all())
+        np.testing.assert_allclose(got[finite], np.log10(bound[finite]), rtol=1e-12, atol=0.0)
+        scalar = theorem_bound(tc, T0, strict=False)
+        assert theorem_log10_bound(tc, T0) == pytest.approx(math.log10(scalar), rel=1e-12)
 
     def test_vectorized_and_scalar(self):
         tc = TestXiConstants().small_regime1()

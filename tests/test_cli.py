@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import os
 import re
 import subprocess
@@ -324,6 +325,13 @@ T_grid = 500, 2200
         assert rc == 0
         assert captured.err == ""
         assert "xi2 = inf" in captured.out
+        # The bound overflows on every row; each one gives its log10.
+        rows = captured.out.split("bound/empirical\n")[1].splitlines()
+        assert len(rows) == 2
+        for row in rows:
+            assert row.split(", ")[1] == "inf"
+            log10 = re.search(r"; log10 bound = (\S+)\)$", row)
+            assert log10 and math.isfinite(float(log10.group(1)))
 
 
     def test_zero_q0_below_burn_in_prints_no_nan(self, tmp_path, capsys):

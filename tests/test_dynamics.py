@@ -181,6 +181,27 @@ class TestBatchedEstimates:
             X = X + b_t * (Xhat - X) - a_t * b_t * G
         np.testing.assert_allclose(fast.final_state, X, atol=1e-13)
 
+    def test_zero_message_row_draws_like_the_oracle(self):
+        # Agent 1 has zero labels, so b_1 = 0 and x_1(2) = alpha beta b_1 = 0:
+        # at t = 2 it sends a zero row, which still takes its d uniforms.
+        pick = philox(3)
+        schedule = fixed_cycle_schedule(random_weights(philox(4), 3))
+        Us = [pick.random((5, 4)) + 0.2 for _ in range(3)]
+        vs = [pick.random(5), np.zeros(5), pick.random(5)]
+        p = model(Us, vs, schedule.r)
+        cfg = RunConfig(problem=p, schedule=schedule, steps=DEFAULT_STEPS, T=6, noise=stochastic_quantizer(3))
+        trace = run(cfg, [8])[0]
+        rng = philox(8)
+        X = np.zeros((3, 4))
+        dist = [dist_opt_sq(X, p.r, p.x_star)]
+        for t in range(1, 6):
+            X = step(X, t, cfg, rng)
+            dist.append(dist_opt_sq(X, p.r, p.x_star))
+            if t == 1:
+                assert not X[1].any() and X[[0, 2]].all()
+        np.testing.assert_allclose(trace.final_state, X, atol=5e-14)
+        np.testing.assert_allclose(col(trace.values, "dist_opt_sq"), dist, rtol=1e-12)
+
     def test_step_agrees_with_run(self):
         cfg = simple_config(T=6, noise=stochastic_quantizer(3))
         full = run(cfg, [8])[0]
@@ -282,8 +303,8 @@ class TestChunkInvariance:
     def test_single_iteration(self, monkeypatch):
         self.check(monkeypatch, small_instance_config("gossip", stochastic_quantizer(4), 1))
 
-    def test_zero_state_quantizer_draws_nothing(self, monkeypatch):
-        # Zero data keeps every state at zero, so no row is ever quantized.
+    def test_zero_state_quantizer_draws_in_lockstep(self, monkeypatch):
+        # Zero data keeps every state at zero; the zero rows still draw.
         schedule = gossip_schedule(np.full(4, 0.25))
         cfg = TestConservationLaws().zero_gradient_config(schedule, T=9)
         cfg = replace(cfg, noise=stochastic_quantizer(4))
@@ -296,8 +317,14 @@ class TestChunkInvariance:
         monkeypatch.setattr(dynamics, "philox", tracked_philox)
         for tr in self.check(monkeypatch, cfg, seeds=range(3)):
             assert not tr.values.any() and not tr.final_state.any()
-        # One run per chunk length, each with seeds 0, 1, 2: no draw was made.
-        assert [g.random() for g in gens] == [philox(s).random() for _ in range(3) for s in range(3)]
+        # One run per chunk length, each with seeds 0, 1, 2: every generator
+        # drew d values per message at t = 2 .. T - 1, none at t = 1.
+        (q,) = {int(k) for k in (schedule.matrices > 0.0).sum(axis=(1, 2))}  # messages per slot
+        assert len(gens) == 9
+        for k, g in enumerate(gens):
+            fresh = philox(k % 3)
+            fresh.random((cfg.T - 2) * q * cfg.problem.d)
+            assert g.random() == fresh.random()
 
 
 CYCLE = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
@@ -324,8 +351,8 @@ BLOCK_CONFIGS = {
 
 
 def iteration_values(cfg):
-    """Values one seed takes per iteration when every row it sends is nonzero;
-    at t = 1 the quantizer sends only zero rows."""
+    """Values one seed takes per iteration: d per message, zero rows
+    included, and none at t = 1 for the quantizer, where X(1) = 0."""
     W = cfg.schedule.matrices
     per_slot = (W > 0.0).sum(axis=(1, 2)) * cfg.problem.d
     sizes = per_slot[np.arange(cfg.T - 1) % len(W)]
@@ -411,7 +438,7 @@ class TestDrawBlockInvariance:
 
 class TestDrawStream:
     """Each seed's values are those of one call per take, whatever the
-    blocks, the skipped counts and the seeds dropped on the way."""
+    blocks and the seeds dropped on the way."""
 
     @pytest.mark.parametrize("trial", range(6))
     def test_matches_one_call_per_take(self, monkeypatch, trial):
@@ -420,32 +447,22 @@ class TestDrawStream:
         sizes = pick.integers(0, 12, size=steps)
         monkeypatch.setattr(rng_module, "DRAW_BYTES", 8 * R * int(pick.integers(1, 3 * sizes.max() + 2)))
         scale = [None, 0.7][trial % 2]
-        stream = DrawStream([philox(trial, k) for k in range(R)], sizes, scale)
+        stream = DrawStream([philox(trial, k) for k in range(R)], sizes.sum(), sizes.max(), scale)
         refs = {k: philox(trial, k) for k in range(R)}
         seeds = list(range(R))
         for m in sizes:
-            full = pick.random() < 0.5
-            counts = np.full(len(seeds), m) if full else pick.integers(0, m + 1, size=len(seeds))
-            got = stream.take(int(m)) if full else stream.take_each(counts)
-            for k, vals, c in zip(seeds, got, counts, strict=True):
+            got = stream.take(int(m))
+            assert got.shape == (len(seeds), m)
+            for k, vals in zip(seeds, got, strict=True):
                 g = refs[k]
-                want = g.random(c) if scale is None else g.normal(0.0, scale, c)
-                assert np.asarray(vals).tobytes() == want.tobytes()
+                want = g.random(m) if scale is None else g.normal(0.0, scale, m)
+                assert vals.tobytes() == want.tobytes()
             if len(seeds) > 1 and pick.random() < 0.15:
                 ok = np.arange(len(seeds)) != pick.integers(len(seeds))
                 stream.keep(ok)
                 seeds = [k for k, keep in zip(seeds, ok) if keep]
-        # No seed ever draws more than the sum of the sizes.
-        assert min(stream.left, default=0) >= 0
-
-    def test_one_call_stream_draws_each_seed_its_count(self):
-        gens = [philox(4, k) for k in range(3)]
-        counts = [0, 5, 2]
-        got = DrawStream(gens, [6], need=counts).take_each(counts)
-        for k, (g, c) in enumerate(zip(gens, counts)):
-            fresh = philox(4, k)
-            assert got[k].tolist() == fresh.random(c).tolist()
-            assert g.random() == fresh.random()
+        # Every seed drew the sum of the sizes, no more.
+        assert stream.left == 0
 
     def test_normals_are_loc_plus_scaled_values(self):
         # Generator.normal returns loc + scale * z: at loc 0 a z of -0.0
@@ -455,30 +472,30 @@ class TestDrawStream:
                 out[:] = [-0.0, 1.5, -2.0]
                 return out
 
-        vals = DrawStream([Fixed()], [3], scale=0.25).take(3)[0]
+        vals = DrawStream([Fixed()], 3, 3, scale=0.25).take(3)[0]
         assert vals.tobytes() == np.array([0.0, 0.375, -0.5]).tobytes()
 
     @pytest.mark.parametrize("R", [1, 2, 50])
     def test_buffer_within_byte_bounds(self, R):
-        # Whole steps of 100 values: a seed's row holds at most ROW_BYTES,
-        # the batch at most DRAW_BYTES.
-        stream = DrawStream([philox(5, k) for k in range(R)], np.full(10_000, 100))
+        # Takes of 100 values: a seed's row holds at most ROW_BYTES, the
+        # batch at most DRAW_BYTES, and a refill fills the whole row.
+        stream = DrawStream([philox(5, k) for k in range(R)], 10_000 * 100, 100)
         width = stream.buf.shape[1]
         assert width <= rng_module.ROW_BYTES // 8 and R * width * 8 <= rng_module.DRAW_BYTES
         assert width >= min(rng_module.ROW_BYTES, rng_module.DRAW_BYTES // R) // 8 - 100
         stream.take(100)
-        assert stream.end == [width // 100 * 100] * R
+        assert stream.end == width
 
     def test_never_draws_beyond_need(self, monkeypatch):
+        # Rows of 5 values for takes of 4: the last refill stops at the total.
         monkeypatch.setattr(rng_module, "DRAW_BYTES", 8 * 2 * 5)
         gens = [philox(3, 0), philox(3, 1)]
-        stream = DrawStream(gens, [4, 4, 4])
-        stream.take_each([0, 4])  # seed 0 skips a whole step
-        stream.take(4)
-        stream.take(4)
+        stream = DrawStream(gens, 12, 4)
+        for _ in range(3):
+            stream.take(4)
         fresh = philox(3, 0)
-        fresh.random(8)
-        assert gens[0].random() == fresh.random()  # drew its 8 values, not 12
+        fresh.random(12)
+        assert gens[0].random() == fresh.random()  # drew its 12 values, not 15
 
 
 class TestExactExpectation:

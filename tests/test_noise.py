@@ -11,9 +11,9 @@ from dimix.noise import (
     stochastic_quantize,
     stochastic_quantizer,
 )
-from dimix.rng import philox
+from dimix.rng import DrawStream, philox
 
-from oracles import neighbor_estimate, quantize_formula, zeta
+from oracles import neighbor_estimate, quantize, quantize_formula, zeta
 
 
 class TestModelValidation:
@@ -92,11 +92,14 @@ class TestZeta:
 
 
 class TestStochasticQuantize:
-    def test_zero_vector_passes_through_without_draws(self):
+    def test_zero_vector_passes_through(self):
+        # The zero vector comes out zero and still takes its d uniforms.
         rng = philox(3)
-        out = stochastic_quantize(np.zeros(6), 4, rng)
+        out = quantize(np.zeros(6), 4, rng)
         np.testing.assert_array_equal(out, np.zeros(6))
-        assert rng.random() == philox(3).random()
+        fresh = philox(3)
+        fresh.random(6)
+        assert rng.random() == fresh.random()
 
     def test_scaled_basis_vector_is_reproduced_exactly(self):
         # tau is exactly 1 on the live coordinate and 0 elsewhere; no
@@ -105,18 +108,18 @@ class TestStochasticQuantize:
         for c in (0.7, -2.5, 1e-8):
             x = np.zeros(5)
             x[2] = c
-            np.testing.assert_array_equal(stochastic_quantize(x, 7, rng), x)
+            np.testing.assert_array_equal(quantize(x, 7, rng), x)
 
     def test_three_four_five_triangle(self):
         # ||(3,4)|| = 5 and s=5 puts both coordinates on exact levels.
-        out = stochastic_quantize(np.array([3.0, 4.0]), 5, philox(5))
+        out = quantize(np.array([3.0, 4.0]), 5, philox(5))
         np.testing.assert_allclose(out, [3.0, 4.0], atol=1e-12)
 
     def test_output_on_level_grid(self):
         rng = philox(6)
         x = rng.normal(size=12)
         s = 4
-        q = stochastic_quantize(x, s, rng)
+        q = quantize(x, s, rng)
         levels = q * s / np.linalg.norm(x)
         np.testing.assert_allclose(levels, np.round(levels), atol=1e-9)
         assert np.all(np.sign(q[q != 0]) == np.sign(x[q != 0]))
@@ -128,7 +131,7 @@ class TestStochasticQuantize:
             for s in (1, 4, 16):
                 x = rng.normal(size=d)
                 batch = np.broadcast_to(x, (draws, d))
-                err = stochastic_quantize(batch, s, rng) - x
+                err = quantize(batch, s, rng) - x
                 se_mean = err.std(axis=0, ddof=1) / np.sqrt(draws)
                 assert np.all(np.abs(err.mean(axis=0)) <= 4 * se_mean + 1e-15)
 
@@ -141,17 +144,19 @@ class TestStochasticQuantize:
         # Row k of a batched call sees the same uniforms as a sequential loop
         # over rows with the same generator.
         X = philox(8).normal(size=(5, 7))
-        batched = stochastic_quantize(X, 4, philox(9))
+        batched = quantize(X, 4, philox(9))
         rng = philox(9)
-        rows = np.stack([stochastic_quantize(row, 4, rng) for row in X])
+        rows = np.stack([quantize(row, 4, rng) for row in X])
         np.testing.assert_array_equal(batched, rows)
 
-    def test_zero_row_consumes_nothing_in_batch(self):
+    def test_zero_row_draws_its_uniforms_in_batch(self):
         X = philox(10).normal(size=(3, 6))
         X[1] = 0.0
-        batched = stochastic_quantize(X, 4, philox(11))
-        alone = stochastic_quantize(X[[0, 2]], 4, philox(11))
-        np.testing.assert_array_equal(batched[[0, 2]], alone)
+        batched = quantize(X, 4, philox(11))
+        rng = philox(11)
+        first = quantize(X[0], 4, rng)
+        rng.random(6)  # the zero row's uniforms
+        np.testing.assert_array_equal(batched[[0, 2]], [first, quantize(X[2], 4, rng)])
         np.testing.assert_array_equal(batched[1], np.zeros(6))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -165,25 +170,27 @@ class TestStochasticQuantize:
             x[rng.random((R, n)) < 0.3] = 0.0
             src = rng.integers(0, n, size=2 * n)
             s = int(rng.integers(1, 9))
-            got = stochastic_quantize(x, s, [philox(seed, k) for k in range(R)], src, work)
+            draws = DrawStream([philox(seed, k) for k in range(R)], src.size * d, src.size * d)
+            got = stochastic_quantize(x, s, draws, src, work)
             want = quantize_formula(x, s, [philox(seed, k) for k in range(R)], src)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
     def test_generators_resume_after_zero_rows(self):
-        # A call draws exactly the uniforms of its nonzero rows, so the next
+        # A call draws d uniforms per row, zero rows included, so the next
         # call on the same generators goes on where the row-by-row oracle does.
         x = philox(53).normal(size=(2, 3, 4))
         x[0, 1] = 0.0
         gens, ref = [philox(54, k) for k in range(2)], [philox(54, k) for k in range(2)]
         for _ in range(3):
-            got = stochastic_quantize(x, 3, gens)
+            got = stochastic_quantize(x, 3, DrawStream(gens, 12, 12), np.arange(3), {})
+            assert not got[0, 1].any()
             assert got.tobytes() == quantize_formula(x, 3, ref, np.arange(3)).tobytes()
 
     def test_single_generator_matches_formula(self):
         x = philox(51).normal(size=(6, 4))
         x[2] = 0.0
-        got = stochastic_quantize(x, 3, philox(52))
+        got = quantize(x, 3, philox(52))
         want = quantize_formula(x[None], 3, [philox(52)], np.arange(6))[0]
         assert got.tobytes() == want.tobytes()
 
