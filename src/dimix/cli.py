@@ -243,6 +243,8 @@ def cmd_validate(args) -> int:
 def cmd_theory(args) -> int:
     cfg = parse_config(args.config)
     T_grid = _horizon_grid(cfg)
+    if args.assume_q0 is not None and not 0.0 <= args.assume_q0 < np.inf:  # also true on nan
+        raise ValueError(f"gamma, K, q0 must be finite and nonnegative, got --assume-q0 {args.assume_q0}")
     exp = build_experiment(cfg, seed_override=args.seed)
     rc = exp.run_config
     sched, steps, T_sim = rc.schedule, rc.steps, rc.T

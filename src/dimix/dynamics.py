@@ -29,12 +29,12 @@ seed), bit-identical for every batch size and ``--jobs`` value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import StepSchedule, deviation_sq, dist_opt_sq, weighted_mean
-from .noise import NoiseModel, noiseless, stochastic_quantize
+from .noise import NoiseModel, stochastic_quantize
 from .objective import Problem
 from .rng import DrawStream, philox
 from .topology import STATIONARITY_TOL, MixingSchedule
@@ -57,7 +57,7 @@ class RunConfig:
     schedule: MixingSchedule
     steps: StepSchedule
     T: int
-    noise: NoiseModel = field(default_factory=noiseless)
+    noise: NoiseModel = NoiseModel("noiseless")
 
     def __post_init__(self) -> None:
         if self.T < 1:
@@ -161,6 +161,17 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
     G, Xhat = np.empty((R, n, d)), np.empty((R, n, d))
     work: dict = {}
 
+    def bind(L):
+        """Views of the first L batch rows: per chunk slot X, X[..., None],
+        HX and HX[..., None]; G; Xhat; b copied to (L, n, d); and per
+        period slot the (L, messages, d) buffer of sent values.  Made when
+        the batch forms or shrinks, so an iteration only runs ufuncs and
+        products on them."""
+        views = [(X, X[..., None], HX, HX[..., None]) for X, HX in zip(Xs[:, :L], HXs[:, :L])]
+        sends = None if sent is None else [sent[: L * s.size * d].reshape(L, s.size, d) for _, s, _ in plans]
+        b = np.ascontiguousarray(np.broadcast_to(problem.b, (L, n, d)))
+        return views, G[:L], Xhat[:L], b, sends
+
     def record(t, m):
         """Maxima over iterations t-m+1..t (slots 0..m-1) of the live seeds,
         and the trace columns at those of them that are recorded."""
@@ -188,35 +199,36 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
             axis=-1,
         ).swapaxes(0, 1)
 
+    views, G_L, D, b, sends = bind(R)
     j = 0
     for t in range(1, T + 1):
-        L = live.size
-        X, HX = Xs[j, :L], HXs[j, :L]
-        np.matmul(problem.H, X[..., None], out=HX[..., None])
+        X, Xcol, HX, HXcol = views[j]
+        np.matmul(problem.H, Xcol, out=HXcol)
         if t == T or j == chunk - 1:
             record(t, j + 1)
             if t == T:
                 break
-        np.subtract(HX, problem.b, out=G[:L])
-        W, src, M = plans[(t - 1) % len(plans)]
+        np.subtract(HX, b, out=G_L)
+        k = (t - 1) % len(plans)
+        W, src, M = plans[k]
         if noise.kind == "noiseless":
-            np.matmul(W, X, out=Xhat[:L])
+            np.matmul(W, X, out=D)
         elif noise.kind == "gaussian_channel":
-            Y = X.take(src, axis=1, out=sent[: L * src.size * d].reshape(L, src.size, d))
+            Y = X.take(src, axis=1, out=sends[k], mode="wrap")
             Y += draws.take(src.size * d).reshape(Y.shape)
-            np.matmul(M, Y, out=Xhat[:L])
+            np.matmul(M, Y, out=D)
         elif t == 1:  # X(1) = 0 quantizes to 0: nothing to quantize or draw
-            Xhat[:L] = 0.0
+            D[...] = 0.0
         else:
-            np.matmul(M, stochastic_quantize(X, noise.levels, draws, src, work), out=Xhat[:L])
+            np.matmul(M, stochastic_quantize(X, noise.levels, draws, src, work), out=D)
         # X(t+1) = X + beta (Xhat - X) - alpha beta G, evaluated in that order.
         j = (j + 1) % chunk
-        Xn, D = Xs[j, :L], Xhat[:L]
+        Xn = views[j][0]
         np.subtract(D, X, out=D)
         D *= betas[t - 1]
         np.add(X, D, out=Xn)
-        G[:L] *= alpha_betas[t - 1]
-        Xn -= G[:L]
+        G_L *= alpha_betas[t - 1]
+        Xn -= G_L
         if not np.abs(Xn, out=D).max() <= DIVERGENCE_LIMIT:  # also true on inf/nan
             ok = (D <= DIVERGENCE_LIMIT).all(axis=(1, 2))
             if j:  # the pending rows belong to the live set before it shrinks
@@ -229,6 +241,7 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
                 break
             if draws is not None:
                 draws.keep(ok)
+            views, G_L, D, b, sends = bind(live.size)
     final[live] = Xs[j, : live.size]
 
     traces = []

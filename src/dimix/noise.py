@@ -59,18 +59,6 @@ class NoiseModel:
                 raise ValueError("noiseless takes no parameters")
 
 
-def noiseless() -> NoiseModel:
-    return NoiseModel("noiseless")
-
-
-def gaussian_channel(sigma: float) -> NoiseModel:
-    return NoiseModel("gaussian_channel", sigma=float(sigma))
-
-
-def stochastic_quantizer(levels: int) -> NoiseModel:
-    return NoiseModel("stochastic_quantizer", levels=int(levels))
-
-
 def stochastic_quantize(x, s: int, draws: DrawStream, src, work: dict) -> np.ndarray:
     """Unbiased random quantization of the rows ``src`` of a batch x.
 
@@ -82,35 +70,34 @@ def stochastic_quantize(x, s: int, draws: DrawStream, src, work: dict) -> np.nda
     rows included (they come out zero whatever they draw), so each item's
     result and draw count are functions of that item alone.  Per-row terms
     are computed once per row of x and gathered in one take into ``work``,
-    a dict of scratch arrays kept between calls; the result is a view into
-    it, valid until the next call with it.
+    a dict kept between calls that holds scratch arrays and their views, one
+    set per batch and slot size; the result is a view into it, valid until
+    the next call with it.
     """
     R, n, d = x.shape
     q = len(src)
-    if work.get("size") != (R, n, q, d):  # first call, or a new batch or slot size
-        work.update(
-            size=(R, n, q, d),
-            rows=np.zeros((3, R, n, d)),
-            msg=np.zeros((3, R, q, d)),
-            hit=np.zeros((R, q, d), dtype=bool),
-        )
-    rows, msg, hit = work["rows"], work["msg"], work["hit"]
-    low, frac, mag = rows
-    norms = np.sqrt(np.multiply(x, x, out=frac).sum(-1))
+    views = work.get((R, n, q, d))
+    if views is None:  # first call, or a new batch or slot size
+        rows, msg, norms = np.zeros((3, R, n, d)), np.zeros((3, R, q, d)), np.zeros((R, n))
+        hit = np.zeros((R, q, d), dtype=bool)
+        views = work[R, n, q, d] = (rows, *rows, msg, *msg, norms, norms[..., None], hit)
+    rows, low, frac, mag, msg, m_low, m_frac, m_mag, norms, col, hit = views
+    np.add.reduce(np.multiply(x, x, out=frac), axis=-1, out=norms)
+    np.sqrt(norms, out=norms)
     # frac holds s min(|x_j| / ||x||, 1) first: |x_j| <= ||x|| up to rounding.
     # A zero row's norm is raised to the least double, so its terms stay 0.
-    np.divide(np.abs(x, out=frac), np.maximum(norms, 5e-324, out=norms)[..., None], out=frac)
+    np.maximum(norms, 5e-324, out=norms)
+    np.divide(np.abs(x, out=frac), col, out=frac)
     np.multiply(np.minimum(frac, 1.0, out=frac), s, out=frac)
     # low, frac and the signed magnitude of each row, gathered in one take
     np.floor(frac, out=low)
     np.subtract(frac, low, out=frac)
-    np.multiply(np.sign(x, out=mag), norms[..., None], out=mag)
+    np.multiply(np.sign(x, out=mag), col, out=mag)
     np.take(rows, src, axis=2, out=msg, mode="wrap")
-    low, frac, mag = msg
     u = draws.take(q * d).reshape(R, q, d)
-    levels = np.add(low, np.less(u, frac, out=hit), out=low)
+    levels = np.add(m_low, np.less(u, m_frac, out=hit), out=m_low)
     np.divide(levels, s, out=levels)
-    return np.multiply(mag, levels, out=levels)
+    return np.multiply(m_mag, levels, out=levels)
 
 
 def quantizer_variance_coeff(d: int, s: int) -> float:

@@ -3,6 +3,7 @@
 import numpy as np
 
 from dimix.dynamics import TRACE_COLUMNS
+from dimix.noise import NoiseModel
 from dimix.objective import Problem, local_quadratics, quadratic_problem
 
 
@@ -29,3 +30,15 @@ def model(Us, vs, r, x_star=None) -> Problem:
 def col(values, name):
     """One named column of a (T, 4) trace or Monte Carlo array."""
     return values[..., TRACE_COLUMNS.index(name)]
+
+
+def noiseless() -> NoiseModel:
+    return NoiseModel("noiseless")
+
+
+def gaussian_channel(sigma: float) -> NoiseModel:
+    return NoiseModel("gaussian_channel", sigma=float(sigma))
+
+
+def stochastic_quantizer(levels: int) -> NoiseModel:
+    return NoiseModel("stochastic_quantizer", levels=int(levels))

@@ -16,11 +16,7 @@ from dimix.analysis import StepSchedule, fit_rate, theorem_bound, thresholds, xi
 from dimix.analysis import contraction_factor, kappa_factor
 from dimix.dynamics import MonteCarlo, RunConfig, empirical_bounds, monte_carlo, run
 from dimix.lemmas import run_suite
-from dimix.noise import (
-    noise_variance_bound,
-    noiseless,
-    stochastic_quantizer,
-)
+from dimix.noise import noise_variance_bound
 from dimix.objective import build_problem
 from dimix.rng import philox
 from dimix.topology import (
@@ -30,7 +26,7 @@ from dimix.topology import (
     validate_schedule,
 )
 
-from helpers import col, model
+from helpers import col, model, noiseless, stochastic_quantizer
 from oracles import quantize
 
 GRID = (500, 1000, 2000, 4000, 5000)

@@ -442,14 +442,21 @@ class TestErrorPaths:
         assert err.startswith(f"error: {self.OVERFLOW_NOTE}")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("case", ["no thresholds", "burn-in beyond T", "T_grid below 1"])
+    @pytest.mark.parametrize(
+        "case", ["no thresholds", "burn-in beyond T", "T_grid below 1", "negative assumed q0"]
+    )
     def test_theory_fails_before_simulating(self, tmp_path, capsys, monkeypatch, case):
         def no_simulation(*args, **kwargs):
             raise AssertionError("theory simulated a run it could not use")
 
         monkeypatch.setattr(dimix.cli, "monte_carlo", no_simulation)
         cfg = tmp_path / "cfg"
-        if case == "no thresholds":
+        extra = []
+        if case == "negative assumed q0":
+            cfg.write_text(TestTheoryCommand.THEORY_CONFIG.replace("T = 2200", "T = 60"))
+            extra = ["--assume-q0", "-1"]
+            expected = "error: gamma, K, q0 must be finite and nonnegative, got --assume-q0 -1.0"
+        elif case == "no thresholds":
             cfg.write_text(self.OVERFLOW_CONFIG)
             expected = f"error: {self.OVERFLOW_NOTE}"
         elif case == "burn-in beyond T":
@@ -459,7 +466,7 @@ class TestErrorPaths:
             grid = "T_grid = 0, 300, 1200"
             cfg.write_text(TestTheoryCommand.THEORY_CONFIG.replace("T_grid = 500, 2200", grid))
             expected = "error: T_grid entries must be >= 1"
-        rc = main(["theory", "--config", str(cfg)])
+        rc = main(["theory", "--config", str(cfg), *extra])
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert captured.err.startswith(expected) and captured.err.count("\n") == 1

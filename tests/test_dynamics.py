@@ -15,13 +15,12 @@ from dimix.dynamics import (
     monte_carlo,
     run,
 )
-from dimix.noise import gaussian_channel, noiseless, stochastic_quantizer
 from dimix.objective import build_problem
 from dimix.rng import DrawStream, philox
 from dimix.topology import fixed_cycle_schedule, gossip_schedule, matrix_list_schedule
 
 from conftest import random_weights
-from helpers import col, model
+from helpers import col, gaussian_channel, model, noiseless, stochastic_quantizer
 from oracles import neighbor_estimate, step, step_matrix
 
 DEFAULT_STEPS = StepSchedule(alpha0=0.1, nu=0.25, beta0=0.7, mu=0.75)
@@ -224,6 +223,13 @@ def divergent_config():
     return simple_config(n=3, d=2, T=8, noise=gaussian_channel(2.0 * DIVERGENCE_LIMIT))
 
 
+def divergent_quantizer_config():
+    # A one-level quantizer and large gradient steps: seeds 7-26 leave the
+    # batch at t = 30 and 31, except seed 18, which survives.
+    steps = StepSchedule(alpha0=12.0, nu=0.05, beta0=1.0, mu=0.5)
+    return simple_config(n=3, d=2, T=31, noise=stochastic_quantizer(1), steps=steps)
+
+
 def assert_same_trace(a, b):
     assert a.seed == b.seed
     np.testing.assert_array_equal(a.values, b.values)
@@ -260,11 +266,11 @@ class TestBatchInvariance:
         self.check(small_instance_config(family, noise, 30))
 
     def test_partial_divergence_batches_agree(self):
-        cfg = divergent_config()
-        # Survivors are shown untouched only if a seed ahead of them aborts.
-        aborted = [tr.aborted for tr in run(cfg, range(7, 27))]
-        assert False in aborted[aborted.index(True) + 1 :]
-        self.check(cfg)
+        for cfg in (divergent_config(), divergent_quantizer_config()):
+            # Survivors are shown untouched only if a seed ahead of them aborts.
+            aborted = [tr.aborted for tr in run(cfg, range(7, 27))]
+            assert False in aborted[aborted.index(True) + 1 :]
+            self.check(cfg)
 
 
 class TestChunkInvariance:
@@ -295,10 +301,11 @@ class TestChunkInvariance:
         self.check(monkeypatch, small_instance_config(family, noise, 11))
 
     def test_aborts_in_mid_chunk(self, monkeypatch):
-        traces = self.check(monkeypatch, divergent_config())
-        # Seeds leave the batch at several iterations, survivors stay.
-        abort_ts = {tr.abort_t for tr in traces}
-        assert None in abort_ts and len(abort_ts - {None, 2}) >= 2
+        for cfg in (divergent_config(), divergent_quantizer_config()):
+            traces = self.check(monkeypatch, cfg)
+            # Seeds leave the batch at several iterations, survivors stay.
+            abort_ts = {tr.abort_t for tr in traces}
+            assert None in abort_ts and len(abort_ts - {None, 2}) >= 2
 
     def test_single_iteration(self, monkeypatch):
         self.check(monkeypatch, small_instance_config("gossip", stochastic_quantizer(4), 1))
@@ -345,6 +352,7 @@ BLOCK_CONFIGS = {
         for label, noise in (("gaussian", gaussian_channel(0.3)), ("quantizer", stochastic_quantizer(4)))
     },
     "divergent": divergent_config,
+    "divergent-quantizer": divergent_quantizer_config,
     "gaps-gaussian": lambda: gaps_config(gaussian_channel(0.3)),
     "gaps-quantizer": lambda: gaps_config(stochastic_quantizer(4)),
 }
@@ -384,7 +392,7 @@ class TestDrawBlockInvariance:
             for a, b in zip(whole, run(cfg, self.SEEDS), strict=True):
                 assert_same_trace(a, b)
 
-    @pytest.mark.parametrize("name", [n for n in BLOCK_CONFIGS if n != "divergent"])
+    @pytest.mark.parametrize("name", [n for n in BLOCK_CONFIGS if not n.startswith("divergent")])
     @pytest.mark.parametrize("block", ["one", "one-and-a-half", "default"])
     def test_draws_exactly_what_is_consumed(self, monkeypatch, name, block):
         cfg = BLOCK_CONFIGS[name]()

@@ -2,17 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dimix.noise import (
-    NoiseModel,
-    gaussian_channel,
-    noise_variance_bound,
-    noiseless,
-    quantizer_variance_coeff,
-    stochastic_quantize,
-    stochastic_quantizer,
-)
+from dimix.noise import NoiseModel, noise_variance_bound, quantizer_variance_coeff, stochastic_quantize
 from dimix.rng import DrawStream, philox
 
+from helpers import gaussian_channel, noiseless, stochastic_quantizer
 from oracles import neighbor_estimate, quantize, quantize_formula, zeta
 
 

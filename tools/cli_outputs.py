@@ -3,8 +3,11 @@
     PYTHONPATH=<tree>/src python3 tools/cli_outputs.py DEST
 
 runs ``run --plots``, ``sweep --plots`` and ``theory`` (each at --jobs 1 and
-2), ``validate`` and ``lemmas`` on ten configs with whichever dimix the
-PYTHONPATH gives.  Each command runs in its own directory
+2), ``validate`` and ``lemmas`` on thirteen configs with whichever dimix
+the PYTHONPATH gives, and the three with ``--seed 3`` on the configs in
+SEEDED.  The configs include a theory T_grid past the simulated horizon,
+seeds that diverge and leave the batch, and steps that admit no burn-in
+thresholds.  Each command runs in its own directory
 DEST/<config>/<command> with a relative --out, so nothing it prints holds an
 absolute path; stdout, stderr, the exit code and every output file are kept
 there.  DEST/lemma_reports.json holds every field of the lemma suite's
@@ -46,6 +49,12 @@ CONFIGS = {
         "noise = gaussian_channel\nsigma = 0.5\n" + SMALL,
         ("--assume-q0", "1"),
     ),
+    # The same with T_grid past the horizon: theory prints "T, bound, -, -" rows.
+    "matrix_file_gaps_gauss_past_T": (
+        "family = matrix_file\nmatrix_file = gaps.txt\nd = 4\nN = 12\n"
+        "noise = gaussian_channel\nsigma = 0.5\nT = 60\nruns = 3\nT_grid = 20, 60, 120\n",
+        ("--assume-q0", "1"),
+    ),
     "matrix_file_gaps_quant": (
         "family = matrix_file\nmatrix_file = gaps.txt\nd = 4\nN = 12\n"
         "noise = stochastic_quantizer\nquantizer_levels = 4\n" + SMALL,
@@ -63,15 +72,34 @@ CONFIGS = {
         "T = 60\nruns = 2\nT_grid = 30, 60\n",
         ("--assume-q0", "1"),
     ),
+    # A one-level quantizer and large gradient steps: seeds 1-11 leave the
+    # batch at t = 30 to 34 and seed 0 completes, so run and sweep cover
+    # the engine's path for a shrinking batch.
+    "divergent_quant": (
+        "family = fixed_cycle\nn = 3\nd = 2\nN = 12\nnoise = stochastic_quantizer\n"
+        "quantizer_levels = 1\nalpha0 = 25\nnu = 0.05\nbeta0 = 1.0\nmu = 0.5\n"
+        "T = 40\nruns = 12\nT_grid = 20, 40\n",
+        ("--assume-q0", "1"),
+    ),
+    # mu = 0.99 admits no burn-in thresholds: run and sweep note why in the
+    # manifest (derived.theory_note), theory fails with a one-line error.
+    "no_thresholds": ("family = gossip\nmu = 0.99\nnu = 0.01\nT = 20\nruns = 2\nT_grid = 10, 20\n", ()),
 }
 
+# Configs whose run, theory and lemmas are also recorded with --seed 3.
+SEEDED = ("matrix_file_gaps_gauss",)
 
-def commands(theory_extra):
+
+def commands(name, theory_extra):
     out = {"validate": ["validate"], "lemmas": ["lemmas"]}
     for jobs in ("1", "2"):
         out[f"run-j{jobs}"] = ["run", "--plots", "--jobs", jobs]
         out[f"sweep-j{jobs}"] = ["sweep", "--plots", "--jobs", jobs]
         out[f"theory-j{jobs}"] = ["theory", "--jobs", jobs, *theory_extra]
+    if name in SEEDED:
+        out["run-seed3"] = ["run", "--seed", "3"]
+        out["theory-seed3"] = ["theory", "--seed", "3", *theory_extra]
+        out["lemmas-seed3"] = ["lemmas", "--seed", "3"]
     return out
 
 
@@ -99,7 +127,7 @@ def main(argv):
     entries = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(str(Path(p).resolve()) for p in entries if p)}
     for name, (text, theory_extra) in CONFIGS.items():
-        for label, args in commands(theory_extra).items():
+        for label, args in commands(name, theory_extra).items():
             here = Path(argv[0]) / name / label
             here.mkdir(parents=True, exist_ok=True)
             (here / "config.cfg").write_text(text, encoding="utf-8")

@@ -29,7 +29,7 @@ import time
 import numpy as np
 from dimix.analysis import StepSchedule
 from dimix.dynamics import RunConfig, monte_carlo
-from dimix.noise import stochastic_quantizer
+from dimix.noise import NoiseModel
 from dimix.objective import build_problem
 from dimix.topology import fixed_cycle_schedule, gossip_schedule
 """
@@ -38,19 +38,19 @@ CASES = {
     "fixed_cycle": (
         "p = build_problem(seed=42)\n"
         "cfg = RunConfig(problem=p, schedule=fixed_cycle_schedule(p.r),\n"
-        "    steps=StepSchedule(0.1, 0.25, 0.7, 0.75), T=5000, noise=stochastic_quantizer(4))\n"
+        "    steps=StepSchedule(0.1, 0.25, 0.7, 0.75), T=5000, noise=NoiseModel('stochastic_quantizer', levels=4))\n"
         "runs = 20\n"
     ),
     "gossip": (
         "p = build_problem(seed=42)\n"
         "cfg = RunConfig(problem=p, schedule=gossip_schedule(p.r),\n"
-        "    steps=StepSchedule(0.1, 0.25, 0.7, 0.75), T=5000, noise=stochastic_quantizer(4))\n"
+        "    steps=StepSchedule(0.1, 0.25, 0.7, 0.75), T=5000, noise=NoiseModel('stochastic_quantizer', levels=4))\n"
         "runs = 20\n"
     ),
     "criterion_8": (
         "p = build_problem(n=4, d=25, N=100, seed=42, r=np.full(4, 0.25))\n"
         "cfg = RunConfig(problem=p, schedule=gossip_schedule(p.r),\n"
-        "    steps=StepSchedule(0.25, 0.05, 0.8, 0.1), T=5000, noise=stochastic_quantizer(4))\n"
+        "    steps=StepSchedule(0.25, 0.05, 0.8, 0.1), T=5000, noise=NoiseModel('stochastic_quantizer', levels=4))\n"
         "runs = 50\n"
     ),
 }

@@ -3,9 +3,9 @@
     python3 tools/unreached.py
 
 runs every command that ``tools/cli_outputs.py`` records (``run --plots``,
-``sweep --plots`` and ``theory`` at ``--jobs 1``, ``validate`` and
-``lemmas``) on the same configs, except that the benchmark workloads run at
-their tiny sizes.  The commands run in this process, each in its own
+``sweep --plots`` and ``theory`` at ``--jobs 1``, ``validate``, ``lemmas``
+and the ``--seed`` overrides) on the same configs, except that the
+benchmark workloads run at their tiny sizes.  The commands run in this process, each in its own
 temporary directory, under the standard library's ``trace`` module, with
 dimix imported under it too; then every executable line of
 ``src/dimix/*.py`` that none of them ran is printed as ``path:line: source``.
@@ -48,7 +48,7 @@ def run_commands() -> None:
     configs = {**CONFIGS, **{name: (wl.config_text(0, wl.tiny), ()) for name, wl in WORKLOADS.items()}}
     start = Path.cwd()
     for name, (text, theory_extra) in configs.items():
-        for label, args in commands(theory_extra).items():
+        for label, args in commands(name, theory_extra).items():
             if label.endswith("-j2"):
                 continue
             with tempfile.TemporaryDirectory() as here:
