@@ -269,6 +269,8 @@ def xi_constants(
     a0, b0, mu, nu = steps.alpha0, steps.beta0, steps.mu, steps.nu
     c1 = 1.0 / (mu_f + L_f)
     c2 = mu_f * L_f / (mu_f + L_f)
+    if mu + nu < 1.0 and c2 * a0 * b0 > 1.0:  # eps5 and xi4 need A(c2 alpha0 beta0, ...)
+        raise ValueError(f"c2*alpha0*beta0 must be <= 1 if mu + nu < 1: alpha0*beta0 = {a0 * b0:.4g}, c2 = {c2:.4g}")
     th = thresholds(steps, lam, mu_f, L_f)
     T0 = th.T0
 

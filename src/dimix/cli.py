@@ -258,6 +258,7 @@ def cmd_theory(args) -> int:
             f"burn-in T0 = {th.T0} lies beyond the simulated horizon T = {T_sim}; "
             "raise T or supply --assume-q0"
         )
+    xi_constants(steps, lam, kappa, mu_f, L_f, 0.0, 0.0, 0.0)  # config-only preconditions fail before simulating
     # Only the table's horizons and T0 are read from the runs.
     at = [T for T in T_grid if T <= T_sim] + [th.T0] * (th.T0 <= T_sim)
     mc = monte_carlo(rc, exp.values["runs"], seed=exp.values["seed"], jobs=args.jobs, at=at)

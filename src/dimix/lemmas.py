@@ -20,6 +20,10 @@ Each check is a draw phase and an evaluate phase behind ``Check``:
 The invariant: each instance's draws and arithmetic are those of the
 per-instance code (``tests/lemma_oracles.py``), so a report is a pure
 function of (seed, instances), bit for bit, whatever the block sizes.
+Scalars come from raw Philox words by numpy's maps (``_Scalars``): a double
+is (w >> 11) * 2**-53; an integer is Lemire's multiply-and-reject on 32-bit
+halves, low half first, the high half held for the next one as numpy holds
+it, so no scalar may bypass ``_Scalars``; array draws never touch that half.
 Padding only multiplies by 1.0; BLAS products, QR factorizations and short
 reductions run on stacks of exactly the per-instance shapes; a sum whose
 pairwise-summation tree depends on its length runs row by row; and scalar
@@ -207,10 +211,26 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 _DECADES = {k: 10.0 ** np.int64(k) for k in range(-2, 3)}
 
 
-def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
-    """``rng.uniform(low, high)`` without its argument handling: numpy's
-    Generator maps one ``random()`` double u to low + (high - low) * u."""
-    return low + (high - low) * rng.random()
+class _Scalars:
+    """``rng.integers(lo, hi)`` and ``rng.uniform(low, high)``, bit for bit (``uniform()`` is ``rng.random()``)."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._raw, self._held = rng.bit_generator.random_raw, None
+
+    def integers(self, lo: int, hi: int) -> int:
+        m = hi - lo
+        while m > 1:
+            if self._held is None:
+                w = self._raw()
+                u, self._held = w & 0xFFFFFFFF, w >> 32
+            else:
+                u, self._held = self._held, None
+            if u * m & 0xFFFFFFFF >= (0x100000000 - m) % m:  # numpy's rejection threshold
+                return lo + (u * m >> 32)
+        return lo
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        return low + (high - low) * ((self._raw() >> 11) * 2.0**-53)
 
 
 def _weights(p: list[np.ndarray]) -> list[np.ndarray]:
@@ -282,15 +302,16 @@ def check_mixing_contraction(rng: np.random.Generator) -> Iterator[tuple]:
 
     for a fixed-cycle or gossip schedule on n agents with weights
     r = q / sum(q), q = 0.05 + p."""
+    draw = _Scalars(rng)
     while True:
-        n = int(rng.integers(3, 9))
+        n = draw.integers(3, 9)
         p = rng.random(n)
-        kind = "fixed_cycle" if rng.random() < 0.5 else "gossip"
-        beta0 = 0.1 + 0.9 * rng.random()
-        mu = 0.55 + 0.4 * rng.random()
-        s = int(rng.integers(1, 40))
-        t = s + 1 + int(rng.integers(0, 3 * family_window(kind, n) + 1))
-        d = int(rng.integers(1, 5))
+        kind = "fixed_cycle" if draw.uniform() < 0.5 else "gossip"
+        beta0 = 0.1 + 0.9 * draw.uniform()
+        mu = 0.55 + 0.4 * draw.uniform()
+        s = draw.integers(1, 40)
+        t = s + 1 + draw.integers(0, 3 * family_window(kind, n) + 1)
+        d = draw.integers(1, 5)
         yield kind, p, beta0, mu, s, t, rng.normal(size=(n, d))
 
 
@@ -309,13 +330,14 @@ def _operator_values(block: list[tuple]) -> Values:
 def check_weighted_operator_bound(rng: np.random.Generator) -> Iterator[tuple]:
     """||A B||_r <= ||A||_r ||B||_F for conformable matrices and weights
     r = q / sum(q), q = 0.05 + p."""
+    draw = _Scalars(rng)
     while True:
-        n = int(rng.integers(1, 8))
-        m = int(rng.integers(1, 8))
-        d = int(rng.integers(1, 8))
+        n = draw.integers(1, 8)
+        m = draw.integers(1, 8)
+        d = draw.integers(1, 8)
         p = rng.random(n)
-        A = rng.normal(size=(n, m)) * _DECADES[rng.integers(-2, 3)]
-        B = rng.normal(size=(m, d)) * _DECADES[rng.integers(-2, 3)]
+        A = rng.normal(size=(n, m)) * _DECADES[draw.integers(-2, 3)]
+        B = rng.normal(size=(m, d)) * _DECADES[draw.integers(-2, 3)]
         yield p, A, B
 
 
@@ -350,16 +372,17 @@ def check_young_split(rng: np.random.Generator) -> Iterator[tuple]:
     """||u + v||^2 <= (1 + theta)||u||^2 + (1 + 1/theta)||v||^2, theta > 0,
     in both the vector and the weighted-matrix norm (weights
     r = q / sum(q), q = 0.05 + p)."""
+    draw = _Scalars(rng)
     while True:
-        theta = 10.0 ** _uniform(rng, -3.0, 3.0)
-        if rng.random() < 0.5:
-            d = int(rng.integers(1, 10))
-            u = rng.normal(size=d) * _DECADES[rng.integers(-2, 3)]
-            v = rng.normal(size=d) * _DECADES[rng.integers(-2, 3)]
+        theta = 10.0 ** draw.uniform(-3.0, 3.0)
+        if draw.uniform() < 0.5:
+            d = draw.integers(1, 10)
+            u = rng.normal(size=d) * _DECADES[draw.integers(-2, 3)]
+            v = rng.normal(size=d) * _DECADES[draw.integers(-2, 3)]
             yield theta, None, u, v
         else:
-            n = int(rng.integers(1, 6))
-            d = int(rng.integers(1, 6))
+            n = draw.integers(1, 6)
+            d = draw.integers(1, 6)
             p = rng.random(n)
             U = rng.normal(size=(n, d))
             V = rng.normal(size=(n, d))
@@ -389,11 +412,12 @@ def check_step_product_envelope(rng: np.random.Generator) -> Iterator[tuple]:
     """prod_{k=s}^{t-1} (1 - a/k^delta) is killed at the integrated rate:
     bounded by exp(-a (t^(1-delta) - s^(1-delta)) / (1-delta)) for delta < 1
     and by (t/s)^-a for delta == 1."""
+    draw = _Scalars(rng)
     while True:
-        a = _uniform(rng, 1e-3, 0.999)
-        delta = 1.0 if rng.random() < 0.3 else _uniform(rng, 0.0, 0.999)
-        s = int(rng.integers(1, 50))
-        t = s + 1 + int(rng.integers(0, 2000))
+        a = draw.uniform(1e-3, 0.999)
+        delta = 1.0 if draw.uniform() < 0.3 else draw.uniform(0.0, 0.999)
+        s = draw.integers(1, 50)
+        t = s + 1 + draw.integers(0, 2000)
         yield a, delta, s, t
 
 
@@ -432,17 +456,18 @@ def check_step_sum_telescope(rng: np.random.Generator) -> Iterator[tuple]:
 
     for any real sequence beta and lam != 0, to 1e-10 * max(1, 1/|lam|).
     """
+    draw = _Scalars(rng)
     while True:
-        t = int(rng.integers(2, 200))
-        if rng.random() < 0.5:
+        t = draw.integers(2, 200)
+        if draw.uniform() < 0.5:
             # Canonical decaying steps beta0 / k^mu; lam > 0 keeps all
             # survival factors inside (-1, 1) so the float error stays far
             # below tolerance.
-            lam = 10.0 ** _uniform(rng, -2.0, 1.0)
-            beta0 = _uniform(rng, 0.05, 1.0)
+            lam = 10.0 ** draw.uniform(-2.0, 1.0)
+            beta0 = draw.uniform(0.05, 1.0)
             if lam * beta0 >= 2.0:
                 lam = 1.0 / beta0
-            mu = _uniform(rng, 0.1, 0.95)
+            mu = draw.uniform(0.1, 0.95)
             yield t, lam, beta0, mu, None
         else:
             # Arbitrary real steps of either sign, u / lam with u uniform in
@@ -450,7 +475,7 @@ def check_step_sum_telescope(rng: np.random.Generator) -> Iterator[tuple]:
             # bounded by 1.  The sign is rng.choice([-1.0, 1.0]), which
             # draws integers(0, 2); u = 2 v for v = rng.random(t - 1), as
             # rng.uniform(0.0, 2.0, size=t - 1) computes it.
-            lam = (-1.0, 1.0)[rng.integers(0, 2)] * 10.0 ** _uniform(rng, -2.0, 1.0)
+            lam = (-1.0, 1.0)[draw.integers(0, 2)] * 10.0 ** draw.uniform(-2.0, 1.0)
             yield t, lam, None, None, rng.random(t - 1)
 
 
@@ -499,22 +524,23 @@ def check_decaying_sum_envelope(rng: np.random.Generator) -> Iterator[tuple]:
     for t in (40, 200, 1000):
         yield 0.5, 1.0, 0.0, t
 
+    draw = _Scalars(rng)
     while True:
-        branch = rng.random()
+        branch = draw.uniform()
         if branch < 0.25:
-            a = _uniform(rng, 0.1, 1.0)
+            a = draw.uniform(0.1, 1.0)
             sigma = 1.0
-            delta = _uniform(rng, 0.0, 0.45)
+            delta = draw.uniform(0.0, 0.45)
         elif branch < 0.45:
-            a = _uniform(rng, 0.1, 1.0) if rng.random() < 0.7 else 2.0
-            sigma = _uniform(rng, 1.05, 3.0)
+            a = draw.uniform(0.1, 1.0) if draw.uniform() < 0.7 else 2.0
+            sigma = draw.uniform(1.05, 3.0)
             delta = 1.0
             if abs(a - sigma + 1.0) < 1e-6:
                 continue
         else:
-            delta = _uniform(rng, 0.0, 0.9)
-            sigma = delta + _uniform(rng, 0.05, 2.5)
-            a = _uniform(rng, 0.05, 1.0)
+            delta = draw.uniform(0.0, 0.9)
+            sigma = delta + draw.uniform(0.05, 2.5)
+            a = draw.uniform(0.05, 1.0)
         if delta == 1.0:
             t_lo = 4
         else:
@@ -522,7 +548,7 @@ def check_decaying_sum_envelope(rng: np.random.Generator) -> Iterator[tuple]:
             if tau > 1500.0:
                 continue
             t_lo = math.floor(tau) + 2
-        yield a, sigma, delta, t_lo + int(rng.integers(0, 1000))
+        yield a, sigma, delta, t_lo + draw.integers(0, 1000)
 
 
 def _curvature_sides(eigs, G, x_star, mode, step, scale):
@@ -562,18 +588,19 @@ def check_curvature_split(rng: np.random.Generator) -> Iterator[tuple]:
 
     including the rank-deficient case mu == 0.  The quadratic is
     H = Q diag(eigs) Q' with Q from the QR factors of a Gaussian matrix."""
+    draw = _Scalars(rng)
     while True:
-        d = int(rng.integers(1, 7))
+        d = draw.integers(1, 7)
         eigs = rng.random(d)  # the spectrum is 3 * eigs, as rng.uniform(0.0, 3.0, size=d)
-        if rng.random() < 0.3:
-            eigs[int(rng.integers(0, d))] = 0.0
+        if draw.uniform() < 0.3:
+            eigs[draw.integers(0, d)] = 0.0
         G = rng.normal(size=(d, d))
         x_star = rng.normal(size=d)
-        mode = rng.random()
+        mode = draw.uniform()
         if mode < 0.4:
             yield eigs, G, x_star, mode, rng.normal(), None
         else:
-            yield eigs, G, x_star, mode, rng.normal(size=d), _DECADES[rng.integers(-2, 3)]
+            yield eigs, G, x_star, mode, rng.normal(size=d), _DECADES[draw.integers(-2, 3)]
 
 
 ALL_CHECKS = (

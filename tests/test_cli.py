@@ -443,7 +443,8 @@ class TestErrorPaths:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "case", ["no thresholds", "burn-in beyond T", "T_grid below 1", "negative assumed q0"]
+        "case",
+        ["no thresholds", "burn-in beyond T", "T_grid below 1", "negative assumed q0", "c2 alpha0 beta0 above 1"],
     )
     def test_theory_fails_before_simulating(self, tmp_path, capsys, monkeypatch, case):
         def no_simulation(*args, **kwargs):
@@ -456,6 +457,11 @@ class TestErrorPaths:
             cfg.write_text(TestTheoryCommand.THEORY_CONFIG.replace("T = 2200", "T = 60"))
             extra = ["--assume-q0", "-1"]
             expected = "error: gamma, K, q0 must be finite and nonnegative, got --assume-q0 -1.0"
+        elif case == "c2 alpha0 beta0 above 1":
+            text = TestTheoryCommand.THEORY_CONFIG.replace("T = 2200", "T = 60")
+            cfg.write_text(text.replace("alpha0 = 0.25", "alpha0 = 100"))
+            extra = ["--assume-q0", "1"]
+            expected = "error: c2*alpha0*beta0 must be <= 1 if mu + nu < 1: alpha0*beta0 = 80, c2 = 0.02826"
         elif case == "no thresholds":
             cfg.write_text(self.OVERFLOW_CONFIG)
             expected = f"error: {self.OVERFLOW_NOTE}"

@@ -19,7 +19,7 @@ from dimix.lemmas import (
     run_suite,
 )
 from dimix.rng import philox
-from dimix.topology import gossip_schedule
+from dimix.topology import family_window, gossip_schedule
 
 EXPECTED_NAMES = [
     "mixing product contraction",
@@ -271,3 +271,62 @@ class TestBatchedEvaluation:
             assert same_bits(value[i], abs(beta1 - (1.0 - (1.0 - lam * beta1)) / lam))
         assert same_bits(bound, np.zeros(4))
         assert same_bits(scale[:2], [1.0 / 0.7, 1.0 / 1.3])
+
+
+class TestScalars:
+    """``lemmas._Scalars`` draws what numpy's Generator draws on the same
+    stream, in any order with the array draws the checks make."""
+
+    # Every scalar range the checks draw from, (0, 1) among them: a
+    # width-1 range draws no word.  (0, 2**31 + 1) rejects about half its
+    # samples, so its draws often take a second half-word.
+    RANGES = sorted(
+        {(3, 9), (1, 40), (1, 5), (1, 8), (-2, 3), (1, 10), (1, 6), (1, 50)}
+        | {(0, 2000), (2, 200), (0, 2), (0, 1000), (1, 7), (5, 6), (0, 2**31 + 1)}
+        | {(0, d) for d in range(1, 7)}
+        | {(0, 3 * family_window(k, n) + 1) for k in ("fixed_cycle", "gossip") for n in range(3, 9)}
+    )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_generator(self, seed):
+        ours, ref = philox(seed, 9), philox(seed, 9)
+        draw = lemmas._Scalars(ours)
+        script = np.random.default_rng(seed)  # picks each next call
+        for _ in range(3000):
+            op = int(script.integers(0, 4))
+            if op == 0:
+                lo, hi = self.RANGES[int(script.integers(0, len(self.RANGES)))]
+                got = draw.integers(lo, hi)
+                assert type(got) is int and got == ref.integers(lo, hi), (lo, hi)
+            elif op == 1:
+                assert same_bits(draw.uniform(), ref.random())
+            elif op == 2:
+                assert same_bits(draw.uniform(0.05, 2.5), ref.uniform(0.05, 2.5))
+            else:
+                n = int(script.integers(1, 4))
+                assert same_bits(ours.random(n), ref.random(n))
+                assert same_bits(ours.normal(size=n), ref.normal(size=n))
+
+    def test_rejection_threshold_boundary(self):
+        """Widths m whose first sample lands exactly on numpy's threshold
+        (2**32 - m) % m, which accepts it, or one below, which rejects it.
+        Random widths reach either with odds of about 2**-32 per draw.  For
+        m in (2**31, 2**32) the threshold is 2**32 - m, and the first
+        half-word u leaves u * m mod 2**32 = 2**32 - m when 4 divides u + 1
+        and m = 3 * 2**30, or 2**32 - m - 1 when m (u + 1) = -1 mod 2**32."""
+        seen = set()
+        for seed in range(64):
+            u = philox(seed, 9).bit_generator.random_raw() & 0xFFFFFFFF
+            below = -pow(u + 1, -1, 1 << 32) % (1 << 32) if u % 2 == 0 else 0
+            if (u + 1) % 4 == 0:
+                m, case = 3 << 30, "on"
+            elif below > 1 << 31:
+                m, case = below, "below"
+            else:
+                continue
+            assert u * m % (1 << 32) == (1 << 32) - m - (case == "below")
+            ours, ref = philox(seed, 9), philox(seed, 9)
+            draw = lemmas._Scalars(ours)
+            assert [draw.integers(0, m) for _ in range(3)] == [ref.integers(0, m) for _ in range(3)]
+            seen.add(case)
+        assert seen == {"on", "below"}
