@@ -224,7 +224,8 @@ class TheoryConstants:
 
     ``q0`` is E||xbar(T0) - x*||^2, estimated by Monte Carlo at the burn-in
     iteration T0.  ``side_condition_ok`` records whether the mu + nu == 1
-    regime's requirement alpha0*beta0 >= min(mu - nu, 2 nu)/c2 holds; the
+    regime's requirement alpha0*beta0 >= ``side_threshold`` = min(mu - nu,
+    2 nu)/c2 holds (the threshold is None in the other regime); the
     constants are still reported when it fails, but the bound is then not
     certified.
     """
@@ -246,6 +247,7 @@ class TheoryConstants:
     xi5: float | None
     regime: int
     side_condition_ok: bool
+    side_threshold: float | None
 
 
 def xi_constants(
@@ -263,7 +265,7 @@ def xi_constants(
     gamma bounds the per-iteration sharing-noise second moment, K the squared
     local gradients along the trajectory, q0 the mean squared error at T0.
     """
-    _check_regime(steps, mu_f, L_f)
+    th = thresholds(steps, lam, mu_f, L_f)  # also checks the regime
     if not all(math.isfinite(v) and v >= 0.0 for v in (gamma, K, q0)):
         raise ValueError(f"gamma, K, q0 must be finite and nonnegative, got {gamma}, {K}, {q0}")
     a0, b0, mu, nu = steps.alpha0, steps.beta0, steps.mu, steps.nu
@@ -271,19 +273,17 @@ def xi_constants(
     c2 = mu_f * L_f / (mu_f + L_f)
     if mu + nu < 1.0 and c2 * a0 * b0 > 1.0:  # eps5 and xi4 need A(c2 alpha0 beta0, ...)
         raise ValueError(f"c2*alpha0*beta0 must be <= 1 if mu + nu < 1: alpha0*beta0 = {a0 * b0:.4g}, c2 = {c2:.4g}")
-    th = thresholds(steps, lam, mu_f, L_f)
     T0 = th.T0
 
-    eps1 = gamma * kappa * b0**2 * A_constant(lam * b0, 2.0 * mu, mu)
-    eps2 = K * a0**2 * b0 * math.sqrt(kappa) * A_constant(lam * b0 / 2.0, 2.0 * nu + mu, mu)
+    A_noise = A_constant(lam * b0, 2.0 * mu, mu)
+    A_grad = A_constant(lam * b0 / 2.0, 2.0 * nu + mu, mu)
+    eps1 = gamma * kappa * b0**2 * A_noise
+    eps2 = K * a0**2 * b0 * math.sqrt(kappa) * A_grad
     eps3 = 2.0 * eps1 + 4.0 * math.sqrt(kappa) * eps2 / lam
     eps4 = a0 * b0 * (1.0 + 1.0 / c2) * L_f * eps3 + gamma * b0**2
     eps5 = A_constant(c2 * a0 * b0, min(2.0 * mu, 3.0 * nu + mu), nu + mu)
 
-    xi1 = (
-        4.0 * gamma * kappa * b0**2 * A_constant(lam * b0, 2.0 * mu, mu)
-        + (8.0 * K * kappa * a0**2 * b0 / lam) * A_constant(lam * b0 / 2.0, 2.0 * nu + mu, mu)
-    )
+    xi1 = 4.0 * gamma * kappa * b0**2 * A_noise + (8.0 * K * kappa * a0**2 * b0 / lam) * A_grad
     xi4 = (
         a0 * b0 * (mu_f * L_f + mu_f + L_f) * xi1 / mu_f + 2.0 * gamma * b0**2
     ) * A_constant(a0 * b0 * mu_f * L_f / (mu_f + L_f), min(2.0 * mu, 3.0 * nu + mu), mu + nu)
@@ -295,14 +295,20 @@ def xi_constants(
             xi2 = 2.0 * math.exp(xi3 * T0 ** (1.0 - mu - nu)) * q0
         except OverflowError:  # reported only: theorem_bound never forms xi2
             xi2 = math.inf if q0 else 0.0
-        xi5 = None
+        xi5 = side_threshold = None
         side_ok = True
     else:
         regime = 2
-        xi3 = None
-        xi2 = None
-        xi5 = 2.0 * T0 ** (c2 * a0 * b0) * q0 + xi4
-        side_ok = a0 * b0 >= min(mu - nu, 2.0 * nu) / c2
+        xi2 = xi3 = None
+        try:
+            xi5 = 2.0 * T0 ** (c2 * a0 * b0) * q0 + xi4
+        except OverflowError:
+            raise ValueError(
+                f"xi5's factor T0^(c2*alpha0*beta0) = {T0:.4g}^{c2 * a0 * b0:.4g}, about "
+                f"10^{c2 * a0 * b0 * math.log10(T0):.1f}, is beyond the float range"
+            ) from None
+        side_threshold = min(mu - nu, 2.0 * nu) / c2
+        side_ok = a0 * b0 >= side_threshold
 
     return TheoryConstants(
         steps=steps,
@@ -322,7 +328,26 @@ def xi_constants(
         xi5=xi5,
         regime=regime,
         side_condition_ok=side_ok,
+        side_threshold=side_threshold,
     )
+
+
+def _bound_terms(constants: TheoryConstants, T):
+    """(T as floats >= 1, e1, e2, tail, burn) of the bound
+    xi1 T^-e1 + 2 q0 exp(burn) + tail T^-e2.  For mu + nu < 1, tail = xi4 and
+    burn = xi3 (T0^p - T^p), p = 1 - mu - nu: xi2 exp(-xi3 T^p) in a form that
+    is at most 2 q0 past T0, where xi2 alone can overflow.  For mu + nu == 1,
+    tail = xi5 and burn is None (no burn-in term)."""
+    mu, nu = constants.steps.mu, constants.steps.nu
+    T = np.asarray(T, dtype=float)
+    if np.any(T < 1):
+        raise ValueError("iterations are numbered from 1")
+    if constants.regime == 1:
+        p = 1.0 - mu - nu
+        tail, burn = constants.xi4, constants.xi3 * (constants.thresholds.T0**p - T**p)
+    else:
+        tail, burn = constants.xi5, None
+    return T, min(mu, 2.0 * nu), min(mu - nu, 2.0 * nu), tail, burn
 
 
 def theorem_bound(constants: TheoryConstants, T, strict: bool = True):
@@ -334,62 +359,33 @@ def theorem_bound(constants: TheoryConstants, T, strict: bool = True):
     ``strict=False`` the expression is evaluated regardless (callers that
     warn instead of fail).
     """
-    steps = constants.steps
-    mu, nu = steps.mu, steps.nu
-    T_arr = np.asarray(T, dtype=float)
-    scalar = T_arr.ndim == 0
-    T_arr = np.atleast_1d(T_arr)
-    if np.any(T_arr < 1):
-        raise ValueError("iterations are numbered from 1")
+    T_arr, e1, e2, tail, burn = _bound_terms(constants, np.atleast_1d(np.asarray(T, dtype=float)))
     T_min = constants.thresholds.T_min
     if strict and np.any(T_arr < T_min):
         raise ValueError(f"bound only covers T >= {T_min}")
-    if constants.regime == 1:
-        # xi2 exp(-xi3 T^p) = 2 q0 exp(xi3 (T0^p - T^p)): at most 2 q0 for
-        # T >= T0, where xi2 alone can overflow.  Below burn-in the exp can
-        # overflow too, so q0 = 0 must give 0 outright, not 0 * inf.
-        p = 1.0 - mu - nu
-        burn_in = 0.0
-        if constants.q0:
-            with np.errstate(over="ignore"):
-                burn_in = 2.0 * constants.q0 * np.exp(
-                    constants.xi3 * (constants.thresholds.T0**p - T_arr**p)
-                )
-        out = (
-            constants.xi1 * T_arr ** -min(mu, 2.0 * nu)
-            + burn_in
-            + constants.xi4 * T_arr ** -min(mu - nu, 2.0 * nu)
+    if strict and not constants.side_condition_ok:
+        raise ValueError(
+            "step sizes violate alpha0*beta0 >= min(mu-nu, 2 nu)/c2; "
+            "the mu+nu == 1 bound is not certified for them"
         )
-    else:
-        if strict and not constants.side_condition_ok:
-            raise ValueError(
-                "step sizes violate alpha0*beta0 >= min(mu-nu, 2 nu)/c2; "
-                "the mu+nu == 1 bound is not certified for them"
-            )
-        out = (
-            constants.xi1 * T_arr ** -min(mu, 2.0 * nu)
-            + constants.xi5 * T_arr ** -min(mu - nu, 2.0 * nu)
-        )
-    return float(out[0]) if scalar else out
+    # Below burn-in the exp can overflow, so q0 = 0 must give 0 outright,
+    # not 0 * inf.
+    burn_in = 0.0
+    if burn is not None and constants.q0:
+        with np.errstate(over="ignore"):
+            burn_in = 2.0 * constants.q0 * np.exp(burn)
+    out = constants.xi1 * T_arr**-e1 + burn_in + tail * T_arr**-e2
+    return float(out[0]) if np.ndim(T) == 0 else out
 
 
 def theorem_log10_bound(constants: TheoryConstants, T):
     """log10 of ``theorem_bound(constants, T, strict=False)``, summed in log
     space: finite below burn-in too, where 2 q0 exp(xi3 (T0^p - T^p)) is not."""
-    mu, nu = constants.steps.mu, constants.steps.nu
-    T = np.asarray(T, dtype=float)
-    if np.any(T < 1):
-        raise ValueError("iterations are numbered from 1")
-    tail = constants.xi4 if constants.regime == 1 else constants.xi5
+    T, e1, e2, tail, burn = _bound_terms(constants, T)
     with np.errstate(divide="ignore"):  # a zero term has log -inf
-        out = np.logaddexp(
-            np.log(constants.xi1) - min(mu, 2.0 * nu) * np.log(T),
-            np.log(tail) - min(mu - nu, 2.0 * nu) * np.log(T),
-        )
-        if constants.regime == 1:
-            p = 1.0 - mu - nu
-            burn_in = constants.xi3 * (constants.thresholds.T0**p - T**p)
-            out = np.logaddexp(out, np.log(2.0 * constants.q0) + burn_in)
+        out = np.logaddexp(np.log(constants.xi1) - e1 * np.log(T), np.log(tail) - e2 * np.log(T))
+        if burn is not None:
+            out = np.logaddexp(out, np.log(2.0 * constants.q0) + burn)
     return out / np.log(10.0)
 
 

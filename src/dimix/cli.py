@@ -126,7 +126,7 @@ def _stats(mc: MonteCarlo) -> np.ndarray:
     return np.stack([mc.mean, mc.stderr], axis=-1).reshape(mc.t.size, -1)
 
 
-class _Certificate(NamedTuple):
+class Certificate(NamedTuple):
     """The certificate's inputs that the schedule, the problem and the steps
     fix; ``th`` is None, with the reason in ``note``, when the step sizes
     admit no burn-in thresholds."""
@@ -137,14 +137,16 @@ class _Certificate(NamedTuple):
     note: str
 
 
-def _certificate(cfg: RunConfig) -> _Certificate:
+def certificate(cfg: RunConfig) -> Certificate:
+    """lambda, kappa and the burn-in thresholds of a run setup, assembled
+    here alone for ``theory``, the manifest and the acceptance checks."""
     sched, problem = cfg.schedule, cfg.problem
     lam = contraction_factor(sched.eta, float(sched.r.min()), sched.B, sched.n)
     try:
         th, note = thresholds(cfg.steps, lam, problem.strong_convexity, problem.smoothness), ""
     except ValueError as exc:
         th, note = None, str(exc)
-    return _Certificate(lam, kappa_factor(lam, cfg.steps.beta0, sched.B), th, note)
+    return Certificate(lam, kappa_factor(lam, cfg.steps.beta0, sched.B), th, note)
 
 
 def _horizon_grid(cfg: Config) -> tuple[int, ...]:
@@ -155,7 +157,7 @@ def _horizon_grid(cfg: Config) -> tuple[int, ...]:
     return grid
 
 
-def _measured(cfg: RunConfig, mc: MonteCarlo) -> tuple[float, float, float]:
+def measured(cfg: RunConfig, mc: MonteCarlo) -> tuple[float, float, float]:
     """(K, state norm bound, gamma) from the completed runs."""
     K, norm_bound = empirical_bounds(tr for tr in mc.traces if not tr.aborted)
     return K, norm_bound, noise_variance_bound(cfg.noise, cfg.problem.d, state_norm_bound=norm_bound)
@@ -163,8 +165,8 @@ def _measured(cfg: RunConfig, mc: MonteCarlo) -> tuple[float, float, float]:
 
 def _derived_facts(exp: Experiment, mc: MonteCarlo) -> dict:
     sched, problem = exp.run_config.schedule, exp.run_config.problem
-    c = _certificate(exp.run_config)
-    K, norm_bound, gamma = _measured(exp.run_config, mc)
+    c = certificate(exp.run_config)
+    K, norm_bound, gamma = measured(exp.run_config, mc)
     facts = {
         "version": VERSION,
         "r": sched.r,
@@ -249,7 +251,7 @@ def cmd_theory(args) -> int:
     rc = exp.run_config
     sched, steps, T_sim = rc.schedule, rc.steps, rc.T
     mu_f, L_f = rc.problem.strong_convexity, rc.problem.smoothness
-    c = _certificate(rc)
+    c = certificate(rc)
     if c.th is None:
         raise ValueError(c.note)
     lam, kappa, th = c.lam, c.kappa, c.th
@@ -262,7 +264,7 @@ def cmd_theory(args) -> int:
     # Only the table's horizons and T0 are read from the runs.
     at = [T for T in T_grid if T <= T_sim] + [th.T0] * (th.T0 <= T_sim)
     mc = monte_carlo(rc, exp.values["runs"], seed=exp.values["seed"], jobs=args.jobs, at=at)
-    K, _, gamma = _measured(rc, mc)
+    K, _, gamma = measured(rc, mc)
     if th.T0 <= T_sim:
         q0 = mc.q0_estimate(th.T0)
         q0_source = f"measured over {mc.completed} runs"
@@ -282,11 +284,10 @@ def cmd_theory(args) -> int:
         if val is not None:
             print(f"{name} = {fmt(val)}")
     print(f"regime: mu + nu {'<' if tc.regime == 1 else '=='} 1")
-    if tc.regime == 2 and not tc.side_condition_ok:
-        need = min(steps.mu - steps.nu, 2 * steps.nu) / tc.c2
+    if not tc.side_condition_ok:
         print(
             f"WARNING: alpha0*beta0 = {fmt(steps.alpha0 * steps.beta0)} is below "
-            f"the certification threshold {fmt(need)}; the bound below is reported "
+            f"the certification threshold {fmt(tc.side_threshold)}; the bound below is reported "
             "but not certified for these steps"
         )
     print()

@@ -120,12 +120,10 @@ class Problem:
         loss = (resid * resid).sum(-1) / (2 * self.N)
         return float(loss) if loss.ndim == 0 else loss
 
-    def local_terms(self, X, HX=None):
+    def local_terms(self, X, HX):
         """Gradients H_i x_i - b_i (..., n, d) and values f_i(x_i) (..., n) of
-        every agent at its row of X (..., n, d), from products H_i x_i given
-        as ``HX`` or made by one matmul per agent row, so that each row's
-        result is independent of the rest of the batch."""
-        HX = np.matmul(self.H, X[..., None])[..., 0] if HX is None else HX
+        every agent at its row of X (..., n, d), from the products HX = H_i x_i
+        (..., n, d)."""
         return HX - self.b, (X * (0.5 * HX - self.b)).sum(-1) + self.c
 
 

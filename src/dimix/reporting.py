@@ -126,8 +126,6 @@ def parse_config(path) -> Config:
 def fmt(value) -> str:
     """One config/CSV token: floats with 17 significant digits, lists
     comma-joined, everything else via str()."""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, (float, np.floating)):
         return "%.17g" % value
     if isinstance(value, (tuple, list, np.ndarray)):

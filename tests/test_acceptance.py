@@ -12,11 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from dimix.analysis import StepSchedule, fit_rate, theorem_bound, thresholds, xi_constants
-from dimix.analysis import contraction_factor, kappa_factor
-from dimix.dynamics import MonteCarlo, RunConfig, empirical_bounds, monte_carlo, run
+from dimix.analysis import StepSchedule, fit_rate, theorem_bound, xi_constants
+from dimix.cli import certificate, measured
+from dimix.dynamics import MonteCarlo, RunConfig, monte_carlo, run
 from dimix.lemmas import run_suite
-from dimix.noise import noise_variance_bound
 from dimix.objective import build_problem
 from dimix.rng import philox
 from dimix.topology import (
@@ -229,14 +228,11 @@ def test_criterion_8_theorem_bound_dominance(verdict):
     cfg = RunConfig(problem=problem, schedule=schedule, steps=steps, T=5000, noise=noise)
     mc = monte_carlo(cfg, 50, seed=100)
 
-    lam = contraction_factor(schedule.eta, float(schedule.r.min()), schedule.B, n)
-    kappa = kappa_factor(lam, steps.beta0, schedule.B)
-    mu_f, L_f = problem.strong_convexity, problem.smoothness
-    th = thresholds(steps, lam, mu_f, L_f)
-    K, norm_bound = empirical_bounds([tr for tr in mc.traces if not tr.aborted])
-    gamma = noise_variance_bound(noise, d, state_norm_bound=norm_bound)
+    c = certificate(cfg)
+    th = c.th
+    K, _, gamma = measured(cfg, mc)
     q0 = mc.q0_estimate(th.T0)
-    tc = xi_constants(steps, lam, kappa, mu_f, L_f, gamma, K, q0)
+    tc = xi_constants(steps, c.lam, c.kappa, problem.strong_convexity, problem.smoothness, gamma, K, q0)
 
     report_ts = sorted({th.T_min, 2500, 5000})
     rows = []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -256,6 +257,22 @@ class TestXiConstants:
             self.small_regime1(**{name: value})
 
 
+CASES = ("regime1", "regime1-overflow", "regime1-zero-q0", "regime2")
+
+
+def certificate_case(case):
+    """mu + nu < 1 (small, with xi2 overflowing, and with q0 = 0) and
+    mu + nu == 1 certificates."""
+    if case == "regime1":
+        return TestXiConstants().small_regime1()
+    if case == "regime2":
+        steps = StepSchedule(alpha0=0.1, nu=0.25, beta0=0.7, mu=0.75)
+        return xi_constants(steps, 1e-3, kappa_factor(1e-3, 0.7, B=4), 0.0293, 6.229, 1.25, 200.0, 1.0)
+    steps = StepSchedule(alpha0=0.25, nu=0.05, beta0=0.8, mu=0.1)
+    q0 = 0.0 if case == "regime1-zero-q0" else 1.5
+    return xi_constants(steps, 1e-5, kappa_factor(1e-5, 0.8, B=20), 2.0, 2.0, 0.5, 3.0, q0)
+
+
 class TestTheoremBound:
     def test_regime1_formula(self):
         tc = TestXiConstants().small_regime1()
@@ -309,17 +326,9 @@ class TestTheoremBound:
             bound = theorem_bound(tc, T, strict=False)
         np.testing.assert_array_equal(bound, tc.xi1 * T**-0.1 + 0.0 + tc.xi4 * T**-0.05)
 
-    @pytest.mark.parametrize("case", ["regime1", "regime1-overflow", "regime1-zero-q0", "regime2"])
+    @pytest.mark.parametrize("case", CASES)
     def test_log10_bound_matches_where_finite(self, case):
-        steps = StepSchedule(alpha0=0.25, nu=0.05, beta0=0.8, mu=0.1)
-        if case == "regime1":
-            tc = TestXiConstants().small_regime1()
-        elif case == "regime2":
-            steps = StepSchedule(alpha0=0.1, nu=0.25, beta0=0.7, mu=0.75)
-            tc = xi_constants(steps, 1e-3, kappa_factor(1e-3, 0.7, B=4), 0.0293, 6.229, 1.25, 200.0, 1.0)
-        else:
-            q0 = 0.0 if case == "regime1-zero-q0" else 1.5
-            tc = xi_constants(steps, 1e-5, kappa_factor(1e-5, 0.8, B=20), 2.0, 2.0, 0.5, 3.0, q0)
+        tc = certificate_case(case)
         T0 = tc.thresholds.T0
         T = np.unique(np.geomspace(1, 100 * T0, 60).round())
         bound = theorem_bound(tc, T, strict=False)
@@ -343,6 +352,75 @@ class TestTheoremBound:
         tc = TestXiConstants().small_regime1()
         with pytest.raises(ValueError):
             theorem_bound(tc, 0, strict=False)
+
+
+# repr of every TheoryConstants field, then of theorem_bound(strict=False)
+# and theorem_log10_bound at T = 1, 7, T_min and 10 T_min: a change in the
+# certificate's arithmetic that moves any last bit of what theory prints
+# fails here.
+PINNED = {
+    "regime1": (
+        dict(
+            steps="StepSchedule(alpha0=0.5, nu=0.2, beta0=0.8, mu=0.6)", c1="0.35714285714285715",
+            c2="0.5714285714285715", q0="1.5",
+            thresholds="Thresholds(T1=1558846, T2=3200000, T3=1, T4=526)", eps1="7764.606803184339",
+            eps2="7249.184783268383", eps3="5861836.088833669", eps4="12896039.523434075",
+            eps5="143.01294519713076", xi1="11723672.177667338", xi2="25342664234.888023",
+            xi3="1.1428571428571432", xi4="3688601187.2498193", xi5="None", regime="1",
+            side_condition_ok="True", side_threshold="None",
+        ),
+        ("11782266663.992945", "6391180790.634024", "9250815.148568721", "3682814.6497933012"),
+        ("10.071228847748989", "9.805581102834772", "6.966180002893369", "6.566179862054046"),
+    ),
+    "regime1-overflow": (
+        dict(
+            steps="StepSchedule(alpha0=0.25, nu=0.05, beta0=0.8, mu=0.1)", c1="0.25", c2="1.0", q0="1.5",
+            thresholds="Thresholds(T1=77020, T2=166372, T3=1, T4=1)", eps1="91910.94173391385",
+            eps2="86159.44196062001", eps3="34466718039.170586", eps4="27573374431.65647",
+            eps5="12.635681904967386", xi1="68933436078.34119", xi2="inf", xi3="0.23529411764705885",
+            xi4="696816776729.9442", xi5="None", regime="1", side_condition_ok="True",
+            side_threshold="None",
+        ),
+        ("inf", "inf", "402717839463.9928", "356914727521.35626"),
+        ("2801.3779928386143", "2800.945949230803", "11.605000868269387", "11.552564468799854"),
+    ),
+    "regime1-zero-q0": (
+        dict(
+            steps="StepSchedule(alpha0=0.25, nu=0.05, beta0=0.8, mu=0.1)", c1="0.25", c2="1.0", q0="0.0",
+            thresholds="Thresholds(T1=77020, T2=166372, T3=1, T4=1)", eps1="91910.94173391385",
+            eps2="86159.44196062001", eps3="34466718039.170586", eps4="27573374431.65647",
+            eps5="12.635681904967386", xi1="68933436078.34119", xi2="0.0", xi3="0.23529411764705885",
+            xi4="696816776729.9442", xi5="None", regime="1", side_condition_ok="True",
+            side_threshold="None",
+        ),
+        ("765750212808.2854", "688957422536.4225", "402717839460.9928", "356914727521.35626"),
+        ("11.884087126172636", "11.838192383404214", "11.605000868266151", "11.552564468799854"),
+    ),
+    "regime2": (
+        dict(
+            steps="StepSchedule(alpha0=0.1, nu=0.25, beta0=0.7, mu=0.75)", c1="0.15978780179921065",
+            c2="0.029162823770033396", q0="1.0",
+            thresholds="Thresholds(T1=21084964598085, T2=66638900458143, T3=1, T4=None)",
+            eps1="34188375832.70108", eps2="108880049.90913865", eps3="504507963005.84174",
+            eps4="7763166714330.601", eps5="8.508471834240217", xi1="1009015926011.6835", xi2="None",
+            xi3="None", xi4="132105370666786.14", xi5="132105370666788.28", regime="2",
+            side_condition_ok="False", side_threshold="17.145116122595127",
+        ),
+        ("133114386592799.97", "50312508978494.18", "16306512.357617928", "5156571.974375478"),
+        ("14.124224995220885", "13.701675975213757", "7.212361083921437", "6.7123610839214365"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_certificate_bits_are_pinned(case):
+    fields, bounds, log10_bounds = PINNED[case]
+    tc = certificate_case(case)
+    assert {f.name: repr(getattr(tc, f.name)) for f in dataclasses.fields(tc)} == fields
+    T_min = tc.thresholds.T_min
+    Ts = (1, 7, T_min, 10 * T_min)
+    assert tuple(repr(theorem_bound(tc, T, strict=False)) for T in Ts) == bounds
+    assert tuple(repr(float(theorem_log10_bound(tc, T))) for T in Ts) == log10_bounds
 
 
 class TestFitRate:

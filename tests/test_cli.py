@@ -444,7 +444,14 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "case",
-        ["no thresholds", "burn-in beyond T", "T_grid below 1", "negative assumed q0", "c2 alpha0 beta0 above 1"],
+        [
+            "no thresholds",
+            "burn-in beyond T",
+            "T_grid below 1",
+            "negative assumed q0",
+            "c2 alpha0 beta0 above 1",
+            "xi5 overflow",
+        ],
     )
     def test_theory_fails_before_simulating(self, tmp_path, capsys, monkeypatch, case):
         def no_simulation(*args, **kwargs):
@@ -462,6 +469,10 @@ class TestErrorPaths:
             cfg.write_text(text.replace("alpha0 = 0.25", "alpha0 = 100"))
             extra = ["--assume-q0", "1"]
             expected = "error: c2*alpha0*beta0 must be <= 1 if mu + nu < 1: alpha0*beta0 = 80, c2 = 0.02826"
+        elif case == "xi5 overflow":
+            cfg.write_text("family = gossip\nn = 20\nalpha0 = 1000\nT = 20\nruns = 2\nT_grid = 10, 20\n")
+            extra = ["--assume-q0", "1"]
+            expected = "error: xi5's factor T0^(c2*alpha0*beta0) = 2.108e+28^14.61, about 10^413.7, is beyond"
         elif case == "no thresholds":
             cfg.write_text(self.OVERFLOW_CONFIG)
             expected = f"error: {self.OVERFLOW_NOTE}"

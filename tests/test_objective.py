@@ -16,7 +16,8 @@ from helpers import model
 
 def at_each_agent(p, x):
     """Gradients (n, d) and values (n,) of every local objective at x."""
-    return p.local_terms(np.tile(x, (p.n, 1)))
+    X = np.tile(x, (p.n, 1))
+    return p.local_terms(X, np.matmul(p.H, X[..., None])[..., 0])
 
 
 class TestSynthesize:
@@ -183,7 +184,7 @@ class TestProblem:
             ri * (0.5 * x_i @ H_i @ x_i - b_i @ x_i + c_i)
             for ri, H_i, b_i, c_i, x_i in zip(p.r, p.H, p.b, p.c, X)
         )
-        G, values = p.local_terms(X)
+        G, values = p.local_terms(X, np.matmul(p.H, X[..., None])[..., 0])
         assert float(values @ p.r) == pytest.approx(direct, rel=1e-12)
         for i in (0, 7, 19):
             np.testing.assert_allclose(G[i], p.H[i] @ X[i] - p.b[i], atol=1e-12)

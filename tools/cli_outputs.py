@@ -3,11 +3,11 @@
     PYTHONPATH=<tree>/src python3 tools/cli_outputs.py DEST
 
 runs ``run --plots``, ``sweep --plots`` and ``theory`` (each at --jobs 1 and
-2), ``validate`` and ``lemmas`` on thirteen configs with whichever dimix
+2), ``validate`` and ``lemmas`` on fourteen configs with whichever dimix
 the PYTHONPATH gives, and the three with ``--seed 3`` on the configs in
 SEEDED.  The configs include a theory T_grid past the simulated horizon,
-seeds that diverge and leave the batch, and steps that admit no burn-in
-thresholds.  Each command runs in its own directory
+seeds that diverge and leave the batch, steps that admit no burn-in
+thresholds, and steps whose constant xi5 is beyond the float range.  Each command runs in its own directory
 DEST/<config>/<command> with a relative --out, so nothing it prints holds an
 absolute path; stdout, stderr, the exit code and every output file are kept
 there.  DEST/lemma_reports.json holds every field of the lemma suite's
@@ -84,6 +84,12 @@ CONFIGS = {
     # mu = 0.99 admits no burn-in thresholds: run and sweep note why in the
     # manifest (derived.theory_note), theory fails with a one-line error.
     "no_thresholds": ("family = gossip\nmu = 0.99\nnu = 0.01\nT = 20\nruns = 2\nT_grid = 10, 20\n", ()),
+    # mu + nu = 1 with alpha0 = 1000: xi5's factor T0^(c2*alpha0*beta0) is
+    # beyond the float range, so theory fails with a one-line error.
+    "xi5_overflow": (
+        "family = gossip\nn = 20\nalpha0 = 1000\nT = 20\nruns = 2\nT_grid = 10, 20\n",
+        ("--assume-q0", "1"),
+    ),
 }
 
 # Configs whose run, theory and lemmas are also recorded with --seed 3.
