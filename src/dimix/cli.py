@@ -15,6 +15,7 @@ Subcommands:
 
 The output directory is resolved in order: ``--out``, the config's
 ``output_dir``, the ``DIMIX_OUT`` environment variable, ``./dimix-out``.
+Only ``run``, ``theory`` and ``sweep`` take ``--jobs`` (worker processes).
 """
 
 from __future__ import annotations
@@ -354,11 +355,12 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_common(sp: argparse.ArgumentParser, config_required: bool = True) -> None:
+def _add_common(sp: argparse.ArgumentParser, config_required: bool = True, jobs: bool = False) -> None:
     sp.add_argument("--config", required=config_required, help="flat key = value config file")
     sp.add_argument("--seed", type=int, default=None, help="override the config seed")
     sp.add_argument("--out", default=None, help="output directory")
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes for Monte Carlo")
+    if jobs:
+        sp.add_argument("--jobs", type=int, default=1, help="worker processes for Monte Carlo")
 
 
 def main(argv=None) -> int:
@@ -369,7 +371,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("run", help="Monte Carlo trajectories with CSV traces")
-    _add_common(sp)
+    _add_common(sp, jobs=True)
     sp.add_argument("--plots", action="store_true", help="also write SVG plots")
     sp.set_defaults(func=cmd_run)
 
@@ -378,7 +380,7 @@ def main(argv=None) -> int:
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("theory", help="explicit constants and certified bound")
-    _add_common(sp)
+    _add_common(sp, jobs=True)
     sp.add_argument(
         "--assume-q0",
         type=float,
@@ -393,13 +395,13 @@ def main(argv=None) -> int:
     sp.set_defaults(func=cmd_lemmas)
 
     sp = sub.add_parser("sweep", help="final error across a horizon grid")
-    _add_common(sp)
+    _add_common(sp, jobs=True)
     sp.add_argument("--plots", action="store_true", help="also write SVG plots")
     sp.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
     try:
-        if args.jobs < 1:
+        if "jobs" in args and args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:

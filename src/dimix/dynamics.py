@@ -22,9 +22,10 @@ diagnostics of stored states a chunk of iterations at a time.  The seeds
 draw in lockstep: d values per message, zero rows included (none at t = 1
 for the quantizer, as X(1) = 0), each from its own Philox stream in a fixed
 order (by iteration, then receiver, then sender, ascending), a block of
-iterations ahead.  No value of a seed depends on its batch, chunk, draw
-block or recorded iterations, so a trace is a pure function of (config,
-seed), bit-identical for every batch size and ``--jobs`` value.
+iterations ahead; a diverged seed's row is reset to zero and runs on, so
+the batch keeps its shape.  No value of a seed depends on its batch, chunk,
+draw block or recorded iterations, so a trace is a pure function of
+(config, seed), bit-identical for every batch size and ``--jobs`` value.
 """
 
 from __future__ import annotations
@@ -120,8 +121,10 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
     so a seed's trace is bit-identical whichever seeds share its batch,
     iterations its chunk or values its draw block, and whichever iterations
     are recorded.  The maxima behind ``max_grad_sq`` and ``max_state_norm``
-    cover every iterate.  A seed whose update diverges leaves the batch after
-    the chunk is evaluated, its trace truncated at the last finite iterate.
+    cover every iterate of the trace.  A seed's first diverged update sets
+    its ``abort_t`` and ``final_state`` and resets its row to zero, which
+    runs and draws on unread: trace and maxima end at the last finite
+    iterate.  The run stops once every seed has aborted.
     """
     seeds = list(seeds)
     if not seeds:
@@ -138,7 +141,7 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
     plans = [_slot_plan(cfg.schedule, t) for t in range(1, cfg.schedule.period + 1)]
     betas = cfg.steps.beta(ts)
     betas, alpha_betas = betas.tolist(), (cfg.steps.alpha(ts) * betas).tolist()
-    draws, sent = None, None
+    draws, sends = None, None
     if noise.kind != "noiseless":
         # d values per message at t = 1..T-1; the quantizer takes none at t = 1.
         sizes = np.array([src.size * d for _, src, _ in plans])[np.arange(T - 1) % len(plans)]
@@ -146,6 +149,7 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
         if noise.kind == "gaussian_channel":
             scale = noise.sigma / np.sqrt(d)
             sent = np.empty(R * sizes.max(initial=0))  # X[:, src] + Z of one iteration
+            sends = [sent[: R * src.size * d].reshape(R, src.size, d) for _, src, _ in plans]
         else:
             sizes[:1] = 0
         draws = DrawStream([philox(seed) for seed in seeds], sizes.sum(), sizes.max(initial=0), scale)
@@ -153,62 +157,50 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
     values = np.empty((R, at.size, len(TRACE_COLUMNS)))
     final = np.empty((R, n, d))
     max_grad_sq, max_norm_sq = np.zeros(R), np.zeros(R)
-    abort_t = np.zeros(R, dtype=int)
-    live = np.arange(R)
+    end = np.full(R, T + 1)  # first iteration past each seed's trace: abort_t, else T + 1
+    stop = T  # the last iteration run: T, or the one after every seed aborted
     # Slot j of the chunk holds X(t) and H_i x_i(t) until ``record`` reads it.
     chunk = int(max(1, min(T, CHUNK_BYTES // (16 * R * n * d))))
     Xs, HXs = np.zeros((chunk, R, n, d)), np.empty((chunk, R, n, d))
-    G, Xhat = np.empty((R, n, d)), np.empty((R, n, d))
-    work: dict = {}
-
-    def bind(L):
-        """Views of the first L batch rows: per chunk slot X, X[..., None],
-        HX and HX[..., None]; G; Xhat; b copied to (L, n, d); and per
-        period slot the (L, messages, d) buffer of sent values.  Made when
-        the batch forms or shrinks, so an iteration only runs ufuncs and
-        products on them."""
-        views = [(X, X[..., None], HX, HX[..., None]) for X, HX in zip(Xs[:, :L], HXs[:, :L])]
-        sends = None if sent is None else [sent[: L * s.size * d].reshape(L, s.size, d) for _, s, _ in plans]
-        b = np.ascontiguousarray(np.broadcast_to(problem.b, (L, n, d)))
-        return views, G[:L], Xhat[:L], b, sends
+    G, D, work = np.empty((R, n, d)), np.empty((R, n, d)), {}
+    b = np.ascontiguousarray(np.broadcast_to(problem.b, (R, n, d)))
+    # Per chunk slot X, X[..., None], HX and HX[..., None]: the batch keeps
+    # its shape, so an iteration only runs ufuncs and products on views.
+    views = [(X, X[..., None], HX, HX[..., None]) for X, HX in zip(Xs, HXs)]
 
     def record(t, m):
-        """Maxima over iterations t-m+1..t (slots 0..m-1) of the live seeds,
-        and the trace columns at those of them that are recorded."""
-        Xk, HXk = Xs[:m, : live.size], HXs[:m, : live.size]
+        """Maxima over iterations t-m+1..t (slots 0..m-1) before each seed's
+        abort_t, and the trace columns of every seed at those recorded."""
+        Xk, HXk = Xs[:m], HXs[:m]
+        grads = HXk - problem.b
+        kept = np.arange(t - m + 1, t + 1)[:, None] < end  # (m, R): iterations in each trace
+        np.maximum(max_grad_sq, np.where(kept, (grads * grads).sum(-1).max(-1), 0.0).max(0), out=max_grad_sq)
+        np.maximum(max_norm_sq, np.where(kept, (Xk * Xk).sum(-1).max(-1), 0.0).max(0), out=max_norm_sq)
         rows = row_of[t - m + 1 : t + 1]
         slots = np.flatnonzero(rows >= 0)
-        if slots.size == m:
-            grads, local_values = problem.local_terms(Xk, HXk)
-        else:  # the gradients local_terms returns, at every slot
-            grads = HXk - problem.b
-        max_grad_sq[live] = np.maximum(max_grad_sq[live], (grads * grads).sum(-1).max(-1).max(0))
-        max_norm_sq[live] = np.maximum(max_norm_sq[live], (Xk * Xk).sum(-1).max(-1).max(0))
         if not slots.size:
             return
         if slots.size < m:
-            Xk = Xk[slots]
-            _, local_values = problem.local_terms(Xk, HXk[slots])
-        values[live, rows[slots[0]] : rows[slots[-1]] + 1] = np.stack(
+            Xk, HXk = Xk[slots], HXk[slots]
+        values[:, rows[slots[0]] : rows[slots[-1]] + 1] = np.stack(
             [
                 problem.pooled_loss(weighted_mean(Xk, r)),
-                (local_values * r).sum(-1),
+                (problem.local_values(Xk, HXk) * r).sum(-1),
                 deviation_sq(Xk, r),
                 dist_opt_sq(Xk, r, x_star),
             ],
             axis=-1,
         ).swapaxes(0, 1)
 
-    views, G_L, D, b, sends = bind(R)
     j = 0
     for t in range(1, T + 1):
         X, Xcol, HX, HXcol = views[j]
         np.matmul(problem.H, Xcol, out=HXcol)
-        if t == T or j == chunk - 1:
+        if t == stop or j == chunk - 1:
             record(t, j + 1)
-            if t == T:
+            if t == stop:
                 break
-        np.subtract(HX, b, out=G_L)
+        np.subtract(HX, b, out=G)
         k = (t - 1) % len(plans)
         W, src, M = plans[k]
         if noise.kind == "noiseless":
@@ -227,27 +219,21 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
         np.subtract(D, X, out=D)
         D *= betas[t - 1]
         np.add(X, D, out=Xn)
-        G_L *= alpha_betas[t - 1]
-        Xn -= G_L
+        G *= alpha_betas[t - 1]
+        Xn -= G
         if not np.abs(Xn, out=D).max() <= DIVERGENCE_LIMIT:  # also true on inf/nan
-            ok = (D <= DIVERGENCE_LIMIT).all(axis=(1, 2))
-            if j:  # the pending rows belong to the live set before it shrinks
-                record(t, j)
-            final[live[~ok]] = Xn[~ok]
-            abort_t[live[~ok]] = t + 1
-            Xs[0, : ok.sum()] = Xn[ok]
-            live, j = live[ok], 0
-            if not live.size:
-                break
-            if draws is not None:
-                draws.keep(ok)
-            views, G_L, D, b, sends = bind(live.size)
-    final[live] = Xs[j, : live.size]
+            out = ~(D <= DIVERGENCE_LIMIT).all(axis=(1, 2))
+            first = out & (end > T)
+            final[first] = Xn[first]
+            end[first] = t + 1
+            Xn[out] = 0.0  # reset to stay finite; the row is never reported again
+            if (end <= T).all():
+                stop = t + 1
+    final[end > T] = X[end > T]
 
     traces = []
     for k, seed in enumerate(seeds):
-        # An aborted seed has rows up to iteration abort_t - 1.
-        rows = slice(0, int((at < abort_t[k]).sum()) if abort_t[k] else at.size)
+        rows = slice(0, int((at < end[k]).sum()))  # the iterations before abort_t
         traces.append(
             RunTrace(
                 seed=seed,
@@ -256,8 +242,8 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
                 final_state=final[k],
                 max_grad_sq=float(max_grad_sq[k]),
                 max_state_norm=float(np.sqrt(max_norm_sq[k])),
-                aborted=bool(abort_t[k]),
-                abort_t=int(abort_t[k]) or None,
+                aborted=bool(end[k] <= T),
+                abort_t=int(end[k]) if end[k] <= T else None,
             )
         )
     return traces
@@ -300,20 +286,21 @@ def monte_carlo(
     """Run ``num_runs`` seeded trajectories and aggregate their columns at
     the iterations ``at`` (all of them when omitted).
 
-    ``jobs = 1`` runs all seeds as one batch; ``jobs > 1`` gives each worker
-    process one contiguous chunk of seeds.  The traces are identical either
-    way, because each one is a pure function of its seed.
+    The seeds split into at most ``jobs`` contiguous chunks of equal size.
+    A single chunk runs in this process as one batch; more run one per
+    worker process.  The traces are identical either way, because each one
+    is a pure function of its seed.
     """
     if num_runs < 1:
         raise ValueError("need at least one run")
     seeds = [seed + k for k in range(num_runs)]
-    if jobs > 1:
+    size = -(-num_runs // jobs)
+    chunks = [seeds[i : i + size] for i in range(0, num_runs, size)]
+    if len(chunks) > 1:
         # Loaded here: concurrent.futures pulls in multiprocessing, which
         # would otherwise add to every command's start-up.
         from concurrent.futures import ProcessPoolExecutor
 
-        size = -(-num_runs // jobs)
-        chunks = [seeds[i : i + size] for i in range(0, num_runs, size)]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             parts = pool.map(run, [cfg] * len(chunks), chunks, [at] * len(chunks))
             traces = [tr for part in parts for tr in part]

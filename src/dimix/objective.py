@@ -120,11 +120,11 @@ class Problem:
         loss = (resid * resid).sum(-1) / (2 * self.N)
         return float(loss) if loss.ndim == 0 else loss
 
-    def local_terms(self, X, HX):
-        """Gradients H_i x_i - b_i (..., n, d) and values f_i(x_i) (..., n) of
-        every agent at its row of X (..., n, d), from the products HX = H_i x_i
-        (..., n, d)."""
-        return HX - self.b, (X * (0.5 * HX - self.b)).sum(-1) + self.c
+    def local_values(self, X, HX):
+        """Values f_i(x_i) (..., n) of every agent at its row of X (..., n, d),
+        from the products HX = H_i x_i (..., n, d); the gradients are
+        HX - b."""
+        return (X * (0.5 * HX - self.b)).sum(-1) + self.c
 
 
 def quadratic_problem(U: np.ndarray, v: np.ndarray, r: np.ndarray, shards) -> Problem:

@@ -33,12 +33,12 @@ class DrawStream:
 
     Generator k fills row k of an (R, width) buffer with uniforms on [0, 1),
     or with ``scale`` set, with ``0.0 + scale * z`` for standard normals z:
-    value for value what ``Generator.normal(0.0, scale)`` returns.  Each seed
-    draws ``total`` values in all.  ``take(m)`` gives every seed its next m
-    values, the (R, m) slice at the common cursor, and takes at most
-    ``widest``: the buffer is that wide at least, else as wide as DRAW_BYTES
-    per batch and ROW_BYTES per seed allow.  A refill moves the unread tail
-    to the front of each row and fills the rest of the row.
+    value for value what ``Generator.normal(0.0, scale)`` returns.  Each seed,
+    aborted or not, draws ``total`` values in all.  ``take(m)`` gives every
+    seed its next m values, the (R, m) slice at the common cursor, and
+    takes at most ``widest``: the buffer is that wide at least, else as wide
+    as DRAW_BYTES per batch and ROW_BYTES per seed allow.  A refill moves
+    the unread tail to the front of each row and fills the rest of the row.
     """
 
     def __init__(self, gens, total: int, widest: int, scale=None) -> None:
@@ -54,11 +54,6 @@ class DrawStream:
             self._refill()
         self.cur += m
         return self.buf[:, self.cur - m : self.cur]
-
-    def keep(self, ok) -> None:
-        """Drop the seeds whose ``ok`` entry is False."""
-        self.gens = [g for g, keep in zip(self.gens, ok) if keep]
-        self.buf = self.buf[ok]
 
     def _refill(self) -> None:
         tail = self.end - self.cur

@@ -404,6 +404,13 @@ class TestErrorPaths:
         assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
         assert not (out / "manifest.txt").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "lemmas"])
+    def test_jobs_rejected_where_no_worker_runs(self, config_file, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", config_file, "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text("volume = 11\n")

@@ -224,10 +224,19 @@ def divergent_config():
 
 
 def divergent_quantizer_config():
-    # A one-level quantizer and large gradient steps: seeds 7-26 leave the
-    # batch at t = 30 and 31, except seed 18, which survives.
+    # A one-level quantizer and large gradient steps: seeds 7-26 abort at
+    # t = 30 and 31, except seed 18, which survives.
     steps = StepSchedule(alpha0=12.0, nu=0.05, beta0=1.0, mu=0.5)
     return simple_config(n=3, d=2, T=31, noise=stochastic_quantizer(1), steps=steps)
+
+
+def repeat_divergence_config():
+    # A slowly decaying Gaussian channel near the divergence limit: seeds
+    # 7-26 abort at t = 3 to 12 and seeds 8, 12 and 21 survive.  Eleven
+    # reset rows cross the limit again before T (seed 20's at t = 5, two
+    # after its abort), which must move neither abort_t nor the maxima.
+    steps = StepSchedule(alpha0=0.1, nu=0.25, beta0=0.7, mu=0.1)
+    return simple_config(n=3, d=2, T=12, noise=gaussian_channel(1.3 * DIVERGENCE_LIMIT), steps=steps)
 
 
 def assert_same_trace(a, b):
@@ -266,7 +275,7 @@ class TestBatchInvariance:
         self.check(small_instance_config(family, noise, 30))
 
     def test_partial_divergence_batches_agree(self):
-        for cfg in (divergent_config(), divergent_quantizer_config()):
+        for cfg in (divergent_config(), divergent_quantizer_config(), repeat_divergence_config()):
             # Survivors are shown untouched only if a seed ahead of them aborts.
             aborted = [tr.aborted for tr in run(cfg, range(7, 27))]
             assert False in aborted[aborted.index(True) + 1 :]
@@ -301,9 +310,9 @@ class TestChunkInvariance:
         self.check(monkeypatch, small_instance_config(family, noise, 11))
 
     def test_aborts_in_mid_chunk(self, monkeypatch):
-        for cfg in (divergent_config(), divergent_quantizer_config()):
+        for cfg in (divergent_config(), divergent_quantizer_config(), repeat_divergence_config()):
             traces = self.check(monkeypatch, cfg)
-            # Seeds leave the batch at several iterations, survivors stay.
+            # Seeds abort at several iterations, survivors run to T.
             abort_ts = {tr.abort_t for tr in traces}
             assert None in abort_ts and len(abort_ts - {None, 2}) >= 2
 
@@ -353,6 +362,7 @@ BLOCK_CONFIGS = {
     },
     "divergent": divergent_config,
     "divergent-quantizer": divergent_quantizer_config,
+    "divergent-repeat": repeat_divergence_config,
     "gaps-gaussian": lambda: gaps_config(gaussian_channel(0.3)),
     "gaps-quantizer": lambda: gaps_config(stochastic_quantizer(4)),
 }
@@ -446,7 +456,7 @@ class TestDrawBlockInvariance:
 
 class TestDrawStream:
     """Each seed's values are those of one call per take, whatever the
-    blocks and the seeds dropped on the way."""
+    blocks."""
 
     @pytest.mark.parametrize("trial", range(6))
     def test_matches_one_call_per_take(self, monkeypatch, trial):
@@ -456,19 +466,13 @@ class TestDrawStream:
         monkeypatch.setattr(rng_module, "DRAW_BYTES", 8 * R * int(pick.integers(1, 3 * sizes.max() + 2)))
         scale = [None, 0.7][trial % 2]
         stream = DrawStream([philox(trial, k) for k in range(R)], sizes.sum(), sizes.max(), scale)
-        refs = {k: philox(trial, k) for k in range(R)}
-        seeds = list(range(R))
+        refs = [philox(trial, k) for k in range(R)]
         for m in sizes:
             got = stream.take(int(m))
-            assert got.shape == (len(seeds), m)
-            for k, vals in zip(seeds, got, strict=True):
-                g = refs[k]
+            assert got.shape == (R, m)
+            for g, vals in zip(refs, got, strict=True):
                 want = g.random(m) if scale is None else g.normal(0.0, scale, m)
                 assert vals.tobytes() == want.tobytes()
-            if len(seeds) > 1 and pick.random() < 0.15:
-                ok = np.arange(len(seeds)) != pick.integers(len(seeds))
-                stream.keep(ok)
-                seeds = [k for k, keep in zip(seeds, ok) if keep]
         # Every seed drew the sum of the sizes, no more.
         assert stream.left == 0
 
@@ -649,6 +653,19 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(
             col(serial.mean, "loss_weighted"), col(parallel.mean, "loss_weighted")
         )
+
+    def test_one_chunk_runs_without_a_pool(self, monkeypatch):
+        # One run makes one chunk whatever the jobs: no worker is started.
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started for one chunk")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = simple_config(T=20, noise=stochastic_quantizer(4))
+        pooled, serial = monte_carlo(cfg, 1, seed=3, jobs=2), monte_carlo(cfg, 1, seed=3, jobs=1)
+        assert_same_trace(pooled.traces[0], serial.traces[0])
+        np.testing.assert_array_equal(pooled.mean, serial.mean)
 
     def test_stderr_zero_for_single_or_identical_runs(self):
         cfg = simple_config(T=10)

@@ -17,7 +17,8 @@ from helpers import model
 def at_each_agent(p, x):
     """Gradients (n, d) and values (n,) of every local objective at x."""
     X = np.tile(x, (p.n, 1))
-    return p.local_terms(X, np.matmul(p.H, X[..., None])[..., 0])
+    HX = np.matmul(p.H, X[..., None])[..., 0]
+    return HX - p.b, p.local_values(X, HX)
 
 
 class TestSynthesize:
@@ -184,7 +185,8 @@ class TestProblem:
             ri * (0.5 * x_i @ H_i @ x_i - b_i @ x_i + c_i)
             for ri, H_i, b_i, c_i, x_i in zip(p.r, p.H, p.b, p.c, X)
         )
-        G, values = p.local_terms(X, np.matmul(p.H, X[..., None])[..., 0])
+        HX = np.matmul(p.H, X[..., None])[..., 0]
+        G, values = HX - p.b, p.local_values(X, HX)
         assert float(values @ p.r) == pytest.approx(direct, rel=1e-12)
         for i in (0, 7, 19):
             np.testing.assert_allclose(G[i], p.H[i] @ X[i] - p.b[i], atol=1e-12)

@@ -6,7 +6,7 @@ runs ``run --plots``, ``sweep --plots`` and ``theory`` (each at --jobs 1 and
 2), ``validate`` and ``lemmas`` on fourteen configs with whichever dimix
 the PYTHONPATH gives, and the three with ``--seed 3`` on the configs in
 SEEDED.  The configs include a theory T_grid past the simulated horizon,
-seeds that diverge and leave the batch, steps that admit no burn-in
+seeds that diverge and are reset in place, steps that admit no burn-in
 thresholds, and steps whose constant xi5 is beyond the float range.  Each command runs in its own directory
 DEST/<config>/<command> with a relative --out, so nothing it prints holds an
 absolute path; stdout, stderr, the exit code and every output file are kept
@@ -72,9 +72,9 @@ CONFIGS = {
         "T = 60\nruns = 2\nT_grid = 30, 60\n",
         ("--assume-q0", "1"),
     ),
-    # A one-level quantizer and large gradient steps: seeds 1-11 leave the
-    # batch at t = 30 to 34 and seed 0 completes, so run and sweep cover
-    # the engine's path for a shrinking batch.
+    # A one-level quantizer and large gradient steps: seeds 1-11 abort at
+    # t = 30 to 34 and seed 0 completes, so run and sweep cover the
+    # engine's path for reset rows.
     "divergent_quant": (
         "family = fixed_cycle\nn = 3\nd = 2\nN = 12\nnoise = stochastic_quantizer\n"
         "quantizer_levels = 1\nalpha0 = 25\nnu = 0.05\nbeta0 = 1.0\nmu = 0.5\n"
