@@ -12,14 +12,15 @@ Each check is a draw phase and an evaluate phase behind ``Check``:
 
 * the draw generator makes one instance's random draws at a time off the
   check's seeded stream, rejected draws included, pinned corner cases first;
-* the evaluate function takes a block of drawn instances and computes value,
-  bound and scale as arrays: instances of one shape are stacked, chains of
-  different length advance under a mask, and rows of different length are
-  padded, in blocks of at most ``BLOCK_BYTES``.
+* the evaluate function is called once, on every drawn instance, and
+  computes value, bound and scale as arrays: instances of one shape are
+  stacked, chains of different length advance under a mask, and rows of
+  different length are padded, in blocks of at most ``BLOCK_BYTES``.  Step
+  products run one instance at a time, where batching measured no faster.
 
 The invariant: each instance's draws and arithmetic are those of the
 per-instance code (``tests/lemma_oracles.py``), so a report is a pure
-function of (seed, instances), bit for bit, whatever the block sizes.
+function of (seed, instances), bit for bit, whatever the padded block sizes.
 Scalars come from raw Philox words by numpy's maps (``_Scalars``): a double
 is (w >> 11) * 2**-53; an integer is Lemire's multiply-and-reject on 32-bit
 halves, low half first, the high half held for the next one as numpy holds
@@ -44,10 +45,8 @@ from .analysis import A_constant, contraction_factor, kappa_factor, r_norm_sq
 from .rng import philox
 from .topology import entry_floor, family_matrices, family_window
 
-# Instances drawn and evaluated together (a bound on the draws held at once).
-BLOCK = 1000
 # The largest padded (rows, length) array of a check over rows of different
-# length (step products and sums run to about 2,500 terms).
+# length (decaying sums run to about 2,500 terms).
 BLOCK_BYTES = 1 << 17
 
 
@@ -91,8 +90,9 @@ class Check:
     and scale arrays plus the params of each instance.  An instance passes when
     its slack bound - value + tol * max(1, scale) is nonnegative; a
     non-finite slack is a violation and outranks every finite one as the
-    worst case.  Calling the check runs the first ``instances`` of them off
-    Philox stream ``stream`` of ``seed``."""
+    worst case, and among equals the first instance is the worst.  Calling
+    the check evaluates the first ``instances`` of them off Philox stream
+    ``stream`` of ``seed`` in one call."""
 
     name: str
     stream: int
@@ -101,26 +101,16 @@ class Check:
     evaluate: Callable[[list[tuple]], Values]
 
     def __call__(self, seed: int = 0, instances: int = 1000) -> CheckReport:
-        report = CheckReport(self.name, 0, 0, math.inf, self.tol)
-        drawn = self.draw(philox(seed, self.stream))
-        worst = (2, 0.0)  # (0, 0.0) for a non-finite slack, else (1, slack)
-        while report.instances < instances:
-            block = list(islice(drawn, min(BLOCK, instances - report.instances)))
-            if not block:
-                break
-            value, bound, scale, params = self.evaluate(block)
-            with np.errstate(invalid="ignore"):
-                slack = bound - value + self.tol * np.fmax(1.0, scale)
-            bad = ~np.isfinite(slack)
-            report.instances += len(block)
-            report.violations += int(np.count_nonzero(bad | (slack < 0.0)))
-            # The first minimum, as a strict < over the stream would keep.
-            i = int(np.argmax(bad)) if bad.any() else int(np.argmin(slack))
-            key = (0, 0.0) if bad[i] else (1, float(slack[i]))
-            if key < worst:
-                worst = key
-                report.min_slack, report.worst = float(slack[i]), params(i)
-        return report
+        block = list(islice(self.draw(philox(seed, self.stream)), instances))
+        if not block:
+            return CheckReport(self.name, 0, 0, math.inf, self.tol)
+        value, bound, scale, params = self.evaluate(block)
+        with np.errstate(invalid="ignore"):
+            slack = bound - value + self.tol * np.fmax(1.0, scale)
+        bad = ~np.isfinite(slack)
+        i = int(np.argmax(bad)) if bad.any() else int(np.argmin(slack))
+        violations = int(np.count_nonzero(bad | (slack < 0.0)))
+        return CheckReport(self.name, len(block), violations, float(slack[i]), self.tol, params(i))
 
 
 # -- evaluation helpers -------------------------------------------------------
@@ -233,13 +223,15 @@ class _Scalars:
         return low + (high - low) * ((self._raw() >> 11) * 2.0**-53)
 
 
-def _weights(p: list[np.ndarray]) -> list[np.ndarray]:
-    """The weight vector r = q / sum(q), q = 0.05 + p, of every drawn p."""
+def _weights(p: list) -> list:
+    """The weight vector r = q / sum(q), q = 0.05 + p, of every drawn p; a
+    p of None gives None."""
     r = [None] * len(p)
-    for idx in _groups([x.size for x in p]):
-        q = 0.05 + np.array([p[i] for i in idx])
-        for i, row in zip(idx, q / q.sum(axis=1)[:, None]):
-            r[i] = row
+    for idx in _groups([getattr(x, "size", None) for x in p]):
+        if p[idx[0]] is not None:
+            q = 0.05 + np.array([p[i] for i in idx])
+            for i, row in zip(idx, q / q.sum(axis=1)[:, None]):
+                r[i] = row
     return r
 
 
@@ -262,13 +254,10 @@ def _mixing_sides(r, W, U, beta0, mu, lam, kap, s, t):
         P[:m] = A @ P[:m]
     decay = 1.0 - (lam * beta0)[:, None] / k_mu
     _pad_ones(decay, steps)
-    decay = decay.prod(axis=1)
-    lhs, rhs = np.empty(G), np.empty(G)
-    for sub in _groups([u.shape for u in U]):
-        V = np.array([U[i] for i in sub])
-        lhs[sub] = r_norm_sq((P[sub] - r[sub, None, :]) @ V, r[sub])
-        rhs[sub] = kap[sub] * decay[sub] * r_norm_sq(V, r[sub])
-    return lhs, rhs
+    return _stacked(
+        lambda P, r, V, factor: (r_norm_sq((P - r[:, None, :]) @ V, r), factor * r_norm_sq(V, r)),
+        [u.shape for u in U], P, r, U, kap * decay.prod(axis=1),
+    )
 
 
 def _mixing_values(block: list[tuple]) -> Values:
@@ -278,8 +267,7 @@ def _mixing_values(block: list[tuple]) -> Values:
     for idx in _groups(list(zip(kind, map(len, p)))):
         idx = np.array(idx)[np.argsort(s0[idx] - t0[idx], kind="stable")]
         family, n = kind[idx[0]], len(p[idx[0]])
-        q = 0.05 + np.array([p[i] for i in idx])
-        r = q / q.sum(axis=1)[:, None]
+        r = np.array(_weights([p[i] for i in idx]))
         W, B = family_matrices(family, r), family_window(family, n)
         lam = [contraction_factor(e, x, B, n) for e, x in zip(entry_floor(W).tolist(), r.min(axis=1).tolist())]
         kap = [kappa_factor(x, b, B) for x, b in zip(lam, b0[idx].tolist())]
@@ -352,11 +340,7 @@ def _young_sides(r, U, V):
 
 def _young_values(block: list[tuple]) -> Values:
     theta, p, U, V = zip(*block)
-    matrix = [i for i, x in enumerate(p) if x is not None]
-    r = [None] * len(block)
-    for i, x in zip(matrix, _weights([p[i] for i in matrix])):
-        r[i] = x
-    lhs, uu, vv = _stacked(_young_sides, [u.shape for u in U], r, U, V)
+    lhs, uu, vv = _stacked(_young_sides, [u.shape for u in U], _weights(p), U, V)
     th = np.array(theta)
     rhs = (1 + th) * uu + (1 + 1 / th) * vv
     def params(i: int) -> dict:
@@ -390,14 +374,7 @@ def check_young_split(rng: np.random.Generator) -> Iterator[tuple]:
 
 
 def _step_product_values(block: list[tuple]) -> Values:
-    a, delta, s, t = (np.array(col) for col in zip(*block))
-    lhs, first = np.empty(len(block)), s.astype(float)
-    for idx, cols in _rows(t - s):
-        f = _power(first[idx, None] + cols, delta[idx])  # k = s .. t-1, padded
-        np.divide(a[idx, None], f, out=f)
-        np.subtract(1.0, f, out=f)
-        _pad_ones(f, (t - s)[idx])
-        lhs[idx] = f.prod(axis=1)
+    lhs = np.array([np.prod(1.0 - a / np.arange(s, t, dtype=float) ** delta) for a, delta, s, t in block])
     rhs = np.array([
         (t / s) ** (-a)
         if delta == 1.0

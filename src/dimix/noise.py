@@ -25,7 +25,7 @@ import numpy as np
 
 from .rng import DrawStream
 
-_KINDS = ("noiseless", "gaussian_channel", "stochastic_quantizer")
+KINDS = ("noiseless", "gaussian_channel", "stochastic_quantizer")
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class NoiseModel:
     levels: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {_KINDS}")
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {KINDS}")
         if self.kind == "gaussian_channel":
             if not (self.sigma > 0.0 and np.isfinite(self.sigma)):
                 raise ValueError("gaussian_channel needs sigma > 0")

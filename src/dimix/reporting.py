@@ -18,10 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .noise import KINDS as _NOISE_KINDS
+
 VERSION = "0.1.0"
 
 _FAMILIES = ("gossip", "fixed_cycle", "matrix_file")
-_NOISE_KINDS = ("noiseless", "gaussian_channel", "stochastic_quantizer")
 
 
 def _cast_float(raw: str) -> float:

@@ -634,6 +634,20 @@ class TestDivergenceHandling:
         manual = np.mean([col(tr.values, "dist_opt_sq") for tr in good], axis=0)
         np.testing.assert_allclose(col(mc.mean, "dist_opt_sq"), manual, rtol=1e-12)
 
+    def test_diverged_rows_are_reset_before_they_are_quantized(self, monkeypatch):
+        # Seeds 7-26 abort at t = 30 and 31 while seed 18 runs on: an
+        # aborted row that kept its state would reach the quantizer past the
+        # limit.
+        quantize, largest = dynamics.stochastic_quantize, []
+
+        def watched(x, *args):
+            largest.append(np.abs(x).max())
+            return quantize(x, *args)
+
+        monkeypatch.setattr(dynamics, "stochastic_quantize", watched)
+        run(divergent_quantizer_config(), range(7, 27))
+        assert largest and max(largest) <= DIVERGENCE_LIMIT
+
 
 class TestMonteCarlo:
     def test_seeds_are_base_plus_offset(self):

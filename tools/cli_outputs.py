@@ -11,10 +11,10 @@ thresholds, and steps whose constant xi5 is beyond the float range.  Each comman
 DEST/<config>/<command> with a relative --out, so nothing it prints holds an
 absolute path; stdout, stderr, the exit code and every output file are kept
 there.  DEST/lemma_reports.json holds every field of the lemma suite's
-reports, exactly (repr), for seeds 0-2 at 1000, 150 and 60 instances: the
-``lemmas`` command prints min slack to four digits only.  Record two trees
-into two DEST directories and compare them with ``diff -r``: an empty diff
-means the CLI output is byte-identical.
+reports, exactly (repr), for seeds 0-2 at 0, 60, 150, 1000 and 2500
+instances: the ``lemmas`` command prints min slack to four digits only.
+Record two trees into two DEST directories and compare them with
+``diff -r``: an empty diff means the CLI output is byte-identical.
 """
 
 import json
@@ -117,7 +117,7 @@ def lemma_reports():
     return [
         [seed, size, rep.name, rep.instances, rep.violations, repr(rep.min_slack), repr(rep.tol), repr(rep.worst)]
         for seed in (0, 1, 2)
-        for size in (1000, 150, 60)
+        for size in (1000, 150, 60, 0, 2500)
         for rep in run_suite(seed, size).reports
     ]
 

@@ -3,10 +3,10 @@
     PYTHONPATH=<tree>/src python3 tools/lemma_phases.py
 
 runs each check of ``dimix.lemmas`` as ``dimix lemmas`` does at seed 0 (its
-default 1000 instances, in blocks of ``lemmas.BLOCK``) REPEATS times, with
-whichever dimix the PYTHONPATH gives, and times the draw phase (pulling the
-instances off the check's generator) apart from the evaluate phase
-(``check.evaluate`` on each block).  It prints one line per check with the
+default 1000 instances) REPEATS times, with whichever dimix the PYTHONPATH
+gives, and times the draw phase (pulling the instances off the check's
+generator) apart from the evaluate phase (one ``check.evaluate`` call on
+all of them).  It prints one line per check with the
 median milliseconds of each phase, then the totals, nproc and the Python
 and numpy versions.  BLAS and OpenMP are pinned to one thread.
 """
@@ -33,20 +33,11 @@ INSTANCES = 1000
 
 def phases(check) -> tuple[float, float]:
     """Seconds spent drawing and evaluating one run of ``check``."""
-    draw = evaluate = 0.0
     start = time.perf_counter()
-    drawn = check.draw(philox(SEED, check.stream))
-    done = 0
-    while done < INSTANCES:
-        block = list(islice(drawn, min(lemmas.BLOCK, INSTANCES - done)))
-        mid = time.perf_counter()
-        check.evaluate(block)
-        end = time.perf_counter()
-        draw += mid - start
-        evaluate += end - mid
-        done += len(block)
-        start = time.perf_counter()
-    return draw, evaluate
+    block = list(islice(check.draw(philox(SEED, check.stream)), INSTANCES))
+    mid = time.perf_counter()
+    check.evaluate(block)
+    return mid - start, time.perf_counter() - mid
 
 
 def main() -> None:

@@ -10,7 +10,9 @@ alpha0=0.25, nu=0.05, beta0=0.8, mu=0.1).  Each setup runs REPEATS times,
 every time in a new process so that no heap history carries over, and only
 the ``monte_carlo`` call is timed.  BLAS and OpenMP are pinned to one
 thread.  The result is one JSON line: the median seconds per setup, the
-samples, nproc and the Python and numpy versions.
+samples, nproc and the Python and numpy versions.  A child that fails
+(say, on an ImportError when PYTHONPATH misses the tree) has its stderr
+passed through, and the script exits 1.
 """
 
 import json
@@ -68,8 +70,11 @@ def main() -> int:
                 env=env,
                 capture_output=True,
                 text=True,
-                check=True,
             )
+            if out.returncode:
+                sys.stderr.write(out.stderr)
+                print(f"{name}: the child exited {out.returncode}", file=sys.stderr)
+                return 1
             samples[name].append(round(float(out.stdout.split()[-1]), 3))
     result = {
         "median_s": {name: statistics.median(v) for name, v in samples.items()},
