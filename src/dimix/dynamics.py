@@ -18,14 +18,15 @@ x*.  ``monte_carlo(cfg, runs, seed)`` runs seeds seed, seed+1, ... and
 aggregates the columns.
 
 ``run`` advances all of its seeds as one (R, n, d) state and evaluates the
-diagnostics of stored states a chunk of iterations at a time.  The seeds
-draw in lockstep: d values per message, zero rows included (none at t = 1
-for the quantizer, as X(1) = 0), each from its own Philox stream in a fixed
-order (by iteration, then receiver, then sender, ascending), a block of
-iterations ahead; a diverged seed's row is reset to zero and runs on, so
-the batch keeps its shape.  No value of a seed depends on its batch, chunk,
-draw block or recorded iterations, so a trace is a pure function of
-(config, seed), bit-identical for every batch size and ``--jobs`` value.
+diagnostics of stored states a chunk of iterations at a time; a diverged
+seed's row is reset to zero and runs on, so the batch keeps its shape.
+``run`` alone draws noise, each seed from its own Philox stream in lockstep,
+a block of iterations ahead: d values per message at t = 1..T-1, zero rows
+included, by iteration, then receiver, then sender, ascending, but none at
+t = 1 for the quantizer, as X(1) = 0.  No value of a seed depends on its
+batch, chunk, draw block or recorded iterations, so a trace is a pure
+function of (config, seed), bit-identical for every batch size and
+``--jobs`` value.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import StepSchedule, deviation_sq, dist_opt_sq, weighted_mean
-from .noise import NoiseModel, stochastic_quantize
+from .noise import NoiseModel, quantizer_workspace, stochastic_quantize
 from .objective import Problem
 from .rng import DrawStream, philox
 from .topology import STATIONARITY_TOL, MixingSchedule
@@ -114,17 +115,16 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
     """Trajectories from X(1) = 0 through X(T), one per seed, with trace rows
     at the iterations ``at`` (every t in [1, T] when omitted).
 
-    The seeds advance together as one (R, n, d) state, each drawing from its
-    own Philox stream in the canonical order, a block of iterations at a time.
-    Every per-seed quantity comes from elementwise operations, reductions
-    over a contiguous last axis, or matmuls with one product per batch item,
-    so a seed's trace is bit-identical whichever seeds share its batch,
-    iterations its chunk or values its draw block, and whichever iterations
-    are recorded.  The maxima behind ``max_grad_sq`` and ``max_state_norm``
-    cover every iterate of the trace.  A seed's first diverged update sets
-    its ``abort_t`` and ``final_state`` and resets its row to zero, which
-    runs and draws on unread: trace and maxima end at the last finite
-    iterate.  The run stops once every seed has aborted.
+    The seeds advance together as one (R, n, d) state and draw by the
+    module's rule.  Every per-seed quantity comes from elementwise ufuncs,
+    reductions over a contiguous last axis, or matmuls with one product per
+    batch item, so a seed's trace is bit-identical whichever seeds share its
+    batch, iterations its chunk or values its draw block, and whichever
+    iterations are recorded.  The maxima behind ``max_grad_sq`` and
+    ``max_state_norm`` cover every iterate of the trace.  A seed's first
+    diverged update sets its ``abort_t`` and ``final_state`` and resets its
+    row to zero, which runs and draws on unread: trace and maxima end at the
+    last finite iterate.  The run stops once every seed has aborted.
     """
     seeds = list(seeds)
     if not seeds:
@@ -141,18 +141,19 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
     plans = [_slot_plan(cfg.schedule, t) for t in range(1, cfg.schedule.period + 1)]
     betas = cfg.steps.beta(ts)
     betas, alpha_betas = betas.tolist(), (cfg.steps.alpha(ts) * betas).tolist()
-    draws, sends = None, None
     if noise.kind != "noiseless":
         # d values per message at t = 1..T-1; the quantizer takes none at t = 1.
         sizes = np.array([src.size * d for _, src, _ in plans])[np.arange(T - 1) % len(plans)]
-        scale = None
         if noise.kind == "gaussian_channel":
-            scale = noise.sigma / np.sqrt(d)
             sent = np.empty(R * sizes.max(initial=0))  # X[:, src] + Z of one iteration
             sends = [sent[: R * src.size * d].reshape(R, src.size, d) for _, src, _ in plans]
         else:
             sizes[:1] = 0
+            works = {q: quantizer_workspace(R, n, q, d) for q in {src.size for _, src, _ in plans}}
+            sends = [works[src.size] for _, src, _ in plans]  # bound per slot
+        scale = noise.sigma / np.sqrt(d) if noise.kind == "gaussian_channel" else None
         draws = DrawStream([philox(seed) for seed in seeds], sizes.sum(), sizes.max(initial=0), scale)
+        sizes = sizes.tolist()
 
     values = np.empty((R, at.size, len(TRACE_COLUMNS)))
     final = np.empty((R, n, d))
@@ -162,7 +163,7 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
     # Slot j of the chunk holds X(t) and H_i x_i(t) until ``record`` reads it.
     chunk = int(max(1, min(T, CHUNK_BYTES // (16 * R * n * d))))
     Xs, HXs = np.zeros((chunk, R, n, d)), np.empty((chunk, R, n, d))
-    G, D, work = np.empty((R, n, d)), np.empty((R, n, d)), {}
+    G, D = np.empty((R, n, d)), np.empty((R, n, d))
     b = np.ascontiguousarray(np.broadcast_to(problem.b, (R, n, d)))
     # Per chunk slot X, X[..., None], HX and HX[..., None]: the batch keeps
     # its shape, so an iteration only runs ufuncs and products on views.
@@ -205,14 +206,15 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
         W, src, M = plans[k]
         if noise.kind == "noiseless":
             np.matmul(W, X, out=D)
-        elif noise.kind == "gaussian_channel":
-            Y = X.take(src, axis=1, out=sends[k], mode="wrap")
-            Y += draws.take(src.size * d).reshape(Y.shape)
-            np.matmul(M, Y, out=D)
-        elif t == 1:  # X(1) = 0 quantizes to 0: nothing to quantize or draw
+        elif not sizes[t - 1]:  # the quantizer's t = 1: X(1) = 0 quantizes to 0
             D[...] = 0.0
         else:
-            np.matmul(M, stochastic_quantize(X, noise.levels, draws, src, work), out=D)
+            Z = draws.take(sizes[t - 1]).reshape(R, src.size, d)
+            if noise.kind == "gaussian_channel":
+                Y = np.add(X.take(src, axis=1, out=sends[k], mode="wrap"), Z, out=sends[k])
+            else:
+                Y = stochastic_quantize(X, noise.levels, Z, src, sends[k])
+            np.matmul(M, Y, out=D)
         # X(t+1) = X + beta (Xhat - X) - alpha beta G, evaluated in that order.
         j = (j + 1) % chunk
         Xn = views[j][0]

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import DrawStream
-
 KINDS = ("noiseless", "gaussian_channel", "stochastic_quantizer")
 
 
@@ -59,29 +57,27 @@ class NoiseModel:
                 raise ValueError("noiseless takes no parameters")
 
 
-def stochastic_quantize(x, s: int, draws: DrawStream, src, work: dict) -> np.ndarray:
+def quantizer_workspace(R: int, n: int, q: int, d: int) -> tuple:
+    """Scratch for ``stochastic_quantize`` on (R, n, d) batches sending q rows."""
+    rows, msg, norms = np.zeros((3, R, n, d)), np.zeros((3, R, q, d)), np.zeros((R, n))
+    return (rows, *rows, msg, *msg, norms, norms[..., None], np.zeros((R, q, d), dtype=bool))
+
+
+def stochastic_quantize(x, s: int, u, src, work: tuple) -> np.ndarray:
     """Unbiased random quantization of the rows ``src`` of a batch x.
 
     Each coordinate of a row is mapped to sign(x_j) * ||x|| * (level / s)
-    where the level is the randomized rounding of s|x_j|/||x||.  x has shape
-    (R, n, d), ``draws`` reads one stream per batch item, and the result has
-    shape (R, len(src), d); a row listed twice gets two independent draws.
-    Every output row takes the next d uniforms of its item's stream, zero
-    rows included (they come out zero whatever they draw), so each item's
-    result and draw count are functions of that item alone.  Per-row terms
-    are computed once per row of x and gathered in one take into ``work``,
-    a dict kept between calls that holds scratch arrays and their views, one
-    set per batch and slot size; the result is a view into it, valid until
-    the next call with it.
+    where the level is s|x_j|/||x|| rounded up where its uniform in ``u``
+    falls below the fractional part, else down.  x has shape (R, n, d), u
+    and the result (R, len(src), d): output row k reads u[:, k], so a row
+    listed twice gets two independent roundings and a zero row comes out
+    zero whatever its uniforms.  It draws nothing: ``dimix.dynamics`` takes
+    u from each seed's stream by the draw rule it states.  Per-row terms are
+    computed once per row of x and gathered in one take into ``work``, made
+    by ``quantizer_workspace(R, n, len(src), d)``; the result is a view into
+    it, valid until the next call with it.
     """
-    R, n, d = x.shape
-    q = len(src)
-    views = work.get((R, n, q, d))
-    if views is None:  # first call, or a new batch or slot size
-        rows, msg, norms = np.zeros((3, R, n, d)), np.zeros((3, R, q, d)), np.zeros((R, n))
-        hit = np.zeros((R, q, d), dtype=bool)
-        views = work[R, n, q, d] = (rows, *rows, msg, *msg, norms, norms[..., None], hit)
-    rows, low, frac, mag, msg, m_low, m_frac, m_mag, norms, col, hit = views
+    rows, low, frac, mag, msg, m_low, m_frac, m_mag, norms, col, hit = work
     np.add.reduce(np.multiply(x, x, out=frac), axis=-1, out=norms)
     np.sqrt(norms, out=norms)
     # frac holds s min(|x_j| / ||x||, 1) first: |x_j| <= ||x|| up to rounding.
@@ -94,7 +90,6 @@ def stochastic_quantize(x, s: int, draws: DrawStream, src, work: dict) -> np.nda
     np.subtract(frac, low, out=frac)
     np.multiply(np.sign(x, out=mag), col, out=mag)
     np.take(rows, src, axis=2, out=msg, mode="wrap")
-    u = draws.take(q * d).reshape(R, q, d)
     levels = np.add(m_low, np.less(u, m_frac, out=hit), out=m_low)
     np.divide(levels, s, out=levels)
     return np.multiply(m_mag, levels, out=levels)

@@ -92,7 +92,7 @@ class Config:
 
 def parse_config_text(text: str, source: str = "<config>") -> Config:
     values = {key: default for key, (_, default) in SCHEMA.items()}
-    provided: set[str] = set()
+    provided: dict[str, int] = {}  # key -> the line that set it
     unknown: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -108,12 +108,14 @@ def parse_config_text(text: str, source: str = "<config>") -> Config:
         if key not in SCHEMA:
             unknown.append(f"{key} (line {lineno})")
             continue
+        if key in provided:
+            raise ValueError(f"{source}:{lineno}: {key} is set twice, on lines {provided[key]} and {lineno}")
         caster, _ = SCHEMA[key]
         try:
             values[key] = caster(rhs)
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: bad value for {key}: {exc}") from exc
-        provided.add(key)
+        provided[key] = lineno
     if unknown:
         raise ValueError(f"{source}: unknown config keys: {', '.join(unknown)}")
     return Config(values=values, provided=frozenset(provided))

@@ -8,8 +8,7 @@ sets, sharing no connectivity code with ``dimix.topology``.
 
 import numpy as np
 
-from dimix.noise import stochastic_quantize
-from dimix.rng import DrawStream
+from dimix.noise import quantizer_workspace, stochastic_quantize
 from dimix.topology import ValidationReport, entry_floor, gossip_pair
 
 
@@ -38,8 +37,9 @@ def quantize(x, s: int, rng) -> np.ndarray:
     one generator: d uniforms per row in row order, zero rows included."""
     x = np.asarray(x, dtype=float)
     rows = np.atleast_2d(x)
-    draws = DrawStream([rng], rows.size, rows.size)
-    return stochastic_quantize(rows[None], s, draws, np.arange(len(rows)), {})[0].reshape(x.shape)
+    m, d = rows.shape
+    work = quantizer_workspace(1, m, m, d)
+    return stochastic_quantize(rows[None], s, rng.random((1, m, d)), np.arange(m), work)[0].reshape(x.shape)
 
 
 def quantize_formula(x, s: int, gens, src) -> np.ndarray:

@@ -77,6 +77,10 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=r"mystery \(line 3\)"):
             parse_config_text("n = 4\n\nmystery = 1\n")
 
+    def test_key_set_twice_names_both_lines(self):
+        with pytest.raises(ValueError, match=r"<config>:4: T is set twice, on lines 1 and 4"):
+            parse_config_text("T = 20\nn = 4\n# T = 25\nT = 30\n")
+
     def test_bad_value_reports_location(self):
         with pytest.raises(ValueError, match=r"<config>:1: bad value for n"):
             parse_config_text("n = soon\n")

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dimix.noise import NoiseModel, noise_variance_bound, quantizer_variance_coeff, stochastic_quantize
-from dimix.rng import DrawStream, philox
+from dimix.noise import (
+    NoiseModel,
+    noise_variance_bound,
+    quantizer_variance_coeff,
+    quantizer_workspace,
+    stochastic_quantize,
+)
+from dimix.rng import philox
 
 from helpers import gaussian_channel, noiseless, stochastic_quantizer
 from oracles import neighbor_estimate, quantize, quantize_formula, zeta
@@ -86,7 +92,8 @@ class TestZeta:
 
 class TestStochasticQuantize:
     def test_zero_vector_passes_through(self):
-        # The zero vector comes out zero and still takes its d uniforms.
+        # The zero vector comes out zero; the oracle still takes its d
+        # uniforms, as the engine does for a zero row.
         rng = philox(3)
         out = quantize(np.zeros(6), 4, rng)
         np.testing.assert_array_equal(out, np.zeros(6))
@@ -154,30 +161,31 @@ class TestStochasticQuantize:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_formula_bit_for_bit(self, seed):
-        # Random batches with zero rows, sender rows listed twice or never,
-        # and a workspace reused across calls of different shapes.
+        # Random batches with zero rows and sender rows listed twice or never.
         rng = philox(50, seed)
-        work = {}
         for R, n, d in ((1, 1, 1), (3, 4, 5), (6, 5, 25), (2, 7, 3)):
             x = rng.normal(size=(R, n, d)) * 10.0 ** rng.integers(-8, 8, size=(R, n, 1))
             x[rng.random((R, n)) < 0.3] = 0.0
             src = rng.integers(0, n, size=2 * n)
             s = int(rng.integers(1, 9))
-            draws = DrawStream([philox(seed, k) for k in range(R)], src.size * d, src.size * d)
-            got = stochastic_quantize(x, s, draws, src, work)
+            u = np.stack([philox(seed, k).random((src.size, d)) for k in range(R)])
+            got = stochastic_quantize(x, s, u, src, quantizer_workspace(R, n, src.size, d))
             want = quantize_formula(x, s, [philox(seed, k) for k in range(R)], src)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
-    def test_generators_resume_after_zero_rows(self):
-        # A call draws d uniforms per row, zero rows included, so the next
-        # call on the same generators goes on where the row-by-row oracle does.
-        x = philox(53).normal(size=(2, 3, 4))
-        x[0, 1] = 0.0
+    def test_workspace_is_reused_across_calls(self):
+        # One workspace serves every call of its shape, as the engine's slots
+        # do: no term of an earlier call, zero row or not, leaks into a later one.
+        pick = philox(53)
         gens, ref = [philox(54, k) for k in range(2)], [philox(54, k) for k in range(2)]
-        for _ in range(3):
-            got = stochastic_quantize(x, 3, DrawStream(gens, 12, 12), np.arange(3), {})
-            assert not got[0, 1].any()
+        work = quantizer_workspace(2, 3, 3, 4)
+        for call in range(3):
+            x = pick.normal(size=(2, 3, 4))
+            x[call % 2, call] = 0.0
+            u = np.stack([g.random((3, 4)) for g in gens])
+            got = stochastic_quantize(x, 3, u, np.arange(3), work)
+            assert not got[call % 2, call].any()
             assert got.tobytes() == quantize_formula(x, 3, ref, np.arange(3)).tobytes()
 
     def test_single_generator_matches_formula(self):

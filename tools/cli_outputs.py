@@ -3,11 +3,13 @@
     PYTHONPATH=<tree>/src python3 tools/cli_outputs.py DEST
 
 runs ``run --plots``, ``sweep --plots`` and ``theory`` (each at --jobs 1 and
-2), ``validate`` and ``lemmas`` on fourteen configs with whichever dimix
-the PYTHONPATH gives, and the three with ``--seed 3`` on the configs in
-SEEDED.  The configs include a theory T_grid past the simulated horizon,
-seeds that diverge and are reset in place, steps that admit no burn-in
-thresholds, and steps whose constant xi5 is beyond the float range.  Each command runs in its own directory
+2), ``validate`` and ``lemmas`` on seventeen configs with whichever dimix
+the PYTHONPATH gives, and on the configs in SEEDED the three with
+``--seed 3`` and ``lemmas`` without a config.  The configs include a theory
+T_grid past the simulated horizon, seeds that diverge and are reset in
+place, steps that admit no burn-in thresholds, steps whose constant xi5 is
+beyond the float range, nu >= mu, an n that the matrix file contradicts and
+a key set twice.  Each command runs in its own directory
 DEST/<config>/<command> with a relative --out, so nothing it prints holds an
 absolute path; stdout, stderr, the exit code and every output file are kept
 there.  DEST/lemma_reports.json holds every field of the lemma suite's
@@ -90,13 +92,24 @@ CONFIGS = {
         "family = gossip\nn = 20\nalpha0 = 1000\nT = 20\nruns = 2\nT_grid = 10, 20\n",
         ("--assume-q0", "1"),
     ),
+    # nu >= mu is outside the guarantee: run and sweep note it in the
+    # manifest, theory fails with the "needs nu < mu" line.
+    "nu_above_mu": ("family = gossip\nnu = 0.8\nmu = 0.6\nT = 20\nruns = 2\nT_grid = 10, 20\n", ()),
+    # n disagrees with the three agents of slots.txt: every command but
+    # lemmas fails with a one-line error.
+    "matrix_file_n_conflict": ("family = matrix_file\nmatrix_file = slots.txt\nn = 4\nd = 4\nN = 12\n" + SMALL, ()),
+    # T set twice: rejected with both line numbers (older trees ran T = 30).
+    "duplicate_key": ("family = gossip\nT = 20\nruns = 2\nT_grid = 10, 20\nT = 30\n", ()),
 }
 
-# Configs whose run, theory and lemmas are also recorded with --seed 3.
+# Configs whose run, theory and lemmas are also recorded with --seed 3, and
+# lemmas with neither --seed nor --config.
 SEEDED = ("matrix_file_gaps_gauss",)
 
 
 def commands(name, theory_extra):
+    """label -> CLI arguments, each but ``lemmas-no-config`` reading
+    config.cfg."""
     out = {"validate": ["validate"], "lemmas": ["lemmas"]}
     for jobs in ("1", "2"):
         out[f"run-j{jobs}"] = ["run", "--plots", "--jobs", jobs]
@@ -106,6 +119,9 @@ def commands(name, theory_extra):
         out["run-seed3"] = ["run", "--seed", "3"]
         out["theory-seed3"] = ["theory", "--seed", "3", *theory_extra]
         out["lemmas-seed3"] = ["lemmas", "--seed", "3"]
+    out = {label: [*args, "--config", "config.cfg"] for label, args in out.items()}
+    if name in SEEDED:
+        out["lemmas-no-config"] = ["lemmas"]
     return out
 
 
@@ -140,7 +156,7 @@ def main(argv):
             for fname, body in MATRIX_FILES.items():
                 (here / fname).write_text(body, encoding="utf-8")
             proc = subprocess.run(
-                [sys.executable, "-m", "dimix.cli", *args, "--config", "config.cfg", "--out", "out"],
+                [sys.executable, "-m", "dimix.cli", *args, "--out", "out"],
                 cwd=here,
                 env=env,
                 capture_output=True,

@@ -3,12 +3,13 @@
     python3 tools/unreached.py
 
 runs every command that ``tools/cli_outputs.py`` records (``run --plots``,
-``sweep --plots`` and ``theory`` at ``--jobs 1``, ``validate``, ``lemmas``
-and the ``--seed`` overrides) on the same configs, except that the
-benchmark workloads run at their tiny sizes.  The commands run in this process, each in its own
-temporary directory, under the standard library's ``trace`` module, with
-dimix imported under it too; then every executable line of
-``src/dimix/*.py`` that none of them ran is printed as ``path:line: source``.
+``sweep --plots`` and ``theory`` at ``--jobs 1``, ``validate``, ``lemmas``,
+the ``--seed`` overrides and ``lemmas`` without a config) on the same
+configs, except that the benchmark workloads run at their tiny sizes.  The
+commands run in this process, each in its own temporary directory, under
+the standard library's ``trace`` module, with dimix imported under it too;
+then every executable line of ``src/dimix/*.py`` that none of them ran is
+printed as ``path:line: source``.
 A line listed here is reached only by the tests, or by nothing.
 """
 
@@ -58,7 +59,7 @@ def run_commands() -> None:
                     for fname, body in MATRIX_FILES.items():
                         Path(fname).write_text(body, encoding="utf-8")
                     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                        code = main([*args, "--config", "config.cfg", "--out", "out"])
+                        code = main([*args, "--out", "out"])
                 finally:
                     os.chdir(start)
             print(f"{name}/{label}: exit {code}", file=sys.stderr)
