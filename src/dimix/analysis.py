@@ -350,24 +350,14 @@ def _bound_terms(constants: TheoryConstants, T):
     return T, min(mu, 2.0 * nu), min(mu - nu, 2.0 * nu), tail, burn
 
 
-def theorem_bound(constants: TheoryConstants, T, strict: bool = True):
-    """Certified upper bound on E||X(T) - 1 x*'||_r^2.
+def theorem_bound(constants: TheoryConstants, T):
+    """Upper bound on E||X(T) - 1 x*'||_r^2, evaluated for every T.
 
-    Vectorizes over T.  With ``strict`` the preconditions are enforced:
-    every T must be at or past the regime's minimum iteration, and in the
-    mu + nu == 1 regime the step-size side condition must hold.  With
-    ``strict=False`` the expression is evaluated regardless (callers that
-    warn instead of fail).
+    Vectorizes over T.  It is certified only where its preconditions hold:
+    T at or past ``constants.thresholds.T_min``, and in the mu + nu == 1
+    regime ``constants.side_condition_ok``; callers check those themselves.
     """
     T_arr, e1, e2, tail, burn = _bound_terms(constants, np.atleast_1d(np.asarray(T, dtype=float)))
-    T_min = constants.thresholds.T_min
-    if strict and np.any(T_arr < T_min):
-        raise ValueError(f"bound only covers T >= {T_min}")
-    if strict and not constants.side_condition_ok:
-        raise ValueError(
-            "step sizes violate alpha0*beta0 >= min(mu-nu, 2 nu)/c2; "
-            "the mu+nu == 1 bound is not certified for them"
-        )
     # Below burn-in the exp can overflow, so q0 = 0 must give 0 outright,
     # not 0 * inf.
     burn_in = 0.0
@@ -379,7 +369,7 @@ def theorem_bound(constants: TheoryConstants, T, strict: bool = True):
 
 
 def theorem_log10_bound(constants: TheoryConstants, T):
-    """log10 of ``theorem_bound(constants, T, strict=False)``, summed in log
+    """log10 of ``theorem_bound(constants, T)``, summed in log
     space: finite below burn-in too, where 2 q0 exp(xi3 (T0^p - T^p)) is not."""
     T, e1, e2, tail, burn = _bound_terms(constants, T)
     with np.errstate(divide="ignore"):  # a zero term has log -inf

@@ -294,7 +294,7 @@ def cmd_theory(args) -> int:
     print()
     print("T, certified bound, empirical mean dist_opt_sq, bound/empirical")
     for T in T_grid:
-        bound = theorem_bound(tc, T, strict=False)
+        bound = theorem_bound(tc, T)
         notes = ["below burn-in, not covered"] * (T < tc.thresholds.T_min)
         notes += [f"log10 bound = {fmt(theorem_log10_bound(tc, T))}"] * (not np.isfinite(bound))
         note = f"  ({'; '.join(notes)})" if notes else ""

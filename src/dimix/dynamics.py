@@ -17,16 +17,16 @@ consensus error, and the squared r-weighted distance to the weighted optimum
 x*.  ``monte_carlo(cfg, runs, seed)`` runs seeds seed, seed+1, ... and
 aggregates the columns.
 
-``run`` advances all of its seeds as one (R, n, d) state and evaluates the
-diagnostics of stored states a chunk of iterations at a time; a diverged
-seed's row is reset to zero and runs on, so the batch keeps its shape.
-``run`` alone draws noise, each seed from its own Philox stream in lockstep,
-a block of iterations ahead: d values per message at t = 1..T-1, zero rows
-included, by iteration, then receiver, then sender, ascending, but none at
-t = 1 for the quantizer, as X(1) = 0.  No value of a seed depends on its
-batch, chunk, draw block or recorded iterations, so a trace is a pure
-function of (config, seed), bit-identical for every batch size and
-``--jobs`` value.
+``run`` advances all of its seeds as one (R, n, d) state and works a chunk
+of iterations at a time: when a chunk starts it draws the noise of all of
+its iterations, and when it ends it evaluates the diagnostics of its stored
+states.  A diverged seed's row is reset to zero and runs on, so the batch
+keeps its shape.  ``run`` alone draws noise, each seed from its own Philox
+stream in lockstep: d values per message at t = 1..T-1, zero rows included,
+by iteration, then receiver, then sender, ascending, but none at t = 1 for
+the quantizer, as X(1) = 0.  No value of a seed depends on its batch, chunk
+or recorded iterations, so a trace is a pure function of (config, seed),
+bit-identical for every batch size and ``--jobs`` value.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from .analysis import StepSchedule, deviation_sq, dist_opt_sq, weighted_mean
 from .noise import NoiseModel, quantizer_workspace, stochastic_quantize
 from .objective import Problem
-from .rng import DrawStream, philox
+from .rng import fill, philox
 from .topology import STATIONARITY_TOL, MixingSchedule
 
 # States beyond this magnitude mean the configuration diverged; the run is
@@ -119,12 +119,12 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
     module's rule.  Every per-seed quantity comes from elementwise ufuncs,
     reductions over a contiguous last axis, or matmuls with one product per
     batch item, so a seed's trace is bit-identical whichever seeds share its
-    batch, iterations its chunk or values its draw block, and whichever
-    iterations are recorded.  The maxima behind ``max_grad_sq`` and
-    ``max_state_norm`` cover every iterate of the trace.  A seed's first
-    diverged update sets its ``abort_t`` and ``final_state`` and resets its
-    row to zero, which runs and draws on unread: trace and maxima end at the
-    last finite iterate.  The run stops once every seed has aborted.
+    batch or iterations its chunk, and whichever iterations are recorded.
+    The maxima behind ``max_grad_sq`` and ``max_state_norm`` cover every
+    iterate of the trace.  A seed's first diverged update sets its
+    ``abort_t`` and ``final_state`` and resets its row to zero, which runs
+    and draws on unread: trace and maxima end at the last finite iterate.
+    The run stops once every seed has aborted.
     """
     seeds = list(seeds)
     if not seeds:
@@ -141,6 +141,8 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
     plans = [_slot_plan(cfg.schedule, t) for t in range(1, cfg.schedule.period + 1)]
     betas = cfg.steps.beta(ts)
     betas, alpha_betas = betas.tolist(), (cfg.steps.alpha(ts) * betas).tolist()
+    # Slot j of the chunk holds X(t) and H_i x_i(t) until ``record`` reads it.
+    chunk = int(max(1, min(T, CHUNK_BYTES // (16 * R * n * d))))
     if noise.kind != "noiseless":
         # d values per message at t = 1..T-1; the quantizer takes none at t = 1.
         sizes = np.array([src.size * d for _, src, _ in plans])[np.arange(T - 1) % len(plans)]
@@ -152,16 +154,19 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
             works = {q: quantizer_workspace(R, n, q, d) for q in {src.size for _, src, _ in plans}}
             sends = [works[src.size] for _, src, _ in plans]  # bound per slot
         scale = noise.sigma / np.sqrt(d) if noise.kind == "gaussian_channel" else None
-        draws = DrawStream([philox(seed) for seed in seeds], sizes.sum(), sizes.max(initial=0), scale)
-        sizes = sizes.tolist()
+        gens = [philox(seed) for seed in seeds]
+        # ends[t]: values a seed draws at iterations 1..t.  The chunk that starts
+        # at t draws those of its iterations t .. min(t + chunk, T) - 1 at once.
+        ends = np.concatenate([[0], np.cumsum(sizes)])
+        starts = np.arange(1, T + 1, chunk)
+        buf = np.empty((R, (ends[np.minimum(starts + chunk, T) - 1] - ends[starts - 1]).max()))
+        ends = ends.tolist()
 
     values = np.empty((R, at.size, len(TRACE_COLUMNS)))
     final = np.empty((R, n, d))
     max_grad_sq, max_norm_sq = np.zeros(R), np.zeros(R)
     end = np.full(R, T + 1)  # first iteration past each seed's trace: abort_t, else T + 1
     stop = T  # the last iteration run: T, or the one after every seed aborted
-    # Slot j of the chunk holds X(t) and H_i x_i(t) until ``record`` reads it.
-    chunk = int(max(1, min(T, CHUNK_BYTES // (16 * R * n * d))))
     Xs, HXs = np.zeros((chunk, R, n, d)), np.empty((chunk, R, n, d))
     G, D = np.empty((R, n, d)), np.empty((R, n, d))
     b = np.ascontiguousarray(np.broadcast_to(problem.b, (R, n, d)))
@@ -204,12 +209,15 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
         np.subtract(HX, b, out=G)
         k = (t - 1) % len(plans)
         W, src, M = plans[k]
+        if j == 0 and noise.kind != "noiseless":  # a chunk starts: draw its noise
+            base = ends[t - 1]
+            fill(gens, buf[:, : ends[min(t + chunk, T) - 1] - base], scale)
         if noise.kind == "noiseless":
             np.matmul(W, X, out=D)
-        elif not sizes[t - 1]:  # the quantizer's t = 1: X(1) = 0 quantizes to 0
+        elif ends[t] == ends[t - 1]:  # the quantizer's t = 1: X(1) = 0 quantizes to 0
             D[...] = 0.0
         else:
-            Z = draws.take(sizes[t - 1]).reshape(R, src.size, d)
+            Z = buf[:, ends[t - 1] - base : ends[t] - base].reshape(R, src.size, d)
             if noise.kind == "gaussian_channel":
                 Y = np.add(X.take(src, axis=1, out=sends[k], mode="wrap"), Z, out=sends[k])
             else:

@@ -214,20 +214,20 @@ def gossip_schedule(r) -> MixingSchedule:
     return _family_schedule("gossip", r)
 
 
-def stationary_weights(matrices, tol: float = STATIONARITY_TOL) -> np.ndarray:
+def stationary_weights(matrices) -> np.ndarray:
     """Common positive left-fixed vector of a matrix family (period, n, n),
     normalized to sum 1.  Solves the joint system r'(W_b - I) = 0 by SVD;
     when the solution space has extra dimensions (e.g. all matrices are the
     identity) the uniform vector is projected onto it.  Raises ValueError
     when no strictly positive common stationary vector exists within
-    tolerance.
+    STATIONARITY_TOL.
     """
     W = np.asarray(matrices, dtype=float)
     n = W.shape[-1]
     stacked = (W.transpose(0, 2, 1) - np.eye(n)).reshape(-1, n)
     _, svals, vt = np.linalg.svd(stacked)
     svals = np.concatenate([svals, np.zeros(n - svals.size)])
-    null_mask = svals <= tol * max(1.0, svals[0] if svals.size else 1.0)
+    null_mask = svals <= STATIONARITY_TOL * max(1.0, svals[0] if svals.size else 1.0)
     basis = vt[null_mask]
     if basis.size == 0:
         raise ValueError("matrix family has no common stationary vector")
@@ -235,19 +235,19 @@ def stationary_weights(matrices, tol: float = STATIONARITY_TOL) -> np.ndarray:
     candidate = basis.T @ (basis @ uniform)
     if candidate.sum() < 0:
         candidate = -candidate
-    if np.any(candidate <= tol / n) or abs(candidate.sum()) <= tol:
+    if np.any(candidate <= STATIONARITY_TOL / n) or abs(candidate.sum()) <= STATIONARITY_TOL:
         # The projection of the uniform vector missed the positive cone; a
         # one-dimensional solution space may still work after sign cleanup.
         candidate = basis[0] if basis[0].sum() > 0 else -basis[0]
-        if np.any(candidate <= tol / n):
+        if np.any(candidate <= STATIONARITY_TOL / n):
             raise ValueError(
                 "no strictly positive common stationary vector found; "
                 "supply the weight vector explicitly"
             )
     r = candidate / candidate.sum()
     worst = float(np.abs(r @ W - r).max())
-    if worst > tol:
-        raise ValueError(f"candidate stationary vector has residual {worst:.2e} (tol {tol:.0e})")
+    if worst > STATIONARITY_TOL:
+        raise ValueError(f"candidate stationary vector has residual {worst:.2e} (tol {STATIONARITY_TOL:.0e})")
     return r
 
 
@@ -327,11 +327,10 @@ class ValidationReport:
     windows_checked: int
     connectivity_failures: list[int]
     edge_source: str
-    tol: float = STOCHASTICITY_TOL
 
     @property
     def stochasticity_ok(self) -> bool:
-        return self.max_row_sum_dev <= self.tol and self.max_stationarity_dev <= self.tol
+        return self.max_row_sum_dev <= STOCHASTICITY_TOL and self.max_stationarity_dev <= STOCHASTICITY_TOL
 
     @property
     def eta_ok(self) -> bool:
@@ -350,9 +349,9 @@ class ValidationReport:
         lines = [
             f"schedule {self.kind}: n={self.n} horizon={self.horizon} window={self.window}",
             f"  row sums        max dev {self.max_row_sum_dev:.3e}"
-            f"  ({'ok' if self.max_row_sum_dev <= self.tol else 'FAIL'})",
+            f"  ({'ok' if self.max_row_sum_dev <= STOCHASTICITY_TOL else 'FAIL'})",
             f"  r-stationarity  max dev {self.max_stationarity_dev:.3e}"
-            f"  ({'ok' if self.max_stationarity_dev <= self.tol else 'FAIL'})",
+            f"  ({'ok' if self.max_stationarity_dev <= STOCHASTICITY_TOL else 'FAIL'})",
             f"  entry floor     min positive {self.min_positive_entry:.6g}"
             f" vs eta {self.eta:.6g}  ({'ok' if self.eta_ok else 'FAIL'})",
         ]

@@ -285,17 +285,15 @@ class TestTheoremBound:
         assert theorem_bound(tc, T) == pytest.approx(manual, rel=1e-12)
 
     def test_strict_enforces_burn_in(self):
+        # Below burn-in the bound is not certified, but it still evaluates.
         tc = TestXiConstants().small_regime1()
-        with pytest.raises(ValueError, match="only covers"):
-            theorem_bound(tc, tc.thresholds.T_min - 1)
-        assert theorem_bound(tc, tc.thresholds.T_min - 1, strict=False) > 0
+        assert theorem_bound(tc, tc.thresholds.T_min - 1) > 0
 
     def test_strict_enforces_side_condition(self):
         steps = StepSchedule(alpha0=0.1, nu=0.25, beta0=0.7, mu=0.75)
         tc = xi_constants(steps, 1e-6, 1.00001, 0.0293, 6.229, 1.25, 200.0, 1.0)
-        with pytest.raises(ValueError, match="not certified"):
-            theorem_bound(tc, tc.thresholds.T_min)
-        assert theorem_bound(tc, tc.thresholds.T_min, strict=False) > 0
+        assert not tc.side_condition_ok
+        assert theorem_bound(tc, tc.thresholds.T_min) > 0
 
     @pytest.mark.parametrize("lam, xi2_overflows", [(1e-3, False), (1e-4, True), (1e-5, True)])
     def test_regime1_burn_in_term_cannot_overflow(self, lam, xi2_overflows):
@@ -323,7 +321,7 @@ class TestTheoremBound:
         T = np.array([30.0, 60.0, 200.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bound = theorem_bound(tc, T, strict=False)
+            bound = theorem_bound(tc, T)
         np.testing.assert_array_equal(bound, tc.xi1 * T**-0.1 + 0.0 + tc.xi4 * T**-0.05)
 
     @pytest.mark.parametrize("case", CASES)
@@ -331,13 +329,13 @@ class TestTheoremBound:
         tc = certificate_case(case)
         T0 = tc.thresholds.T0
         T = np.unique(np.geomspace(1, 100 * T0, 60).round())
-        bound = theorem_bound(tc, T, strict=False)
+        bound = theorem_bound(tc, T)
         got = theorem_log10_bound(tc, T)
         finite = np.isfinite(bound)
         assert np.all(np.isfinite(got))
         assert finite.any() and (case != "regime1-overflow" or not finite.all())
         np.testing.assert_allclose(got[finite], np.log10(bound[finite]), rtol=1e-12, atol=0.0)
-        scalar = theorem_bound(tc, T0, strict=False)
+        scalar = theorem_bound(tc, T0)
         assert theorem_log10_bound(tc, T0) == pytest.approx(math.log10(scalar), rel=1e-12)
 
     def test_vectorized_and_scalar(self):
@@ -351,10 +349,10 @@ class TestTheoremBound:
     def test_rejects_nonpositive_iterations(self):
         tc = TestXiConstants().small_regime1()
         with pytest.raises(ValueError):
-            theorem_bound(tc, 0, strict=False)
+            theorem_bound(tc, 0)
 
 
-# repr of every TheoryConstants field, then of theorem_bound(strict=False)
+# repr of every TheoryConstants field, then of theorem_bound
 # and theorem_log10_bound at T = 1, 7, T_min and 10 T_min: a change in the
 # certificate's arithmetic that moves any last bit of what theory prints
 # fails here.
@@ -419,7 +417,7 @@ def test_certificate_bits_are_pinned(case):
     assert {f.name: repr(getattr(tc, f.name)) for f in dataclasses.fields(tc)} == fields
     T_min = tc.thresholds.T_min
     Ts = (1, 7, T_min, 10 * T_min)
-    assert tuple(repr(theorem_bound(tc, T, strict=False)) for T in Ts) == bounds
+    assert tuple(repr(theorem_bound(tc, T)) for T in Ts) == bounds
     assert tuple(repr(float(theorem_log10_bound(tc, T))) for T in Ts) == log10_bounds
 
 

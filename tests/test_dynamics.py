@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dimix import dynamics
-from dimix import rng as rng_module
 from dimix.analysis import StepSchedule, deviation_sq, dist_opt_sq, weighted_mean
 from dimix.dynamics import (
     DIVERGENCE_LIMIT,
@@ -16,7 +15,7 @@ from dimix.dynamics import (
     run,
 )
 from dimix.objective import build_problem
-from dimix.rng import DrawStream, philox
+from dimix.rng import fill, philox
 from dimix.topology import fixed_cycle_schedule, gossip_schedule, matrix_list_schedule
 
 from conftest import random_weights
@@ -282,17 +281,22 @@ class TestBatchInvariance:
             self.check(cfg)
 
 
+def set_chunk(monkeypatch, cfg, R, rows):
+    """Make ``run`` hold ``rows`` iterations per chunk at R seeds."""
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", rows * 16 * R * cfg.problem.n * cfg.problem.d)
+
+
 class TestChunkInvariance:
-    """``run`` evaluates the diagnostics of recorded states a chunk at a
-    time; the chunk length must not change a bit of any trace."""
+    """``run`` evaluates the diagnostics of recorded states, and draws the
+    noise, a chunk at a time; the chunk length must not change a bit of any
+    trace."""
 
     @staticmethod
-    def check(monkeypatch, cfg, seeds=range(7, 27)):
+    def check(monkeypatch, cfg, seeds=range(7, 27), chunks=(1, 3)):
         seeds = list(seeds)
-        row_bytes = 16 * len(seeds) * cfg.problem.n * cfg.problem.d
         by_rows = {}
-        for rows in (1, 3, cfg.T + 5):
-            monkeypatch.setattr(dynamics, "CHUNK_BYTES", rows * row_bytes)
+        for rows in (*chunks, cfg.T + 5):
+            set_chunk(monkeypatch, cfg, len(seeds), rows)
             by_rows[rows] = run(cfg, seeds)
         whole = by_rows.pop(1)
         for other in by_rows.values():
@@ -380,36 +384,21 @@ def iteration_values(cfg):
 
 
 class TestDrawBlockInvariance:
-    """Noise is drawn a block of iterations at a time; neither the block
+    """Noise is drawn a chunk of iterations at a time; neither the chunk
     length nor the iterations recorded may change a bit of any trace."""
 
     SEEDS = list(range(7, 27))
 
     @pytest.mark.parametrize("name", BLOCK_CONFIGS)
     def test_block_lengths_agree(self, monkeypatch, name):
-        cfg = BLOCK_CONFIGS[name]()
-        row_bytes = 8 * int(iteration_values(cfg).max())
-        step_bytes = len(self.SEEDS) * row_bytes
-        whole = run(cfg, self.SEEDS)
-        for batch, row in (
-            (step_bytes, rng_module.ROW_BYTES),
-            (3 * step_bytes // 2, rng_module.ROW_BYTES),
-            (2 * cfg.T * step_bytes, rng_module.ROW_BYTES),
-            (rng_module.DRAW_BYTES, row_bytes),  # the per-seed bound decides
-        ):
-            monkeypatch.setattr(rng_module, "DRAW_BYTES", batch)
-            monkeypatch.setattr(rng_module, "ROW_BYTES", row)
-            for a, b in zip(whole, run(cfg, self.SEEDS), strict=True):
-                assert_same_trace(a, b)
+        TestChunkInvariance.check(monkeypatch, BLOCK_CONFIGS[name](), self.SEEDS, chunks=(1, 2, 3))
 
     @pytest.mark.parametrize("name", [n for n in BLOCK_CONFIGS if not n.startswith("divergent")])
-    @pytest.mark.parametrize("block", ["one", "one-and-a-half", "default"])
+    @pytest.mark.parametrize("block", ["one", "two", "default"])
     def test_draws_exactly_what_is_consumed(self, monkeypatch, name, block):
         cfg = BLOCK_CONFIGS[name]()
-        sizes = iteration_values(cfg)
         if block != "default":
-            per_row = int(sizes.max()) * (2 if block == "one" else 3) // 2
-            monkeypatch.setattr(rng_module, "DRAW_BYTES", 8 * 3 * per_row)
+            set_chunk(monkeypatch, cfg, 3, 1 if block == "one" else 2)
         gens = []
 
         def tracked_philox(seed):
@@ -419,12 +408,13 @@ class TestDrawBlockInvariance:
         monkeypatch.setattr(dynamics, "philox", tracked_philox)
         traces = run(cfg, range(3))
         assert not any(tr.aborted for tr in traces) and len(gens) == 3
+        total = int(iteration_values(cfg).sum())
         for seed, g in enumerate(gens):
             fresh = philox(seed)
             if cfg.noise.kind == "gaussian_channel":
-                fresh.standard_normal(int(sizes.sum()))
+                fresh.standard_normal(total)
             else:
-                fresh.random(int(sizes.sum()))
+                fresh.random(total)
             assert g.random(4).tolist() == fresh.random(4).tolist()
 
     @pytest.mark.parametrize("name", BLOCK_CONFIGS)
@@ -433,9 +423,8 @@ class TestDrawBlockInvariance:
         pick = philox(61)
         subsets = [[cfg.T], [1], list(range(1, cfg.T + 1, 3)), []]
         subsets += [pick.choice(np.arange(1, cfg.T + 1), size=k, replace=False) for k in (2, 5)]
-        row_bytes = 16 * len(self.SEEDS) * cfg.problem.n * cfg.problem.d
         for rows in (1, 3, cfg.T + 5):
-            monkeypatch.setattr(dynamics, "CHUNK_BYTES", rows * row_bytes)
+            set_chunk(monkeypatch, cfg, len(self.SEEDS), rows)
             full = run(cfg, self.SEEDS)
             for at in subsets:
                 for a, b in zip(full, run(cfg, self.SEEDS, at), strict=True):
@@ -455,26 +444,26 @@ class TestDrawBlockInvariance:
 
 
 class TestDrawStream:
-    """Each seed's values are those of one call per take, whatever the
-    blocks."""
+    """``fill`` gives each seed the values of one call per slice, however
+    the draws are split."""
 
     @pytest.mark.parametrize("trial", range(6))
-    def test_matches_one_call_per_take(self, monkeypatch, trial):
+    def test_matches_one_call_per_take(self, trial):
         pick = philox(70, trial)
         R, steps = int(pick.integers(1, 5)), int(pick.integers(1, 30))
         sizes = pick.integers(0, 12, size=steps)
-        monkeypatch.setattr(rng_module, "DRAW_BYTES", 8 * R * int(pick.integers(1, 3 * sizes.max() + 2)))
         scale = [None, 0.7][trial % 2]
-        stream = DrawStream([philox(trial, k) for k in range(R)], sizes.sum(), sizes.max(), scale)
-        refs = [philox(trial, k) for k in range(R)]
+        gens, refs = [philox(trial, k) for k in range(R)], [philox(trial, k) for k in range(R)]
+        buf = np.empty((R, 2 * int(sizes.max()) + 1))
         for m in sizes:
-            got = stream.take(int(m))
-            assert got.shape == (R, m)
-            for g, vals in zip(refs, got, strict=True):
+            lo = int(pick.integers(0, buf.shape[1] - m + 1))  # a slice of a wider row
+            fill(gens, buf[:, lo : lo + m], scale)
+            for g, vals in zip(refs, buf[:, lo : lo + m], strict=True):
                 want = g.random(m) if scale is None else g.normal(0.0, scale, m)
                 assert vals.tobytes() == want.tobytes()
         # Every seed drew the sum of the sizes, no more.
-        assert stream.left == 0
+        for g, ref in zip(gens, refs, strict=True):
+            assert g.random() == ref.random()
 
     def test_normals_are_loc_plus_scaled_values(self):
         # Generator.normal returns loc + scale * z: at loc 0 a z of -0.0
@@ -484,30 +473,9 @@ class TestDrawStream:
                 out[:] = [-0.0, 1.5, -2.0]
                 return out
 
-        vals = DrawStream([Fixed()], 3, 3, scale=0.25).take(3)[0]
-        assert vals.tobytes() == np.array([0.0, 0.375, -0.5]).tobytes()
-
-    @pytest.mark.parametrize("R", [1, 2, 50])
-    def test_buffer_within_byte_bounds(self, R):
-        # Takes of 100 values: a seed's row holds at most ROW_BYTES, the
-        # batch at most DRAW_BYTES, and a refill fills the whole row.
-        stream = DrawStream([philox(5, k) for k in range(R)], 10_000 * 100, 100)
-        width = stream.buf.shape[1]
-        assert width <= rng_module.ROW_BYTES // 8 and R * width * 8 <= rng_module.DRAW_BYTES
-        assert width >= min(rng_module.ROW_BYTES, rng_module.DRAW_BYTES // R) // 8 - 100
-        stream.take(100)
-        assert stream.end == width
-
-    def test_never_draws_beyond_need(self, monkeypatch):
-        # Rows of 5 values for takes of 4: the last refill stops at the total.
-        monkeypatch.setattr(rng_module, "DRAW_BYTES", 8 * 2 * 5)
-        gens = [philox(3, 0), philox(3, 1)]
-        stream = DrawStream(gens, 12, 4)
-        for _ in range(3):
-            stream.take(4)
-        fresh = philox(3, 0)
-        fresh.random(12)
-        assert gens[0].random() == fresh.random()  # drew its 12 values, not 15
+        vals = np.empty((1, 3))
+        fill([Fixed()], vals, scale=0.25)
+        assert vals[0].tobytes() == np.array([0.0, 0.375, -0.5]).tobytes()
 
 
 class TestExactExpectation:

@@ -45,7 +45,7 @@ CONFIGS = {
     "matrix_file": ("family = matrix_file\nmatrix_file = slots.txt\nd = 4\nN = 12\n" + SMALL, ()),
     "matrix_file_gaps": ("family = matrix_file\nmatrix_file = gaps.txt\nwindow = 2\nd = 4\nN = 12\n" + SMALL, ()),
     # gaps.txt with noise: each seed takes 6 d values at a cycle slot and 3 d
-    # at an identity slot, so draw blocks do not hold equal-sized iterations.
+    # at an identity slot, so the iterations of a chunk draw unequal counts.
     "matrix_file_gaps_gauss": (
         "family = matrix_file\nmatrix_file = gaps.txt\nd = 4\nN = 12\n"
         "noise = gaussian_channel\nsigma = 0.5\n" + SMALL,
