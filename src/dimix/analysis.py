@@ -190,7 +190,15 @@ def _ceil_pow(name: str, base: float, exponent: float) -> int:
 def thresholds(steps: StepSchedule, lam: float, mu_f: float, L_f: float) -> Thresholds:
     """Burn-in iteration counts for the guarantee's ingredients."""
     mu, nu = steps.mu, steps.nu
-    _check_regime(steps, mu_f, L_f)
+    if nu >= mu:
+        raise ValueError(
+            "the guarantee needs nu < mu (the gradient step must decay "
+            "strictly faster than the mixing step)"
+        )
+    if mu + nu > 1.0:
+        raise ValueError("the guarantee covers mu + nu <= 1 only")
+    if not (L_f > 0.0 and mu_f > 0.0 and mu_f <= L_f):
+        raise ValueError("need 0 < mu_f <= L_f")
     T1 = _ceil_pow("T1", 2.0 * mu / (lam * steps.beta0), 1.0 / (1.0 - mu))
     T2 = _ceil_pow("T2", 8.0 * nu / (lam * steps.beta0), 1.0 / (1.0 - mu))
     T3 = _ceil_pow("T3", steps.alpha0 * steps.beta0 * (mu_f + L_f) / 2.0, 1.0 / (mu + nu))
@@ -204,18 +212,6 @@ def thresholds(steps: StepSchedule, lam: float, mu_f: float, L_f: float) -> Thre
     else:
         T4 = None
     return Thresholds(T1=T1, T2=T2, T3=T3, T4=T4)
-
-
-def _check_regime(steps: StepSchedule, mu_f: float, L_f: float) -> None:
-    if steps.nu >= steps.mu:
-        raise ValueError(
-            "the guarantee needs nu < mu (the gradient step must decay "
-            "strictly faster than the mixing step)"
-        )
-    if steps.mu + steps.nu > 1.0:
-        raise ValueError("the guarantee covers mu + nu <= 1 only")
-    if not (L_f > 0.0 and mu_f > 0.0 and mu_f <= L_f):
-        raise ValueError("need 0 < mu_f <= L_f")
 
 
 @dataclass(frozen=True)

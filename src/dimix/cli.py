@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,7 +39,7 @@ from .analysis import (
     thresholds,
     xi_constants,
 )
-from .dynamics import TRACE_COLUMNS, MonteCarlo, RunConfig, empirical_bounds, monte_carlo
+from .dynamics import TRACE_COLUMNS, MonteCarlo, RunConfig, monte_carlo
 from .noise import NoiseModel, noise_variance_bound
 from .objective import build_problem
 from .reporting import VERSION, Config, fmt, parse_config, svg_loglog, write_csv, write_manifest
@@ -53,16 +52,11 @@ from .topology import (
 )
 
 
-@dataclass
-class Experiment:
-    """A fully resolved run setup plus the config values that describe it
-    (including any command-line seed override) for the manifest echo."""
-
-    values: dict
-    run_config: RunConfig
-
-
-def build_experiment(cfg: Config, seed_override: int | None = None, T_override: int | None = None) -> Experiment:
+def build_experiment(
+    cfg: Config, seed_override: int | None = None, T_override: int | None = None
+) -> tuple[dict, RunConfig]:
+    """The config values, with any command-line override (echoed in the
+    manifest), and the fully resolved run setup they describe."""
     values = dict(cfg.values)
     if seed_override is not None:
         values["seed"] = int(seed_override)
@@ -102,12 +96,7 @@ def build_experiment(cfg: Config, seed_override: int | None = None, T_override: 
     steps = StepSchedule(
         alpha0=values["alpha0"], nu=values["nu"], beta0=values["beta0"], mu=values["mu"]
     )
-    return Experiment(
-        values=values,
-        run_config=RunConfig(
-            problem=problem, schedule=schedule, steps=steps, T=values["T"], noise=noise
-        ),
-    )
+    return values, RunConfig(problem=problem, schedule=schedule, steps=steps, T=values["T"], noise=noise)
 
 
 def resolve_out_dir(arg_out: str | None, values: dict) -> Path:
@@ -159,15 +148,16 @@ def _horizon_grid(cfg: Config) -> tuple[int, ...]:
 
 
 def measured(cfg: RunConfig, mc: MonteCarlo) -> tuple[float, float, float]:
-    """(K, state norm bound, gamma) from the completed runs."""
-    K, norm_bound = empirical_bounds(tr for tr in mc.traces if not tr.aborted)
-    return K, norm_bound, noise_variance_bound(cfg.noise, cfg.problem.d, state_norm_bound=norm_bound)
+    """(K, state norm bound, gamma): the runs' two maxima and the noise
+    level gamma that the state-norm bound gives."""
+    gamma = noise_variance_bound(cfg.noise, cfg.problem.d, state_norm_bound=mc.state_norm_bound)
+    return mc.K, mc.state_norm_bound, gamma
 
 
-def _derived_facts(exp: Experiment, mc: MonteCarlo) -> dict:
-    sched, problem = exp.run_config.schedule, exp.run_config.problem
-    c = certificate(exp.run_config)
-    K, norm_bound, gamma = measured(exp.run_config, mc)
+def _derived_facts(rc: RunConfig, mc: MonteCarlo) -> dict:
+    sched, problem = rc.schedule, rc.problem
+    c = certificate(rc)
+    K, norm_bound, gamma = measured(rc, mc)
     facts = {
         "version": VERSION,
         "r": sched.r,
@@ -194,16 +184,14 @@ def _derived_facts(exp: Experiment, mc: MonteCarlo) -> dict:
 
 def cmd_run(args) -> int:
     cfg = parse_config(args.config)
-    exp = build_experiment(cfg, seed_override=args.seed)
-    out = resolve_out_dir(args.out, exp.values)
-    mc = monte_carlo(
-        exp.run_config, exp.values["runs"], seed=exp.values["seed"], jobs=args.jobs
-    )
+    values, rc = build_experiment(cfg, seed_override=args.seed)
+    out = resolve_out_dir(args.out, values)
+    mc = monte_carlo(rc, values["runs"], seed=values["seed"], jobs=args.jobs)
     for k, trace in enumerate(mc.traces):
         write_csv(out / f"run_{k:02d}.csv", ("t", *TRACE_COLUMNS), trace.t, trace.values)
     write_csv(out / "mean.csv", ("t", *_STAT_COLUMNS), mc.t, _stats(mc))
-    write_manifest(out / "manifest.txt", exp.values, _derived_facts(exp, mc))
-    n = exp.run_config.problem.n
+    write_manifest(out / "manifest.txt", values, _derived_facts(rc, mc))
+    n = rc.problem.n
     if args.plots:
         mean = dict(zip(TRACE_COLUMNS, mc.mean.T))
         svg_loglog(
@@ -212,18 +200,21 @@ def cmd_run(args) -> int:
                 "loss_pooled": (mc.t, mean["loss_pooled"]),
                 "loss_weighted": (mc.t, mean["loss_weighted"]),
             },
-            title=f"{exp.values['family']}, n={n}, mean over {mc.completed} runs",
+            title=f"{values['family']}, n={n}, mean over {mc.completed} runs",
             ylabel="mean loss",
         )
-        svg_loglog(
-            out / "deviation.svg",
-            {"deviation_sq": (mc.t, mean["deviation_sq"])},
-            title="consensus error",
-            ylabel="mean deviation_sq",
-        )
+        if (mean["deviation_sq"] > 0).any():
+            svg_loglog(
+                out / "deviation.svg",
+                {"deviation_sq": (mc.t, mean["deviation_sq"])},
+                title="consensus error",
+                ylabel="mean deviation_sq",
+            )
+        else:  # one agent: there is no consensus error to plot on a log axis
+            print("note: deviation_sq is 0 at every iteration; no deviation.svg")
     final = mc.mean[-1, _DIST]
     print(
-        f"{exp.values['family']}: n={n} T={exp.values['T']} "
+        f"{values['family']}: n={n} T={values['T']} "
         f"runs={mc.completed} completed, {mc.aborted} aborted"
     )
     if mc.aborted:
@@ -235,10 +226,10 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = parse_config(args.config)
-    exp = build_experiment(cfg, seed_override=args.seed)
-    horizon = exp.values["horizon"] or exp.values["T"]
-    window = exp.values["window"] or None
-    report = validate_schedule(exp.run_config.schedule, horizon, window)
+    values, rc = build_experiment(cfg, seed_override=args.seed)
+    horizon = values["horizon"] or values["T"]
+    window = values["window"] or None
+    report = validate_schedule(rc.schedule, horizon, window)
     print(report.summary())
     return 0 if report.passed else 1
 
@@ -248,8 +239,7 @@ def cmd_theory(args) -> int:
     T_grid = _horizon_grid(cfg)
     if args.assume_q0 is not None and not 0.0 <= args.assume_q0 < np.inf:  # also true on nan
         raise ValueError(f"gamma, K, q0 must be finite and nonnegative, got --assume-q0 {args.assume_q0}")
-    exp = build_experiment(cfg, seed_override=args.seed)
-    rc = exp.run_config
+    values, rc = build_experiment(cfg, seed_override=args.seed)
     sched, steps, T_sim = rc.schedule, rc.steps, rc.T
     mu_f, L_f = rc.problem.strong_convexity, rc.problem.smoothness
     c = certificate(rc)
@@ -264,7 +254,7 @@ def cmd_theory(args) -> int:
     xi_constants(steps, lam, kappa, mu_f, L_f, 0.0, 0.0, 0.0)  # config-only preconditions fail before simulating
     # Only the table's horizons and T0 are read from the runs.
     at = [T for T in T_grid if T <= T_sim] + [th.T0] * (th.T0 <= T_sim)
-    mc = monte_carlo(rc, exp.values["runs"], seed=exp.values["seed"], jobs=args.jobs, at=at)
+    mc = monte_carlo(rc, values["runs"], seed=values["seed"], jobs=args.jobs, at=at)
     K, _, gamma = measured(rc, mc)
     if th.T0 <= T_sim:
         q0 = mc.q0_estimate(th.T0)
@@ -274,7 +264,7 @@ def cmd_theory(args) -> int:
         q0_source = "assumed (--assume-q0)"
 
     tc = xi_constants(steps, lam, kappa, mu_f, L_f, gamma, K, q0)
-    print(f"schedule {exp.values['family']}: n={sched.n} B={sched.B} eta={fmt(sched.eta)}")
+    print(f"schedule {values['family']}: n={sched.n} B={sched.B} eta={fmt(sched.eta)}")
     print(f"lambda = {fmt(lam)}   kappa = {fmt(kappa)}")
     print(f"mu_f = {fmt(mu_f)}   L_f = {fmt(L_f)}   c1 = {fmt(tc.c1)}   c2 = {fmt(tc.c2)}")
     print(f"gamma = {fmt(gamma)}   K = {fmt(K)}   q0 = {fmt(q0)} ({q0_source})")
@@ -330,13 +320,11 @@ def cmd_lemmas(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
     grid = sorted(set(_horizon_grid(cfg)))
-    exp = build_experiment(cfg, seed_override=args.seed, T_override=max(grid))
-    out = resolve_out_dir(args.out, exp.values)
-    mc = monte_carlo(
-        exp.run_config, exp.values["runs"], seed=exp.values["seed"], jobs=args.jobs, at=grid
-    )
+    values, rc = build_experiment(cfg, seed_override=args.seed, T_override=max(grid))
+    out = resolve_out_dir(args.out, values)
+    mc = monte_carlo(rc, values["runs"], seed=values["seed"], jobs=args.jobs, at=grid)
     write_csv(out / "sweep.csv", ("T", *_STAT_COLUMNS), grid, _stats(mc))
-    write_manifest(out / "manifest.txt", exp.values, _derived_facts(exp, mc))
+    write_manifest(out / "manifest.txt", values, _derived_facts(rc, mc))
     finals = mc.mean[:, _DIST]
     print(f"horizon grid: {', '.join(str(T) for T in grid)}")
     print(f"final mean dist_opt_sq: {', '.join(fmt(v) for v in finals)}")
@@ -347,7 +335,7 @@ def cmd_sweep(args) -> int:
         svg_loglog(
             out / "sweep.svg",
             {"dist_opt_sq(T)": (np.array(grid, dtype=float), finals)},
-            title=f"final error vs horizon ({exp.values['family']}, n={exp.run_config.problem.n})",
+            title=f"final error vs horizon ({values['family']}, n={rc.problem.n})",
             xlabel="T",
             ylabel="mean dist_opt_sq",
         )

@@ -15,7 +15,7 @@ asked to record (all of them by default): pooled-data loss at the weighted
 mean state, the r-weighted sum of local losses at the agent states, the
 consensus error, and the squared r-weighted distance to the weighted optimum
 x*.  ``monte_carlo(cfg, runs, seed)`` runs seeds seed, seed+1, ... and
-aggregates the columns.
+aggregates the columns and maxima of the runs that completed.
 
 ``run`` advances all of its seeds as one (R, n, d) state and works a chunk
 of iterations at a time: when a chunk starts it draws the noise of all of
@@ -263,10 +263,12 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
 class MonteCarlo:
     """Aggregate of the runs ``monte_carlo`` made, one per seed.
 
-    ``mean`` and ``stderr`` are (len(t), 4) arrays over the TRACE_COLUMNS at
-    the recorded iterations ``t``, taken over the completed (non-aborted)
-    runs; aborted runs are kept in ``traces`` but excluded from the
-    statistics.
+    Aborted runs stay in ``traces`` and count in no statistic: ``mean``,
+    ``stderr``, ``K``, ``state_norm_bound`` and ``q0_estimate`` are taken
+    over the completed runs alone.  ``mean`` and ``stderr`` are (len(t), 4)
+    arrays over the TRACE_COLUMNS at the recorded iterations ``t``; ``K``
+    and ``state_norm_bound`` are the largest ``max_grad_sq`` and
+    ``max_state_norm`` of those runs.
     """
 
     traces: list[RunTrace]
@@ -275,6 +277,8 @@ class MonteCarlo:
     stderr: np.ndarray
     completed: int
     aborted: int
+    K: float
+    state_norm_bound: float
 
     def q0_estimate(self, T0: int) -> float:
         """Mean squared error of the weighted mean state at iteration T0,
@@ -334,15 +338,7 @@ def monte_carlo(
         stderr=stderr,
         completed=len(good),
         aborted=len(traces) - len(good),
+        K=max(tr.max_grad_sq for tr in good),
+        state_norm_bound=max(tr.max_state_norm for tr in good),
     )
 
-
-def empirical_bounds(traces) -> tuple[float, float]:
-    """(K, state_norm_bound): the largest squared local gradient and the
-    largest state norm seen anywhere in the given traces."""
-    traces = list(traces)
-    if not traces:
-        raise ValueError("need at least one trace")
-    K = max(tr.max_grad_sq for tr in traces)
-    norm_bound = max(tr.max_state_norm for tr in traces)
-    return K, norm_bound

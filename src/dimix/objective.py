@@ -24,15 +24,9 @@ from .rng import philox
 from .topology import make_weight_vector
 
 
-def synthesize_regression(
-    N: int,
-    d: int,
-    rng: np.random.Generator,
-    x_high: float = 0.8,
-    theta_high: float = 0.1,
-):
-    """Draw the data pool: U ~ U(0,1)^(N x d), x_tilde ~ U(0, x_high)^d,
-    theta ~ U(0, theta_high)^N, v = U x_tilde + theta.
+def synthesize_regression(N: int, d: int, rng: np.random.Generator):
+    """Draw the data pool: U ~ U(0,1)^(N x d), x_tilde ~ U(0, 0.8)^d,
+    theta ~ U(0, 0.1)^N, v = U x_tilde + theta.
 
     Draw order (U, then x_tilde, then theta) is part of the contract; the
     same generator state always yields the same pool.
@@ -40,8 +34,8 @@ def synthesize_regression(
     if N < 1 or d < 1:
         raise ValueError("need N >= 1 points of dimension d >= 1")
     U = rng.random((N, d))
-    x_tilde = x_high * rng.random(d)
-    theta = theta_high * rng.random(N)
+    x_tilde = 0.8 * rng.random(d)
+    theta = 0.1 * rng.random(N)
     v = U @ x_tilde + theta
     return U, v, x_tilde, theta
 

@@ -172,7 +172,7 @@ def _loglog_ticks(lo: float, hi: float) -> list[int]:
     return list(range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1))
 
 
-def svg_loglog(path, series: dict, title: str, xlabel: str = "t", ylabel: str = "") -> None:
+def svg_loglog(path, series: dict, title: str, ylabel: str, xlabel: str = "t") -> None:
     """Write a small self-contained log-log SVG line plot.
 
     ``series`` maps a legend label to a pair of arrays (x, y); points with
@@ -214,12 +214,9 @@ def svg_loglog(path, series: dict, title: str, xlabel: str = "t", ylabel: str = 
         f'<line x1="{ml}" y1="{H - mb}" x2="{W - mr}" y2="{H - mb}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{H - mb}" stroke="black"/>',
         f'<text x="{(ml + W - mr) / 2}" y="{H - 12}" text-anchor="middle">{xlabel}</text>',
+        f'<text x="16" y="{(mt + H - mb) / 2}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {(mt + H - mb) / 2})">{ylabel}</text>',
     ]
-    if ylabel:
-        out.append(
-            f'<text x="16" y="{(mt + H - mb) / 2}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {(mt + H - mb) / 2})">{ylabel}</text>'
-        )
     for k in _loglog_ticks(x_lo, x_hi):
         x = 10.0**k
         if x_lo <= x <= x_hi:

@@ -233,8 +233,6 @@ def stationary_weights(matrices) -> np.ndarray:
         raise ValueError("matrix family has no common stationary vector")
     uniform = np.full(n, 1.0 / n)
     candidate = basis.T @ (basis @ uniform)
-    if candidate.sum() < 0:
-        candidate = -candidate
     if np.any(candidate <= STATIONARITY_TOL / n) or abs(candidate.sum()) <= STATIONARITY_TOL:
         # The projection of the uniform vector missed the positive cone; a
         # one-dimensional solution space may still work after sign cleanup.

@@ -38,6 +38,10 @@ class TestWeightedNorm:
         r = np.array([0.5, 0.5])
         assert r_norm_sq(A, r) == pytest.approx(0.5 * 25 + 0.5 * 1)
 
+    def test_row_count_must_match_weights(self):
+        with pytest.raises(ValueError, match="row count must match"):
+            r_norm_sq(np.ones((3, 2)), np.array([0.5, 0.5]))
+
     def test_weighted_mean(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         r = np.array([0.25, 0.75])
@@ -140,6 +144,8 @@ class TestAConstant:
             A_constant(0.5, 0.3, 0.5)  # sigma <= delta
         with pytest.raises(ValueError):
             A_constant(0.5, 2.0, 1.5)  # delta out of range
+        with pytest.raises(ValueError, match="a must be positive"):
+            A_constant(0.0, 2.0, 1.0)  # delta == 1 needs a > 0
         with pytest.raises(ValueError):
             A_constant(2.0, 0.9, 1.0)  # delta == 1 needs sigma > 1
         with pytest.raises(ValueError):

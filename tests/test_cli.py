@@ -18,6 +18,7 @@ from dimix.reporting import (
     fmt,
     format_config,
     parse_config_text,
+    svg_loglog,
     write_csv,
     write_manifest,
 )
@@ -130,6 +131,14 @@ class TestFormatting:
         assert cfg["alpha0"] == 1 / 3
 
 
+    def test_plot_with_no_positive_point_rejected(self, tmp_path):
+        path = tmp_path / "empty.svg"
+        series = {"zero": ([1, 2, 3], [0.0, 0.0, 0.0]), "bad t": ([0, -1], [1.0, 2.0])}
+        with pytest.raises(ValueError, match="nothing positive to plot"):
+            svg_loglog(path, series, title="none", ylabel="y")
+        assert not path.exists()
+
+
 class TestCsvRoundTrip:
     def test_trace_csv_exact(self, tmp_path):
         from dimix.dynamics import run
@@ -175,6 +184,37 @@ class TestRunCommand:
             text = (out / name).read_text()
             assert text.startswith("<svg"), name
         assert "loss_pooled" in (out / "loss.svg").read_text()
+
+    def test_one_agent_plots_skip_deviation(self, tmp_path, capsys):
+        # One agent has no consensus error: deviation_sq is 0 throughout, so
+        # the log-log deviation plot has no point and is skipped with a note.
+        (tmp_path / "one.txt").write_text("1\n")
+        cfg = tmp_path / "cfg"
+        cfg.write_text(
+            f"family = matrix_file\nmatrix_file = {tmp_path / 'one.txt'}\nd = 3\nN = 5\n"
+            "T = 20\nruns = 2\nT_grid = 10, 20\n"
+        )
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out), "--plots"])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        assert captured.out.startswith("note: deviation_sq is 0 at every iteration; no deviation.svg\n")
+        assert (out / "loss.svg").read_text().startswith("<svg")
+        assert not (out / "deviation.svg").exists()
+
+    def test_aborted_runs_are_warned_about(self, tmp_path, capsys):
+        # A one-level quantizer and large gradient steps: 11 of 12 seeds abort.
+        cfg = tmp_path / "cfg"
+        cfg.write_text(
+            "family = fixed_cycle\nn = 3\nd = 2\nN = 12\nnoise = stochastic_quantizer\n"
+            "quantizer_levels = 1\nalpha0 = 25\nnu = 0.05\nbeta0 = 1.0\nmu = 0.5\n"
+            "T = 40\nruns = 12\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("runs=1 completed, 11 aborted")
+        assert lines[1] == "warning: aborted runs are excluded from mean.csv"
 
     def test_seed_override_changes_run_seeds(self, tmp_path, config_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -292,8 +332,8 @@ T_grid = 500, 2200
         out = capsys.readouterr().out
         T0 = int(re.search(r"T0 = (\d+)", out).group(1))
         assert T0 not in (500, 2200)
-        exp = dimix.cli.build_experiment(dimix.cli.parse_config(str(cfg)))
-        full = monte_carlo(exp.run_config, 2, seed=3)
+        _, rc = dimix.cli.build_experiment(dimix.cli.parse_config(str(cfg)))
+        full = monte_carlo(rc, 2, seed=3)
         assert f"q0 = {fmt(full.q0_estimate(T0))} (measured over 2 runs)" in out
         for T in (500, 2200):
             assert f", {fmt(float(full.mean[T - 1, TRACE_COLUMNS.index('dist_opt_sq')]))}, " in out
@@ -353,6 +393,16 @@ T_grid = 500, 2200
         assert len(rows) == 3
         assert "nan" not in captured.out
 
+    def test_uncertified_steps_are_warned_about(self, tmp_path, capsys):
+        # mu + nu = 1 and alpha0 beta0 = 0.07, far below min(mu - nu, 2 nu)/c2.
+        cfg = tmp_path / "cfg"
+        cfg.write_text("family = gossip\nn = 4\nalpha0 = 0.1\nT = 20\nruns = 2\nT_grid = 10, 20\n")
+        assert main(["theory", "--config", str(cfg), "--assume-q0", "1"]) == 0
+        assert (
+            f"WARNING: alpha0*beta0 = {fmt(0.1 * 0.7)} is below the certification threshold "
+            "24.004013696643955; the bound below is reported but not certified for these steps\n"
+        ) in capsys.readouterr().out
+
     @pytest.mark.parametrize("q0", ["nan", "inf"])
     def test_non_finite_assumed_q0_rejected(self, tmp_path, capsys, q0):
         cfg = tmp_path / "cfg"
@@ -374,6 +424,16 @@ class TestLemmasCommand:
 
     def test_seed_flag_accepted(self, capsys):
         assert main(["lemmas", "--seed", "5"]) == 0
+
+    def test_config_seed_is_the_suite_seed(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("seed = 5\n")
+        assert main(["lemmas", "--seed", "5"]) == 0
+        by_flag = capsys.readouterr().out
+        assert main(["lemmas", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == by_flag
+        assert main(["lemmas"]) == 0
+        assert capsys.readouterr().out != by_flag
 
 
 class TestSweepCommand:
@@ -499,6 +559,28 @@ class TestErrorPaths:
         assert rc == 2 and captured.out == ""
         assert captured.err.startswith(expected) and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "config, matrix, expected",
+        [
+            ("noise = gaussian_channel\nsigma = inf\n", None, "{cfg}:2: bad value for sigma: must be finite"),
+            ("family = matrix_file\nmatrix_file = {mat}\n", "0.5, nan\n0.5, 0.5\n", "matrix entries must be finite and nonnegative"),
+            ("family = matrix_file\nmatrix_file = {mat}\n", "1, 0\n0, 1\n\n1, 0, 0\n0, 1, 0\n0, 0, 1\n", "{mat}: block 2 size differs from block 1"),
+            ("family = gossip\nn = 4\nhorizon = -1\n", None, "horizon must be >= 1"),
+            ("family = gossip\nn = 4\nwindow = -2\n", None, "window must be >= 1"),
+            ("n = 0\n", None, "need at least one agent"),
+        ],
+        ids=["infinite sigma", "nan matrix entry", "ragged matrix blocks", "horizon", "window", "no agents"],
+    )
+    def test_validate_rejects_bad_input(self, tmp_path, capsys, config, matrix, expected):
+        cfg, mat = tmp_path / "cfg", tmp_path / "matrix.txt"
+        if matrix is not None:
+            mat.write_text(matrix)
+        cfg.write_text(config.format(mat=mat))
+        rc = main(["validate", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"error: {expected.format(cfg=cfg, mat=mat)}\n"
+
     def test_quantizer_without_levels(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text("noise = stochastic_quantizer\n")
@@ -540,8 +622,8 @@ class TestBenchmarkHooks:
     def test_setup_snippet_builds_an_experiment(self, config_file):
         import dimix.cli
 
-        exp = dimix.cli.build_experiment(dimix.cli.parse_config(config_file))
-        assert exp.run_config.problem.n == 4
+        _, rc = dimix.cli.build_experiment(dimix.cli.parse_config(config_file))
+        assert rc.problem.n == 4
 
     def test_building_an_experiment_loads_no_pool_or_lemma_suite(self, config_file):
         # A fresh interpreter, as every CLI call and the setup snippet start.

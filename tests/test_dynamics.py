@@ -10,7 +10,6 @@ from dimix.dynamics import (
     MonteCarlo,
     RunConfig,
     RunTrace,
-    empirical_bounds,
     monte_carlo,
     run,
 )
@@ -109,6 +108,10 @@ class TestSingleTrajectory:
         assert col(trace.values, "dist_opt_sq")[0] == pytest.approx(
             float(np.sum(cfg.problem.x_star**2))
         )
+
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ValueError, match="need at least one seed"):
+            run(simple_config(T=5), [])
 
     def test_first_row_metrics_at_zero_state(self, default_problem):
         p = default_problem
@@ -697,6 +700,7 @@ class TestMonteCarlo:
         mc = MonteCarlo(
             traces=[trace], t=trace.t,
             mean=np.empty((1, 4)), stderr=np.empty((1, 4)), completed=1, aborted=0,
+            K=0.0, state_norm_bound=0.0,
         )
         assert mc.q0_estimate(1) == 0.0
 
@@ -704,19 +708,16 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(simple_config(T=5), 0, seed=0)
 
-
-class TestEmpiricalBounds:
-    def test_max_over_traces(self):
-        cfg = simple_config(T=15)
-        traces = [run(cfg, [s])[0] for s in (1, 2)]
-        K, norm = empirical_bounds(traces)
-        assert K == max(tr.max_grad_sq for tr in traces)
-        assert norm == max(tr.max_state_norm for tr in traces)
-        assert K > 0 and norm > 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_bounds([])
+    def test_maxima_cover_completed_runs_only(self):
+        # Seeds 30-49: 17 of 20 runs abort, and an aborted run's maxima
+        # reach past every completed run's, so it must not feed K or the bound.
+        mc = monte_carlo(divergent_config(), 20, seed=30)
+        assert (mc.completed, mc.aborted) == (3, 17)
+        good = [tr for tr in mc.traces if not tr.aborted]
+        assert mc.K == max(tr.max_grad_sq for tr in good) > 0
+        assert mc.state_norm_bound == max(tr.max_state_norm for tr in good) > 0
+        assert mc.K < max(tr.max_grad_sq for tr in mc.traces)
+        assert mc.state_norm_bound < max(tr.max_state_norm for tr in mc.traces)
 
 
 class TestGradientDescentReduction:

@@ -203,6 +203,11 @@ class TestVarianceBound:
         assert quantizer_variance_coeff(4, 4) == 0.25
         assert quantizer_variance_coeff(16, 4) == 1.0
 
+    @pytest.mark.parametrize("d, s", [(0, 4), (4, 0)])
+    def test_coeff_rejects_empty_dimension_or_levels(self, d, s):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            quantizer_variance_coeff(d, s)
+
     def test_frozen_values(self):
         assert noise_variance_bound(noiseless(), 25) == 0.0
         assert noise_variance_bound(gaussian_channel(0.1), 25) == pytest.approx(0.01)

@@ -164,12 +164,13 @@ class TestProblem:
         assert np.linalg.norm(g) <= 1e-9
 
     def test_noiseless_labels_recover_planted_vector(self):
-        # With theta = 0 the regression is exactly solvable and the weighted
-        # optimum is the planted x_tilde no matter the weights.
+        # Labels U x_tilde without theta make the regression exactly
+        # solvable: the weighted optimum is the planted x_tilde no matter
+        # the weights.
         rng = philox(11, 0)
-        U, v, x_tilde, _ = synthesize_regression(100, 25, rng, theta_high=0.0)
+        U, _, x_tilde, _ = synthesize_regression(100, 25, rng)
         r = np.array([0.3, 0.2, 0.4, 0.1])
-        x_star = quadratic_problem(U, v, r, partition_indices(r, 100, rng)).x_star
+        x_star = quadratic_problem(U, U @ x_tilde, r, partition_indices(r, 100, rng)).x_star
         assert np.max(np.abs(x_star - x_tilde)) <= 1e-8
 
     def test_pooled_loss_form(self, default_problem):

@@ -3,13 +3,13 @@
     PYTHONPATH=<tree>/src python3 tools/cli_outputs.py DEST
 
 runs ``run --plots``, ``sweep --plots`` and ``theory`` (each at --jobs 1 and
-2), ``validate`` and ``lemmas`` on seventeen configs with whichever dimix
+2), ``validate`` and ``lemmas`` on eighteen configs with whichever dimix
 the PYTHONPATH gives, and on the configs in SEEDED the three with
 ``--seed 3`` and ``lemmas`` without a config.  The configs include a theory
 T_grid past the simulated horizon, seeds that diverge and are reset in
 place, steps that admit no burn-in thresholds, steps whose constant xi5 is
-beyond the float range, nu >= mu, an n that the matrix file contradicts and
-a key set twice.  Each command runs in its own directory
+beyond the float range, nu >= mu, an n that the matrix file contradicts, a
+key set twice and a single agent.  Each command runs in its own directory
 DEST/<config>/<command> with a relative --out, so nothing it prints holds an
 absolute path; stdout, stderr, the exit code and every output file are kept
 there.  DEST/lemma_reports.json holds every field of the lemma suite's
@@ -32,9 +32,11 @@ from workloads import WORKLOADS  # noqa: E402
 # stochastic slots on three agents, connected over any window of 2.
 # gaps.txt: a cycle slot then two identity slots, so at window 2 only the
 # starts t = 1 (mod 3), whose window holds both identities, are disconnected.
+# one.txt: a single agent.
 MATRIX_FILES = {
     "slots.txt": "0.5, 0.5, 0\n0, 0.5, 0.5\n0.5, 0, 0.5\n\n0.5, 0, 0.5\n0.5, 0.5, 0\n0, 0.5, 0.5\n",
     "gaps.txt": "0.5, 0.5, 0\n0, 0.5, 0.5\n0.5, 0, 0.5\n\n1, 0, 0\n0, 1, 0\n0, 0, 1\n\n1, 0, 0\n0, 1, 0\n0, 0, 1\n",
+    "one.txt": "1\n",
 }
 SMALL = "T = 60\nruns = 3\nT_grid = 20, 40, 60\n"
 
@@ -100,6 +102,12 @@ CONFIGS = {
     "matrix_file_n_conflict": ("family = matrix_file\nmatrix_file = slots.txt\nn = 4\nd = 4\nN = 12\n" + SMALL, ()),
     # T set twice: rejected with both line numbers (older trees ran T = 30).
     "duplicate_key": ("family = gossip\nT = 20\nruns = 2\nT_grid = 10, 20\nT = 30\n", ()),
+    # One agent: deviation_sq is 0 at every iteration, so run --plots writes
+    # no deviation.svg (older trees failed with "nothing positive to plot").
+    "one_agent": (
+        "family = matrix_file\nmatrix_file = one.txt\nd = 3\nN = 5\nT = 20\nruns = 2\nT_grid = 10, 20\n",
+        ("--assume-q0", "1"),
+    ),
 }
 
 # Configs whose run, theory and lemmas are also recorded with --seed 3, and
