@@ -34,7 +34,8 @@ STATIONARITY_TOL = 1e-9
 def make_weight_vector(p) -> np.ndarray:
     """Normalize positive scores p into a weight vector r with sum(r) == 1.
 
-    Raises ValueError for empty input, nonfinite entries, or entries <= 0.
+    Raises ValueError for empty input, nonfinite entries, entries <= 0, or a
+    sum beyond the float range; a finite sum leaves |sum(r) - 1| a few ulps.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
@@ -46,19 +47,17 @@ def make_weight_vector(p) -> np.ndarray:
         raise ValueError(
             f"weight scores must be strictly positive; index {bad} is {p[bad]}"
         )
-    r = p / p.sum()
-    # Division by the exact sum leaves at most a few ulps of drift.
-    if abs(r.sum() - 1.0) > STOCHASTICITY_TOL:
-        raise ValueError("normalized weights do not sum to 1 within tolerance")
-    return r
+    with np.errstate(over="ignore"):
+        total = p.sum()
+    if not np.isfinite(total):
+        raise ValueError("the sum of the weight scores is beyond the float range")
+    return p / total
 
 
-def _check_weights(r: np.ndarray, n_min: int = 1, batch: bool = False) -> np.ndarray:
-    """r as a float array, checked; with ``batch``, every row of a 2-D r."""
+def _check_weights(r) -> np.ndarray:
+    """r as a float array whose rows along the last axis are weight vectors,
+    checked to be positive and to sum to 1: one vector (n,) or a stack."""
     r = np.asarray(r, dtype=float)
-    if r.ndim != 1 + batch or r.shape[-1] < n_min:
-        shape = "a 2-D batch of rows" if batch else "1-D"
-        raise ValueError(f"weight vector must be {shape} with at least {n_min} entries")
     if (r <= 0.0).any() or np.abs(r.sum(-1) - 1.0).max() > STOCHASTICITY_TOL:
         raise ValueError("weight vector must be positive and sum to 1")
     return r
@@ -87,17 +86,17 @@ def gossip_pair(n: int, t: int) -> tuple[int, int]:
     return t % n, (t + 1) % n
 
 
-def _gossip_matrices(r: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Gossip matrices at the iterations in t, stacked (t.size, n, n), for
-    weights r (n,), or (..., t.size, n, n) for every row of r.  The active
-    pair (a, b) puts weight ``r[j] / (r[a] + r[b])`` on column j, which keeps
-    r left-stationary; every other row is an identity row."""
+def _gossip_matrices(r: np.ndarray) -> np.ndarray:
+    """One period of gossip matrices (slot t - 1 is iteration t), stacked
+    (n, n, n) for weights r (n,), or (..., n, n, n) for a stack of them.  The
+    active pair (a, b) puts weight ``r[j] / (r[a] + r[b])`` on column j, which
+    keeps r left-stationary; every other row is an identity row."""
     n = r.shape[-1]
-    a, b = gossip_pair(n, t)
+    k = np.arange(n)
+    a, b = gossip_pair(n, k + 1)
     s = r[..., a] + r[..., b]
-    W = np.zeros(r.shape[:-1] + (t.size, n, n))
-    i, k = np.arange(n), np.arange(t.size)
-    W[..., i, i] = 1.0
+    W = np.zeros(r.shape[:-1] + (n, n, n))
+    W[..., k, k] = 1.0
     W[..., k, a, a] = r[..., a] / s
     W[..., k, a, b] = r[..., b] / s
     W[..., k, b, a] = r[..., a] / s
@@ -164,30 +163,33 @@ def entry_floor(matrices):
 def family_window(kind: str, n: int) -> int:
     """Connectivity window B of the built-in family ``kind`` on n agents:
     every fixed-cycle matrix connects the whole cycle, and n consecutive
-    gossip links (one period) cover it."""
-    if kind == "fixed_cycle":
-        return 1
-    if kind == "gossip":
-        return n
-    raise ValueError(f"unknown schedule family {kind!r}")
+    gossip links (one period) cover it.  This is the one check of a family:
+    it rejects an unknown ``kind`` and fewer than 3 agents."""
+    if kind not in ("fixed_cycle", "gossip"):
+        raise ValueError(f"unknown schedule family {kind!r}")
+    if n < 3:
+        raise ValueError(f"the {kind} family needs n >= 3 agents, got n = {n}")
+    return 1 if kind == "fixed_cycle" else n
 
 
 def family_matrices(kind: str, r) -> np.ndarray:
-    """One period of the built-in family's mixing matrices for every row of
-    a batch (G, n) of weight vectors, stacked (G, period, n, n).  Item g is
-    what the family's schedule constructor builds from row g."""
-    r = _check_weights(r, n_min=3, batch=True)
+    """One period of the built-in family's mixing matrices for weights r
+    (n,), stacked (period, n, n), or for a stack (..., n) of weight vectors,
+    stacked (..., period, n, n).  Item g of a stack is what the family's
+    schedule constructor builds from row g."""
+    r = _check_weights(r)
+    family_window(kind, r.shape[-1])
     if kind == "fixed_cycle":
-        return _fixed_cycle_matrix(r)[:, None]
-    if kind == "gossip":
-        return _gossip_matrices(r, np.arange(1, r.shape[1] + 1))
-    raise ValueError(f"unknown schedule family {kind!r}")
+        return _fixed_cycle_matrix(r)[..., None, :, :]
+    return _gossip_matrices(r)
 
 
 def _family_schedule(kind: str, r) -> MixingSchedule:
-    r = _check_weights(r, n_min=3)
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 1:
+        raise ValueError(f"a {kind} schedule takes one 1-D weight vector, got shape {r.shape}")
     n = r.size
-    W = family_matrices(kind, r[None])[0]
+    W = family_matrices(kind, r)
     links = W > 0.0
     if kind == "gossip":
         a, b = gossip_pair(n, np.arange(1, n + 1))
@@ -216,32 +218,26 @@ def gossip_schedule(r) -> MixingSchedule:
 
 def stationary_weights(matrices) -> np.ndarray:
     """Common positive left-fixed vector of a matrix family (period, n, n),
-    normalized to sum 1.  Solves the joint system r'(W_b - I) = 0 by SVD;
-    when the solution space has extra dimensions (e.g. all matrices are the
-    identity) the uniform vector is projected onto it.  Raises ValueError
-    when no strictly positive common stationary vector exists within
-    STATIONARITY_TOL.
+    normalized to sum 1: the projection of the uniform vector onto the
+    solution space N of r'(W_b - I) = 0, found by SVD.  x'W = x' implies
+    |x|'W = |x|' for stochastic W, so N is spanned by nonnegative vectors
+    with disjoint supports, and the projection is positive exactly when some
+    vector of N is.  Raises ValueError when N is empty, when the projection
+    is not positive, or when its residual exceeds STATIONARITY_TOL.
     """
     W = np.asarray(matrices, dtype=float)
     n = W.shape[-1]
     stacked = (W.transpose(0, 2, 1) - np.eye(n)).reshape(-1, n)
     _, svals, vt = np.linalg.svd(stacked)
-    svals = np.concatenate([svals, np.zeros(n - svals.size)])
-    null_mask = svals <= STATIONARITY_TOL * max(1.0, svals[0] if svals.size else 1.0)
-    basis = vt[null_mask]
+    basis = vt[svals <= STATIONARITY_TOL * max(1.0, svals[0])]
     if basis.size == 0:
         raise ValueError("matrix family has no common stationary vector")
-    uniform = np.full(n, 1.0 / n)
-    candidate = basis.T @ (basis @ uniform)
-    if np.any(candidate <= STATIONARITY_TOL / n) or abs(candidate.sum()) <= STATIONARITY_TOL:
-        # The projection of the uniform vector missed the positive cone; a
-        # one-dimensional solution space may still work after sign cleanup.
-        candidate = basis[0] if basis[0].sum() > 0 else -basis[0]
-        if np.any(candidate <= STATIONARITY_TOL / n):
-            raise ValueError(
-                "no strictly positive common stationary vector found; "
-                "supply the weight vector explicitly"
-            )
+    candidate = basis.T @ (basis @ np.full(n, 1.0 / n))
+    if np.any(candidate <= STATIONARITY_TOL / n):
+        raise ValueError(
+            "no strictly positive common stationary vector found; "
+            "supply the weight vector explicitly"
+        )
     r = candidate / candidate.sum()
     worst = float(np.abs(r @ W - r).max())
     if worst > STATIONARITY_TOL:
@@ -268,9 +264,9 @@ def matrix_list_schedule(matrices, r=None, B: int | None = None) -> MixingSchedu
     if np.abs(W.sum(axis=2) - 1.0).max() > 1e-9:
         raise ValueError("matrix rows must sum to 1")
     n = W.shape[1]
+    if r is not None and np.shape(r) != (n,):
+        raise ValueError(f"weight vector shape {np.shape(r)} does not match the matrices ({n},)")
     r = stationary_weights(W) if r is None else _check_weights(r)
-    if r.size != n:
-        raise ValueError("weight vector size does not match the matrices")
     B = len(W) if B is None else int(B)
     if B < 1:
         raise ValueError("connectivity window B must be >= 1")

@@ -581,6 +581,61 @@ class TestErrorPaths:
         assert rc == 2 and captured.out == ""
         assert captured.err == f"error: {expected.format(cfg=cfg, mat=mat)}\n"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "p_low, p_high, expected",
+        [
+            # p_high - p_low overflows, so every drawn score is inf.
+            ("-1e308", "1e308", "weight scores must be finite"),
+            ("1e308", "1e308", "the sum of the weight scores is beyond the float range"),
+        ],
+        ids=["infinite scores", "sum overflows"],
+    )
+    def test_run_rejects_bad_weight_scores(self, tmp_path, capsys, p_low, p_high, expected):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"p_low = {p_low}\np_high = {p_high}\nT = 20\nruns = 2\n")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("family", ["fixed_cycle", "gossip"])
+    def test_family_needs_three_agents(self, tmp_path, capsys, family):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"family = {family}\nn = 2\n")
+        rc = main(["validate", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"error: the {family} family needs n >= 3 agents, got n = 2\n"
+
+    @pytest.mark.parametrize(
+        "matrix, expected",
+        [
+            # Slot 1 fixes (1/2, 1/2) and slot 2 fixes (5/6, 1/6): nothing is
+            # stationary for both.
+            ("0.5, 0.5\n0.5, 0.5\n\n0.9, 0.1\n0.5, 0.5\n", "matrix family has no common stationary vector"),
+            # Agent 1 moves to agent 0: every stationary vector vanishes on it.
+            ("1, 0\n1, 0\n", "no strictly positive common stationary vector found; supply the weight vector explicitly"),
+            # The stacked system's singular value 2.8e-9 lies inside the null
+            # threshold 3e-9, and the candidate it gives misses the tolerance.
+            (
+                "0, 0, 1, 0\n1, 0, 0, 0\n0, 1, 0, 0\n4.348884529200771e-09, 0, 0, 0.9999999956511155\n\n"
+                "0, 0, 1, 0\n1, 0, 0, 0\n0, 1, 0, 0\n0, 0, 0, 1\n\n"
+                "0, 0, 1, 0\n0, 1, 0, 0\n0, 0, 0, 1\n1, 0, 0, 0\n",
+                "candidate stationary vector has residual 1.09e-09 (tol 1e-09)",
+            ),
+        ],
+        ids=["slots disagree", "transient agent", "residual past tolerance"],
+    )
+    def test_matrix_file_without_stationary_weights(self, tmp_path, capsys, matrix, expected):
+        cfg, mat = tmp_path / "cfg", tmp_path / "matrix.txt"
+        mat.write_text(matrix)
+        cfg.write_text(f"family = matrix_file\nmatrix_file = {mat}\n")
+        rc = main(["validate", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"error: {expected}\n"
+
     def test_quantizer_without_levels(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text("noise = stochastic_quantizer\n")

@@ -1,5 +1,6 @@
 import math
 from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -240,6 +241,24 @@ class TestBatchedEvaluation:
         rep = check_decaying_sum_envelope(seed=0, instances=3)
         assert rep.instances == 3
         assert rep.worst["sigma"] == 1.5 and rep.worst["t"] in (4, 7, 20)
+
+    def test_decaying_sum_redraws_a_degenerate_delta_one_case(self):
+        """a = sigma - 1 on the delta = 1 branch is rejected, and the words
+        after it make the first drawn instance.  The stub serves raw words:
+        the word of the double x is ``int(x * 2**53) << 11``."""
+
+        def word(x: float) -> int:
+            return int(x * 2**53) << 11
+
+        # branch 0.3 takes delta = 1; a = 0.1 + 0.9 * 0.5 = 0.55 and
+        # sigma = 1.05 + 1.95 * (0.5 / 1.95) = 1.55, so a - sigma + 1 = 0.
+        first = [word(0.3), word(0.5), word(0.5), round(0.5 / 1.95 * 2**53) << 11]
+        raw = iter(first + [word(0.5)] * 4 + [7]).__next__
+        stub = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=raw))
+        drawn = list(islice(check_decaying_sum_envelope.draw(stub), 8))
+        assert drawn[7] == (0.525, 1.725, 0.45, 19)
+        with pytest.raises(StopIteration):
+            raw()
 
     def test_mixing_empty_product(self):
         """t = s + 1 applies no mixing step: P = I, and the decay is the

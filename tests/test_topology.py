@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
 from dimix.rng import philox
 from dimix.topology import (
     STOCHASTICITY_TOL,
+    entry_floor,
     family_matrices,
+    family_window,
     fixed_cycle_schedule,
     gossip_pair,
     gossip_schedule,
@@ -284,6 +288,50 @@ class TestMatrixListSchedule:
         r2 = np.array([0.5, 0.3, 0.2])
         with pytest.raises(ValueError):
             stationary_weights([cycle_slot(r1), cycle_slot(r2)])
+
+
+class TestInputGuards:
+    """One ValueError for each kind of bad input the API accepts."""
+
+    @pytest.mark.parametrize("build", [fixed_cycle_schedule, gossip_schedule])
+    def test_family_schedule_rejects_a_stack_of_weights(self, build):
+        # A stack would otherwise give matrices with four dimensions.
+        with pytest.raises(ValueError, match=r"takes one 1-D weight vector, got shape \(1, 3\)"):
+            build([[1 / 3, 1 / 3, 1 / 3]])
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: gossip_schedule([0.5, 0.6, -0.1]), lambda: matrix_list_schedule([np.eye(3)], r=[0.5, 0.5, 0.5])],
+        ids=["negative entry", "sum above 1"],
+    )
+    def test_weights_must_be_positive_and_sum_to_one(self, build):
+        with pytest.raises(ValueError, match="^weight vector must be positive and sum to 1$"):
+            build()
+
+    def test_entry_floor_needs_a_positive_entry(self):
+        with pytest.raises(ValueError, match="^schedule has no positive entries$"):
+            entry_floor(np.zeros((1, 2, 2)))
+
+    def test_unknown_family_is_one_error(self):
+        messages = set()
+        for call in (lambda: family_window("ring", 4), lambda: family_matrices("ring", [[0.2, 0.3, 0.5]])):
+            with pytest.raises(ValueError) as info:
+                call()
+            messages.add(str(info.value))
+        assert messages == {"unknown schedule family 'ring'"}
+
+    @pytest.mark.parametrize(
+        "matrices, kwargs, message",
+        [
+            ([], {}, "need at least one matrix"),
+            ([np.eye(3)], {"r": [0.5, 0.5]}, "weight vector shape (2,) does not match the matrices (3,)"),
+            ([np.eye(3)], {"B": 0}, "connectivity window B must be >= 1"),
+        ],
+        ids=["no matrices", "weights of another size", "window below 1"],
+    )
+    def test_matrix_list_rejects(self, matrices, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            matrix_list_schedule(matrices, **kwargs)
 
 
 class TestParseMatrixFile:

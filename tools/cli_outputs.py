@@ -3,18 +3,21 @@
     PYTHONPATH=<tree>/src python3 tools/cli_outputs.py DEST
 
 runs ``run --plots``, ``sweep --plots`` and ``theory`` (each at --jobs 1 and
-2), ``validate`` and ``lemmas`` on eighteen configs with whichever dimix
+2), ``validate`` and ``lemmas`` on twenty-two configs with whichever dimix
 the PYTHONPATH gives, and on the configs in SEEDED the three with
 ``--seed 3`` and ``lemmas`` without a config.  The configs include a theory
 T_grid past the simulated horizon, seeds that diverge and are reset in
 place, steps that admit no burn-in thresholds, steps whose constant xi5 is
 beyond the float range, nu >= mu, an n that the matrix file contradicts, a
-key set twice and a single agent.  Each command runs in its own directory
-DEST/<config>/<command> with a relative --out, so nothing it prints holds an
-absolute path; stdout, stderr, the exit code and every output file are kept
-there.  DEST/lemma_reports.json holds every field of the lemma suite's
-reports, exactly (repr), for seeds 0-2 at 0, 60, 150, 1000 and 2500
-instances: the ``lemmas`` command prints min slack to four digits only.
+key set twice, a single agent, a two-agent gossip family, weight scores
+whose sum overflows, a matrix file with no positive stationary vector and
+one whose stationary vector misses the residual tolerance.  Each command
+runs in its own directory DEST/<config>/<command> with a relative --out, so
+nothing it prints holds an absolute path; stdout, stderr, the exit code and
+every output file are kept there.  DEST/lemma_reports.json holds every
+field of the lemma suite's reports, exactly (repr), for seeds 0-2 at 0, 60,
+150, 1000 and 2500 instances: the ``lemmas`` command prints min slack to
+four digits only.
 Record two trees into two DEST directories and compare them with
 ``diff -r``: an empty diff means the CLI output is byte-identical.
 """
@@ -32,11 +35,21 @@ from workloads import WORKLOADS  # noqa: E402
 # stochastic slots on three agents, connected over any window of 2.
 # gaps.txt: a cycle slot then two identity slots, so at window 2 only the
 # starts t = 1 (mod 3), whose window holds both identities, are disconnected.
-# one.txt: a single agent.
+# one.txt: a single agent.  transient.txt: agent 1 moves to agent 0, so
+# every stationary vector vanishes on agent 1.  residual.txt: three slots on
+# four agents whose stacked system has singular value 2.8e-9, inside the
+# null threshold 3e-9, so the candidate has residual 1.09e-09, just past the
+# tolerance.
 MATRIX_FILES = {
     "slots.txt": "0.5, 0.5, 0\n0, 0.5, 0.5\n0.5, 0, 0.5\n\n0.5, 0, 0.5\n0.5, 0.5, 0\n0, 0.5, 0.5\n",
     "gaps.txt": "0.5, 0.5, 0\n0, 0.5, 0.5\n0.5, 0, 0.5\n\n1, 0, 0\n0, 1, 0\n0, 0, 1\n\n1, 0, 0\n0, 1, 0\n0, 0, 1\n",
     "one.txt": "1\n",
+    "transient.txt": "1, 0\n1, 0\n",
+    "residual.txt": (
+        "0, 0, 1, 0\n1, 0, 0, 0\n0, 1, 0, 0\n4.348884529200771e-09, 0, 0, 0.9999999956511155\n\n"
+        "0, 0, 1, 0\n1, 0, 0, 0\n0, 1, 0, 0\n0, 0, 0, 1\n\n"
+        "0, 0, 1, 0\n0, 1, 0, 0\n0, 0, 0, 1\n1, 0, 0, 0\n"
+    ),
 }
 SMALL = "T = 60\nruns = 3\nT_grid = 20, 40, 60\n"
 
@@ -108,6 +121,17 @@ CONFIGS = {
         "family = matrix_file\nmatrix_file = one.txt\nd = 3\nN = 5\nT = 20\nruns = 2\nT_grid = 10, 20\n",
         ("--assume-q0", "1"),
     ),
+    # A built-in family needs three agents: every command but lemmas fails
+    # with a one-line error naming the family (older trees named the weight
+    # vector).
+    "two_agents": ("family = gossip\nn = 2\nT = 20\nruns = 2\nT_grid = 10, 20\n", ()),
+    # The weight scores' sum overflows: every command but lemmas fails with a
+    # one-line error (older trees printed numpy's overflow warning first).
+    "weights_overflow": ("p_low = 1e308\np_high = 1e308\nT = 20\nruns = 2\nT_grid = 10, 20\n", ()),
+    # Matrix files the stationary-weight solver rejects: every command but
+    # lemmas fails with a one-line error.
+    "no_positive_r": ("family = matrix_file\nmatrix_file = transient.txt\nd = 4\nN = 12\n" + SMALL, ()),
+    "near_null_residual": ("family = matrix_file\nmatrix_file = residual.txt\nd = 4\nN = 12\n" + SMALL, ()),
 }
 
 # Configs whose run, theory and lemmas are also recorded with --seed 3, and
