@@ -40,7 +40,7 @@ from .analysis import (
     xi_constants,
 )
 from .dynamics import TRACE_COLUMNS, MonteCarlo, RunConfig, monte_carlo
-from .noise import NoiseModel, noise_variance_bound
+from .noise import NoiseModel
 from .objective import build_problem
 from .reporting import VERSION, Config, fmt, parse_config, svg_loglog, write_csv, write_manifest
 from .topology import (
@@ -65,6 +65,7 @@ def build_experiment(
     seed = values["seed"]
 
     family = values["family"]
+    schedule = None
     if family == "matrix_file":
         if not values["matrix_file"]:
             raise ValueError("family = matrix_file needs the matrix_file key")
@@ -74,18 +75,16 @@ def build_experiment(
                 f"config says n = {values['n']} but the matrix file has {schedule.n} agents"
             )
         values["n"] = schedule.n
-        problem = build_problem(
-            n=schedule.n, d=values["d"], N=values["N"], seed=seed, r=schedule.r
-        )
-    else:
-        problem = build_problem(
-            n=values["n"],
-            d=values["d"],
-            N=values["N"],
-            seed=seed,
-            p_low=values["p_low"],
-            p_high=values["p_high"],
-        )
+    problem = build_problem(
+        n=values["n"],
+        d=values["d"],
+        N=values["N"],
+        seed=seed,
+        p_low=values["p_low"],
+        p_high=values["p_high"],
+        r=None if schedule is None else schedule.r,
+    )
+    if schedule is None:
         schedule = (
             gossip_schedule(problem.r) if family == "gossip" else fixed_cycle_schedule(problem.r)
         )
@@ -147,17 +146,9 @@ def _horizon_grid(cfg: Config) -> tuple[int, ...]:
     return grid
 
 
-def measured(cfg: RunConfig, mc: MonteCarlo) -> tuple[float, float, float]:
-    """(K, state norm bound, gamma): the runs' two maxima and the noise
-    level gamma that the state-norm bound gives."""
-    gamma = noise_variance_bound(cfg.noise, cfg.problem.d, state_norm_bound=mc.state_norm_bound)
-    return mc.K, mc.state_norm_bound, gamma
-
-
 def _derived_facts(rc: RunConfig, mc: MonteCarlo) -> dict:
     sched, problem = rc.schedule, rc.problem
     c = certificate(rc)
-    K, norm_bound, gamma = measured(rc, mc)
     facts = {
         "version": VERSION,
         "r": sched.r,
@@ -167,9 +158,9 @@ def _derived_facts(rc: RunConfig, mc: MonteCarlo) -> dict:
         "kappa": c.kappa,
         "mu_f": problem.strong_convexity,
         "L_f": problem.smoothness,
-        "K": K,
-        "state_norm_bound": norm_bound,
-        "gamma": gamma,
+        "K": mc.K,
+        "state_norm_bound": mc.state_norm_bound,
+        "gamma": mc.gamma,
         "run_seeds": [tr.seed for tr in mc.traces],
         "completed": mc.completed,
         "aborted": mc.aborted,
@@ -255,7 +246,6 @@ def cmd_theory(args) -> int:
     # Only the table's horizons and T0 are read from the runs.
     at = [T for T in T_grid if T <= T_sim] + [th.T0] * (th.T0 <= T_sim)
     mc = monte_carlo(rc, values["runs"], seed=values["seed"], jobs=args.jobs, at=at)
-    K, _, gamma = measured(rc, mc)
     if th.T0 <= T_sim:
         q0 = mc.q0_estimate(th.T0)
         q0_source = f"measured over {mc.completed} runs"
@@ -263,11 +253,11 @@ def cmd_theory(args) -> int:
         q0 = args.assume_q0
         q0_source = "assumed (--assume-q0)"
 
-    tc = xi_constants(steps, lam, kappa, mu_f, L_f, gamma, K, q0)
+    tc = xi_constants(steps, lam, kappa, mu_f, L_f, mc.gamma, mc.K, q0)
     print(f"schedule {values['family']}: n={sched.n} B={sched.B} eta={fmt(sched.eta)}")
     print(f"lambda = {fmt(lam)}   kappa = {fmt(kappa)}")
     print(f"mu_f = {fmt(mu_f)}   L_f = {fmt(L_f)}   c1 = {fmt(tc.c1)}   c2 = {fmt(tc.c2)}")
-    print(f"gamma = {fmt(gamma)}   K = {fmt(K)}   q0 = {fmt(q0)} ({q0_source})")
+    print(f"gamma = {fmt(mc.gamma)}   K = {fmt(mc.K)}   q0 = {fmt(q0)} ({q0_source})")
     t4 = "-" if th.T4 is None else str(th.T4)
     print(f"T1 = {th.T1}   T2 = {th.T2}   T3 = {th.T3}   T4 = {t4}   T0 = {th.T0}")
     for name in ("eps1", "eps2", "eps3", "eps4", "eps5", "xi1", "xi2", "xi3", "xi4", "xi5"):
@@ -392,7 +382,7 @@ def main(argv=None) -> int:
         if "jobs" in args and args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import StepSchedule, deviation_sq, dist_opt_sq, weighted_mean
-from .noise import NoiseModel, quantizer_workspace, stochastic_quantize
+from .noise import NoiseModel, noise_variance_bound, quantizer_workspace, stochastic_quantize
 from .objective import Problem
 from .rng import fill, philox
 from .topology import STATIONARITY_TOL, MixingSchedule
@@ -263,22 +263,25 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
 class MonteCarlo:
     """Aggregate of the runs ``monte_carlo`` made, one per seed.
 
-    Aborted runs stay in ``traces`` and count in no statistic: ``mean``,
-    ``stderr``, ``K``, ``state_norm_bound`` and ``q0_estimate`` are taken
-    over the completed runs alone.  ``mean`` and ``stderr`` are (len(t), 4)
-    arrays over the TRACE_COLUMNS at the recorded iterations ``t``; ``K``
-    and ``state_norm_bound`` are the largest ``max_grad_sq`` and
-    ``max_state_norm`` of those runs.
+    Aborted runs stay in ``traces`` and count in no statistic: ``values``
+    stacks the completed runs' trace rows alone, (completed, len(t), 4) over
+    the TRACE_COLUMNS at the recorded iterations ``t``, and ``mean``,
+    ``stderr``, ``K``, ``state_norm_bound``, ``gamma`` and ``q0_estimate``
+    are taken over those runs.  ``mean`` and ``stderr`` are (len(t), 4);
+    ``K`` and ``state_norm_bound`` are the largest ``max_grad_sq`` and
+    ``max_state_norm``, and ``gamma`` is the noise level that bound gives.
     """
 
     traces: list[RunTrace]
     t: np.ndarray
+    values: np.ndarray
     mean: np.ndarray
     stderr: np.ndarray
     completed: int
     aborted: int
     K: float
     state_norm_bound: float
+    gamma: float
 
     def q0_estimate(self, T0: int) -> float:
         """Mean squared error of the weighted mean state at iteration T0,
@@ -290,8 +293,7 @@ class MonteCarlo:
             raise ValueError(f"T0 = {T0} is not a recorded iteration")
         idx = idx[0]
         dev, dist = TRACE_COLUMNS.index("deviation_sq"), TRACE_COLUMNS.index("dist_opt_sq")
-        vals = [tr.values[idx, dist] - tr.values[idx, dev] for tr in self.traces if not tr.aborted]
-        return max(float(np.mean(vals)), 0.0)
+        return max(float(np.mean(self.values[:, idx, dist] - self.values[:, idx, dev])), 0.0)
 
 
 def monte_carlo(
@@ -324,21 +326,24 @@ def monte_carlo(
     good = [tr for tr in traces if not tr.aborted]
     if not good:
         raise RuntimeError(
-            f"all {num_runs} runs diverged (first abort at t = {traces[0].abort_t})"
+            f"all {num_runs} runs diverged (first abort at t = {min(tr.abort_t for tr in traces)})"
         )
     stacked = np.stack([tr.values for tr in good])
     if len(good) > 1:
         stderr = stacked.std(axis=0, ddof=1) / np.sqrt(len(good))
     else:
         stderr = np.zeros(stacked.shape[1:])
+    norm_bound = max(tr.max_state_norm for tr in good)
     return MonteCarlo(
         traces=traces,
         t=good[0].t.copy(),
+        values=stacked,
         mean=stacked.mean(axis=0),
         stderr=stderr,
         completed=len(good),
         aborted=len(traces) - len(good),
         K=max(tr.max_grad_sq for tr in good),
-        state_norm_bound=max(tr.max_state_norm for tr in good),
+        state_norm_bound=norm_bound,
+        gamma=noise_variance_bound(cfg.noise, cfg.problem.d, state_norm_bound=norm_bound),
     )
 

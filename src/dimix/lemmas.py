@@ -100,7 +100,7 @@ class Check:
     draw: Callable[[np.random.Generator], Iterator[tuple]]
     evaluate: Callable[[list[tuple]], Values]
 
-    def __call__(self, seed: int = 0, instances: int = 1000) -> CheckReport:
+    def __call__(self, seed: int, instances: int) -> CheckReport:
         block = list(islice(self.draw(philox(seed, self.stream)), instances))
         if not block:
             return CheckReport(self.name, 0, 0, math.inf, self.tol)

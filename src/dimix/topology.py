@@ -228,7 +228,7 @@ def stationary_weights(matrices) -> np.ndarray:
     W = np.asarray(matrices, dtype=float)
     n = W.shape[-1]
     stacked = (W.transpose(0, 2, 1) - np.eye(n)).reshape(-1, n)
-    _, svals, vt = np.linalg.svd(stacked)
+    _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
     basis = vt[svals <= STATIONARITY_TOL * max(1.0, svals[0])]
     if basis.size == 0:
         raise ValueError("matrix family has no common stationary vector")
@@ -389,21 +389,24 @@ def validate_schedule(
         raise ValueError("window must be >= 1")
 
     r, period, W = schedule.r, schedule.period, schedule.matrices[:horizon]
-    starts = np.arange(1, horizon - window + 1)
+    count = max(horizon - window, 0)
+    first = np.arange(1, min(count, period) + 1)
     # Start s pools slots s .. s+window-1 (mod period), which is every slot
     # once the window outgrows the period.
-    slots = (starts[:period, None] + np.arange(min(window, period))) % period
+    slots = (first[:, None] + np.arange(min(window, period))) % period
     pooled = np.zeros((len(slots), schedule.n, schedule.n), dtype=bool)
     for column in slots.T:
         pooled |= schedule.links[column]
-    ok = np.zeros(period, dtype=bool)
-    ok[starts[:period] % period] = strongly_connected(pooled)
+    bad = first[~strongly_connected(pooled)]
+    # The failing starts are bad + k * period, ascending row by row in k.
+    periods = -(-count // period) if bad.size else 0
+    failures = (bad + period * np.arange(periods)[:, None]).ravel()
 
     return ValidationReport(
         kind=schedule.kind, n=schedule.n, horizon=horizon, window=window,
         max_row_sum_dev=float(np.abs(W.sum(axis=2) - 1.0).max()),
         max_stationarity_dev=float(np.abs(r @ W - r).max()),
-        min_positive_entry=entry_floor(W), eta=schedule.eta, windows_checked=starts.size,
-        connectivity_failures=starts[~ok[starts % period]].tolist(),
+        min_positive_entry=entry_floor(W), eta=schedule.eta, windows_checked=count,
+        connectivity_failures=failures[failures <= count].tolist(),
         edge_source="declared activation links" if schedule.kind == "gossip" else "matrix support",
     )

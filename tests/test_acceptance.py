@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dimix.analysis import StepSchedule, fit_rate, theorem_bound, xi_constants
-from dimix.cli import certificate, measured
+from dimix.cli import certificate
 from dimix.dynamics import MonteCarlo, RunConfig, monte_carlo, run
 from dimix.lemmas import run_suite
 from dimix.objective import build_problem
@@ -230,9 +230,8 @@ def test_criterion_8_theorem_bound_dominance(verdict):
 
     c = certificate(cfg)
     th = c.th
-    K, _, gamma = measured(cfg, mc)
     q0 = mc.q0_estimate(th.T0)
-    tc = xi_constants(steps, c.lam, c.kappa, problem.strong_convexity, problem.smoothness, gamma, K, q0)
+    tc = xi_constants(steps, c.lam, c.kappa, problem.strong_convexity, problem.smoothness, mc.gamma, mc.K, q0)
 
     report_ts = sorted({th.T_min, 2500, 5000})
     rows = []

@@ -642,6 +642,33 @@ class TestErrorPaths:
         rc = main(["validate", "--config", str(cfg)])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["run", "validate", "theory", "sweep"])
+    def test_memory_error_is_one_line(self, config_file, capsys, monkeypatch, command):
+        # Raised, not provoked: on a host that overcommits memory a real
+        # oversized allocation can succeed and then exhaust the machine.
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000, 4)")
+
+        monkeypatch.setattr(dimix.cli, "build_experiment", too_large)
+        rc = main([command, "--config", config_file])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: Unable to allocate 7.28 TiB for an array with shape (1000000000000, 4)\n"
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_all_diverged_names_the_earliest_abort(self, tmp_path, capsys, command, jobs):
+        # Seeds 1, 2 and 3 abort at t = 8, 7 and 10.
+        cfg = tmp_path / "cfg"
+        cfg.write_text(
+            "family = fixed_cycle\nn = 3\nd = 2\nN = 12\nnoise = gaussian_channel\nsigma = 1.3e12\n"
+            "alpha0 = 0.1\nnu = 0.25\nbeta0 = 0.7\nmu = 0.1\nT = 12\nruns = 3\nseed = 1\nT_grid = 6, 12\n"
+        )
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: all 3 runs diverged (first abort at t = 7)\n"
+
 
 class TestBenchmarkHooks:
     """perfbench/ times dimix from outside by rebinding public names and

@@ -13,6 +13,7 @@ from dimix.dynamics import (
     monte_carlo,
     run,
 )
+from dimix.noise import noise_variance_bound
 from dimix.objective import build_problem
 from dimix.rng import fill, philox
 from dimix.topology import fixed_cycle_schedule, gossip_schedule, matrix_list_schedule
@@ -446,7 +447,7 @@ class TestDrawBlockInvariance:
                 run(cfg, [0], at)
 
 
-class TestDrawStream:
+class TestFill:
     """``fill`` gives each seed the values of one call per slice, however
     the draws are split."""
 
@@ -698,15 +699,31 @@ class TestMonteCarlo:
             final_state=np.zeros((1, 1)), max_grad_sq=0.0, max_state_norm=0.0,
         )
         mc = MonteCarlo(
-            traces=[trace], t=trace.t,
+            traces=[trace], t=trace.t, values=trace.values[None],
             mean=np.empty((1, 4)), stderr=np.empty((1, 4)), completed=1, aborted=0,
-            K=0.0, state_norm_bound=0.0,
+            K=0.0, state_norm_bound=0.0, gamma=0.0,
         )
         assert mc.q0_estimate(1) == 0.0
 
     def test_rejects_empty_request(self):
         with pytest.raises(ValueError):
             monte_carlo(simple_config(T=5), 0, seed=0)
+
+    def test_statistics_read_the_completed_runs(self):
+        # Seeds 90-113: 9 runs complete and 15 abort, truncated traces and all.
+        mc = monte_carlo(divergent_config(), 24, seed=90)
+        good = [tr for tr in mc.traces if not tr.aborted]
+        assert (mc.completed, mc.aborted, len(good)) == (9, 15, 9)
+        stacked = np.stack([tr.values for tr in good])
+        assert mc.values.shape == (9, 8, 4) and mc.values.tobytes() == stacked.tobytes()
+        for k, T0 in enumerate(mc.t):
+            errors = [col(tr.values, "dist_opt_sq")[k] - col(tr.values, "deviation_sq")[k] for tr in good]
+            assert mc.q0_estimate(T0) == max(float(np.mean(errors)), 0.0)
+
+    def test_gamma_is_the_noise_level_of_the_state_norm_bound(self):
+        cfg = simple_config(T=20, noise=stochastic_quantizer(4))
+        mc = monte_carlo(cfg, 3, seed=5)
+        assert mc.gamma == noise_variance_bound(cfg.noise, cfg.problem.d, mc.state_norm_bound) > 0
 
     def test_maxima_cover_completed_runs_only(self):
         # Seeds 30-49: 17 of 20 runs abort, and an aborted run's maxima

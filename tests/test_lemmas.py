@@ -194,25 +194,25 @@ class TestWorstCase:
     """The driver reduces the slacks of every instance to one report."""
 
     def test_first_minimum_wins_ties(self):
-        rep = synthetic_check([0.3, 0.1, 0.1, 0.2, 0.1])(instances=5)
+        rep = synthetic_check([0.3, 0.1, 0.1, 0.2, 0.1])(seed=0, instances=5)
         assert (rep.instances, rep.violations, rep.min_slack, rep.worst) == (5, 0, 0.1, {"i": 1})
 
     def test_nan_slack_is_a_violation_and_the_worst(self):
-        rep = synthetic_check([-0.2, 0.5, math.nan, 0.1, math.nan])(instances=5)
+        rep = synthetic_check([-0.2, 0.5, math.nan, 0.1, math.nan])(seed=0, instances=5)
         assert rep.violations == 3
         assert math.isnan(rep.min_slack) and rep.worst == {"i": 2}
         assert not rep.passed
 
     def test_infinite_slack_is_a_violation(self):
-        rep = synthetic_check([0.5, math.inf])(instances=2)
+        rep = synthetic_check([0.5, math.inf])(seed=0, instances=2)
         assert rep.violations == 1 and rep.worst == {"i": 1}
 
     def test_stream_shorter_than_asked(self):
-        rep = synthetic_check([0.5, 0.25])(instances=10)
+        rep = synthetic_check([0.5, 0.25])(seed=0, instances=10)
         assert (rep.instances, rep.min_slack) == (2, 0.25)
 
     def test_empty_stream(self):
-        rep = synthetic_check([])(instances=10)
+        rep = synthetic_check([])(seed=0, instances=10)
         assert (rep.instances, rep.violations, rep.min_slack, rep.worst) == (0, 0, math.inf, {})
 
 

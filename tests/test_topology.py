@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,25 @@ class TestSchedules:
         assert report.connectivity_failures == failures
         assert report == validate_windows(s, 20, window)
 
+    def test_long_horizon_costs_one_period(self):
+        s = gossip_schedule(np.full(4, 0.25))
+        tracemalloc.start()
+        try:
+            report = validate_schedule(s, horizon=10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.windows_checked == 10**7 - 4
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_failures_repeat_past_the_first_period(self, window):
+        # [cycle, I, I] at a horizon that is not a multiple of the period.
+        s = matrix_list_schedule([CYCLE, np.eye(3), np.eye(3)])
+        report = validate_schedule(s, horizon=1001, window=window)
+        assert report.connectivity_failures[-2:] == ([998, 1000] if window == 1 else [994, 997])
+        assert report == validate_windows(s, 1001, window)
+
     def test_horizon_shorter_than_period(self):
         # Only the slots used by t = horizon are measured: the third slot
         # breaks r-stationarity but lies beyond horizon 2.
@@ -282,6 +302,23 @@ class TestMatrixListSchedule:
         # the uniform one rather than guessing.
         s = matrix_list_schedule([np.eye(5)])
         np.testing.assert_allclose(s.r, np.full(5, 0.2))
+
+    def test_stationary_weights_skip_the_unused_singular_vectors(self, monkeypatch):
+        # 150 slots on 20 agents stack to 3000 x 20: a full SVD's U alone
+        # would take 69 MiB.
+        r = random_weights(philox(23), 20)
+        mats = np.array([gossip_slot(r, t) for t in range(1, 151)])
+        tracemalloc.start()
+        try:
+            got = stationary_weights(mats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices: svd(a))
+        assert got.tobytes() == stationary_weights(mats).tobytes()
+        np.testing.assert_allclose(got, r, atol=1e-9)
 
     def test_stationary_weights_rejects_disagreeing_family(self):
         r1 = np.array([0.2, 0.3, 0.5])

@@ -3,21 +3,21 @@
     PYTHONPATH=<tree>/src python3 tools/cli_outputs.py DEST
 
 runs ``run --plots``, ``sweep --plots`` and ``theory`` (each at --jobs 1 and
-2), ``validate`` and ``lemmas`` on twenty-two configs with whichever dimix
+2), ``validate`` and ``lemmas`` on twenty-three configs with whichever dimix
 the PYTHONPATH gives, and on the configs in SEEDED the three with
 ``--seed 3`` and ``lemmas`` without a config.  The configs include a theory
 T_grid past the simulated horizon, seeds that diverge and are reset in
 place, steps that admit no burn-in thresholds, steps whose constant xi5 is
 beyond the float range, nu >= mu, an n that the matrix file contradicts, a
 key set twice, a single agent, a two-agent gossip family, weight scores
-whose sum overflows, a matrix file with no positive stationary vector and
-one whose stationary vector misses the residual tolerance.  Each command
-runs in its own directory DEST/<config>/<command> with a relative --out, so
-nothing it prints holds an absolute path; stdout, stderr, the exit code and
-every output file are kept there.  DEST/lemma_reports.json holds every
-field of the lemma suite's reports, exactly (repr), for seeds 0-2 at 0, 60,
-150, 1000 and 2500 instances: the ``lemmas`` command prints min slack to
-four digits only.
+whose sum overflows, a matrix file with no positive stationary vector,
+one whose stationary vector misses the residual tolerance, and seeds that
+all diverge.  Each command runs in its own directory DEST/<config>/<command>
+with a relative --out, so nothing it prints holds an absolute path; stdout,
+stderr, the exit code and every output file are kept there.
+DEST/lemma_reports.json holds every field of the lemma suite's reports,
+exactly (repr), for seeds 0-2 at 0, 60, 150, 1000 and 2500 instances: the
+``lemmas`` command prints min slack to four digits only.
 Record two trees into two DEST directories and compare them with
 ``diff -r``: an empty diff means the CLI output is byte-identical.
 """
@@ -132,6 +132,14 @@ CONFIGS = {
     # lemmas fails with a one-line error.
     "no_positive_r": ("family = matrix_file\nmatrix_file = transient.txt\nd = 4\nN = 12\n" + SMALL, ()),
     "near_null_residual": ("family = matrix_file\nmatrix_file = residual.txt\nd = 4\nN = 12\n" + SMALL, ()),
+    # Seeds 1, 2 and 3 abort at t = 8, 7 and 10: run and sweep fail naming
+    # the earliest, t = 7 (older trees named seed 1's t = 8).  nu >= mu, so
+    # theory fails before it simulates.
+    "all_diverged": (
+        "family = fixed_cycle\nn = 3\nd = 2\nN = 12\nnoise = gaussian_channel\nsigma = 1.3e12\n"
+        "alpha0 = 0.1\nnu = 0.25\nbeta0 = 0.7\nmu = 0.1\nT = 12\nruns = 3\nseed = 1\nT_grid = 6, 12\n",
+        (),
+    ),
 }
 
 # Configs whose run, theory and lemmas are also recorded with --seed 3, and
