@@ -35,17 +35,16 @@ def weighted_mean(X: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def r_norm_sq(A: np.ndarray, r: np.ndarray):
-    """||A||_r^2 = sum_i r_i ||A_i||^2 over rows (a vector counts as one
-    scalar per row).  A batch (R, n, d) gives an array of R values, each
+    """||A||_r^2 = sum_i r_i ||A_i||^2 over the rows A_i of A (n, d), rows
+    along the last axis.  A batch (R, n, d) gives an array of R values, each
     computed from its own item alone; r is one (n,) vector or one per item,
     (R, n)."""
     A = np.asarray(A, dtype=float)
     r = np.asarray(r, dtype=float)
-    sq = A * A if A.ndim == 1 else (A * A).sum(-1)
+    sq = (A * A).sum(-1)
     if sq.shape[-1:] != r.shape[-1:]:
         raise ValueError("row count must match the weight vector")
-    out = (sq * r).sum(-1)
-    return float(out) if out.ndim == 0 else out
+    return (sq * r).sum(-1)
 
 
 def deviation_sq(X: np.ndarray, r: np.ndarray):

@@ -138,10 +138,10 @@ def certificate(cfg: RunConfig) -> Certificate:
     return Certificate(lam, kappa_factor(lam, cfg.steps.beta0, sched.B), th, note)
 
 
-def _horizon_grid(cfg: Config) -> tuple[int, ...]:
-    """The config's T_grid, checked before a command does any work."""
-    grid = cfg["T_grid"]
-    if min(grid) < 1:
+def _horizon_grid(cfg: Config) -> list[int]:
+    """The config's T_grid ascending, each horizon once, checked first."""
+    grid = sorted(set(cfg["T_grid"]))
+    if grid[0] < 1:
         raise ValueError("T_grid entries must be >= 1")
     return grid
 
@@ -309,7 +309,7 @@ def cmd_lemmas(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
-    grid = sorted(set(_horizon_grid(cfg)))
+    grid = _horizon_grid(cfg)
     values, rc = build_experiment(cfg, seed_override=args.seed, T_override=max(grid))
     out = resolve_out_dir(args.out, values)
     mc = monte_carlo(rc, values["runs"], seed=values["seed"], jobs=args.jobs, at=grid)
@@ -338,7 +338,7 @@ def _add_common(sp: argparse.ArgumentParser, config_required: bool = True, jobs:
     sp.add_argument("--seed", type=int, default=None, help="override the config seed")
     sp.add_argument("--out", default=None, help="output directory")
     if jobs:
-        sp.add_argument("--jobs", type=int, default=1, help="worker processes for Monte Carlo")
+        sp.add_argument("--jobs", type=int, default=1, help="worker processes, at most the usable CPUs")
 
 
 def main(argv=None) -> int:

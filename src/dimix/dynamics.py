@@ -31,6 +31,7 @@ bit-identical for every batch size and ``--jobs`` value.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,13 +303,15 @@ def monte_carlo(
     """Run ``num_runs`` seeded trajectories and aggregate their columns at
     the iterations ``at`` (all of them when omitted).
 
-    The seeds split into at most ``jobs`` contiguous chunks of equal size.
-    A single chunk runs in this process as one batch; more run one per
-    worker process.  The traces are identical either way, because each one
-    is a pure function of its seed.
+    The seeds split into contiguous chunks of equal size, at most ``jobs``
+    and at most one per CPU this process may run on.  A single chunk runs in
+    this process as one batch; more run one per worker process.  The traces
+    are identical either way, because each one is a pure function of its seed.
     """
     if num_runs < 1:
         raise ValueError("need at least one run")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    jobs = min(jobs, cpus)
     seeds = [seed + k for k in range(num_runs)]
     size = -(-num_runs // jobs)
     chunks = [seeds[i : i + size] for i in range(0, num_runs, size)]

@@ -458,9 +458,7 @@ def check_step_sum_telescope(rng: np.random.Generator) -> Iterator[tuple]:
 
 def _decaying_sum(a, sigma, delta, t):
     """sum_{s=1}^{t-1} s^-sigma prod_{k=s+1}^{t-1} (1 - a/k^delta), exactly,
-    for arrays of instances (scalars give a float)."""
-    scalar = np.ndim(t) == 0
-    a, sigma, delta, t = (np.atleast_1d(x) for x in (a, sigma, delta, t))
+    for 1-D arrays of instances, one value each."""
     out = np.empty(t.shape)
     for idx, cols in _rows(t - 1):
         # Column j holds the term at s = j + 1 and the survival factor at
@@ -473,7 +471,7 @@ def _decaying_sum(a, sigma, delta, t):
         terms = _power(cols + 1.0, -sigma[idx])
         terms *= _suffix_products(f)
         out[idx] = _row_sums(terms, t[idx] - 1)
-    return float(out[0]) if scalar else out
+    return out
 
 
 def _decaying_values(block: list[tuple]) -> Values:

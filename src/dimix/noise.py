@@ -103,19 +103,17 @@ def quantizer_variance_coeff(d: int, s: int) -> float:
     return min(np.sqrt(d) / s, d / s**2)
 
 
-def noise_variance_bound(
-    model: NoiseModel, d: int, state_norm_bound: float | None = None
-) -> float:
+def noise_variance_bound(model: NoiseModel, d: int, state_norm_bound: float) -> float:
     """The gamma certified for one neighbor estimate in dimension d.
 
-    The quantizer's bound is relative to the transmitted norm, so it needs a
-    bound on state norms along the trajectory (measured empirically by the
-    driver and fed back here).
+    The quantizer's bound is relative to the transmitted norm, so it reads
+    ``state_norm_bound``, the largest state norm the runs measured; the
+    other models ignore it.
     """
     if model.kind == "noiseless":
         return 0.0
     if model.kind == "gaussian_channel":
         return model.sigma**2
-    if state_norm_bound is None or state_norm_bound < 0.0:
+    if state_norm_bound < 0.0:
         raise ValueError("quantizer variance bound needs a nonnegative state norm bound")
     return quantizer_variance_coeff(d, model.levels) * state_norm_bound**2

@@ -111,8 +111,7 @@ class Problem:
         """Mean square over the whole pool at a single point, (1/2N)||v - Ux||^2;
         a batch (R, d) of points gives R values, each from its own point."""
         resid = self.v - np.matmul(self.U, np.asarray(x, dtype=float)[..., None])[..., 0]
-        loss = (resid * resid).sum(-1) / (2 * self.N)
-        return float(loss) if loss.ndim == 0 else loss
+        return (resid * resid).sum(-1) / (2 * self.N)
 
     def local_values(self, X, HX):
         """Values f_i(x_i) (..., n) of every agent at its row of X (..., n, d),

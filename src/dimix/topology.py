@@ -121,7 +121,7 @@ def strongly_connected(links: np.ndarray):
 class MixingSchedule:
     """A periodic sequence of mixing matrices plus the metadata the analysis
     needs: the common stationary weights r, the entry floor eta, and the
-    connectivity window length B.
+    connectivity window length B (for a matrix list, its period).
 
     ``matrices`` holds one period, stacked (period, n, n); ``matrix_at(t)``
     cycles it for t >= 1.  ``links`` (period, n, n) holds the communication
@@ -245,12 +245,12 @@ def stationary_weights(matrices) -> np.ndarray:
     return r
 
 
-def matrix_list_schedule(matrices, r=None, B: int | None = None) -> MixingSchedule:
+def matrix_list_schedule(matrices, r=None) -> MixingSchedule:
     """Wrap an explicit periodic list of mixing matrices.
 
-    ``r`` is solved for when omitted; ``B`` defaults to the period.  Rows must
-    be stochastic to 1e-9 here (the strict 1e-12 measurement is
-    ``validate_schedule``'s job).
+    ``r`` is solved for when omitted; the connectivity window B is the
+    period.  Rows must be stochastic to 1e-9 here (the strict 1e-12
+    measurement is ``validate_schedule``'s job).
     """
     shapes = {np.shape(M) for M in matrices}
     if not shapes:
@@ -267,11 +267,8 @@ def matrix_list_schedule(matrices, r=None, B: int | None = None) -> MixingSchedu
     if r is not None and np.shape(r) != (n,):
         raise ValueError(f"weight vector shape {np.shape(r)} does not match the matrices ({n},)")
     r = stationary_weights(W) if r is None else _check_weights(r)
-    B = len(W) if B is None else int(B)
-    if B < 1:
-        raise ValueError("connectivity window B must be >= 1")
     return MixingSchedule(
-        kind="matrix_list", n=n, r=r, eta=entry_floor(W), B=B, matrices=W, links=W > 0.0
+        kind="matrix_list", n=n, r=r, eta=entry_floor(W), B=len(W), matrices=W, links=W > 0.0
     )
 
 

@@ -26,12 +26,12 @@ from dimix.rng import philox
 class TestWeightedNorm:
     def test_ones_vector_has_unit_norm(self):
         r = np.array([0.2, 0.3, 0.5])
-        assert r_norm_sq(np.ones(3), r) == pytest.approx(1.0)
+        assert r_norm_sq(np.ones((3, 1)), r) == pytest.approx(1.0)
 
     def test_scalar_rows(self):
         # Per-agent scalars (5, 0) under weights (0.25, 0.75).
         r = np.array([0.25, 0.75])
-        assert r_norm_sq(np.array([5.0, 0.0]), r) == pytest.approx(6.25)
+        assert r_norm_sq(np.array([[5.0], [0.0]]), r) == pytest.approx(6.25)
 
     def test_matrix_rows(self):
         A = np.array([[3.0, 4.0], [1.0, 0.0]])
@@ -41,6 +41,9 @@ class TestWeightedNorm:
     def test_row_count_must_match_weights(self):
         with pytest.raises(ValueError, match="row count must match"):
             r_norm_sq(np.ones((3, 2)), np.array([0.5, 0.5]))
+        # A vector is one row of d entries, not one scalar per agent.
+        with pytest.raises(ValueError, match="row count must match"):
+            r_norm_sq(np.ones(2), np.array([0.5, 0.5]))
 
     def test_weighted_mean(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])

@@ -403,6 +403,16 @@ T_grid = 500, 2200
             "24.004013696643955; the bound below is reported but not certified for these steps\n"
         ) in capsys.readouterr().out
 
+    def test_grid_is_read_ascending_once_each(self, tmp_path, capsys):
+        # theory and sweep read the same grid: 10 then 30, 10 once.
+        cfg = tmp_path / "cfg"
+        cfg.write_text("family = fixed_cycle\nn = 3\nd = 2\nN = 12\nT = 30\nruns = 2\nT_grid = 30, 10, 10\n")
+        assert main(["theory", "--config", str(cfg), "--assume-q0", "1"]) == 0
+        rows = capsys.readouterr().out.split("bound/empirical\n")[1].splitlines()
+        assert [row.split(", ")[0] for row in rows] == ["10", "30"]
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert "horizon grid: 10, 30\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("q0", ["nan", "inf"])
     def test_non_finite_assumed_q0_rejected(self, tmp_path, capsys, q0):
         cfg = tmp_path / "cfg"

@@ -37,7 +37,7 @@ def quadratic_model(n: int, d: int, seed: int, r, points: int = 30):
 
 def simple_config(n=3, d=4, T=30, noise=None, steps=DEFAULT_STEPS, seed=0):
     if n == 1:
-        schedule = matrix_list_schedule([np.ones((1, 1))], r=np.array([1.0]), B=1)
+        schedule = matrix_list_schedule([np.ones((1, 1))], r=np.array([1.0]))
     else:
         schedule = fixed_cycle_schedule(random_weights(philox(seed + 1), n))
     return RunConfig(
@@ -162,7 +162,7 @@ class TestBatchedEstimates:
     def test_matches_per_agent_loop(self, n, noise):
         d = 5
         if n == 1:
-            schedule = matrix_list_schedule([np.ones((1, 1))], r=np.array([1.0]), B=1)
+            schedule = matrix_list_schedule([np.ones((1, 1))], r=np.array([1.0]))
         else:
             schedule = gossip_schedule(random_weights(philox(n), n))
         p = quadratic_model(n, d, n, schedule.r)
@@ -653,6 +653,35 @@ class TestMonteCarlo:
         assert_same_trace(pooled.traces[0], serial.traces[0])
         np.testing.assert_array_equal(pooled.mean, serial.mean)
 
+    def test_jobs_are_capped_at_the_usable_cpus(self, monkeypatch):
+        # Two usable CPUs: jobs = 8 over 8 runs makes 2 chunks and 2
+        # workers, not 8.  The fake pool maps in this process.
+        import concurrent.futures
+
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = simple_config(T=20, noise=stochastic_quantizer(4))
+        capped, serial = monte_carlo(cfg, 8, seed=5, jobs=8), monte_carlo(cfg, 8, seed=5, jobs=1)
+        assert started == [2]
+        for a, b in zip(capped.traces, serial.traces, strict=True):
+            assert_same_trace(a, b)
+        np.testing.assert_array_equal(capped.mean, serial.mean)
+
     def test_stderr_zero_for_single_or_identical_runs(self):
         cfg = simple_config(T=10)
         one = monte_carlo(cfg, 1, seed=0)
@@ -755,7 +784,7 @@ class TestGradientDescentReduction:
     def test_single_agent_converges_on_identity_hessian(self):
         d = 6
         target = philox(51).normal(size=d)
-        schedule = matrix_list_schedule([np.ones((1, 1))], r=np.array([1.0]), B=1)
+        schedule = matrix_list_schedule([np.ones((1, 1))], r=np.array([1.0]))
         cfg = RunConfig(
             problem=model([np.eye(d)], [target], schedule.r, x_star=target),
             schedule=schedule,

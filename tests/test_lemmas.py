@@ -118,10 +118,8 @@ class TestIndividualChecks:
             (0.9, 2.0, 0.7, 3),
             (0.5, 1.5, 0.5, 2),
         ]
-        for a, sigma, delta, t in cases:
-            assert _decaying_sum(a, sigma, delta, t) == pytest.approx(
-                brute(a, sigma, delta, t), rel=1e-12
-            )
+        got = _decaying_sum(*(np.array(col) for col in zip(*cases)))
+        assert got == pytest.approx([brute(*case) for case in cases], rel=1e-12)
 
     def test_telescope_identity_tight(self):
         rep = check_step_sum_telescope(seed=3, instances=400)

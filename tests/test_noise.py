@@ -209,14 +209,14 @@ class TestVarianceBound:
             quantizer_variance_coeff(d, s)
 
     def test_frozen_values(self):
-        assert noise_variance_bound(noiseless(), 25) == 0.0
-        assert noise_variance_bound(gaussian_channel(0.1), 25) == pytest.approx(0.01)
+        assert noise_variance_bound(noiseless(), 25, 1.0) == 0.0
+        assert noise_variance_bound(gaussian_channel(0.1), 25, 1.0) == pytest.approx(0.01)
         got = noise_variance_bound(stochastic_quantizer(4), 25, state_norm_bound=1.0)
         assert got == pytest.approx(1.25)
 
     def test_quantizer_needs_norm_bound(self):
-        with pytest.raises(ValueError):
-            noise_variance_bound(stochastic_quantizer(4), 25)
+        with pytest.raises(ValueError, match="nonnegative state norm bound"):
+            noise_variance_bound(stochastic_quantizer(4), 25, -1.0)
 
     def test_gaussian_estimate_meets_gamma(self):
         # Measured E||e||^2 for one estimate stays under sigma^2 since the
@@ -229,7 +229,7 @@ class TestVarianceBound:
         errs = np.array(
             [neighbor_estimate(states, w, model, rng) - clean for _ in range(4000)]
         )
-        gamma = noise_variance_bound(model, 25)
+        gamma = noise_variance_bound(model, 25, 1.0)
         assert np.mean(np.sum(errs**2, axis=1)) <= gamma
 
 

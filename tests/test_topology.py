@@ -197,13 +197,13 @@ class TestSchedules:
         assert len(report.connectivity_failures) == 181
 
     def test_identity_schedule_fails_connectivity(self):
-        s = matrix_list_schedule([np.eye(4)], r=np.full(4, 0.25), B=1)
+        s = matrix_list_schedule([np.eye(4)], r=np.full(4, 0.25))
         report = validate_schedule(s, horizon=50)
         assert not report.passed
         assert len(report.connectivity_failures) == report.windows_checked
 
     def test_every_failing_window_reported(self):
-        s = matrix_list_schedule([np.eye(3)], r=np.full(3, 1 / 3), B=1)
+        s = matrix_list_schedule([np.eye(3)], r=np.full(3, 1 / 3))
         report = validate_schedule(s, horizon=5000, window=1)
         assert report.windows_checked == 4999
         assert len(report.connectivity_failures) == report.windows_checked
@@ -362,9 +362,8 @@ class TestInputGuards:
         [
             ([], {}, "need at least one matrix"),
             ([np.eye(3)], {"r": [0.5, 0.5]}, "weight vector shape (2,) does not match the matrices (3,)"),
-            ([np.eye(3)], {"B": 0}, "connectivity window B must be >= 1"),
         ],
-        ids=["no matrices", "weights of another size", "window below 1"],
+        ids=["no matrices", "weights of another size"],
     )
     def test_matrix_list_rejects(self, matrices, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -425,7 +424,7 @@ def test_gossip_activation_edges_drive_connectivity():
     assert gossip_pair(4, 1) == (1, 2)
     assert np.argwhere(s.links[0]).tolist() == [[2, 1]]  # agent 1 reaches agent 2
     assert s.links.sum() == 4 and not (s.links & ~(s.matrices > 0)).any()
-    support_only = matrix_list_schedule(s.matrices, r=s.r, B=4)
+    support_only = matrix_list_schedule(s.matrices, r=s.r)
     assert np.array_equal(support_only.links, s.matrices > 0)
     declared = validate_schedule(s, horizon=40, window=3)
     support = validate_schedule(support_only, horizon=40, window=3)

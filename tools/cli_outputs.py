@@ -3,7 +3,7 @@
     PYTHONPATH=<tree>/src python3 tools/cli_outputs.py DEST
 
 runs ``run --plots``, ``sweep --plots`` and ``theory`` (each at --jobs 1 and
-2), ``validate`` and ``lemmas`` on twenty-three configs with whichever dimix
+2), ``validate`` and ``lemmas`` on twenty-four configs with whichever dimix
 the PYTHONPATH gives, and on the configs in SEEDED the three with
 ``--seed 3`` and ``lemmas`` without a config.  The configs include a theory
 T_grid past the simulated horizon, seeds that diverge and are reset in
@@ -11,10 +11,11 @@ place, steps that admit no burn-in thresholds, steps whose constant xi5 is
 beyond the float range, nu >= mu, an n that the matrix file contradicts, a
 key set twice, a single agent, a two-agent gossip family, weight scores
 whose sum overflows, a matrix file with no positive stationary vector,
-one whose stationary vector misses the residual tolerance, and seeds that
-all diverge.  Each command runs in its own directory DEST/<config>/<command>
-with a relative --out, so nothing it prints holds an absolute path; stdout,
-stderr, the exit code and every output file are kept there.
+one whose stationary vector misses the residual tolerance, seeds that all
+diverge, and a T_grid out of order with a horizon listed twice.  Each
+command runs in its own directory DEST/<config>/<command> with a relative
+--out, so nothing it prints holds an absolute path; stdout, stderr, the
+exit code and every output file are kept there.
 DEST/lemma_reports.json holds every field of the lemma suite's reports,
 exactly (repr), for seeds 0-2 at 0, 60, 150, 1000 and 2500 instances: the
 ``lemmas`` command prints min slack to four digits only.
@@ -139,6 +140,13 @@ CONFIGS = {
         "family = fixed_cycle\nn = 3\nd = 2\nN = 12\nnoise = gaussian_channel\nsigma = 1.3e12\n"
         "alpha0 = 0.1\nnu = 0.25\nbeta0 = 0.7\nmu = 0.1\nT = 12\nruns = 3\nseed = 1\nT_grid = 6, 12\n",
         (),
+    ),
+    # T_grid out of order with 20 twice: theory and sweep both read the
+    # horizons 20 then 40, once each (older trees' theory printed the rows
+    # 40, 20, 20).
+    "grid_unsorted": (
+        "family = fixed_cycle\nn = 3\nd = 2\nN = 12\nT = 40\nruns = 2\nT_grid = 40, 20, 20\n",
+        ("--assume-q0", "1"),
     ),
 }
 
