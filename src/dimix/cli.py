@@ -4,10 +4,11 @@ Subcommands:
 
 * ``run``       Monte Carlo trajectories; writes per-run CSV traces, the
                 per-iteration mean/stderr table, a manifest, optional plots.
-* ``validate``  check a mixing schedule against the stochasticity, entry
-                floor, and window-connectivity assumptions.
+* ``validate``  check a mixing schedule against the stochasticity and
+                window-connectivity assumptions; report its entry floor.
 * ``theory``    evaluate the explicit rate constants and compare the
-                certified bound against the measured error.
+                certified bound against the measured error; a schedule
+                that fails the mixing assumptions is flagged, not certified.
 * ``lemmas``    run the randomized inequality suite (nonzero exit on any
                 violation).
 * ``sweep``     final-iterate statistics across a horizon grid plus a
@@ -254,6 +255,11 @@ def cmd_theory(args) -> int:
         q0_source = "assumed (--assume-q0)"
 
     tc = xi_constants(steps, lam, kappa, mu_f, L_f, mc.gamma, mc.K, q0)
+    # Window starts one period apart pool the same slots, so the first
+    # period of starts decides every window the certificate relies on.
+    report = validate_schedule(sched, sched.period + sched.B)
+    checks = {"stochasticity": report.stochasticity_ok, "connectivity": report.connectivity_ok}
+    failed = [name for name, ok in checks.items() if not ok]
     print(f"schedule {values['family']}: n={sched.n} B={sched.B} eta={fmt(sched.eta)}")
     print(f"lambda = {fmt(lam)}   kappa = {fmt(kappa)}")
     print(f"mu_f = {fmt(mu_f)}   L_f = {fmt(L_f)}   c1 = {fmt(tc.c1)}   c2 = {fmt(tc.c2)}")
@@ -271,11 +277,17 @@ def cmd_theory(args) -> int:
             f"the certification threshold {fmt(tc.side_threshold)}; the bound below is reported "
             "but not certified for these steps"
         )
+    if failed:
+        print(
+            f"WARNING: the schedule fails the mixing assumptions ({', '.join(failed)}) at "
+            f"window B = {sched.B}; no bound below is certified (see dimix validate)"
+        )
     print()
     print("T, certified bound, empirical mean dist_opt_sq, bound/empirical")
     for T in T_grid:
         bound = theorem_bound(tc, T)
-        notes = ["below burn-in, not covered"] * (T < tc.thresholds.T_min)
+        notes = ["mixing assumptions fail, not covered"] * bool(failed)
+        notes += ["below burn-in, not covered"] * (T < tc.thresholds.T_min)
         notes += [f"log10 bound = {fmt(theorem_log10_bound(tc, T))}"] * (not np.isfinite(bound))
         note = f"  ({'; '.join(notes)})" if notes else ""
         if T <= T_sim:

@@ -16,8 +16,11 @@ def philox(seed: int, *stream: int) -> np.random.Generator:
     """Generator for the given seed and stream path.
 
     Distinct paths (e.g. ``philox(s, 0)`` vs ``philox(s, 1)``) yield
-    statistically independent streams for the same seed.
+    statistically independent streams for the same seed.  A negative seed
+    raises ValueError.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in stream))
     return np.random.Generator(np.random.Philox(ss))
 

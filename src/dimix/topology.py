@@ -12,15 +12,14 @@ Two built-in families live on the n-cycle:
   own state.  The schedule has period n.
 
 Arbitrary user-supplied periodic schedules are wrapped by
-``matrix_list_schedule``.  ``validate_schedule`` measures how well a schedule
-satisfies the assumptions the convergence analysis needs: exact row sums,
-left-stationarity of r, a positive floor eta on nonzero entries, and strong
-connectivity of every length-B window of the communication graph.
+``matrix_list_schedule``.  ``validate_schedule`` checks the assumptions the
+convergence analysis needs (exact row sums, left-stationarity of r, strong
+connectivity of every length-B window) and measures the entry floor eta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,8 +119,8 @@ def strongly_connected(links: np.ndarray):
 @dataclass
 class MixingSchedule:
     """A periodic sequence of mixing matrices plus the metadata the analysis
-    needs: the common stationary weights r, the entry floor eta, and the
-    connectivity window length B (for a matrix list, its period).
+    needs: the common stationary weights r and, measured from the matrices,
+    n, the entry floor eta and the connectivity window B (the period).
 
     ``matrices`` holds one period, stacked (period, n, n); ``matrix_at(t)``
     cycles it for t >= 1.  ``links`` (period, n, n) holds the communication
@@ -131,16 +130,19 @@ class MixingSchedule:
     """
 
     kind: str
-    n: int
     r: np.ndarray
-    eta: float
-    B: int
     matrices: np.ndarray
     links: np.ndarray
+    n: int = field(init=False)
+    B: int = field(init=False)
+    eta: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.n, self.B, self.eta = self.matrices.shape[-1], len(self.matrices), entry_floor(self.matrices)
 
     @property
     def period(self) -> int:
-        return len(self.matrices)
+        return self.B
 
     def matrix_at(self, t: int) -> np.ndarray:
         if t < 1:
@@ -195,9 +197,7 @@ def _family_schedule(kind: str, r) -> MixingSchedule:
         a, b = gossip_pair(n, np.arange(1, n + 1))
         links = np.zeros_like(links)
         links[np.arange(n), b, a] = True
-    return MixingSchedule(
-        kind=kind, n=n, r=r, eta=entry_floor(W), B=family_window(kind, n), matrices=W, links=links
-    )
+    return MixingSchedule(kind=kind, r=r, matrices=W, links=links)
 
 
 def fixed_cycle_schedule(r) -> MixingSchedule:
@@ -267,9 +267,7 @@ def matrix_list_schedule(matrices, r=None) -> MixingSchedule:
     if r is not None and np.shape(r) != (n,):
         raise ValueError(f"weight vector shape {np.shape(r)} does not match the matrices ({n},)")
     r = stationary_weights(W) if r is None else _check_weights(r)
-    return MixingSchedule(
-        kind="matrix_list", n=n, r=r, eta=entry_floor(W), B=len(W), matrices=W, links=W > 0.0
-    )
+    return MixingSchedule(kind="matrix_list", r=r, matrices=W, links=W > 0.0)
 
 
 def parse_matrix_file(path) -> list[np.ndarray]:
@@ -305,7 +303,8 @@ def parse_matrix_file(path) -> list[np.ndarray]:
 
 @dataclass
 class ValidationReport:
-    """Measured compliance of a schedule with the mixing assumptions."""
+    """Measured compliance of a schedule with the mixing assumptions.  The
+    entry floor is only reported: it is never below eta, the period's floor."""
 
     kind: str
     n: int
@@ -314,7 +313,6 @@ class ValidationReport:
     max_row_sum_dev: float
     max_stationarity_dev: float
     min_positive_entry: float
-    eta: float
     windows_checked: int
     connectivity_failures: list[int]
     edge_source: str
@@ -324,17 +322,12 @@ class ValidationReport:
         return self.max_row_sum_dev <= STOCHASTICITY_TOL and self.max_stationarity_dev <= STOCHASTICITY_TOL
 
     @property
-    def eta_ok(self) -> bool:
-        # eta is declared by the schedule; entries may not dip below it.
-        return self.min_positive_entry >= self.eta - 1e-15
-
-    @property
     def connectivity_ok(self) -> bool:
         return not self.connectivity_failures
 
     @property
     def passed(self) -> bool:
-        return self.stochasticity_ok and self.eta_ok and self.connectivity_ok
+        return self.stochasticity_ok and self.connectivity_ok
 
     def summary(self) -> str:
         lines = [
@@ -343,8 +336,7 @@ class ValidationReport:
             f"  ({'ok' if self.max_row_sum_dev <= STOCHASTICITY_TOL else 'FAIL'})",
             f"  r-stationarity  max dev {self.max_stationarity_dev:.3e}"
             f"  ({'ok' if self.max_stationarity_dev <= STOCHASTICITY_TOL else 'FAIL'})",
-            f"  entry floor     min positive {self.min_positive_entry:.6g}"
-            f" vs eta {self.eta:.6g}  ({'ok' if self.eta_ok else 'FAIL'})",
+            f"  entry floor     min positive {self.min_positive_entry:.6g}",
         ]
         if self.windows_checked:
             if self.connectivity_ok:
@@ -371,13 +363,13 @@ def validate_schedule(
 ) -> ValidationReport:
     """Measure a schedule against the mixing assumptions over t in [1, horizon].
 
-    Stochasticity and the entry floor are checked on the period slots that
-    occur by the horizon (the matrices repeat exactly, so this covers every
-    t).  Connectivity is checked for every window start t in
+    Stochasticity is checked, and the entry floor measured, on the period
+    slots that occur by the horizon (the matrices repeat exactly, so this
+    covers every t).  Connectivity is checked for every window start t in
     [1, horizon - window]: the links of iterations t+1 .. t+window are pooled
     and the pooled digraph must be strongly connected.  Starts one period
     apart pool the same slots, so one closure per residue mod the period
-    decides them all.  ``window`` defaults to the schedule's declared B.
+    decides them all.  ``window`` defaults to the schedule's B, its period.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -403,7 +395,7 @@ def validate_schedule(
         kind=schedule.kind, n=schedule.n, horizon=horizon, window=window,
         max_row_sum_dev=float(np.abs(W.sum(axis=2) - 1.0).max()),
         max_stationarity_dev=float(np.abs(r @ W - r).max()),
-        min_positive_entry=entry_floor(W), eta=schedule.eta, windows_checked=count,
+        min_positive_entry=entry_floor(W), windows_checked=count,
         connectivity_failures=failures[failures <= count].tolist(),
         edge_source="declared activation links" if schedule.kind == "gossip" else "matrix support",
     )

@@ -182,7 +182,6 @@ def validate_windows(schedule, horizon: int, window: int | None = None) -> Valid
         max_row_sum_dev=row_dev,
         max_stationarity_dev=stat_dev,
         min_positive_entry=entry_floor(slots),
-        eta=schedule.eta,
         windows_checked=max(horizon - window, 0),
         connectivity_failures=failures,
         edge_source="declared activation links" if gossip else "matrix support",

@@ -413,6 +413,35 @@ T_grid = 500, 2200
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert "horizon grid: 10, 30\n" in capsys.readouterr().out
 
+    def test_schedule_failing_the_mixing_assumptions_is_not_certified(self, tmp_path, capsys):
+        # The 3x3 identity connects no window: validate fails, and every
+        # theory row is marked, the one past the horizon too.
+        mat = tmp_path / "eye3.txt"
+        mat.write_text("1, 0, 0\n0, 1, 0\n0, 0, 1\n")
+        cfg = tmp_path / "cfg"
+        cfg.write_text(
+            f"family = matrix_file\nmatrix_file = {mat}\nd = 2\nN = 6\nT = 2000\nruns = 2\n"
+            "T_grid = 2000, 100000000\nalpha0 = 0.25\nnu = 0.05\nbeta0 = 0.8\nmu = 0.1\n"
+        )
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert "connectivity    FAIL" in capsys.readouterr().out
+        assert main(["theory", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "WARNING: the schedule fails the mixing assumptions (connectivity) at window B = 1; "
+            "no bound below is certified (see dimix validate)\n"
+        ) in out
+        rows = out.split("bound/empirical\n")[1].splitlines()
+        assert [row.split(", ")[0] for row in rows] == ["2000", "100000000"]
+        for row in rows:
+            assert row.endswith("  (mixing assumptions fail, not covered)")
+
+    def test_schedule_meeting_the_mixing_assumptions_is_not_flagged(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(self.THEORY_CONFIG.replace("T = 2200", "T = 60"))
+        assert main(["theory", "--config", str(cfg), "--assume-q0", "0.5"]) == 0
+        assert "mixing assumptions" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("q0", ["nan", "inf"])
     def test_non_finite_assumed_q0_rejected(self, tmp_path, capsys, q0):
         cfg = tmp_path / "cfg"
@@ -608,6 +637,23 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert captured.err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize(
+        "args, seed",
+        [
+            (["validate", "--config", "{cfg}"], -1),
+            (["run", "--config", "{cfg}", "--seed", "-5", "--out", "{out}"], -5),
+            (["lemmas", "--seed", "-1"], -1),
+        ],
+        ids=["config seed", "seed flag", "lemmas seed flag"],
+    )
+    def test_negative_seed_is_one_error(self, tmp_path, capsys, args, seed):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("family = gossip\nseed = -1\nT = 20\nruns = 2\n")
+        rc = main([arg.format(cfg=cfg, out=tmp_path / "out") for arg in args])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"error: seed must be >= 0, got {seed}\n"
 
     @pytest.mark.parametrize("family", ["fixed_cycle", "gossip"])
     def test_family_needs_three_agents(self, tmp_path, capsys, family):

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from dimix.rng import philox
 from dimix.topology import (
     STOCHASTICITY_TOL,
+    MixingSchedule,
     entry_floor,
     family_matrices,
     family_window,
@@ -325,6 +327,41 @@ class TestMatrixListSchedule:
         r2 = np.array([0.5, 0.3, 0.2])
         with pytest.raises(ValueError):
             stationary_weights([cycle_slot(r1), cycle_slot(r2)])
+
+
+class TestMeasuredFacts:
+    """A schedule's n, B and eta come from its matrices; none is an argument."""
+
+    def test_init_takes_only_what_is_not_measured(self):
+        assert [f.name for f in fields(MixingSchedule) if f.init] == ["kind", "r", "matrices", "links"]
+
+    @pytest.mark.parametrize("name", ["n", "eta", "B"])
+    def test_measured_fact_is_not_an_argument(self, name):
+        s = fixed_cycle_schedule(np.full(3, 1 / 3))
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            MixingSchedule(kind=s.kind, r=s.r, matrices=s.matrices, links=s.links, **{name: 1})
+
+    @pytest.mark.parametrize(
+        "build, n, B",
+        [
+            (lambda: fixed_cycle_schedule(random_weights(philox(5), 20)), 20, family_window("fixed_cycle", 20)),
+            (lambda: gossip_schedule(random_weights(philox(5), 20)), 20, family_window("gossip", 20)),
+            # The slots.txt and gaps.txt files that tools/cli_outputs.py records.
+            (lambda: matrix_list_schedule([CYCLE, CYCLE.T]), 3, 2),
+            (lambda: matrix_list_schedule([CYCLE, np.eye(3), np.eye(3)]), 3, 3),
+        ],
+        ids=["fixed_cycle", "gossip", "slots", "gaps"],
+    )
+    def test_facts_match_the_matrices(self, build, n, B):
+        s = build()
+        assert type(s.n) is int and s.n == n
+        assert type(s.B) is int and s.B == B == s.period
+        assert type(s.eta) is float and s.eta == entry_floor(s.matrices) == s.matrices[s.matrices > 0].min()
+
+    def test_entry_floor_is_reported_not_checked(self):
+        report = validate_schedule(matrix_list_schedule([CYCLE, np.eye(3)]), horizon=1)
+        assert not hasattr(report, "eta") and not hasattr(report, "eta_ok")
+        assert "  entry floor     min positive 0.5" in report.summary().splitlines()
 
 
 class TestInputGuards:

@@ -3,16 +3,18 @@
     PYTHONPATH=<tree>/src python3 tools/cli_outputs.py DEST
 
 runs ``run --plots``, ``sweep --plots`` and ``theory`` (each at --jobs 1 and
-2), ``validate`` and ``lemmas`` on twenty-four configs with whichever dimix
-the PYTHONPATH gives, and on the configs in SEEDED the three with
-``--seed 3`` and ``lemmas`` without a config.  The configs include a theory
+2), ``validate`` and ``lemmas`` on twenty-six configs with whichever dimix
+the PYTHONPATH gives (only the commands in ONLY on the configs it names),
+and on the configs in SEEDED the three with ``--seed 3`` and ``lemmas``
+without a config.  The configs include a theory
 T_grid past the simulated horizon, seeds that diverge and are reset in
 place, steps that admit no burn-in thresholds, steps whose constant xi5 is
 beyond the float range, nu >= mu, an n that the matrix file contradicts, a
 key set twice, a single agent, a two-agent gossip family, weight scores
 whose sum overflows, a matrix file with no positive stationary vector,
 one whose stationary vector misses the residual tolerance, seeds that all
-diverge, and a T_grid out of order with a horizon listed twice.  Each
+diverge, a T_grid out of order with a horizon listed twice, an identity
+schedule that no window connects, and a negative seed.  Each
 command runs in its own directory DEST/<config>/<command> with a relative
 --out, so nothing it prints holds an absolute path; stdout, stderr, the
 exit code and every output file are kept there.
@@ -36,7 +38,8 @@ from workloads import WORKLOADS  # noqa: E402
 # stochastic slots on three agents, connected over any window of 2.
 # gaps.txt: a cycle slot then two identity slots, so at window 2 only the
 # starts t = 1 (mod 3), whose window holds both identities, are disconnected.
-# one.txt: a single agent.  transient.txt: agent 1 moves to agent 0, so
+# one.txt: a single agent.  eye3.txt: the 3x3 identity, so no window is
+# ever connected.  transient.txt: agent 1 moves to agent 0, so
 # every stationary vector vanishes on agent 1.  residual.txt: three slots on
 # four agents whose stacked system has singular value 2.8e-9, inside the
 # null threshold 3e-9, so the candidate has residual 1.09e-09, just past the
@@ -45,6 +48,7 @@ MATRIX_FILES = {
     "slots.txt": "0.5, 0.5, 0\n0, 0.5, 0.5\n0.5, 0, 0.5\n\n0.5, 0, 0.5\n0.5, 0.5, 0\n0, 0.5, 0.5\n",
     "gaps.txt": "0.5, 0.5, 0\n0, 0.5, 0.5\n0.5, 0, 0.5\n\n1, 0, 0\n0, 1, 0\n0, 0, 1\n\n1, 0, 0\n0, 1, 0\n0, 0, 1\n",
     "one.txt": "1\n",
+    "eye3.txt": "1, 0, 0\n0, 1, 0\n0, 0, 1\n",
     "transient.txt": "1, 0\n1, 0\n",
     "residual.txt": (
         "0, 0, 1, 0\n1, 0, 0, 0\n0, 1, 0, 0\n4.348884529200771e-09, 0, 0, 0.9999999956511155\n\n"
@@ -148,11 +152,25 @@ CONFIGS = {
         "family = fixed_cycle\nn = 3\nd = 2\nN = 12\nT = 40\nruns = 2\nT_grid = 40, 20, 20\n",
         ("--assume-q0", "1"),
     ),
+    # No window of the identity schedule is connected: validate fails, and
+    # theory warns and marks every row "mixing assumptions fail, not
+    # covered" (older trees certified them).  Only validate and theory run:
+    # a sweep to T = 1e8 would take hours.
+    "identity_schedule": (
+        "family = matrix_file\nmatrix_file = eye3.txt\nd = 2\nN = 6\nT = 2000\nruns = 2\n"
+        "T_grid = 2000, 100000000\nalpha0 = 0.25\nnu = 0.05\nbeta0 = 0.8\nmu = 0.1\n",
+        (),
+    ),
+    # Every command fails with "seed must be >= 0, got -1" (older trees
+    # printed numpy's "expected non-negative integer").
+    "negative_seed": ("family = gossip\nseed = -1\nT = 20\nruns = 2\nT_grid = 10, 20\n", ()),
 }
 
 # Configs whose run, theory and lemmas are also recorded with --seed 3, and
 # lemmas with neither --seed nor --config.
 SEEDED = ("matrix_file_gaps_gauss",)
+# Configs recorded with only the listed command labels.
+ONLY = {"identity_schedule": ("validate", "theory-j1", "theory-j2")}
 
 
 def commands(name, theory_extra):
@@ -170,7 +188,7 @@ def commands(name, theory_extra):
     out = {label: [*args, "--config", "config.cfg"] for label, args in out.items()}
     if name in SEEDED:
         out["lemmas-no-config"] = ["lemmas"]
-    return out
+    return {label: args for label, args in out.items() if label in ONLY.get(name, out)}
 
 
 def lemma_reports():
