@@ -348,9 +348,8 @@ def _bound_terms(constants: TheoryConstants, T):
 def theorem_bound(constants: TheoryConstants, T):
     """Upper bound on E||X(T) - 1 x*'||_r^2, evaluated for every T.
 
-    Vectorizes over T.  It is certified only where its preconditions hold:
-    T at or past ``constants.thresholds.T_min``, and in the mu + nu == 1
-    regime ``constants.side_condition_ok``; callers check those themselves.
+    Vectorizes over T.  Where it is certified is ``dimix.cli.certificate``'s
+    verdict (``Certificate.not_covered``), not checked here.
     """
     T_arr, e1, e2, tail, burn = _bound_terms(constants, np.atleast_1d(np.asarray(T, dtype=float)))
     # Below burn-in the exp can overflow, so q0 = 0 must give 0 outright,

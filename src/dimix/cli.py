@@ -117,26 +117,45 @@ def _stats(mc: MonteCarlo) -> np.ndarray:
 
 
 class Certificate(NamedTuple):
-    """The certificate's inputs that the schedule, the problem and the steps
-    fix; ``th`` is None, with the reason in ``note``, when the step sizes
-    admit no burn-in thresholds."""
+    """What the schedule, the problem and the steps fix of the certificate.
+    ``note`` says why the steps admit no thresholds (``th`` is None) or which
+    config-only precondition of the constants fails; ``mixing_failed`` names
+    the mixing checks the schedule fails at its window B."""
 
     lam: float
     kappa: float
     th: Thresholds | None
     note: str
+    mixing_failed: tuple[str, ...]
+    side_condition_ok: bool
+
+    def not_covered(self, T: int) -> list[str]:
+        """Why horizon T is not covered, empty when it is: the one verdict.
+        Each reason says "not covered", which perfbench's theory check reads."""
+        reasons = ["mixing assumptions fail, not covered"] * bool(self.mixing_failed)
+        if self.note:
+            return reasons + [self.note]
+        reasons += ["mu + nu = 1 side condition fails, not covered"] * (not self.side_condition_ok)
+        return reasons + ["below burn-in, not covered"] * (T < self.th.T_min)
 
 
 def certificate(cfg: RunConfig) -> Certificate:
-    """lambda, kappa and the burn-in thresholds of a run setup, assembled
-    here alone for ``theory``, the manifest and the acceptance checks."""
-    sched, problem = cfg.schedule, cfg.problem
+    """lambda, kappa, the burn-in thresholds and the coverage verdict of a run
+    setup, decided here alone for ``theory``, the manifests and the acceptance
+    checks, with the constants' config-only preconditions at zero inputs."""
+    sched, steps, mu_f, L_f = cfg.schedule, cfg.steps, cfg.problem.strong_convexity, cfg.problem.smoothness
     lam = contraction_factor(sched.eta, float(sched.r.min()), sched.B, sched.n)
+    kappa = kappa_factor(lam, steps.beta0, sched.B)
+    th, note, side_ok = None, "", True
     try:
-        th, note = thresholds(cfg.steps, lam, problem.strong_convexity, problem.smoothness), ""
+        th = thresholds(steps, lam, mu_f, L_f)
+        side_ok = xi_constants(steps, lam, kappa, mu_f, L_f, 0.0, 0.0, 0.0).side_condition_ok
     except ValueError as exc:
-        th, note = None, str(exc)
-    return Certificate(lam, kappa_factor(lam, cfg.steps.beta0, sched.B), th, note)
+        note = str(exc)
+    # Starts a period apart pool the same slots: one period of them decides all.
+    report = validate_schedule(sched, 2 * sched.B)
+    failed = ("stochasticity",) * (not report.stochasticity_ok) + ("connectivity",) * (not report.connectivity_ok)
+    return Certificate(lam, kappa, th, note, failed, side_ok)
 
 
 def _horizon_grid(cfg: Config) -> list[int]:
@@ -166,11 +185,11 @@ def _derived_facts(rc: RunConfig, mc: MonteCarlo) -> dict:
         "completed": mc.completed,
         "aborted": mc.aborted,
     }
-    if c.th is None:
-        facts["theory_note"] = c.note
-    else:
+    if c.th is not None:
         th = c.th
         facts.update(T1=th.T1, T2=th.T2, T3=th.T3, T4="none" if th.T4 is None else th.T4, T0=th.T0)
+    if reasons := c.not_covered(rc.T):
+        facts["theory_note"] = "; ".join(reasons)
     return facts
 
 
@@ -227,6 +246,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_theory(args) -> int:
+    """The certificate's constants and bound per T_grid horizon.  Coverage
+    is ``certificate``'s verdict: its note is an error, its failed side
+    condition and mixing checks are warnings, its reasons are row notes."""
     cfg = parse_config(args.config)
     T_grid = _horizon_grid(cfg)
     if args.assume_q0 is not None and not 0.0 <= args.assume_q0 < np.inf:  # also true on nan
@@ -235,7 +257,7 @@ def cmd_theory(args) -> int:
     sched, steps, T_sim = rc.schedule, rc.steps, rc.T
     mu_f, L_f = rc.problem.strong_convexity, rc.problem.smoothness
     c = certificate(rc)
-    if c.th is None:
+    if c.note:  # no thresholds, or a config-only precondition fails: before simulating
         raise ValueError(c.note)
     lam, kappa, th = c.lam, c.kappa, c.th
     if th.T0 > T_sim and args.assume_q0 is None:
@@ -243,7 +265,6 @@ def cmd_theory(args) -> int:
             f"burn-in T0 = {th.T0} lies beyond the simulated horizon T = {T_sim}; "
             "raise T or supply --assume-q0"
         )
-    xi_constants(steps, lam, kappa, mu_f, L_f, 0.0, 0.0, 0.0)  # config-only preconditions fail before simulating
     # Only the table's horizons and T0 are read from the runs.
     at = [T for T in T_grid if T <= T_sim] + [th.T0] * (th.T0 <= T_sim)
     mc = monte_carlo(rc, values["runs"], seed=values["seed"], jobs=args.jobs, at=at)
@@ -255,11 +276,6 @@ def cmd_theory(args) -> int:
         q0_source = "assumed (--assume-q0)"
 
     tc = xi_constants(steps, lam, kappa, mu_f, L_f, mc.gamma, mc.K, q0)
-    # Window starts one period apart pool the same slots, so the first
-    # period of starts decides every window the certificate relies on.
-    report = validate_schedule(sched, sched.period + sched.B)
-    checks = {"stochasticity": report.stochasticity_ok, "connectivity": report.connectivity_ok}
-    failed = [name for name, ok in checks.items() if not ok]
     print(f"schedule {values['family']}: n={sched.n} B={sched.B} eta={fmt(sched.eta)}")
     print(f"lambda = {fmt(lam)}   kappa = {fmt(kappa)}")
     print(f"mu_f = {fmt(mu_f)}   L_f = {fmt(L_f)}   c1 = {fmt(tc.c1)}   c2 = {fmt(tc.c2)}")
@@ -271,23 +287,22 @@ def cmd_theory(args) -> int:
         if val is not None:
             print(f"{name} = {fmt(val)}")
     print(f"regime: mu + nu {'<' if tc.regime == 1 else '=='} 1")
-    if not tc.side_condition_ok:
+    if not c.side_condition_ok:
         print(
             f"WARNING: alpha0*beta0 = {fmt(steps.alpha0 * steps.beta0)} is below "
             f"the certification threshold {fmt(tc.side_threshold)}; the bound below is reported "
             "but not certified for these steps"
         )
-    if failed:
+    if c.mixing_failed:
         print(
-            f"WARNING: the schedule fails the mixing assumptions ({', '.join(failed)}) at "
+            f"WARNING: the schedule fails the mixing assumptions ({', '.join(c.mixing_failed)}) at "
             f"window B = {sched.B}; no bound below is certified (see dimix validate)"
         )
     print()
     print("T, certified bound, empirical mean dist_opt_sq, bound/empirical")
     for T in T_grid:
         bound = theorem_bound(tc, T)
-        notes = ["mixing assumptions fail, not covered"] * bool(failed)
-        notes += ["below burn-in, not covered"] * (T < tc.thresholds.T_min)
+        notes = c.not_covered(T)
         notes += [f"log10 bound = {fmt(theorem_log10_bound(tc, T))}"] * (not np.isfinite(bound))
         note = f"  ({'; '.join(notes)})" if notes else ""
         if T <= T_sim:
@@ -345,12 +360,16 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_common(sp: argparse.ArgumentParser, config_required: bool = True, jobs: bool = False) -> None:
+def _command(sub, name: str, func, help: str, config_required: bool = True, jobs: bool = False):
+    """Add subcommand ``name``, run by ``func``, with the options all commands share."""
+    sp = sub.add_parser(name, help=help)
+    sp.set_defaults(func=func)
     sp.add_argument("--config", required=config_required, help="flat key = value config file")
     sp.add_argument("--seed", type=int, default=None, help="override the config seed")
     sp.add_argument("--out", default=None, help="output directory")
     if jobs:
         sp.add_argument("--jobs", type=int, default=1, help="worker processes, at most the usable CPUs")
+    return sp
 
 
 def main(argv=None) -> int:
@@ -359,18 +378,10 @@ def main(argv=None) -> int:
         description="Two-time-scale decentralized descent: simulate, validate, certify.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("run", help="Monte Carlo trajectories with CSV traces")
-    _add_common(sp, jobs=True)
+    sp = _command(sub, "run", cmd_run, "Monte Carlo trajectories with CSV traces", jobs=True)
     sp.add_argument("--plots", action="store_true", help="also write SVG plots")
-    sp.set_defaults(func=cmd_run)
-
-    sp = sub.add_parser("validate", help="check the mixing assumptions")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_validate)
-
-    sp = sub.add_parser("theory", help="explicit constants and certified bound")
-    _add_common(sp, jobs=True)
+    _command(sub, "validate", cmd_validate, "check the mixing assumptions")
+    sp = _command(sub, "theory", cmd_theory, "explicit constants and certified bound", jobs=True)
     sp.add_argument(
         "--assume-q0",
         type=float,
@@ -378,16 +389,9 @@ def main(argv=None) -> int:
         dest="assume_q0",
         help="take E||xbar(T0) - x*||^2 as given when T0 exceeds the horizon",
     )
-    sp.set_defaults(func=cmd_theory)
-
-    sp = sub.add_parser("lemmas", help="randomized inequality suite")
-    _add_common(sp, config_required=False)
-    sp.set_defaults(func=cmd_lemmas)
-
-    sp = sub.add_parser("sweep", help="final error across a horizon grid")
-    _add_common(sp, jobs=True)
+    _command(sub, "lemmas", cmd_lemmas, "randomized inequality suite", config_required=False)
+    sp = _command(sub, "sweep", cmd_sweep, "final error across a horizon grid", jobs=True)
     sp.add_argument("--plots", action="store_true", help="also write SVG plots")
-    sp.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
     try:

@@ -139,7 +139,7 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
     row_of = np.full(T + 1, -1)  # trace row of each iteration, -1 if not recorded
     row_of[at] = np.arange(at.size)
     r, x_star = cfg.schedule.r, problem.x_star
-    plans = [_slot_plan(cfg.schedule, t) for t in range(1, cfg.schedule.period + 1)]
+    plans = [_slot_plan(cfg.schedule, t) for t in range(1, cfg.schedule.B + 1)]
     betas = cfg.steps.beta(ts)
     betas, alpha_betas = betas.tolist(), (cfg.steps.alpha(ts) * betas).tolist()
     # Slot j of the chunk holds X(t) and H_i x_i(t) until ``record`` reads it.

@@ -19,6 +19,7 @@ connectivity of every length-B window) and measures the entry floor eta.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,14 +141,10 @@ class MixingSchedule:
     def __post_init__(self) -> None:
         self.n, self.B, self.eta = self.matrices.shape[-1], len(self.matrices), entry_floor(self.matrices)
 
-    @property
-    def period(self) -> int:
-        return self.B
-
     def matrix_at(self, t: int) -> np.ndarray:
         if t < 1:
             raise ValueError("iterations are numbered from 1")
-        return self.matrices[(t - 1) % self.period]
+        return self.matrices[(t - 1) % self.B]
 
 
 def entry_floor(matrices):
@@ -301,6 +298,28 @@ def parse_matrix_file(path) -> list[np.ndarray]:
     return blocks
 
 
+class WindowStarts(Sequence):
+    """The window starts s + k * period in [1, last], ascending, for the
+    ascending residues s in [1, period], which are all it keeps.  Read-only;
+    equal to any sequence that lists the same starts."""
+
+    def __init__(self, residues, period: int, last: int) -> None:
+        self.residues, self.period = [int(s) for s in residues], period
+        self.length = sum((last - s) // period + 1 for s in self.residues)
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self.length))]
+        k, j = divmod(range(self.length)[i], len(self.residues))  # range raises IndexError
+        return self.residues[j] + k * self.period
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 @dataclass
 class ValidationReport:
     """Measured compliance of a schedule with the mixing assumptions.  The
@@ -314,7 +333,7 @@ class ValidationReport:
     max_stationarity_dev: float
     min_positive_entry: float
     windows_checked: int
-    connectivity_failures: list[int]
+    connectivity_failures: Sequence[int]
     edge_source: str
 
     @property
@@ -369,7 +388,8 @@ def validate_schedule(
     [1, horizon - window]: the links of iterations t+1 .. t+window are pooled
     and the pooled digraph must be strongly connected.  Starts one period
     apart pool the same slots, so one closure per residue mod the period
-    decides them all.  ``window`` defaults to the schedule's B, its period.
+    decides them all, and the report keeps the failing ones (WindowStarts).
+    ``window`` defaults to the schedule's B, its period.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -377,7 +397,7 @@ def validate_schedule(
     if window < 1:
         raise ValueError("window must be >= 1")
 
-    r, period, W = schedule.r, schedule.period, schedule.matrices[:horizon]
+    r, period, W = schedule.r, schedule.B, schedule.matrices[:horizon]
     count = max(horizon - window, 0)
     first = np.arange(1, min(count, period) + 1)
     # Start s pools slots s .. s+window-1 (mod period), which is every slot
@@ -386,16 +406,12 @@ def validate_schedule(
     pooled = np.zeros((len(slots), schedule.n, schedule.n), dtype=bool)
     for column in slots.T:
         pooled |= schedule.links[column]
-    bad = first[~strongly_connected(pooled)]
-    # The failing starts are bad + k * period, ascending row by row in k.
-    periods = -(-count // period) if bad.size else 0
-    failures = (bad + period * np.arange(periods)[:, None]).ravel()
 
     return ValidationReport(
         kind=schedule.kind, n=schedule.n, horizon=horizon, window=window,
         max_row_sum_dev=float(np.abs(W.sum(axis=2) - 1.0).max()),
         max_stationarity_dev=float(np.abs(r @ W - r).max()),
         min_positive_entry=entry_floor(W), windows_checked=count,
-        connectivity_failures=failures[failures <= count].tolist(),
+        connectivity_failures=WindowStarts(first[~strongly_connected(pooled)], period, count),
         edge_source="declared activation links" if schedule.kind == "gossip" else "matrix support",
     )

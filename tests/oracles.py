@@ -158,7 +158,7 @@ def validate_windows(schedule, horizon: int, window: int | None = None) -> Valid
     walks the union.
     """
     window = schedule.B if window is None else window
-    r, n, period = schedule.r, schedule.n, schedule.period
+    r, n, period = schedule.r, schedule.n, schedule.B
     slots = [schedule.matrix_at(t) for t in range(1, min(period, horizon) + 1)]
     row_dev = max(float(np.max(np.abs(W.sum(axis=1) - 1.0))) for W in slots)
     stat_dev = max(float(np.max(np.abs(r @ W - r))) for W in slots)

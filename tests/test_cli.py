@@ -453,6 +453,101 @@ T_grid = 500, 2200
         assert err.count("\n") == 1
 
 
+def _manifest_note(out: Path) -> str | None:
+    """derived.theory_note of the manifest in ``out``, None when absent."""
+    for line in (out / "manifest.txt").read_text(encoding="utf-8").splitlines():
+        key, _, value = line.partition(" = ")
+        if key == "derived.theory_note":
+            return value
+    return None
+
+
+def _row_notes(out: str) -> dict[int, list[str]]:
+    """Each theory table row's coverage reasons, its log10 note left out."""
+    notes = {}
+    for row in out.split("bound/empirical\n")[1].splitlines():
+        found = re.search(r"  \((.*)\)$", row)
+        parts = found.group(1).split("; ") if found else []
+        notes[int(row.split(", ")[0])] = [p for p in parts if not p.startswith("log10 bound")]
+    return notes
+
+
+# The coverage reasons, as theory's rows and the manifests print them.
+MIXING_FAILS = "mixing assumptions fail, not covered"
+SIDE_FAILS = "mu + nu = 1 side condition fails, not covered"
+BELOW_BURN_IN = "below burn-in, not covered"
+
+
+class TestCoverageVerdict:
+    """``certificate`` decides coverage once; theory's rows and the run
+    manifest repeat its reasons word for word."""
+
+    EYE3 = (
+        "family = matrix_file\nmatrix_file = {mat}\nd = 2\nN = 6\nT = 200\nruns = 2\n"
+        "T_grid = 100, 200, 100000000\nalpha0 = 0.25\nnu = 0.05\nbeta0 = 0.8\nmu = 0.1\n"
+    )
+    # The Section-3 steps (mu + nu = 1) with alpha0*beta0 = 0.07, below the
+    # side threshold.
+    SECTION3_CYCLE = (
+        "family = fixed_cycle\nn = 5\nd = 4\nN = 20\nT = 40\nruns = 2\nT_grid = 20, 40\n"
+        "alpha0 = 0.1\nnu = 0.25\nbeta0 = 0.7\nmu = 0.75\n"
+    )
+    # The tiny criterion-8 config: T0 = 1025 inside T = 1030, row 500 below burn-in.
+    CRITERION8_TINY = (
+        "family = gossip\nn = 4\nd = 25\nN = 100\nnoise = stochastic_quantizer\n"
+        "quantizer_levels = 4\nalpha0 = 0.25\nnu = 0.05\nbeta0 = 0.8\nmu = 0.1\n"
+        "p_low = 0.05\np_high = 0.05\nT = 1030\nruns = 2\nT_grid = 500, 1030\n"
+    )
+
+    def write(self, tmp_path, text):
+        mat = tmp_path / "eye3.txt"
+        mat.write_text("1, 0, 0\n0, 1, 0\n0, 0, 1\n")
+        cfg = tmp_path / "cfg"
+        cfg.write_text(text.format(mat=mat))
+        return cfg
+
+    def test_run_manifest_names_the_connectivity_failure(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, self.EYE3)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert _manifest_note(tmp_path / "out") == MIXING_FAILS
+        c = dimix.cli.certificate(dimix.cli.build_experiment(dimix.cli.parse_config(str(cfg)))[1])
+        assert c.mixing_failed == ("connectivity",)
+
+    def test_side_condition_is_named_on_every_row_and_in_the_manifest(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, self.SECTION3_CYCLE)
+        assert main(["theory", "--config", str(cfg), "--assume-q0", "1"]) == 0
+        out = capsys.readouterr().out
+        assert f"WARNING: alpha0*beta0 = {fmt(0.1 * 0.7)} is below the certification threshold" in out
+        rows = out.split("bound/empirical\n")[1].splitlines()
+        assert len(rows) == 2
+        for row in rows:
+            assert SIDE_FAILS in row
+        for command in ("run", "sweep"):
+            dest = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(dest)]) == 0
+            assert SIDE_FAILS in _manifest_note(dest).split("; ")
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (EYE3, MIXING_FAILS),
+            (SECTION3_CYCLE, SIDE_FAILS),
+            (CRITERION8_TINY, BELOW_BURN_IN),
+        ],
+        ids=["eye3", "section3_cycle", "criterion8_tiny"],
+    )
+    def test_theory_manifest_and_certificate_agree(self, tmp_path, capsys, text, reason):
+        cfg = self.write(tmp_path, text)
+        _, rc = dimix.cli.build_experiment(dimix.cli.parse_config(str(cfg)))
+        c = dimix.cli.certificate(rc)
+        assert main(["theory", "--config", str(cfg), "--assume-q0", "1"]) == 0
+        rows = _row_notes(capsys.readouterr().out)
+        assert rows == {T: c.not_covered(T) for T in rows}
+        assert any(reason in notes for notes in rows.values())  # the case's own reason shows
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert _manifest_note(tmp_path / "out") == ("; ".join(c.not_covered(rc.T)) or None)
+
+
 class TestLemmasCommand:
     def test_passes_and_prints_summary(self, capsys):
         rc = main(["lemmas"])

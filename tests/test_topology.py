@@ -1,4 +1,5 @@
 import re
+import time
 import tracemalloc
 from dataclasses import fields
 
@@ -174,12 +175,12 @@ class TestStronglyConnected:
 class TestSchedules:
     def test_fixed_cycle_declares_b1(self):
         s = fixed_cycle_schedule(random_weights(philox(5), 20))
-        assert s.B == 1 and s.period == 1
+        assert s.B == 1
         assert validate_schedule(s, horizon=100).passed
 
     def test_gossip_declares_bn(self):
         s = gossip_schedule(random_weights(philox(5), 20))
-        assert s.B == 20 and s.period == 20
+        assert s.B == 20
         assert s.eta == min(
             float(W[W > 0].min()) for W in s.matrices
         )
@@ -233,6 +234,31 @@ class TestSchedules:
             tracemalloc.stop()
         assert report.passed and report.windows_checked == 10**7 - 4
         assert peak < 2**20
+
+    def test_failing_long_horizon_keeps_one_period(self):
+        # Every start fails, yet only one residue is stored.
+        s = matrix_list_schedule([np.eye(3)], r=np.full(3, 1 / 3))
+        t0 = time.perf_counter()
+        report = validate_schedule(s, horizon=10**7)
+        elapsed = time.perf_counter() - t0
+        assert len(report.connectivity_failures) == 9_999_999
+        assert "FAIL at window starts 1, 2, 3, 4, 5 (+9999994 more) of 9999999" in report.summary()
+        assert elapsed < 0.5
+
+    def test_failing_starts_read_as_a_list(self):
+        # [cycle, I, I] at window 1: the starts 1 and 2 (mod 3) fail.
+        s = matrix_list_schedule([CYCLE, np.eye(3), np.eye(3)])
+        starts = validate_schedule(s, horizon=20, window=1).connectivity_failures
+        want = [1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17, 19]
+        assert list(starts) == want and starts == want and want == starts and starts == tuple(want)
+        assert starts != want[:-1] and starts != want[:-1] + [20]
+        assert [starts[i] for i in range(-len(want), len(want))] == want + want
+        assert starts[3:11:3] == want[3:11:3] and starts[::-1] == want[::-1]
+        for i in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                starts[i]
+        with pytest.raises(TypeError):
+            starts[0] = 3
 
     @pytest.mark.parametrize("window", [1, 2])
     def test_failures_repeat_past_the_first_period(self, window):
@@ -355,7 +381,7 @@ class TestMeasuredFacts:
     def test_facts_match_the_matrices(self, build, n, B):
         s = build()
         assert type(s.n) is int and s.n == n
-        assert type(s.B) is int and s.B == B == s.period
+        assert type(s.B) is int and s.B == B == len(s.matrices)
         assert type(s.eta) is float and s.eta == entry_floor(s.matrices) == s.matrices[s.matrices > 0].min()
 
     def test_entry_floor_is_reported_not_checked(self):
@@ -475,7 +501,7 @@ class TestValidateAgainstOracle:
 
     @staticmethod
     def assert_same(schedule, window):
-        reach = schedule.period + (schedule.B if window is None else window)
+        reach = schedule.B + (schedule.B if window is None else window)
         for horizon in (1, reach - 1, reach, reach + 1, 3 * reach + 2):
             got = validate_schedule(schedule, horizon, window)
             want = validate_windows(schedule, horizon, window)

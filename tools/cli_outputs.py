@@ -14,7 +14,8 @@ key set twice, a single agent, a two-agent gossip family, weight scores
 whose sum overflows, a matrix file with no positive stationary vector,
 one whose stationary vector misses the residual tolerance, seeds that all
 diverge, a T_grid out of order with a horizon listed twice, an identity
-schedule that no window connects, and a negative seed.  Each
+schedule that no window connects (``validate``, ``run --jobs 1`` and
+``theory`` only), and a negative seed.  Each
 command runs in its own directory DEST/<config>/<command> with a relative
 --out, so nothing it prints holds an absolute path; stdout, stderr, the
 exit code and every output file are kept there.
@@ -152,10 +153,11 @@ CONFIGS = {
         "family = fixed_cycle\nn = 3\nd = 2\nN = 12\nT = 40\nruns = 2\nT_grid = 40, 20, 20\n",
         ("--assume-q0", "1"),
     ),
-    # No window of the identity schedule is connected: validate fails, and
+    # No window of the identity schedule is connected: validate fails,
     # theory warns and marks every row "mixing assumptions fail, not
-    # covered" (older trees certified them).  Only validate and theory run:
-    # a sweep to T = 1e8 would take hours.
+    # covered", and run's manifest gives the same reason as
+    # derived.theory_note (older trees certified them).  Only validate,
+    # theory and run at --jobs 1 run: a sweep to T = 1e8 would take hours.
     "identity_schedule": (
         "family = matrix_file\nmatrix_file = eye3.txt\nd = 2\nN = 6\nT = 2000\nruns = 2\n"
         "T_grid = 2000, 100000000\nalpha0 = 0.25\nnu = 0.05\nbeta0 = 0.8\nmu = 0.1\n",
@@ -170,7 +172,7 @@ CONFIGS = {
 # lemmas with neither --seed nor --config.
 SEEDED = ("matrix_file_gaps_gauss",)
 # Configs recorded with only the listed command labels.
-ONLY = {"identity_schedule": ("validate", "theory-j1", "theory-j2")}
+ONLY = {"identity_schedule": ("validate", "run-j1", "theory-j1", "theory-j2")}
 
 
 def commands(name, theory_extra):
