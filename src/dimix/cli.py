@@ -31,6 +31,7 @@ import numpy as np
 
 from .analysis import (
     StepSchedule,
+    TheoryConstants,
     Thresholds,
     contraction_factor,
     fit_rate,
@@ -120,7 +121,8 @@ class Certificate(NamedTuple):
     """What the schedule, the problem and the steps fix of the certificate.
     ``note`` says why the steps admit no thresholds (``th`` is None) or which
     config-only precondition of the constants fails; ``mixing_failed`` names
-    the mixing checks the schedule fails at its window B."""
+    the mixing checks the schedule fails at its window B.  ``certify`` adds
+    the runs ``mc`` and the ``constants`` at their gamma, K and q0."""
 
     lam: float
     kappa: float
@@ -128,15 +130,24 @@ class Certificate(NamedTuple):
     note: str
     mixing_failed: tuple[str, ...]
     side_condition_ok: bool
+    mc: MonteCarlo | None = None
+    constants: TheoryConstants | None = None
 
     def not_covered(self, T: int) -> list[str]:
         """Why horizon T is not covered, empty when it is: the one verdict.
         Each reason says "not covered", which perfbench's theory check reads."""
         reasons = ["mixing assumptions fail, not covered"] * bool(self.mixing_failed)
         if self.note:
-            return reasons + [self.note]
+            return reasons + [f"{self.note}, not covered"]
         reasons += ["mu + nu = 1 side condition fails, not covered"] * (not self.side_condition_ok)
         return reasons + ["below burn-in, not covered"] * (T < self.th.T_min)
+
+    def row(self, T: int) -> tuple[float, float | None, list[str]]:
+        """Horizon T's certified bound, the runs' mean dist_opt_sq at T (None
+        where they did not record T: past the horizon) and why T is not covered."""
+        k = np.flatnonzero(self.mc.t == T)
+        emp = float(self.mc.mean[k[0], _DIST]) if k.size else None
+        return theorem_bound(self.constants, T), emp, self.not_covered(T)
 
 
 def certificate(cfg: RunConfig) -> Certificate:
@@ -156,6 +167,28 @@ def certificate(cfg: RunConfig) -> Certificate:
     report = validate_schedule(sched, 2 * sched.B)
     failed = ("stochasticity",) * (not report.stochasticity_ok) + ("connectivity",) * (not report.connectivity_ok)
     return Certificate(lam, kappa, th, note, failed, side_ok)
+
+
+def certify(rc: RunConfig, runs: int, seed: int, jobs: int, T_grid, assume_q0: float | None = None) -> Certificate:
+    """The setup's certificate with its runs and measured constants, for
+    ``theory`` and the acceptance checks; a note is raised before simulating.
+    The runs record only the in-horizon ``T_grid`` and T0.  q0 is measured at
+    T0 when T0 lies in the horizon, else ``assume_q0`` is taken."""
+    c = certificate(rc)
+    if c.note:  # no thresholds, or a config-only precondition fails: before simulating
+        raise ValueError(c.note)
+    T0, T_sim = c.th.T0, rc.T
+    if T0 > T_sim and assume_q0 is None:
+        raise ValueError(
+            f"burn-in T0 = {T0} lies beyond the simulated horizon T = {T_sim}; "
+            "raise T or supply --assume-q0"
+        )
+    at = [T for T in T_grid if T <= T_sim] + [T0] * (T0 <= T_sim)
+    mc = monte_carlo(rc, runs, seed=seed, jobs=jobs, at=at)
+    q0 = mc.q0_estimate(T0) if T0 <= T_sim else assume_q0
+    mu_f, L_f = rc.problem.strong_convexity, rc.problem.smoothness
+    tc = xi_constants(rc.steps, c.lam, c.kappa, mu_f, L_f, mc.gamma, mc.K, q0)
+    return c._replace(mc=mc, constants=tc)
 
 
 def _horizon_grid(cfg: Config) -> list[int]:
@@ -246,40 +279,22 @@ def cmd_validate(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    """The certificate's constants and bound per T_grid horizon.  Coverage
-    is ``certificate``'s verdict: its note is an error, its failed side
+    """The certificate's constants and bound per T_grid horizon, as
+    ``certify`` gives them.  Its note is an error, its failed side
     condition and mixing checks are warnings, its reasons are row notes."""
     cfg = parse_config(args.config)
     T_grid = _horizon_grid(cfg)
     if args.assume_q0 is not None and not 0.0 <= args.assume_q0 < np.inf:  # also true on nan
         raise ValueError(f"gamma, K, q0 must be finite and nonnegative, got --assume-q0 {args.assume_q0}")
     values, rc = build_experiment(cfg, seed_override=args.seed)
-    sched, steps, T_sim = rc.schedule, rc.steps, rc.T
-    mu_f, L_f = rc.problem.strong_convexity, rc.problem.smoothness
-    c = certificate(rc)
-    if c.note:  # no thresholds, or a config-only precondition fails: before simulating
-        raise ValueError(c.note)
-    lam, kappa, th = c.lam, c.kappa, c.th
-    if th.T0 > T_sim and args.assume_q0 is None:
-        raise ValueError(
-            f"burn-in T0 = {th.T0} lies beyond the simulated horizon T = {T_sim}; "
-            "raise T or supply --assume-q0"
-        )
-    # Only the table's horizons and T0 are read from the runs.
-    at = [T for T in T_grid if T <= T_sim] + [th.T0] * (th.T0 <= T_sim)
-    mc = monte_carlo(rc, values["runs"], seed=values["seed"], jobs=args.jobs, at=at)
-    if th.T0 <= T_sim:
-        q0 = mc.q0_estimate(th.T0)
-        q0_source = f"measured over {mc.completed} runs"
-    else:
-        q0 = args.assume_q0
-        q0_source = "assumed (--assume-q0)"
-
-    tc = xi_constants(steps, lam, kappa, mu_f, L_f, mc.gamma, mc.K, q0)
+    c = certify(rc, values["runs"], values["seed"], args.jobs, T_grid, args.assume_q0)
+    sched, steps, mc, tc, th = rc.schedule, rc.steps, c.mc, c.constants, c.th
+    q0_source = f"measured over {mc.completed} runs" if th.T0 <= rc.T else "assumed (--assume-q0)"
     print(f"schedule {values['family']}: n={sched.n} B={sched.B} eta={fmt(sched.eta)}")
-    print(f"lambda = {fmt(lam)}   kappa = {fmt(kappa)}")
+    print(f"lambda = {fmt(c.lam)}   kappa = {fmt(c.kappa)}")
+    mu_f, L_f = rc.problem.strong_convexity, rc.problem.smoothness
     print(f"mu_f = {fmt(mu_f)}   L_f = {fmt(L_f)}   c1 = {fmt(tc.c1)}   c2 = {fmt(tc.c2)}")
-    print(f"gamma = {fmt(mc.gamma)}   K = {fmt(mc.K)}   q0 = {fmt(q0)} ({q0_source})")
+    print(f"gamma = {fmt(mc.gamma)}   K = {fmt(mc.K)}   q0 = {fmt(tc.q0)} ({q0_source})")
     t4 = "-" if th.T4 is None else str(th.T4)
     print(f"T1 = {th.T1}   T2 = {th.T2}   T3 = {th.T3}   T4 = {t4}   T0 = {th.T0}")
     for name in ("eps1", "eps2", "eps3", "eps4", "eps5", "xi1", "xi2", "xi3", "xi4", "xi5"):
@@ -301,16 +316,14 @@ def cmd_theory(args) -> int:
     print()
     print("T, certified bound, empirical mean dist_opt_sq, bound/empirical")
     for T in T_grid:
-        bound = theorem_bound(tc, T)
-        notes = c.not_covered(T)
+        bound, emp, notes = c.row(T)
         notes += [f"log10 bound = {fmt(theorem_log10_bound(tc, T))}"] * (not np.isfinite(bound))
         note = f"  ({'; '.join(notes)})" if notes else ""
-        if T <= T_sim:
-            emp = float(mc.mean[np.searchsorted(mc.t, T), _DIST])
+        if emp is None:
+            print(f"{T}, {fmt(bound)}, -, -{note}")
+        else:
             ratio = bound / emp if emp > 0 else float("inf")
             print(f"{T}, {fmt(bound)}, {fmt(emp)}, {fmt(ratio)}{note}")
-        else:
-            print(f"{T}, {fmt(bound)}, -, -{note}")
     return 0
 
 

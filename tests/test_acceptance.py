@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from dimix.analysis import StepSchedule, fit_rate, theorem_bound, xi_constants
-from dimix.cli import certificate
+from dimix.analysis import StepSchedule, fit_rate
+from dimix.cli import certificate, certify
 from dimix.dynamics import MonteCarlo, RunConfig, monte_carlo, run
 from dimix.lemmas import run_suite
 from dimix.objective import build_problem
@@ -219,37 +219,25 @@ def test_criterion_7_consensus_decay(mc_fixed, mc_gossip, verdict):
 
 def test_criterion_8_theorem_bound_dominance(verdict):
     t0 = time.monotonic()
-    n, d, s = 4, 25, 4
-    r = np.full(n, 1.0 / n)
-    problem = build_problem(n=n, d=d, N=100, seed=42, r=r)
-    schedule = gossip_schedule(problem.r)
+    problem = build_problem(n=4, d=25, N=100, seed=42, r=np.full(4, 0.25))
     steps = StepSchedule(alpha0=0.25, nu=0.05, beta0=0.8, mu=0.1)
-    noise = stochastic_quantizer(s)
-    cfg = RunConfig(problem=problem, schedule=schedule, steps=steps, T=5000, noise=noise)
-    mc = monte_carlo(cfg, 50, seed=100)
-
-    c = certificate(cfg)
-    th = c.th
-    q0 = mc.q0_estimate(th.T0)
-    tc = xi_constants(steps, c.lam, c.kappa, problem.strong_convexity, problem.smoothness, mc.gamma, mc.K, q0)
-
+    cfg = RunConfig(
+        problem=problem, schedule=gossip_schedule(problem.r), steps=steps, T=5000,
+        noise=stochastic_quantizer(4),
+    )
+    th = certificate(cfg).th
     report_ts = sorted({th.T_min, 2500, 5000})
-    rows = []
-    dominated = True
-    for T in report_ts:
-        bound = float(theorem_bound(tc, T))
-        emp = float(col(mc.mean, "dist_opt_sq")[T - 1])
-        dominated &= bound >= emp
-        rows.append(f"T={T}: bound/empirical = {bound / emp:.1e}")
+    c = certify(cfg, 50, 100, 1, report_ts)
+    rows = [c.row(T) for T in report_ts]
     elapsed = time.monotonic() - t0
-    covered = not any(c.not_covered(T) for T in report_ts)
+    dominated = all(bound >= emp for bound, emp, _ in rows)
+    covered = not any(reasons for _, _, reasons in rows)
     ok = dominated and covered and th.T0 == max(th.T1, th.T2, th.T3) and elapsed < 120.0
+    ratios = "; ".join(f"T={T}: bound/empirical = {b / e:.1e}" for T, (b, e, _) in zip(report_ts, rows))
     assert verdict(
         8,
         ok,
-        f"n=4 gossip quantizer, 50 runs, T0={th.T0}; "
-        + "; ".join(rows)
-        + f" (slack reported, not bounded); {elapsed:.0f} s",
+        f"n=4 gossip quantizer, 50 runs, T0={th.T0}; {ratios} (slack reported, not bounded); {elapsed:.0f} s",
     )
 
 

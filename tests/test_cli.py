@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dimix.cli
+from dimix.analysis import xi_constants
 from dimix.cli import main
 from dimix.dynamics import TRACE_COLUMNS, monte_carlo
 from dimix.reporting import (
@@ -547,6 +548,29 @@ class TestCoverageVerdict:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert _manifest_note(tmp_path / "out") == ("; ".join(c.not_covered(rc.T)) or None)
 
+    def certify(self, tmp_path, text, T_grid, assume_q0=None):
+        values, rc = dimix.cli.build_experiment(dimix.cli.parse_config(str(self.write(tmp_path, text))))
+        return rc, dimix.cli.certify(rc, values["runs"], values["seed"], 1, T_grid, assume_q0)
+
+    def test_certify_measures_q0_at_T0_and_records_only_what_it_reads(self, tmp_path, capsys):
+        rc, c = self.certify(tmp_path, self.CRITERION8_TINY, [500, 1030])
+        mc, problem = c.mc, rc.problem
+        assert c.th.T0 == 1025 and mc.t.tolist() == [500, 1025, 1030]
+        assert c.constants == xi_constants(
+            rc.steps, c.lam, c.kappa, problem.strong_convexity, problem.smoothness,
+            mc.gamma, mc.K, mc.q0_estimate(1025),
+        )
+        # A measured q0 wins over an assumed one.
+        assert main(["theory", "--config", str(tmp_path / "cfg"), "--assume-q0", "1"]) == 0
+        assert f"q0 = {fmt(c.constants.q0)} (measured over 2 runs)" in capsys.readouterr().out
+
+    def test_certify_takes_the_assumed_q0_when_T0_is_past_the_horizon(self, tmp_path):
+        rc, c = self.certify(tmp_path, self.SECTION3_CYCLE, [20, 40, 80], assume_q0=1.0)
+        assert c.th.T0 > rc.T == 40
+        assert c.mc.t.tolist() == [20, 40]
+        assert c.constants.q0 == 1.0
+        assert c.row(80)[1] is None and c.row(40)[1] == c.mc.mean[1, TRACE_COLUMNS.index("dist_opt_sq")]
+
 
 class TestLemmasCommand:
     def test_passes_and_prints_summary(self, capsys):
@@ -637,6 +661,17 @@ class TestErrorPaths:
         assert capsys.readouterr().err == ""
         manifest = (out / "manifest.txt").read_text()
         assert f"derived.theory_note = {self.OVERFLOW_NOTE}" in manifest
+
+    @pytest.mark.parametrize("case", ["no thresholds", "c2 alpha0 beta0 above 1"])
+    def test_a_note_is_not_covered_in_the_manifest(self, tmp_path, capsys, case):
+        cfg = tmp_path / "cfg"
+        if case == "no thresholds":
+            cfg.write_text(self.OVERFLOW_CONFIG)
+        else:  # stopped before alpha0 = 100 diverges
+            text = TestTheoryCommand.THEORY_CONFIG.replace("T = 2200", "T = 5")
+            cfg.write_text(text.replace("alpha0 = 0.25", "alpha0 = 100"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert _manifest_note(tmp_path / "out").endswith(", not covered")
 
     def test_out_of_range_burn_in_fails_theory(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
