@@ -199,7 +199,8 @@ def _horizon_grid(cfg: Config) -> list[int]:
     return grid
 
 
-def _derived_facts(rc: RunConfig, mc: MonteCarlo) -> dict:
+def _derived_facts(mc: MonteCarlo) -> dict:
+    rc = mc.cfg
     sched, problem = rc.schedule, rc.problem
     c = certificate(rc)
     facts = {
@@ -234,7 +235,7 @@ def cmd_run(args) -> int:
     for k, trace in enumerate(mc.traces):
         write_csv(out / f"run_{k:02d}.csv", ("t", *TRACE_COLUMNS), trace.t, trace.values)
     write_csv(out / "mean.csv", ("t", *_STAT_COLUMNS), mc.t, _stats(mc))
-    write_manifest(out / "manifest.txt", values, _derived_facts(rc, mc))
+    write_manifest(out / "manifest.txt", values, _derived_facts(mc))
     n = rc.problem.n
     if args.plots:
         mean = dict(zip(TRACE_COLUMNS, mc.mean.T))
@@ -354,7 +355,7 @@ def cmd_sweep(args) -> int:
     out = resolve_out_dir(args.out, values)
     mc = monte_carlo(rc, values["runs"], seed=values["seed"], jobs=args.jobs, at=grid)
     write_csv(out / "sweep.csv", ("T", *_STAT_COLUMNS), grid, _stats(mc))
-    write_manifest(out / "manifest.txt", values, _derived_facts(rc, mc))
+    write_manifest(out / "manifest.txt", values, _derived_facts(mc))
     finals = mc.mean[:, _DIST]
     print(f"horizon grid: {', '.join(str(T) for T in grid)}")
     print(f"final mean dist_opt_sq: {', '.join(fmt(v) for v in finals)}")

@@ -15,7 +15,8 @@ asked to record (all of them by default): pooled-data loss at the weighted
 mean state, the r-weighted sum of local losses at the agent states, the
 consensus error, and the squared r-weighted distance to the weighted optimum
 x*.  ``monte_carlo(cfg, runs, seed)`` runs seeds seed, seed+1, ... and
-aggregates the columns and maxima of the runs that completed.
+returns their ``MonteCarlo``, which aggregates the columns and maxima of the
+runs that completed.
 
 ``run`` advances all of its seeds as one (R, n, d) state and works a chunk
 of iterations at a time: when a chunk starts it draws the noise of all of
@@ -32,7 +33,7 @@ bit-identical for every batch size and ``--jobs`` value.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,7 +89,8 @@ class RunTrace:
     TRACE_COLUMNS at the recorded iteration t[k].
 
     An aborted (diverged) trace is truncated at the last finite-magnitude
-    iterate; ``abort_t`` is the iteration whose update blew past the limit.
+    iterate; ``abort_t`` is the iteration whose update blew past the limit,
+    None for a completed trace.
     """
 
     seed: int
@@ -97,8 +99,12 @@ class RunTrace:
     final_state: np.ndarray
     max_grad_sq: float
     max_state_norm: float
-    aborted: bool = False
     abort_t: int | None = None
+
+    @property
+    def aborted(self) -> bool:
+        """Whether the trace diverged, read from ``abort_t``."""
+        return self.abort_t is not None
 
 
 def _slot_plan(schedule: MixingSchedule, t: int):
@@ -253,7 +259,6 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
                 final_state=final[k],
                 max_grad_sq=float(max_grad_sq[k]),
                 max_state_norm=float(np.sqrt(max_norm_sq[k])),
-                aborted=bool(end[k] <= T),
                 abort_t=int(end[k]) if end[k] <= T else None,
             )
         )
@@ -262,7 +267,8 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
 
 @dataclass
 class MonteCarlo:
-    """Aggregate of the runs ``monte_carlo`` made, one per seed.
+    """The runs of one setup ``cfg``, one trace per seed, and what they
+    measured, computed here from the traces alone.
 
     Aborted runs stay in ``traces`` and count in no statistic: ``values``
     stacks the completed runs' trace rows alone, (completed, len(t), 4) over
@@ -271,18 +277,38 @@ class MonteCarlo:
     are taken over those runs.  ``mean`` and ``stderr`` are (len(t), 4);
     ``K`` and ``state_norm_bound`` are the largest ``max_grad_sq`` and
     ``max_state_norm``, and ``gamma`` is the noise level that bound gives.
+    Traces that all aborted measure nothing: that is a RuntimeError.
     """
 
+    cfg: RunConfig
     traces: list[RunTrace]
-    t: np.ndarray
-    values: np.ndarray
-    mean: np.ndarray
-    stderr: np.ndarray
-    completed: int
-    aborted: int
-    K: float
-    state_norm_bound: float
-    gamma: float
+    t: np.ndarray = field(init=False)
+    values: np.ndarray = field(init=False)
+    mean: np.ndarray = field(init=False)
+    stderr: np.ndarray = field(init=False)
+    completed: int = field(init=False)
+    aborted: int = field(init=False)
+    K: float = field(init=False)
+    state_norm_bound: float = field(init=False)
+    gamma: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        traces = self.traces
+        good = [tr for tr in traces if not tr.aborted]
+        if not good:
+            raise RuntimeError(
+                f"all {len(traces)} runs diverged (first abort at t = {min(tr.abort_t for tr in traces)})"
+            )
+        stacked = np.stack([tr.values for tr in good])
+        if len(good) > 1:
+            stderr = stacked.std(axis=0, ddof=1) / np.sqrt(len(good))
+        else:
+            stderr = np.zeros(stacked.shape[1:])
+        self.t, self.values, self.mean, self.stderr = good[0].t.copy(), stacked, stacked.mean(axis=0), stderr
+        self.completed, self.aborted = len(good), len(traces) - len(good)
+        self.K = max(tr.max_grad_sq for tr in good)
+        self.state_norm_bound = max(tr.max_state_norm for tr in good)
+        self.gamma = noise_variance_bound(self.cfg.noise, self.cfg.problem.d, self.state_norm_bound)
 
     def q0_estimate(self, T0: int) -> float:
         """Mean squared error of the weighted mean state at iteration T0,
@@ -300,8 +326,8 @@ class MonteCarlo:
 def monte_carlo(
     cfg: RunConfig, num_runs: int, seed: int, jobs: int = 1, at=None
 ) -> MonteCarlo:
-    """Run ``num_runs`` seeded trajectories and aggregate their columns at
-    the iterations ``at`` (all of them when omitted).
+    """Run ``num_runs`` seeded trajectories, recorded at the iterations
+    ``at`` (all of them when omitted), as one ``MonteCarlo``.
 
     The seeds split into contiguous chunks of equal size, at most ``jobs``
     and at most one per CPU this process may run on.  A single chunk runs in
@@ -325,28 +351,4 @@ def monte_carlo(
             traces = [tr for part in parts for tr in part]
     else:
         traces = run(cfg, seeds, at)
-
-    good = [tr for tr in traces if not tr.aborted]
-    if not good:
-        raise RuntimeError(
-            f"all {num_runs} runs diverged (first abort at t = {min(tr.abort_t for tr in traces)})"
-        )
-    stacked = np.stack([tr.values for tr in good])
-    if len(good) > 1:
-        stderr = stacked.std(axis=0, ddof=1) / np.sqrt(len(good))
-    else:
-        stderr = np.zeros(stacked.shape[1:])
-    norm_bound = max(tr.max_state_norm for tr in good)
-    return MonteCarlo(
-        traces=traces,
-        t=good[0].t.copy(),
-        values=stacked,
-        mean=stacked.mean(axis=0),
-        stderr=stderr,
-        completed=len(good),
-        aborted=len(traces) - len(good),
-        K=max(tr.max_grad_sq for tr in good),
-        state_norm_bound=norm_bound,
-        gamma=noise_variance_bound(cfg.noise, cfg.problem.d, state_norm_bound=norm_bound),
-    )
-
+    return MonteCarlo(cfg, traces)

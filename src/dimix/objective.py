@@ -16,7 +16,7 @@ function of (n, d, N, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,23 +89,42 @@ def local_quadratics(U: np.ndarray, v: np.ndarray, shards):
 
 @dataclass(frozen=True)
 class Problem:
-    """A sharded instance: the data pool (U, v), the weights r, agent i's
-    point indices ``shards[i]`` and quadratic (H[i], b[i], c[i]), and the
-    minimizer x_star of the weighted objective sum_i r_i f_i."""
+    """A sharded instance, built from its data alone: the pool (U, v), the
+    weights r, agent i's point indices ``shards[i]`` and, optionally, the
+    minimizer x_star (for objectives with no unique one, or an optimum
+    pinned exactly).  It computes n, d and N, agent i's quadratic (H[i],
+    b[i], c[i]), x_star of the weighted objective sum_i r_i f_i when none is
+    given, and the curvature bounds of that objective."""
 
-    n: int
-    d: int
-    N: int
+    n: int = field(init=False)
+    d: int = field(init=False)
+    N: int = field(init=False)
     U: np.ndarray
     v: np.ndarray
     r: np.ndarray
     shards: tuple[np.ndarray, ...]
-    H: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    x_star: np.ndarray
-    strong_convexity: float
-    smoothness: float
+    H: np.ndarray = field(init=False)
+    b: np.ndarray = field(init=False)
+    c: np.ndarray = field(init=False)
+    x_star: np.ndarray | None = None
+    strong_convexity: float = field(init=False)
+    smoothness: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        H, b, c = local_quadratics(self.U, self.v, self.shards)
+        # Left folds, sum(r_i * H_i): x_star and the curvature bounds are pinned
+        # to this summation order.
+        H_bar = sum(r_i * H_i for r_i, H_i in zip(self.r, H))
+        x_star = self.x_star
+        if x_star is None:
+            x_star = np.linalg.solve(H_bar, sum(r_i * b_i for r_i, b_i in zip(self.r, b)))
+        eigs = np.linalg.eigvalsh(H_bar)
+        derived = dict(
+            n=len(self.shards), d=self.U.shape[1], N=len(self.v), H=H, b=b, c=c, x_star=x_star,
+            strong_convexity=max(float(eigs[0]), 0.0), smoothness=float(eigs[-1]),
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)  # frozen: set once, here
 
     def pooled_loss(self, x):
         """Mean square over the whole pool at a single point, (1/2N)||v - Ux||^2;
@@ -118,31 +137,6 @@ class Problem:
         from the products HX = H_i x_i (..., n, d); the gradients are
         HX - b."""
         return (X * (0.5 * HX - self.b)).sum(-1) + self.c
-
-
-def quadratic_problem(U: np.ndarray, v: np.ndarray, r: np.ndarray, shards) -> Problem:
-    """The instance in which agent i holds the pool points ``shards[i]``."""
-    H, b, c = local_quadratics(U, v, shards)
-    # Left folds, sum(r_i * H_i): x_star and the curvature bounds are pinned
-    # to this summation order.
-    H_bar = sum(r_i * H_i for r_i, H_i in zip(r, H))
-    x_star = np.linalg.solve(H_bar, sum(r_i * b_i for r_i, b_i in zip(r, b)))
-    eigs = np.linalg.eigvalsh(H_bar)
-    return Problem(
-        n=len(shards),
-        d=U.shape[1],
-        N=len(v),
-        U=U,
-        v=v,
-        r=r,
-        shards=shards,
-        H=H,
-        b=b,
-        c=c,
-        x_star=x_star,
-        strong_convexity=max(float(eigs[0]), 0.0),
-        smoothness=float(eigs[-1]),
-    )
 
 
 def build_problem(
@@ -172,4 +166,4 @@ def build_problem(
         r = np.asarray(r, dtype=float)
         if r.shape != (n,):
             raise ValueError("explicit weights must have one entry per agent")
-    return quadratic_problem(U, v, r, tuple(partition_indices(r, N, rng)))
+    return Problem(U, v, r, tuple(partition_indices(r, N, rng)))

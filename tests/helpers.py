@@ -4,7 +4,7 @@ import numpy as np
 
 from dimix.dynamics import TRACE_COLUMNS
 from dimix.noise import NoiseModel
-from dimix.objective import Problem, local_quadratics, quadratic_problem
+from dimix.objective import Problem
 
 
 def model(Us, vs, r, x_star=None) -> Problem:
@@ -12,19 +12,12 @@ def model(Us, vs, r, x_star=None) -> Problem:
     pool is their concatenation.
 
     An explicit ``x_star`` is taken as given, for objectives with no unique
-    minimizer (H = 0, say) or an optimum pinned exactly; such a Problem
-    reports zero curvature bounds, which no caller reads.
+    minimizer (H = 0, say) or an optimum pinned exactly.
     """
     U, v, r = np.concatenate(Us), np.concatenate(vs), np.asarray(r, dtype=float)
     ends = np.cumsum([len(u) for u in Us])
     shards = tuple(np.arange(end - len(u), end) for u, end in zip(Us, ends))
-    if x_star is None:
-        return quadratic_problem(U, v, r, shards)
-    H, b, c = local_quadratics(U, v, shards)
-    return Problem(
-        n=len(Us), d=U.shape[1], N=len(v), U=U, v=v, r=r, shards=shards, H=H, b=b, c=c,
-        x_star=np.asarray(x_star, dtype=float), strong_convexity=0.0, smoothness=0.0,
-    )
+    return Problem(U, v, r, shards, None if x_star is None else np.asarray(x_star, dtype=float))
 
 
 def col(values, name):

@@ -589,8 +589,14 @@ class TestDivergenceHandling:
         assert trace.t.size < 20
 
     def test_all_diverged_raises(self):
-        with pytest.raises(RuntimeError, match="diverged"):
-            monte_carlo(self.unstable_config(), 3, seed=0)
+        cfg = self.unstable_config()
+        traces = run(cfg, range(3))
+        first = min(tr.abort_t for tr in traces)
+        message = rf"^all 3 runs diverged \(first abort at t = {first}\)$"
+        with pytest.raises(RuntimeError, match=message):
+            monte_carlo(cfg, 3, seed=0)
+        with pytest.raises(RuntimeError, match=message):
+            MonteCarlo(cfg, traces)
 
     def test_partial_divergence_excluded_from_stats(self):
         # Some seeds abort at the very first update; the survivors carry
@@ -727,11 +733,7 @@ class TestMonteCarlo:
             values=np.array([[0.0, 0.0, 1.0, 1.0 - 1e-18]]),
             final_state=np.zeros((1, 1)), max_grad_sq=0.0, max_state_norm=0.0,
         )
-        mc = MonteCarlo(
-            traces=[trace], t=trace.t, values=trace.values[None],
-            mean=np.empty((1, 4)), stderr=np.empty((1, 4)), completed=1, aborted=0,
-            K=0.0, state_norm_bound=0.0, gamma=0.0,
-        )
+        mc = MonteCarlo(simple_config(T=1), [trace])
         assert mc.q0_estimate(1) == 0.0
 
     def test_rejects_empty_request(self):
@@ -740,7 +742,12 @@ class TestMonteCarlo:
 
     def test_statistics_read_the_completed_runs(self):
         # Seeds 90-113: 9 runs complete and 15 abort, truncated traces and all.
-        mc = monte_carlo(divergent_config(), 24, seed=90)
+        cfg = divergent_config()
+        mc = monte_carlo(cfg, 24, seed=90)
+        # The statistics are a function of the traces alone.
+        built = MonteCarlo(cfg, run(cfg, range(90, 114)))
+        for name in ("t", "values", "mean", "stderr", "completed", "aborted", "K", "state_norm_bound", "gamma"):
+            assert np.asarray(getattr(built, name)).tobytes() == np.asarray(getattr(mc, name)).tobytes(), name
         good = [tr for tr in mc.traces if not tr.aborted]
         assert (mc.completed, mc.aborted, len(good)) == (9, 15, 9)
         stacked = np.stack([tr.values for tr in good])

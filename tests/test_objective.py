@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from dimix.objective import (
+    Problem,
     apportion_counts,
     build_problem,
     local_quadratics,
     partition_indices,
-    quadratic_problem,
     synthesize_regression,
 )
 from dimix.rng import philox
@@ -158,6 +158,15 @@ class TestProblem:
             p.r[:3], [0.072216002868, 0.081301363102, 0.092069494685], atol=1e-12
         )
 
+    def test_constructor_computes_the_rest_from_the_data(self, default_problem):
+        p = default_problem
+        q = Problem(p.U, p.v, p.r, p.shards)
+        for name in ("H", "b", "c", "x_star", "strong_convexity", "smoothness"):
+            assert np.asarray(getattr(q, name)).tobytes() == np.asarray(getattr(p, name)).tobytes(), name
+        assert (q.n, q.d, q.N) == (20, 25, 100)
+        with pytest.raises(TypeError, match="'n'"):
+            Problem(p.U, p.v, p.r, p.shards, n=20)
+
     def test_optimum_is_stationary(self, default_problem):
         p = default_problem
         g = sum(ri * g_i for ri, g_i in zip(p.r, at_each_agent(p, p.x_star)[0]))
@@ -170,7 +179,7 @@ class TestProblem:
         rng = philox(11, 0)
         U, _, x_tilde, _ = synthesize_regression(100, 25, rng)
         r = np.array([0.3, 0.2, 0.4, 0.1])
-        x_star = quadratic_problem(U, U @ x_tilde, r, partition_indices(r, 100, rng)).x_star
+        x_star = Problem(U, U @ x_tilde, r, partition_indices(r, 100, rng)).x_star
         assert np.max(np.abs(x_star - x_tilde)) <= 1e-8
 
     def test_pooled_loss_form(self, default_problem):

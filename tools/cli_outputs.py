@@ -3,14 +3,15 @@
     PYTHONPATH=<tree>/src python3 tools/cli_outputs.py DEST
 
 runs ``run --plots``, ``sweep --plots`` and ``theory`` (each at --jobs 1 and
-2), ``validate`` and ``lemmas`` on twenty-six configs with whichever dimix
+2), ``validate`` and ``lemmas`` on twenty-seven configs with whichever dimix
 the PYTHONPATH gives (only the commands in ONLY on the configs it names),
 and on the configs in SEEDED the three with ``--seed 3`` and ``lemmas``
 without a config.  The configs include a theory
 T_grid past the simulated horizon, seeds that diverge and are reset in
 place, steps that admit no burn-in thresholds, steps whose constant xi5 is
-beyond the float range, nu >= mu, an n that the matrix file contradicts, a
-key set twice, a single agent, a two-agent gossip family, weight scores
+beyond the float range (once with runs that diverge, once with runs that
+stay finite and write a manifest noting it), nu >= mu, an n that the
+matrix file contradicts, a key set twice, a single agent, a two-agent gossip family, weight scores
 whose sum overflows, a matrix file with no positive stationary vector,
 one whose stationary vector misses the residual tolerance, seeds that all
 diverge, a T_grid out of order with a horizon listed twice, an identity
@@ -112,6 +113,14 @@ CONFIGS = {
     "xi5_overflow": (
         "family = gossip\nn = 20\nalpha0 = 1000\nT = 20\nruns = 2\nT_grid = 10, 20\n",
         ("--assume-q0", "1"),
+    ),
+    # mu + nu = 1 with alpha0 = 200 and runs that stay finite: run and sweep
+    # exit 0 and note xi5's overflow in the manifest (derived.theory_note),
+    # theory fails with the same one-line error.
+    "xi5_overflow_note": (
+        "family = gossip\nn = 20\nalpha0 = 200\nnu = 0.05\nmu = 0.95\nbeta0 = 1.0\n"
+        "T = 4\nruns = 2\nT_grid = 2, 4\n",
+        (),
     ),
     # nu >= mu is outside the guarantee: run and sweep note it in the
     # manifest, theory fails with the "needs nu < mu" line.
