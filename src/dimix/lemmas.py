@@ -10,25 +10,25 @@ turns any violation into a nonzero exit.
 
 Each check is a draw phase and an evaluate phase behind ``Check``:
 
-* the draw generator makes one instance's random draws at a time off the
-  check's seeded stream, rejected draws included, pinned corner cases first;
+* the draw generator reads the check's seeded stream ``DRAW_BLOCK`` instances
+  at a time, one Generator call per field, and yields them one by one; a ragged
+  field is one flat array of exactly the values needed, cut into pieces.
+  Rejected draws drop out in order, pinned corner cases come first, and
+  instance i never depends on how many are taken (the prefix property);
 * the evaluate function is called once, on every drawn instance, and
   computes value, bound and scale as arrays: instances of one shape are
   stacked, chains of different length advance under a mask, and rows of
   different length are padded, in blocks of at most ``BLOCK_BYTES``.  Step
   products run one instance at a time, where batching measured no faster.
 
-The invariant: each instance's draws and arithmetic are those of the
-per-instance code (``tests/lemma_oracles.py``), so a report is a pure
-function of (seed, instances), bit for bit, whatever the padded block sizes.
-Scalars come from raw Philox words by numpy's maps (``_Scalars``): a double
-is (w >> 11) * 2**-53; an integer is Lemire's multiply-and-reject on 32-bit
-halves, low half first, the high half held for the next one as numpy holds
-it, so no scalar may bypass ``_Scalars``; array draws never touch that half.
-Padding only multiplies by 1.0; BLAS products, QR factorizations and short
-reductions run on stacks of exactly the per-instance shapes; a sum whose
-pairwise-summation tree depends on its length runs row by row; and scalar
-formulas evaluated by libm (``math.exp``, float ``**``) stay Python scalars.
+The invariant: each instance's arithmetic is that of the per-instance code
+(``tests/lemma_oracles.py``) on the same instance, so a report is a pure
+function of (seed, instances), bit for bit, whatever the padded block
+sizes.  Padding only multiplies by 1.0; BLAS products, QR factorizations
+and short reductions run on stacks of exactly the per-instance shapes; a
+sum whose pairwise-summation tree depends on its length runs row by row;
+and scalar formulas evaluated by libm (``math.exp``, float ``**``) stay
+Python scalars.
 """
 
 from __future__ import annotations
@@ -48,6 +48,10 @@ from .topology import entry_floor, family_matrices, family_window
 # The largest padded (rows, length) array of a check over rows of different
 # length (decaying sums run to about 2,500 terms).
 BLOCK_BYTES = 1 << 17
+
+# Instances per Generator call of each field in a check's draw phase.  The
+# instances drawn depend on it, so a change re-pins every lemma report.
+DRAW_BLOCK = 256
 
 
 @dataclass
@@ -196,31 +200,32 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 # -- the checks ---------------------------------------------------------------
 
-# 10.0 ** k for the exponents k in [-2, 2] that rng.integers(-2, 3) draws,
-# each by the scalar expression the draws were defined with.
-_DECADES = {k: 10.0 ** np.int64(k) for k in range(-2, 3)}
+def _pieces(values: np.ndarray, *dims: np.ndarray) -> list[np.ndarray]:
+    """``values`` cut into consecutive views, piece i of shape
+    (dims[0][i], dims[1][i], ...); the piece sizes add up to values.size."""
+    sizes = np.prod(dims, axis=0)
+    ends = np.cumsum(sizes)
+    bounds = zip((ends - sizes).tolist(), ends.tolist(), zip(*(x.tolist() for x in dims)))
+    return [values[a:b].reshape(shape) for a, b, shape in bounds]
 
 
-class _Scalars:
-    """``rng.integers(lo, hi)`` and ``rng.uniform(low, high)``, bit for bit (``uniform()`` is ``rng.random()``)."""
+def _uniform(rng: np.random.Generator, lo: float, hi: float, size=None) -> np.ndarray:
+    """``size`` (default ``DRAW_BLOCK``) floats uniform in [lo, hi).  Draws call only
+    ``rng.random`` and ``rng.standard_normal``, as the engine does: ``Generator.uniform``,
+    ``integers`` and ``normal`` would page in more of numpy (about 0.3 MB of peak RSS)."""
+    return lo + (hi - lo) * rng.random(DRAW_BLOCK if size is None else size)
 
-    def __init__(self, rng: np.random.Generator):
-        self._raw, self._held = rng.bit_generator.random_raw, None
 
-    def integers(self, lo: int, hi: int) -> int:
-        m = hi - lo
-        while m > 1:
-            if self._held is None:
-                w = self._raw()
-                u, self._held = w & 0xFFFFFFFF, w >> 32
-            else:
-                u, self._held = self._held, None
-            if u * m & 0xFFFFFFFF >= (0x100000000 - m) % m:  # numpy's rejection threshold
-                return lo + (u * m >> 32)
-        return lo
+def _integers(rng: np.random.Generator, lo: int, hi, size=None) -> np.ndarray:
+    """``size`` integers uniform in lo .. hi - 1 (hi may be an array), as ``_uniform``."""
+    return lo + ((hi - lo) * rng.random(DRAW_BLOCK if size is None else size)).astype(np.int64)
 
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return low + (high - low) * ((self._raw() >> 11) * 2.0**-53)
+
+def _decade_normals(rng: np.random.Generator, *dims: np.ndarray) -> list[np.ndarray]:
+    """Standard normal pieces as ``_pieces`` cuts them, each times 10^k, k in -2 .. 2."""
+    sizes = np.prod(dims, axis=0)
+    scale = 10.0 ** _integers(rng, -2, 3, sizes.size)
+    return _pieces(rng.standard_normal(sizes.sum()) * np.repeat(scale, sizes), *dims)
 
 
 def _weights(p: list) -> list:
@@ -289,18 +294,21 @@ def check_mixing_contraction(rng: np.random.Generator) -> Iterator[tuple]:
             <= kappa * prod_{k=s+1}^{t-1} (1 - lambda beta(k)) * ||U||_r^2,
 
     for a fixed-cycle or gossip schedule on n agents with weights
-    r = q / sum(q), q = 0.05 + p."""
-    draw = _Scalars(rng)
+    r = q / sum(q), q = 0.05 + p.  Drawn: n in 3 .. 8, p uniform in
+    [0, 1)^n, either family with odds 1/2, beta0 in [0.1, 1), mu in
+    [0.55, 0.95), s in 1 .. 39, t - s - 1 in 0 .. 3B for the family's
+    window B, and U standard normal (n, d) with d in 1 .. 4."""
+    kinds = ("gossip", "fixed_cycle")
+    window = np.array([[family_window(kind, n) for n in range(3, 9)] for kind in kinds])
     while True:
-        n = draw.integers(3, 9)
-        p = rng.random(n)
-        kind = "fixed_cycle" if draw.uniform() < 0.5 else "gossip"
-        beta0 = 0.1 + 0.9 * draw.uniform()
-        mu = 0.55 + 0.4 * draw.uniform()
-        s = draw.integers(1, 40)
-        t = s + 1 + draw.integers(0, 3 * family_window(kind, n) + 1)
-        d = draw.integers(1, 5)
-        yield kind, p, beta0, mu, s, t, rng.normal(size=(n, d))
+        n = _integers(rng, 3, 9)
+        fixed = (rng.random(DRAW_BLOCK) < 0.5).astype(int)
+        beta0, mu = _uniform(rng, 0.1, 1.0), _uniform(rng, 0.55, 0.95)
+        s = _integers(rng, 1, 40)
+        t = s + 1 + _integers(rng, 0, 3 * window[fixed, n - 3] + 1)
+        d = _integers(rng, 1, 5)
+        p, U = _pieces(rng.random(n.sum()), n), _pieces(rng.standard_normal((n * d).sum()), n, d)
+        yield from zip((kinds[x] for x in fixed.tolist()), p, beta0.tolist(), mu.tolist(), s.tolist(), t.tolist(), U)
 
 
 def _operator_values(block: list[tuple]) -> Values:
@@ -317,16 +325,13 @@ def _operator_values(block: list[tuple]) -> Values:
 @partial(Check, "weighted operator bound", 72, 1e-9, evaluate=_operator_values)
 def check_weighted_operator_bound(rng: np.random.Generator) -> Iterator[tuple]:
     """||A B||_r <= ||A||_r ||B||_F for conformable matrices and weights
-    r = q / sum(q), q = 0.05 + p."""
-    draw = _Scalars(rng)
+    r = q / sum(q), q = 0.05 + p.  Drawn: n, m and d in 1 .. 7, p uniform
+    in [0, 1)^n, and A (n, m) and B (m, d) standard normal, each times its
+    own 10^k with k in -2 .. 2."""
     while True:
-        n = draw.integers(1, 8)
-        m = draw.integers(1, 8)
-        d = draw.integers(1, 8)
-        p = rng.random(n)
-        A = rng.normal(size=(n, m)) * _DECADES[draw.integers(-2, 3)]
-        B = rng.normal(size=(m, d)) * _DECADES[draw.integers(-2, 3)]
-        yield p, A, B
+        n, m, d = _integers(rng, 1, 8, (3, DRAW_BLOCK))
+        p = _pieces(rng.random(n.sum()), n)
+        yield from zip(p, _decade_normals(rng, n, m), _decade_normals(rng, m, d))
 
 
 def _young_sides(r, U, V):
@@ -355,22 +360,21 @@ def _young_values(block: list[tuple]) -> Values:
 def check_young_split(rng: np.random.Generator) -> Iterator[tuple]:
     """||u + v||^2 <= (1 + theta)||u||^2 + (1 + 1/theta)||v||^2, theta > 0,
     in both the vector and the weighted-matrix norm (weights
-    r = q / sum(q), q = 0.05 + p)."""
-    draw = _Scalars(rng)
+    r = q / sum(q), q = 0.05 + p).  Drawn: log10 theta in [-3, 3); with
+    odds 1/2 vectors u and v of d in 1 .. 9 standard normal entries, each
+    times its own 10^k with k in -2 .. 2, else (n, d) standard normal
+    matrices with n and d in 1 .. 5 and p uniform in [0, 1)^n."""
     while True:
-        theta = 10.0 ** draw.uniform(-3.0, 3.0)
-        if draw.uniform() < 0.5:
-            d = draw.integers(1, 10)
-            u = rng.normal(size=d) * _DECADES[draw.integers(-2, 3)]
-            v = rng.normal(size=d) * _DECADES[draw.integers(-2, 3)]
-            yield theta, None, u, v
-        else:
-            n = draw.integers(1, 6)
-            d = draw.integers(1, 6)
-            p = rng.random(n)
-            U = rng.normal(size=(n, d))
-            V = rng.normal(size=(n, d))
-            yield theta, p, U, V
+        theta = 10.0 ** _uniform(rng, -3.0, 3.0)
+        vector = rng.random(DRAW_BLOCK) < 0.5
+        k = int(np.count_nonzero(vector))
+        d = _integers(rng, 1, 10, k)
+        u, v = iter(_decade_normals(rng, d)), iter(_decade_normals(rng, d))
+        n, e = _integers(rng, 1, 6, (2, DRAW_BLOCK - k))
+        p = iter(_pieces(rng.random(n.sum()), n))
+        U, V = (iter(_pieces(rng.standard_normal((n * e).sum()), n, e)) for _ in "UV")
+        for th, vec in zip(theta.tolist(), vector.tolist()):
+            yield (th, None, next(u), next(v)) if vec else (th, next(p), next(U), next(V))
 
 
 def _step_product_values(block: list[tuple]) -> Values:
@@ -388,14 +392,14 @@ def _step_product_values(block: list[tuple]) -> Values:
 def check_step_product_envelope(rng: np.random.Generator) -> Iterator[tuple]:
     """prod_{k=s}^{t-1} (1 - a/k^delta) is killed at the integrated rate:
     bounded by exp(-a (t^(1-delta) - s^(1-delta)) / (1-delta)) for delta < 1
-    and by (t/s)^-a for delta == 1."""
-    draw = _Scalars(rng)
+    and by (t/s)^-a for delta == 1.  Drawn: a in [0.001, 0.999), delta = 1
+    with odds 0.3 else in [0, 0.999), s in 1 .. 49, t - s - 1 in 0 .. 1999."""
     while True:
-        a = draw.uniform(1e-3, 0.999)
-        delta = 1.0 if draw.uniform() < 0.3 else draw.uniform(0.0, 0.999)
-        s = draw.integers(1, 50)
-        t = s + 1 + draw.integers(0, 2000)
-        yield a, delta, s, t
+        a = _uniform(rng, 1e-3, 0.999)
+        delta = np.where(rng.random(DRAW_BLOCK) < 0.3, 1.0, _uniform(rng, 0.0, 0.999))
+        s = _integers(rng, 1, 50)
+        t = s + 1 + _integers(rng, 0, 2000)
+        yield from zip(a.tolist(), delta.tolist(), s.tolist(), t.tolist())
 
 
 def _telescope_values(block: list[tuple]) -> Values:
@@ -432,28 +436,27 @@ def check_step_sum_telescope(rng: np.random.Generator) -> Iterator[tuple]:
             = (1/lam) (1 - prod_{k=1}^{t-1} (1 - lam beta(k)))
 
     for any real sequence beta and lam != 0, to 1e-10 * max(1, 1/|lam|).
+    Drawn: t in 2 .. 199, |lam| = 10^x with x in [-2, 1), and with odds 1/2
+    canonical steps with beta0 in [0.05, 1) and mu in [0.1, 0.95), else
+    arbitrary ones from v uniform in [0, 1)^(t-1).
     """
-    draw = _Scalars(rng)
     while True:
-        t = draw.integers(2, 200)
-        if draw.uniform() < 0.5:
-            # Canonical decaying steps beta0 / k^mu; lam > 0 keeps all
-            # survival factors inside (-1, 1) so the float error stays far
-            # below tolerance.
-            lam = 10.0 ** draw.uniform(-2.0, 1.0)
-            beta0 = draw.uniform(0.05, 1.0)
-            if lam * beta0 >= 2.0:
-                lam = 1.0 / beta0
-            mu = draw.uniform(0.1, 0.95)
-            yield t, lam, beta0, mu, None
-        else:
-            # Arbitrary real steps of either sign, u / lam with u uniform in
-            # [0, 2), so lam * beta(k) lands in [0, 2] and the factors stay
-            # bounded by 1.  The sign is rng.choice([-1.0, 1.0]), which
-            # draws integers(0, 2); u = 2 v for v = rng.random(t - 1), as
-            # rng.uniform(0.0, 2.0, size=t - 1) computes it.
-            lam = (-1.0, 1.0)[draw.integers(0, 2)] * 10.0 ** draw.uniform(-2.0, 1.0)
-            yield t, lam, None, None, rng.random(t - 1)
+        t = _integers(rng, 2, 200)
+        canonical = rng.random(DRAW_BLOCK) < 0.5
+        lam = 10.0 ** _uniform(rng, -2.0, 1.0)
+        # Canonical decaying steps beta0 / k^mu: lam > 0, cut to 1 / beta0
+        # where lam * beta0 >= 2, keeps all survival factors inside (-1, 1)
+        # so the float error stays far below tolerance.
+        beta0, mu = _uniform(rng, 0.05, 1.0), _uniform(rng, 0.1, 0.95)
+        # Arbitrary real steps of either sign, u / lam with u = 2 v in [0, 2),
+        # so lam * beta(k) lands in [0, 2] and the factors stay bounded by 1.
+        sign = np.where(rng.random(DRAW_BLOCK) < 0.5, -1.0, 1.0)
+        lam = np.where(canonical, np.where(lam * beta0 >= 2.0, 1.0 / beta0, lam), sign * lam)
+        # The steps are copied out of the block's buffer (about 100 KB): views
+        # would keep it alive until the check is evaluated, which raised peak RSS.
+        v = iter([x.copy() for x in _pieces(rng.random((t[~canonical] - 1).sum()), t[~canonical] - 1)])
+        for row in zip(t.tolist(), lam.tolist(), beta0.tolist(), mu.tolist(), canonical.tolist()):
+            yield row[:4] + (None,) if row[4] else row[:2] + (None, None, next(v))
 
 
 def _decaying_sum(a, sigma, delta, t):
@@ -491,7 +494,12 @@ def check_decaying_sum_envelope(rng: np.random.Generator) -> Iterator[tuple]:
             <= A(a, sigma, delta) * t^-(sigma - delta)
 
     past the burn-in t > (2(sigma-delta)/a)^(1/(1-delta)); for delta == 1
-    the decay exponent is min(sigma - 1, a) instead.
+    the decay exponent is min(sigma - 1, a) instead.  Drawn after seven
+    pinned cases: with odds 1/4 sigma = 1, a in [0.1, 1), delta in [0, 0.45);
+    with odds 1/5 delta = 1, sigma in [1.05, 3), a in [0.1, 1) with odds 0.7
+    else 2, redrawn where a = sigma - 1; else delta in [0, 0.9), sigma - delta
+    in [0.05, 2.5), a in [0.05, 1).  Then t - t0 in 0 .. 999 for t0 = 4 if
+    delta = 1, else t0 = floor(tau) + 2 for the burn-in tau, redrawn past 1500.
     """
     # The branch boundary sigma == 1 and the delta == 1 family with a past 1.
     for t in (4, 7, 20, 200):
@@ -499,31 +507,18 @@ def check_decaying_sum_envelope(rng: np.random.Generator) -> Iterator[tuple]:
     for t in (40, 200, 1000):
         yield 0.5, 1.0, 0.0, t
 
-    draw = _Scalars(rng)
     while True:
-        branch = draw.uniform()
-        if branch < 0.25:
-            a = draw.uniform(0.1, 1.0)
-            sigma = 1.0
-            delta = draw.uniform(0.0, 0.45)
-        elif branch < 0.45:
-            a = draw.uniform(0.1, 1.0) if draw.uniform() < 0.7 else 2.0
-            sigma = draw.uniform(1.05, 3.0)
-            delta = 1.0
-            if abs(a - sigma + 1.0) < 1e-6:
-                continue
-        else:
-            delta = draw.uniform(0.0, 0.9)
-            sigma = delta + draw.uniform(0.05, 2.5)
-            a = draw.uniform(0.05, 1.0)
-        if delta == 1.0:
-            t_lo = 4
-        else:
-            tau = (2.0 * (sigma - delta) / a) ** (1.0 / (1.0 - delta))
-            if tau > 1500.0:
-                continue
-            t_lo = math.floor(tau) + 2
-        yield a, sigma, delta, t_lo + draw.integers(0, 1000)
+        branch = rng.random(DRAW_BLOCK)
+        sigma1, delta1 = branch < 0.25, (branch >= 0.25) & (branch < 0.45)
+        a = np.where(branch < 0.45, _uniform(rng, 0.1, 1.0), _uniform(rng, 0.05, 1.0))
+        a[delta1 & (rng.random(DRAW_BLOCK) >= 0.7)] = 2.0
+        delta = np.select([sigma1, delta1], [_uniform(rng, 0.0, 0.45), 1.0], _uniform(rng, 0.0, 0.9))
+        sigma = np.select([sigma1, delta1], [1.0, _uniform(rng, 1.05, 3.0)], delta + _uniform(rng, 0.05, 2.5))
+        with np.errstate(divide="ignore", over="ignore"):  # tau = 2 gives delta == 1 its t0 = 4
+            tau = np.where(delta1, 2.0, (2.0 * (sigma - delta) / a) ** (1.0 / (1.0 - delta)))
+        keep = (tau <= 1500.0) & ~(delta1 & (np.abs(a - sigma + 1.0) < 1e-6))
+        t = np.floor(tau[keep]).astype(int) + 2 + _integers(rng, 0, 1000)[keep]
+        yield from zip(a[keep].tolist(), sigma[keep].tolist(), delta[keep].tolist(), t.tolist())
 
 
 def _curvature_sides(eigs, G, x_star, mode, step, scale):
@@ -562,20 +557,24 @@ def check_curvature_split(rng: np.random.Generator) -> Iterator[tuple]:
                              + (mu L / (mu + L)) ||x - x*||^2,
 
     including the rank-deficient case mu == 0.  The quadratic is
-    H = Q diag(eigs) Q' with Q from the QR factors of a Gaussian matrix."""
-    draw = _Scalars(rng)
+    H = Q diag(eigs) Q' with Q from the QR factors of a Gaussian matrix.
+    Drawn: d in 1 .. 6, eigs uniform in [0, 1)^d (the spectrum is 3 eigs)
+    with one entry zeroed with odds 0.3, G (d, d) and x* standard normal, and
+    mode in [0, 1): below 0.4 a standard normal step along an eigenvector,
+    else a standard normal step in R^d times 10^k, k in -2 .. 2."""
     while True:
-        d = draw.integers(1, 7)
-        eigs = rng.random(d)  # the spectrum is 3 * eigs, as rng.uniform(0.0, 3.0, size=d)
-        if draw.uniform() < 0.3:
-            eigs[draw.integers(0, d)] = 0.0
-        G = rng.normal(size=(d, d))
-        x_star = rng.normal(size=d)
-        mode = draw.uniform()
-        if mode < 0.4:
-            yield eigs, G, x_star, mode, rng.normal(), None
-        else:
-            yield eigs, G, x_star, mode, rng.normal(size=d), _DECADES[draw.integers(-2, 3)]
+        d = _integers(rng, 1, 7)
+        eigs = rng.random(d.sum())
+        zero = rng.random(DRAW_BLOCK) < 0.3
+        eigs[(np.cumsum(d) - d)[zero] + _integers(rng, 0, d[zero], d[zero].size)] = 0.0
+        G, x_star = _pieces(rng.standard_normal((d * d).sum()), d, d), _pieces(rng.standard_normal(d.sum()), d)
+        mode = rng.random(DRAW_BLOCK)
+        line = mode < 0.4
+        e = d[~line]
+        step = iter(rng.standard_normal(np.count_nonzero(line)).tolist())
+        vector = iter(zip(_pieces(rng.standard_normal(e.sum()), e), (10.0 ** _integers(rng, -2, 3, e.size)).tolist()))
+        for row in zip(_pieces(eigs, d), G, x_star, mode.tolist(), line.tolist()):
+            yield row[:4] + ((next(step), None) if row[4] else next(vector))
 
 
 ALL_CHECKS = (

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import islice
 from types import SimpleNamespace
 
@@ -144,15 +145,15 @@ class TestIndividualChecks:
 class TestPinnedSuite:
     """Frozen output of the seed-0 suite.  TestDeterminism compares two runs
     of the same code, so only pinned values catch a change that reorders a
-    check's draws or its slack arithmetic."""
+    check's draws (or its ``DRAW_BLOCK``) or its slack arithmetic."""
 
     SUMMARY = """\
-ok   mixing product contraction: 150 instances, 0 violations, min slack 6.423e-03
+ok   mixing product contraction: 150 instances, 0 violations, min slack 1.627e-02
 ok   weighted operator bound: 150 instances, 0 violations, min slack 1.000e-09
-ok   young split: 150 instances, 0 violations, min slack 3.035e-03
+ok   young split: 150 instances, 0 violations, min slack 6.002e-03
 ok   step product envelope: 150 instances, 0 violations, min slack 1.000e-09
 ok   step sum telescope: 150 instances, 0 violations, min slack 1.000e-10
-ok   decaying sum envelope: 150 instances, 0 violations, min slack 1.802e-04
+ok   decaying sum envelope: 150 instances, 0 violations, min slack 5.208e-04
 ok   curvature split: 150 instances, 0 violations, min slack 1.000e-09
 all checks passed (1050 instances total)"""
 
@@ -161,11 +162,13 @@ all checks passed (1050 instances total)"""
     # depends on the machine's last-bit rounding.
     WORST = {
         "mixing product contraction": {
-            "kind": "gossip", "n": 4, "s": 25, "t": 26,
-            "beta0": 0.4056276237954143, "mu": 0.7164574928882056,
+            "kind": "fixed_cycle", "n": 6, "s": 27, "t": 30,
+            "beta0": 0.3881034990304517, "mu": 0.7524206484027341,
         },
-        "young split": {"form": "vector", "d": 2, "theta": 5.700519156468544},
-        "decaying sum envelope": {"a": 2.0, "sigma": 2.805646849825822, "delta": 1.0, "t": 908},
+        "young split": {"form": "vector", "d": 2, "theta": 0.00579322973921487},
+        "decaying sum envelope": {
+            "a": 0.6417262098445259, "sigma": 2.0109755336537893, "delta": 0.012571444760059202, "t": 564,
+        },
     }
 
     def test_summary(self, small_suite):
@@ -219,44 +222,55 @@ def same_bits(x, y) -> bool:
 
 
 class TestBatchedEvaluation:
-    """Each check's draw-then-evaluate split reproduces the per-instance
-    code of ``lemma_oracles`` bit for bit, whatever the block sizes."""
+    """Each check's batched evaluate phase reproduces the per-instance code
+    of ``lemma_oracles`` bit for bit on the instances the check draws,
+    whatever the block sizes."""
 
     @pytest.mark.parametrize("block, block_bytes", [(1000, 1 << 17), (7, 4096)])
     @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda c: c.name.replace(" ", "_"))
     def test_matches_per_instance_code(self, monkeypatch, check, block, block_bytes):
         monkeypatch.setattr(lemmas, "BLOCK_BYTES", block_bytes)
-        count = 240
-        drawn = check.draw(philox(1, check.stream))
-        got = []
-        while len(got) < count:
-            value, bound, scale, params = check.evaluate(list(islice(drawn, min(block, count - len(got)))))
-            got += [(v, b, s, params(i)) for i, (v, b, s) in enumerate(zip(value, bound, scale))]
-        for (v, b, s, p), (ov, ob, os_, op) in zip(got, lemma_oracles.instances(check.name, 1, count)):
-            assert same_bits([v, b, s], [ov, ob, os_]) and repr(p) == repr(op), (p, op)
+        drawn = list(islice(check.draw(philox(1, check.stream)), 240))
+        oracle = lemma_oracles.ORACLES[check.name]
+        for start in range(0, len(drawn), block):
+            chunk = drawn[start : start + block]
+            value, bound, scale, params = check.evaluate(chunk)
+            for i, instance in enumerate(chunk):
+                ov, ob, os_, op = oracle(*instance)
+                assert same_bits([value[i], bound[i], scale[i]], [ov, ob, os_]) and repr(params(i)) == repr(op), op
 
     def test_decaying_sum_stops_inside_the_pinned_cases(self):
+        """The seven pinned cases come first and draw nothing."""
+        untouched = SimpleNamespace()  # any Generator call raises AttributeError
+        pinned = list(islice(check_decaying_sum_envelope.draw(untouched), 7))
+        assert pinned == [(2.0, 1.5, 1.0, t) for t in (4, 7, 20, 200)] + [(0.5, 1.0, 0.0, t) for t in (40, 200, 1000)]
         rep = check_decaying_sum_envelope(seed=0, instances=3)
         assert rep.instances == 3
         assert rep.worst["sigma"] == 1.5 and rep.worst["t"] in (4, 7, 20)
 
-    def test_decaying_sum_redraws_a_degenerate_delta_one_case(self):
-        """a = sigma - 1 on the delta = 1 branch is rejected, and the words
-        after it make the first drawn instance.  The stub serves raw words:
-        the word of the double x is ``int(x * 2**53) << 11``."""
-
-        def word(x: float) -> int:
-            return int(x * 2**53) << 11
-
-        # branch 0.3 takes delta = 1; a = 0.1 + 0.9 * 0.5 = 0.55 and
-        # sigma = 1.05 + 1.95 * (0.5 / 1.95) = 1.55, so a - sigma + 1 = 0.
-        first = [word(0.3), word(0.5), word(0.5), round(0.5 / 1.95 * 2**53) << 11]
-        raw = iter(first + [word(0.5)] * 4 + [7]).__next__
-        stub = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=raw))
+    def test_decaying_sum_redraws_a_degenerate_delta_one_case(self, monkeypatch):
+        """a = sigma - 1 on the delta = 1 branch is rejected inside its
+        block, and the block's next instance is the first one drawn.  The
+        stub answers the ``random`` calls of one two-instance block in order,
+        each a pair of uniforms; a second block would find no answers left."""
+        monkeypatch.setattr(lemmas, "DRAW_BLOCK", 2)
+        answers = iter([
+            [0.3, 0.5],  # branch: delta = 1, then the last branch
+            [0.5, 0.5],  # a = 0.1 + 0.9 u on the first two branches
+            [0.5, 0.5],  # a = 0.05 + 0.95 u on the last branch
+            [0.5, 0.5],  # a = 2 where this is >= 0.7
+            [0.5, 0.5],  # delta on the sigma = 1 branch
+            [0.5, 0.5],  # delta = 0.9 u on the last branch
+            [0.5 / 1.95, 0.5],  # sigma = 1.05 + 1.95 u = a + 1 on the delta = 1 branch
+            [0.5, 0.5],  # sigma - delta = 0.05 + 2.45 u on the last branch
+            [0.5, 0.007],  # t - floor(tau) - 2 = floor(1000 u)
+        ])
+        stub = SimpleNamespace(random=lambda size: np.array(next(answers)))
         drawn = list(islice(check_decaying_sum_envelope.draw(stub), 8))
-        assert drawn[7] == (0.525, 1.725, 0.45, 19)
+        # tau = (2 * 1.275 / 0.525) ** (1 / 0.55) = 17.7, so t = 17 + 2 + 7.
+        assert drawn[7] == (0.525, 1.725, 0.45, 26)
         with pytest.raises(StopIteration):
-            raw()
+            next(answers)
 
     def test_mixing_empty_product(self):
         """t = s + 1 applies no mixing step: P = I, and the decay is the
@@ -290,60 +304,156 @@ class TestBatchedEvaluation:
         assert same_bits(scale[:2], [1.0 / 0.7, 1.0 / 1.3])
 
 
-class TestScalars:
-    """``lemmas._Scalars`` draws what numpy's Generator draws on the same
-    stream, in any order with the array draws the checks make."""
+def drawn(check: Check, seed: int, instances: int) -> list[tuple]:
+    """The instances that ``check(seed, instances)`` evaluates."""
+    seen = []
 
-    # Every scalar range the checks draw from, (0, 1) among them: a
-    # width-1 range draws no word.  (0, 2**31 + 1) rejects about half its
-    # samples, so its draws often take a second half-word.
-    RANGES = sorted(
-        {(3, 9), (1, 40), (1, 5), (1, 8), (-2, 3), (1, 10), (1, 6), (1, 50)}
-        | {(0, 2000), (2, 200), (0, 2), (0, 1000), (1, 7), (5, 6), (0, 2**31 + 1)}
-        | {(0, d) for d in range(1, 7)}
-        | {(0, 3 * family_window(k, n) + 1) for k in ("fixed_cycle", "gossip") for n in range(3, 9)}
+    def evaluate(block):
+        seen.extend(block)
+        zeros = np.zeros(len(block))
+        return zeros, zeros, zeros, lambda i: {}
+
+    replace(check, evaluate=evaluate)(seed, instances)
+    return seen
+
+
+def as_bytes(instance: tuple) -> bytes:
+    """Every field of an instance: its type, shape and bytes."""
+    return b"|".join(
+        repr(x).encode() if x is None or isinstance(x, str)
+        else f"{np.asarray(x).dtype}{np.shape(x)}".encode() + np.asarray(x).tobytes()
+        for x in instance
     )
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_generator(self, seed):
-        ours, ref = philox(seed, 9), philox(seed, 9)
-        draw = lemmas._Scalars(ours)
-        script = np.random.default_rng(seed)  # picks each next call
-        for _ in range(3000):
-            op = int(script.integers(0, 4))
-            if op == 0:
-                lo, hi = self.RANGES[int(script.integers(0, len(self.RANGES)))]
-                got = draw.integers(lo, hi)
-                assert type(got) is int and got == ref.integers(lo, hi), (lo, hi)
-            elif op == 1:
-                assert same_bits(draw.uniform(), ref.random())
-            elif op == 2:
-                assert same_bits(draw.uniform(0.05, 2.5), ref.uniform(0.05, 2.5))
-            else:
-                n = int(script.integers(1, 4))
-                assert same_bits(ours.random(n), ref.random(n))
-                assert same_bits(ours.normal(size=n), ref.normal(size=n))
 
-    def test_rejection_threshold_boundary(self):
-        """Widths m whose first sample lands exactly on numpy's threshold
-        (2**32 - m) % m, which accepts it, or one below, which rejects it.
-        Random widths reach either with odds of about 2**-32 per draw.  For
-        m in (2**31, 2**32) the threshold is 2**32 - m, and the first
-        half-word u leaves u * m mod 2**32 = 2**32 - m when 4 divides u + 1
-        and m = 3 * 2**30, or 2**32 - m - 1 when m (u + 1) = -1 mod 2**32."""
-        seen = set()
-        for seed in range(64):
-            u = philox(seed, 9).bit_generator.random_raw() & 0xFFFFFFFF
-            below = -pow(u + 1, -1, 1 << 32) % (1 << 32) if u % 2 == 0 else 0
-            if (u + 1) % 4 == 0:
-                m, case = 3 << 30, "on"
-            elif below > 1 << 31:
-                m, case = below, "below"
-            else:
-                continue
-            assert u * m % (1 << 32) == (1 << 32) - m - (case == "below")
-            ours, ref = philox(seed, 9), philox(seed, 9)
-            draw = lemmas._Scalars(ours)
-            assert [draw.integers(0, m) for _ in range(3)] == [ref.integers(0, m) for _ in range(3)]
-            seen.add(case)
-        assert seen == {"on", "below"}
+def assert_fills(values, lo, hi):
+    """values lie in [lo, hi) and fill it: an integer range of at most 50
+    takes each of its values, one of at most 200 both its ends, and any
+    range is spanned to 98%."""
+    x = np.asarray(values)
+    assert lo <= x.min() and x.max() < hi, (x.min(), x.max())
+    if x.dtype.kind == "i" and hi - lo <= 50:
+        assert np.unique(x).size == hi - lo
+    elif x.dtype.kind == "i" and hi - lo <= 200:
+        assert (x.min(), x.max()) == (lo, hi - 1)
+    else:
+        assert x.max() - x.min() > 0.98 * (hi - lo - (x.dtype.kind == "i"))
+
+
+@pytest.fixture(scope="module")
+def samples():
+    return {check.name: drawn(check, 2, 2000) for check in ALL_CHECKS}
+
+
+def fields(samples, name, keep=lambda *x: True):
+    """The instances of check ``name`` that ``keep`` accepts, field by field."""
+    return list(zip(*(x for x in samples[name] if keep(*x))))
+
+
+class TestDrawContract:
+    """What a check's draw generator promises: instance i does not depend on
+    the budget, every field lies in and fills the range the check's
+    docstring states, and every branch is taken at its stated odds."""
+
+    @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda c: c.name.replace(" ", "_"))
+    def test_prefix_property(self, check):
+        assert [as_bytes(x) for x in drawn(check, 4, 1000)[:150]] == [as_bytes(x) for x in drawn(check, 4, 150)]
+
+    def test_mixing_ranges(self, samples):
+        kind, p, beta0, mu, s, t, U = fields(samples, "mixing product contraction")
+        n = np.array([x.size for x in p])
+        assert_fills(n, 3, 9)
+        assert_fills(np.concatenate(p), 0.0, 1.0)
+        assert_fills(beta0, 0.1, 1.0)
+        assert_fills(mu, 0.55, 0.95)
+        assert_fills(s, 1, 40)
+        steps = np.array(t) - s - 1
+        window = np.array([family_window(*x) for x in zip(kind, n.tolist())])
+        assert_fills(steps[window == 1], 0, 4)
+        assert steps.min() == 0 and np.all(steps <= 3 * window) and np.any((steps == 3 * window) & (window > 1))
+        assert [u.shape[0] for u in U] == n.tolist()
+        assert_fills([u.shape[1] for u in U], 1, 5)
+
+    def test_operator_ranges(self, samples):
+        p, A, B = fields(samples, "weighted operator bound")
+        for dims in ([a.shape[0] for a in A], [a.shape[1] for a in A], [b.shape[1] for b in B]):
+            assert_fills(dims, 1, 8)
+        assert [x.size for x in p] == [a.shape[0] for a in A]
+        assert [a.shape[1] for a in A] == [b.shape[0] for b in B]
+        assert_fills(np.concatenate(p), 0.0, 1.0)
+
+    def test_young_ranges(self, samples):
+        theta, _, u, v = fields(samples, "young split", lambda theta, p, u, v: p is None)
+        assert_fills([x.size for x in u], 1, 10)
+        assert all(x.ndim == 1 and x.shape == y.shape for x, y in zip(u, v))
+        _, p, U, V = fields(samples, "young split", lambda theta, p, u, v: p is not None)
+        assert_fills([x.shape[0] for x in U], 1, 6)
+        assert_fills([x.shape[1] for x in U], 1, 6)
+        assert [x.size for x in p] == [x.shape[0] for x in U] and [x.shape for x in U] == [x.shape for x in V]
+        assert_fills(np.concatenate(p), 0.0, 1.0)
+        assert_fills(np.log10(fields(samples, "young split")[0]), -3.0, 3.0)
+
+    def test_step_product_ranges(self, samples):
+        a, delta, s, t = fields(samples, "step product envelope")
+        assert_fills(a, 1e-3, 0.999)
+        assert_fills([x for x in delta if x != 1.0], 0.0, 0.999)
+        assert_fills(s, 1, 50)
+        assert_fills(np.array(t) - s - 1, 0, 2000)
+
+    def test_telescope_ranges(self, samples):
+        assert_fills(fields(samples, "step sum telescope")[0], 2, 200)
+        _, lam, beta0, mu, _ = fields(samples, "step sum telescope", lambda t, lam, beta0, mu, v: v is None)
+        assert_fills(np.log10(lam), -2.0, 1.0)
+        assert np.all(np.multiply(lam, beta0) < 2.0)
+        assert_fills(beta0, 0.05, 1.0)
+        assert_fills(mu, 0.1, 0.95)
+        t, lam, _, _, v = fields(samples, "step sum telescope", lambda t, lam, beta0, mu, v: v is not None)
+        assert_fills(np.log10(np.abs(lam)), -2.0, 1.0)
+        assert min(lam) < 0.0 < max(lam)
+        assert [x.size for x in v] == [x - 1 for x in t]
+        assert_fills(np.concatenate(v), 0.0, 1.0)
+
+    def test_decaying_sum_ranges(self, samples):
+        samples = {"drawn": samples["decaying sum envelope"][7:]}
+        a, _, delta, t = fields(samples, "drawn", lambda a, sigma, delta, t: sigma == 1.0)
+        assert_fills(a, 0.1, 1.0)
+        assert_fills(delta, 0.0, 0.45)
+        a, sigma, _, t = fields(samples, "drawn", lambda a, sigma, delta, t: delta == 1.0)
+        assert_fills([x for x in a if x != 2.0], 0.1, 1.0)
+        assert 2.0 in a and np.all(np.abs(np.array(a) - sigma + 1.0) >= 1e-6)
+        assert_fills(sigma, 1.05, 3.0)
+        assert_fills(np.array(t) - 4, 0, 1000)
+        last = fields(samples, "drawn", lambda a, sigma, delta, t: 1.0 not in (sigma, delta))
+        a, sigma, delta, t = (np.array(x) for x in last)
+        assert_fills(delta, 0.0, 0.9)
+        assert_fills(sigma - delta, 0.05 - 1e-12, 2.5 + 1e-12)
+        assert_fills(a, 0.05, 1.0)
+        tau = (2.0 * (sigma - delta) / a) ** (1.0 / (1.0 - delta))
+        assert np.all(tau <= 1500.0)
+        assert_fills(t - np.floor(tau).astype(int) - 2, 0, 1000)
+
+    def test_curvature_ranges(self, samples):
+        eigs, G, x_star, mode, _, _ = fields(samples, "curvature split")
+        d = [x.size for x in eigs]
+        assert_fills(d, 1, 7)
+        assert_fills(np.concatenate(eigs), 0.0, 1.0)
+        assert [x.shape for x in G] == [(k, k) for k in d] and [x.size for x in x_star] == d
+        assert_fills(mode, 0.0, 1.0)
+        _, _, _, mode, step, scale = fields(samples, "curvature split", lambda *x: isinstance(x[4], float))
+        assert max(mode) < 0.4 and set(scale) == {None}
+        eigs, _, _, _, step, scale = fields(samples, "curvature split", lambda *x: x[3] >= 0.4)
+        assert [x.shape for x in step] == [x.shape for x in eigs]
+        assert sorted(set(scale)) == [0.01, 0.1, 1.0, 10.0, 100.0]
+
+    @pytest.mark.parametrize("name, branch, odds", [
+        ("mixing product contraction", lambda *x: x[0] == "fixed_cycle", 0.5),
+        ("step product envelope", lambda a, delta, s, t: delta == 1.0, 0.3),
+        ("young split", lambda theta, p, u, v: p is None, 0.5),
+        ("step sum telescope", lambda t, lam, beta0, mu, v: v is None, 0.5),
+        ("curvature split", lambda eigs, *x: not eigs.all(), 0.3),
+        ("curvature split", lambda eigs, G, x_star, mode, step, scale: isinstance(step, float), 0.4),
+    ], ids=["kind", "delta_one", "vector", "canonical", "zero_eigenvalue", "line_step"])
+    def test_branch_odds(self, samples, name, branch, odds):
+        """Each branch's share lies within 4 binomial standard errors of its odds."""
+        taken = [branch(*x) for x in samples[name]]
+        assert abs(np.mean(taken) - odds) < 4.0 * math.sqrt(odds * (1.0 - odds) / len(taken))

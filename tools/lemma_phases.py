@@ -5,10 +5,12 @@
 runs each check of ``dimix.lemmas`` as ``dimix lemmas`` does at seed 0 (its
 default 1000 instances) REPEATS times, with whichever dimix the PYTHONPATH
 gives, and times the draw phase (pulling the instances off the check's
-generator) apart from the evaluate phase (one ``check.evaluate`` call on
-all of them).  It prints one line per check with the
-median milliseconds of each phase, then the totals, nproc and the Python
-and numpy versions.  BLAS and OpenMP are pinned to one thread.
+generator, which reads its stream a block of ``lemmas.DRAW_BLOCK``
+instances at a time, one Generator call per field per block) apart from
+the evaluate phase (one ``check.evaluate`` call on all of them).  It prints
+one line per check with the median milliseconds of each phase, then the
+totals, nproc and the Python and numpy versions.  BLAS and OpenMP are
+pinned to one thread.
 """
 
 import os
