@@ -8,18 +8,19 @@ quadratics.  A violation beyond floating-point tolerance means the
 implementation and the certificate disagree, so the command-line entry point
 turns any violation into a nonzero exit.
 
-Each check is a draw phase and an evaluate phase behind ``Check``:
-
-* the draw generator reads the check's seeded stream ``DRAW_BLOCK`` instances
-  at a time, one Generator call per field, and yields them one by one; a ragged
-  field is one flat array of exactly the values needed, cut into pieces.
-  Rejected draws drop out in order, pinned corner cases come first, and
-  instance i never depends on how many are taken (the prefix property);
-* the evaluate function is called once, on every drawn instance, and
-  computes value, bound and scale as arrays: instances of one shape are
-  stacked, chains of different length advance under a mask, and rows of
-  different length are padded, in blocks of at most ``BLOCK_BYTES``.  Step
-  products run one instance at a time, where batching measured no faster.
+Each check is a draw phase and an evaluate phase behind ``Check``, passing
+columns, not instances.  The draw generator reads the check's seeded stream
+``DRAW_BLOCK`` instances at a time, one Generator call per field, and yields
+each block as ``Columns``: an array per scalar field and a ``Ragged`` (flat
+values plus sizes) per ragged one.  Rejected draws drop out inside a block,
+and pinned corner cases form the first.  ``Check`` concatenates blocks and
+cuts the last, so instance i never depends on how many are taken (the prefix
+property).  Evaluate gets every instance's columns at once: instances of one
+shape are grouped by one stable argsort and gathered by one fancy index per
+field, chains of different length advance under a mask, and rows of
+different length are padded in blocks of at most ``BLOCK_BYTES``.  Operator
+and step products run one instance at a time (grouped by shape they measured
+slower, batched no faster).
 
 The invariant: each instance's arithmetic is that of the per-instance code
 (``tests/lemma_oracles.py``) on the same instance, so a report is a pure
@@ -36,8 +37,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import islice
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -82,65 +82,92 @@ class CheckReport:
         )
 
 
+@dataclass
+class Ragged:
+    """A field whose instances hold different numbers of values: instance i
+    holds the next sizes[i] entries of the flat ``values`` (none if 0)."""
+
+    values: np.ndarray
+    sizes: np.ndarray
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.sizes) - self.sizes
+
+    def take(self, idx: np.ndarray, *dims: np.ndarray) -> np.ndarray:
+        """The values of instances idx, which share the shape (dims[0][i],
+        dims[1][i], ...), stacked (len(idx), *shape) by one fancy index."""
+        shape = [int(x[idx[0]]) for x in dims]
+        return self.values[self.starts[idx, None] + np.arange(math.prod(shape))].reshape(len(idx), *shape)
+
+
+# A check's instances, field by field: name -> array or Ragged, an array first.
+Columns = dict
+
 # value, bound and scale per instance, and the params of instance i.
 Values = tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[int], dict]]
 
 
 @dataclass(frozen=True)
 class Check:
-    """One inequality value <= bound.  ``draw(rng)`` yields an endless
-    stream of per-instance inputs drawn from ``rng`` (a rejected draw yields
-    nothing), and ``evaluate(block)`` turns a list of them into value, bound
-    and scale arrays plus the params of each instance.  An instance passes when
-    its slack bound - value + tol * max(1, scale) is nonnegative; a
-    non-finite slack is a violation and outranks every finite one as the
-    worst case, and among equals the first instance is the worst.  Calling
-    the check evaluates the first ``instances`` of them off Philox stream
-    ``stream`` of ``seed`` in one call."""
+    """One inequality value <= bound.  ``draw(rng)`` yields an endless stream
+    of blocks of instances drawn from ``rng``, and ``evaluate(columns)`` turns
+    the columns of many into value, bound and scale arrays plus the params of
+    instance i.  An instance passes when its slack bound - value + tol *
+    max(1, scale) is nonnegative; a non-finite slack is a violation and
+    outranks every finite one as the worst case, and among equals the first
+    instance is the worst.  Calling the check evaluates the first
+    ``instances`` off Philox stream ``stream`` of ``seed`` in one call."""
 
     name: str
     stream: int
     tol: float
-    draw: Callable[[np.random.Generator], Iterator[tuple]]
-    evaluate: Callable[[list[tuple]], Values]
+    draw: Callable[[np.random.Generator], Iterator[Columns]]
+    evaluate: Callable[[Columns], Values]
+
+    def columns(self, seed: int, instances: int) -> Columns | None:
+        """The first ``instances`` instances off the check's stream: blocks are
+        drawn until they hold that many and the last is cut (None if none)."""
+        draws, blocks, count = self.draw(philox(seed, self.stream)), [], 0
+        while count < instances and (block := next(draws, None)) is not None:
+            blocks.append(block)
+            count += len(next(iter(block.values())))
+        if not count:
+            return None
+        out = {}
+        for name, first in blocks[0].items():
+            if isinstance(first, Ragged):
+                sizes = np.concatenate([b[name].sizes for b in blocks])[:instances]
+                out[name] = Ragged(np.concatenate([b[name].values for b in blocks])[: sizes.sum()], sizes)
+            else:
+                out[name] = np.concatenate([b[name] for b in blocks])[:instances]
+        return out
 
     def __call__(self, seed: int, instances: int) -> CheckReport:
-        block = list(islice(self.draw(philox(seed, self.stream)), instances))
-        if not block:
+        columns = self.columns(seed, instances)
+        if columns is None:
             return CheckReport(self.name, 0, 0, math.inf, self.tol)
-        value, bound, scale, params = self.evaluate(block)
+        value, bound, scale, params = self.evaluate(columns)
         with np.errstate(invalid="ignore"):
             slack = bound - value + self.tol * np.fmax(1.0, scale)
         bad = ~np.isfinite(slack)
         i = int(np.argmax(bad)) if bad.any() else int(np.argmin(slack))
         violations = int(np.count_nonzero(bad | (slack < 0.0)))
-        return CheckReport(self.name, len(block), violations, float(slack[i]), self.tol, params(i))
+        return CheckReport(self.name, slack.size, violations, float(slack[i]), self.tol, params(i))
 
 
 # -- evaluation helpers -------------------------------------------------------
 
 
-def _groups(keys: list) -> list[list[int]]:
-    """Indices of the instances sharing each key, keys in first-seen order."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
-
-
-def _stacked(fn: Callable, keys: list, *columns) -> np.ndarray:
-    """``fn`` over every instance, one call per key: the inputs of the
-    instances sharing a key (which must fix their shapes) are stacked into
-    (G, ...) arrays, and ``fn`` returns one row of G values per output.  Any
-    BLAS product, reduction or LAPACK call then runs on exactly the shapes
-    of the per-instance code."""
-    out = None
-    for idx in _groups(keys):
-        rows = np.asarray(fn(*(np.array([col[i] for i in idx]) for col in columns)))
-        if out is None:
-            out = np.empty(rows.shape[:-1] + (len(keys),))
-        out[..., idx] = rows
-    return out
+def _groups(*keys: np.ndarray) -> list[np.ndarray]:
+    """The indices of the instances sharing each combination of the
+    nonnegative integer keys, ascending, by one stable argsort.  BLAS, LAPACK
+    and reductions on a group's stacks run on the per-instance shapes."""
+    key = np.zeros(len(keys[0]), dtype=np.int64)
+    for x in keys:
+        key = key * (int(x.max()) + 1) + x
+    order = np.argsort(key, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
 
 
 def _rows(lengths: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -148,19 +175,14 @@ def _rows(lengths: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     float arrays stay within BLOCK_BYTES.  Yields the block's instance
     indices and its column numbers 0.0 .. width-1."""
     order = np.argsort(lengths, kind="stable")
+    ordered = lengths[order].tolist()
     start = 0
     while start < order.size:
         stop = start + 1
-        while stop < order.size and (stop + 1 - start) * lengths[order[stop]] * 8 <= BLOCK_BYTES:
+        while stop < order.size and (stop + 1 - start) * ordered[stop] * 8 <= BLOCK_BYTES:
             stop += 1
-        yield order[start:stop], np.arange(float(lengths[order[stop - 1]]))
+        yield order[start:stop], np.arange(float(ordered[stop - 1]))
         start = stop
-
-
-def _pad_ones(x: np.ndarray, lengths: np.ndarray) -> None:
-    """Set every entry of row i of x past its first lengths[i] to 1.0."""
-    for row, n in zip(x, lengths.tolist()):
-        row[n:] = 1.0
 
 
 def _row_sums(terms: np.ndarray, lengths: np.ndarray) -> list[float]:
@@ -186,10 +208,10 @@ def _power(base: np.ndarray, exps: np.ndarray) -> np.ndarray:
     ``row ** float(exps[i])``; ``base`` may be one row for all."""
     base = np.broadcast_to(base, (exps.size, np.shape(base)[-1]))
     out = base ** exps[:, None]
-    for e in _SCALAR_SHORTCUTS:
-        rows = np.flatnonzero(exps == e)
-        if rows.size:
-            out[rows] = base[rows] ** e
+    hits = exps[:, None] == _SCALAR_SHORTCUTS
+    for j in np.flatnonzero(hits.any(axis=0)).tolist():
+        rows = np.flatnonzero(hits[:, j])
+        out[rows] = base[rows] ** _SCALAR_SHORTCUTS[j]
     return out
 
 
@@ -198,21 +220,18 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-# -- the checks ---------------------------------------------------------------
+def _weights(p: np.ndarray) -> np.ndarray:
+    """The weight vectors r = q / sum(q), q = 0.05 + p, of stacked p (G, n)."""
+    q = 0.05 + p
+    return q / q.sum(axis=1)[:, None]
 
-def _pieces(values: np.ndarray, *dims: np.ndarray) -> list[np.ndarray]:
-    """``values`` cut into consecutive views, piece i of shape
-    (dims[0][i], dims[1][i], ...); the piece sizes add up to values.size."""
-    sizes = np.prod(dims, axis=0)
-    ends = np.cumsum(sizes)
-    bounds = zip((ends - sizes).tolist(), ends.tolist(), zip(*(x.tolist() for x in dims)))
-    return [values[a:b].reshape(shape) for a, b, shape in bounds]
+
+# -- the checks ---------------------------------------------------------------
 
 
 def _uniform(rng: np.random.Generator, lo: float, hi: float, size=None) -> np.ndarray:
-    """``size`` (default ``DRAW_BLOCK``) floats uniform in [lo, hi).  Draws call only
-    ``rng.random`` and ``rng.standard_normal``, as the engine does: ``Generator.uniform``,
-    ``integers`` and ``normal`` would page in more of numpy (about 0.3 MB of peak RSS)."""
+    """``size`` (default ``DRAW_BLOCK``) floats uniform in [lo, hi).  Draws call only ``rng.random`` and
+    ``rng.standard_normal``, as the engine does: ``uniform``, ``integers`` and ``normal`` page in 0.3 MB more."""
     return lo + (hi - lo) * rng.random(DRAW_BLOCK if size is None else size)
 
 
@@ -221,72 +240,54 @@ def _integers(rng: np.random.Generator, lo: int, hi, size=None) -> np.ndarray:
     return lo + ((hi - lo) * rng.random(DRAW_BLOCK if size is None else size)).astype(np.int64)
 
 
-def _decade_normals(rng: np.random.Generator, *dims: np.ndarray) -> list[np.ndarray]:
-    """Standard normal pieces as ``_pieces`` cuts them, each times 10^k, k in -2 .. 2."""
-    sizes = np.prod(dims, axis=0)
+def _decade_normals(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
+    """Standard normal pieces of the given sizes, each times 10^k, k in -2 .. 2."""
     scale = 10.0 ** _integers(rng, -2, 3, sizes.size)
-    return _pieces(rng.standard_normal(sizes.sum()) * np.repeat(scale, sizes), *dims)
+    return rng.standard_normal(sizes.sum()) * np.repeat(scale, sizes)
 
 
-def _weights(p: list) -> list:
-    """The weight vector r = q / sum(q), q = 0.05 + p, of every drawn p; a
-    p of None gives None."""
-    r = [None] * len(p)
-    for idx in _groups([getattr(x, "size", None) for x in p]):
-        if p[idx[0]] is not None:
-            q = 0.05 + np.array([p[i] for i in idx])
-            for i, row in zip(idx, q / q.sum(axis=1)[:, None]):
-                r[i] = row
-    return r
+_KINDS = ("gossip", "fixed_cycle")
 
 
-def _mixing_sides(r, W, U, beta0, mu, lam, kap, s, t):
-    """Both sides for G instances of one family and n, longest chain first:
-    weights r (G, n), one period of matrices W (G, period, n, n), and a list
-    of G arrays U."""
-    G, period, n, _ = W.shape
-    steps = t - s - 1
-    k = s[:, None] + 1 + np.arange(steps[0])  # k = s+1 .. t-1, padded
-    k_mu = _power(k.astype(float), mu)
-    beta = beta0[:, None] / k_mu  # the mixing step beta(k) = beta0 / k^mu
-    slot = (k - 1) % period
-    eye = np.eye(n)
-    P = np.tile(eye, (G, 1, 1))
-    for j, m in enumerate(np.count_nonzero(steps[:, None] > np.arange(steps[0]), axis=0).tolist()):
-        # The chains still running are the first m.
-        b = beta[:m, j, None, None]
-        A = (1.0 - b) * eye + b * W[np.arange(m), slot[:m, j]]
-        P[:m] = A @ P[:m]
-    decay = 1.0 - (lam * beta0)[:, None] / k_mu
-    _pad_ones(decay, steps)
-    return _stacked(
-        lambda P, r, V, factor: (r_norm_sq((P - r[:, None, :]) @ V, r), factor * r_norm_sq(V, r)),
-        [u.shape for u in U], P, r, U, kap * decay.prod(axis=1),
-    )
+def _item(columns: Columns, i: int, *names: str) -> dict:
+    """Fields ``names`` of instance i, as Python scalars."""
+    return {x: columns[x][i].item() for x in names}
 
 
-def _mixing_values(block: list[tuple]) -> Values:
-    kind, p, beta0, mu, s, t, U = zip(*block)
-    b0, m0, s0, t0 = (np.array(col) for col in (beta0, mu, s, t))
-    lhs, rhs = np.empty(len(block)), np.empty(len(block))
-    for idx in _groups(list(zip(kind, map(len, p)))):
-        idx = np.array(idx)[np.argsort(s0[idx] - t0[idx], kind="stable")]
-        family, n = kind[idx[0]], len(p[idx[0]])
-        r = np.array(_weights([p[i] for i in idx]))
-        W, B = family_matrices(family, r), family_window(family, n)
-        lam = [contraction_factor(e, x, B, n) for e, x in zip(entry_floor(W).tolist(), r.min(axis=1).tolist())]
-        kap = [kappa_factor(x, b, B) for x, b in zip(lam, b0[idx].tolist())]
-        lhs[idx], rhs[idx] = _mixing_sides(
-            r, W, [U[i] for i in idx], b0[idx], m0[idx], np.array(lam), np.array(kap), s0[idx], t0[idx]
-        )
-    def params(i: int) -> dict:
-        return {"kind": kind[i], "n": len(p[i]), "s": s[i], "t": t[i], "beta0": beta0[i], "mu": mu[i]}
-
-    return lhs, rhs, rhs, params
+def _mixing_values(c: Columns) -> Values:
+    n, fixed, beta0, mu, s, t, d = (c[x] for x in ("n", "fixed", "beta0", "mu", "s", "t", "d"))
+    lhs, rhs = np.empty((2, n.size))
+    for idx in _groups(fixed, n):
+        # One family and n, the longest chain first.
+        idx = idx[np.argsort(s[idx] - t[idx], kind="stable")]
+        family, agents = _KINDS[fixed[idx[0]]], int(n[idx[0]])
+        r = _weights(c["p"].take(idx, n))
+        W, B = family_matrices(family, r), family_window(family, agents)
+        floors, r_min = entry_floor(W).tolist(), r.min(axis=1).tolist()
+        lam = np.array([contraction_factor(e, x, B, agents) for e, x in zip(floors, r_min)])
+        kap = np.array([kappa_factor(x, b, B) for x, b in zip(lam.tolist(), beta0[idx].tolist())])
+        steps = t[idx] - s[idx] - 1
+        k = s[idx, None] + 1 + np.arange(steps[0])  # k = s+1 .. t-1, padded
+        k_mu = _power(k.astype(float), mu[idx])
+        beta = beta0[idx, None] / k_mu  # the mixing step beta(k) = beta0 / k^mu
+        slot = (k - 1) % W.shape[1]
+        eye = np.eye(agents)
+        P = np.tile(eye, (idx.size, 1, 1))
+        running = steps[:, None] > np.arange(steps[0])
+        for j, live in enumerate(np.count_nonzero(running, axis=0).tolist()):
+            # The chains still running are the first ``live``.
+            b = beta[:live, j, None, None]
+            P[:live] = ((1.0 - b) * eye + b * W[np.arange(live), slot[:live, j]]) @ P[:live]
+        factor = kap * np.where(running, 1.0 - (lam * beta0[idx])[:, None] / k_mu, 1.0).prod(axis=1)
+        for sub in _groups(d[idx]):
+            at, rs = idx[sub], r[sub]
+            U = c["U"].take(at, n, d)
+            lhs[at], rhs[at] = r_norm_sq((P[sub] - rs[:, None, :]) @ U, rs), factor[sub] * r_norm_sq(U, rs)
+    return lhs, rhs, rhs, lambda i: {"kind": _KINDS[fixed[i]], **_item(c, i, "n", "s", "t", "beta0", "mu")}
 
 
 @partial(Check, "mixing product contraction", 71, 1e-9, evaluate=_mixing_values)
-def check_mixing_contraction(rng: np.random.Generator) -> Iterator[tuple]:
+def check_mixing_contraction(rng: np.random.Generator) -> Iterator[Columns]:
     """Products of the per-iteration mixing maps forget the initial spread
     geometrically: with A(k) = (1 - beta(k)) I + beta(k) W(k),
 
@@ -298,8 +299,7 @@ def check_mixing_contraction(rng: np.random.Generator) -> Iterator[tuple]:
     [0, 1)^n, either family with odds 1/2, beta0 in [0.1, 1), mu in
     [0.55, 0.95), s in 1 .. 39, t - s - 1 in 0 .. 3B for the family's
     window B, and U standard normal (n, d) with d in 1 .. 4."""
-    kinds = ("gossip", "fixed_cycle")
-    window = np.array([[family_window(kind, n) for n in range(3, 9)] for kind in kinds])
+    window = np.array([[family_window(kind, n) for n in range(3, 9)] for kind in _KINDS])
     while True:
         n = _integers(rng, 3, 9)
         fixed = (rng.random(DRAW_BLOCK) < 0.5).astype(int)
@@ -307,89 +307,96 @@ def check_mixing_contraction(rng: np.random.Generator) -> Iterator[tuple]:
         s = _integers(rng, 1, 40)
         t = s + 1 + _integers(rng, 0, 3 * window[fixed, n - 3] + 1)
         d = _integers(rng, 1, 5)
-        p, U = _pieces(rng.random(n.sum()), n), _pieces(rng.standard_normal((n * d).sum()), n, d)
-        yield from zip((kinds[x] for x in fixed.tolist()), p, beta0.tolist(), mu.tolist(), s.tolist(), t.tolist(), U)
+        p = Ragged(rng.random(n.sum()), n)
+        U = Ragged(rng.standard_normal((n * d).sum()), n * d)
+        yield {"n": n, "fixed": fixed, "beta0": beta0, "mu": mu, "s": s, "t": t, "d": d, "p": p, "U": U}
 
 
-def _operator_values(block: list[tuple]) -> Values:
-    p, A, B = zip(*block)
-    r = _weights(p)
-    # Per instance: the BLAS kernel of a product depends on its shape.
-    AB = [a @ b for a, b in zip(A, B)]
-    frobenius = np.sqrt([x.dot(x) for x in (b.ravel() for b in B)])  # as np.linalg.norm
-    lhs = np.sqrt(_stacked(r_norm_sq, [x.shape for x in AB], AB, r))
-    rhs = np.sqrt(_stacked(r_norm_sq, [a.shape for a in A], A, r)) * frobenius
-    return lhs, rhs, rhs, lambda i: {"n": A[i].shape[0], "m": A[i].shape[1], "d": B[i].shape[1]}
+def _operator_values(c: Columns) -> Values:
+    n, m, d, p, A, B = (c[x] for x in ("n", "m", "d", "p", "A", "B"))
+    # One product per instance: the BLAS kernel of a product depends on its shape.
+    AB = Ragged(np.empty((n * d).sum()), n * d)
+    for i, j, k, rows, inner, cols in zip(*(x.tolist() for x in (A.starts, B.starts, AB.starts, n, m, d))):
+        a, b = A.values[i : i + rows * inner].reshape(rows, inner), B.values[j : j + inner * cols].reshape(inner, cols)
+        np.matmul(a, b, out=AB.values[k : k + rows * cols].reshape(rows, cols))
+    lhs, rhs, frobenius = np.empty((3, n.size))
+    for idx in _groups(n, d):
+        lhs[idx] = r_norm_sq(AB.take(idx, n, d), _weights(p.take(idx, n)))
+    for idx in _groups(n, m):
+        rhs[idx] = r_norm_sq(A.take(idx, n, m), _weights(p.take(idx, n)))
+    for idx in _groups(B.sizes):
+        b = B.take(idx, B.sizes)
+        frobenius[idx] = _dot(b, b)  # as np.linalg.norm
+    rhs = np.sqrt(rhs) * np.sqrt(frobenius)
+    return np.sqrt(lhs), rhs, rhs, lambda i: _item(c, i, "n", "m", "d")
 
 
 @partial(Check, "weighted operator bound", 72, 1e-9, evaluate=_operator_values)
-def check_weighted_operator_bound(rng: np.random.Generator) -> Iterator[tuple]:
+def check_weighted_operator_bound(rng: np.random.Generator) -> Iterator[Columns]:
     """||A B||_r <= ||A||_r ||B||_F for conformable matrices and weights
     r = q / sum(q), q = 0.05 + p.  Drawn: n, m and d in 1 .. 7, p uniform
     in [0, 1)^n, and A (n, m) and B (m, d) standard normal, each times its
     own 10^k with k in -2 .. 2."""
     while True:
         n, m, d = _integers(rng, 1, 8, (3, DRAW_BLOCK))
-        p = _pieces(rng.random(n.sum()), n)
-        yield from zip(p, _decade_normals(rng, n, m), _decade_normals(rng, m, d))
+        p = Ragged(rng.random(n.sum()), n)
+        A = Ragged(_decade_normals(rng, n * m), n * m)
+        yield {"n": n, "m": m, "d": d, "p": p, "A": A, "B": Ragged(_decade_normals(rng, m * d), m * d)}
 
 
-def _young_sides(r, U, V):
-    """(||U + V||^2, ||U||^2, ||V||^2): dot products for stacked vectors,
-    r-weighted norms for stacked matrices."""
-    if U.ndim == 2:
-        uu, vv = _dot(U, U), _dot(V, V)
-        return uu + _dot(2 * U, V) + vv, uu, vv
-    return r_norm_sq(U + V, r), r_norm_sq(U, r), r_norm_sq(V, r)
-
-
-def _young_values(block: list[tuple]) -> Values:
-    theta, p, U, V = zip(*block)
-    lhs, uu, vv = _stacked(_young_sides, [u.shape for u in U], _weights(p), U, V)
-    th = np.array(theta)
-    rhs = (1 + th) * uu + (1 + 1 / th) * vv
-    def params(i: int) -> dict:
-        if p[i] is None:
-            return {"form": "vector", "d": U[i].size, "theta": theta[i]}
-        return {"form": "matrix", "n": U[i].shape[0], "d": U[i].shape[1], "theta": theta[i]}
-
-    return lhs, rhs, np.abs(rhs), params
+def _young_values(c: Columns) -> Values:
+    theta, n, d = c["theta"], c["n"], c["d"]
+    lhs, uu, vv = np.empty((3, n.size))
+    for idx in _groups(n, d):
+        if n[idx[0]] == 0:  # vectors: dot products
+            u, v = c["u"].take(idx, d), c["v"].take(idx, d)
+            uu[idx], vv[idx] = _dot(u, u), _dot(v, v)
+            lhs[idx] = uu[idx] + _dot(2 * u, v) + vv[idx]
+        else:  # matrices: r-weighted norms
+            U, V, r = c["U"].take(idx, n, d), c["V"].take(idx, n, d), _weights(c["p"].take(idx, n))
+            lhs[idx], uu[idx], vv[idx] = r_norm_sq(U + V, r), r_norm_sq(U, r), r_norm_sq(V, r)
+    rhs = (1 + theta) * uu + (1 + 1 / theta) * vv
+    return lhs, rhs, np.abs(rhs), lambda i: (
+        {"form": "vector", **_item(c, i, "d", "theta")}
+        if n[i] == 0 else {"form": "matrix", **_item(c, i, "n", "d", "theta")}
+    )
 
 
 @partial(Check, "young split", 73, 1e-9, evaluate=_young_values)
-def check_young_split(rng: np.random.Generator) -> Iterator[tuple]:
+def check_young_split(rng: np.random.Generator) -> Iterator[Columns]:
     """||u + v||^2 <= (1 + theta)||u||^2 + (1 + 1/theta)||v||^2, theta > 0,
     in both the vector and the weighted-matrix norm (weights
     r = q / sum(q), q = 0.05 + p).  Drawn: log10 theta in [-3, 3); with
     odds 1/2 vectors u and v of d in 1 .. 9 standard normal entries, each
     times its own 10^k with k in -2 .. 2, else (n, d) standard normal
-    matrices with n and d in 1 .. 5 and p uniform in [0, 1)^n."""
+    matrices with n and d in 1 .. 5 and p uniform in [0, 1)^n (n = 0 for vectors)."""
     while True:
         theta = 10.0 ** _uniform(rng, -3.0, 3.0)
         vector = rng.random(DRAW_BLOCK) < 0.5
-        k = int(np.count_nonzero(vector))
-        d = _integers(rng, 1, 10, k)
-        u, v = iter(_decade_normals(rng, d)), iter(_decade_normals(rng, d))
-        n, e = _integers(rng, 1, 6, (2, DRAW_BLOCK - k))
-        p = iter(_pieces(rng.random(n.sum()), n))
-        U, V = (iter(_pieces(rng.standard_normal((n * e).sum()), n, e)) for _ in "UV")
-        for th, vec in zip(theta.tolist(), vector.tolist()):
-            yield (th, None, next(u), next(v)) if vec else (th, next(p), next(U), next(V))
+        length = _integers(rng, 1, 10, int(np.count_nonzero(vector)))
+        u, v = _decade_normals(rng, length), _decade_normals(rng, length)
+        rows, cols = _integers(rng, 1, 6, (2, DRAW_BLOCK - length.size))
+        p = rng.random(rows.sum())
+        U, V = (rng.standard_normal((rows * cols).sum()) for _ in "UV")
+        n, d = np.zeros((2, DRAW_BLOCK), dtype=np.int64)
+        n[~vector], d[~vector], d[vector] = rows, cols, length
+        u, v, p, U, V = Ragged(u, d * vector), Ragged(v, d * vector), Ragged(p, n), Ragged(U, n * d), Ragged(V, n * d)
+        yield {"theta": theta, "n": n, "d": d, "u": u, "v": v, "p": p, "U": U, "V": V}
 
 
-def _step_product_values(block: list[tuple]) -> Values:
-    lhs = np.array([np.prod(1.0 - a / np.arange(s, t, dtype=float) ** delta) for a, delta, s, t in block])
+def _step_product_values(c: Columns) -> Values:
+    a, delta, s, t = (c[x].tolist() for x in ("a", "delta", "s", "t"))
+    k = np.arange(float(max(t)))  # k[s:t] is np.arange(s, t, dtype=float)
+    lhs = np.array([np.multiply.reduce(1.0 - x / k[lo:hi] ** e) for x, e, lo, hi in zip(a, delta, s, t)])
     rhs = np.array([
-        (t / s) ** (-a)
-        if delta == 1.0
-        else math.exp(-a / (1.0 - delta) * (t ** (1.0 - delta) - s ** (1.0 - delta)))
-        for a, delta, s, t in block
+        (hi / lo) ** (-x) if e == 1.0 else math.exp(-x / (1.0 - e) * (hi ** (1.0 - e) - lo ** (1.0 - e)))
+        for x, e, lo, hi in zip(a, delta, s, t)
     ])
-    return lhs, rhs, rhs, lambda i: dict(zip(("a", "delta", "s", "t"), block[i]))
+    return lhs, rhs, rhs, lambda i: _item(c, i, "a", "delta", "s", "t")
 
 
 @partial(Check, "step product envelope", 74, 1e-9, evaluate=_step_product_values)
-def check_step_product_envelope(rng: np.random.Generator) -> Iterator[tuple]:
+def check_step_product_envelope(rng: np.random.Generator) -> Iterator[Columns]:
     """prod_{k=s}^{t-1} (1 - a/k^delta) is killed at the integrated rate:
     bounded by exp(-a (t^(1-delta) - s^(1-delta)) / (1-delta)) for delta < 1
     and by (t/s)^-a for delta == 1.  Drawn: a in [0.001, 0.999), delta = 1
@@ -398,38 +405,34 @@ def check_step_product_envelope(rng: np.random.Generator) -> Iterator[tuple]:
         a = _uniform(rng, 1e-3, 0.999)
         delta = np.where(rng.random(DRAW_BLOCK) < 0.3, 1.0, _uniform(rng, 0.0, 0.999))
         s = _integers(rng, 1, 50)
-        t = s + 1 + _integers(rng, 0, 2000)
-        yield from zip(a.tolist(), delta.tolist(), s.tolist(), t.tolist())
+        yield {"a": a, "delta": delta, "s": s, "t": s + 1 + _integers(rng, 0, 2000)}
 
 
-def _telescope_values(block: list[tuple]) -> Values:
-    t, lam, beta0, mu, u = zip(*block)
-    t, lam = np.array(t), np.array(lam)
-    canonical = np.array([x is None for x in u])
-    beta0, mu = np.array(beta0, dtype=float), np.array(mu, dtype=float)
-    lhs, prod = np.empty(len(block)), np.empty(len(block))
+def _telescope_values(columns: Columns) -> Values:
+    t, lam, beta0, mu, canonical, v = (columns[x] for x in ("t", "lam", "beta0", "mu", "canonical", "v"))
+    lhs, prod = np.empty(t.size), np.empty(t.size)
     for idx, cols in _rows(t - 1):
-        # beta(k) for k = 1 .. t-1, padded with zeros
-        c = canonical[idx]
+        # beta(k) for k = 1 .. t-1, zero past the row's end, where the
+        # survival factors f are then 1.0.
+        c, held = canonical[idx], cols < (t[idx] - 1)[:, None]
         beta = np.zeros((idx.size, cols.size))
         beta[c] = beta0[idx[c], None] / _power(cols + 1.0, mu[idx[c]])
-        for row, i in zip(np.flatnonzero(~c).tolist(), idx[~c].tolist()):
-            beta[row, : t[i] - 1] = u[i]
+        steps = held & ~c[:, None]
+        beta[steps] = v.values[(v.starts[idx, None] + np.arange(cols.size))[steps]]
         beta[~c] = (0.0 + 2.0 * beta[~c]) / lam[idx[~c], None]
+        beta *= held
         f = 1.0 - lam[idx, None] * beta
-        _pad_ones(f, t[idx] - 1)
         prod[idx] = f.prod(axis=1)
         # The term at s is beta(s) prod_{k > s} f(k); past the row's end
         # the suffix products are 1.0, so the last term is beta(t-1) itself.
         beta[:, :-1] *= _suffix_products(f)[:, 1:]
         lhs[idx] = _row_sums(beta, t[idx] - 1)
-    rhs = (1.0 - prod) / lam
-    value = np.abs(lhs - rhs)
-    return value, np.zeros(len(block)), 1.0 / np.abs(lam), lambda i: dict(zip(("t", "lam"), block[i]))
+    value = np.abs(lhs - (1.0 - prod) / lam)  # |lhs - rhs|
+    return value, np.zeros(t.size), 1.0 / np.abs(lam), lambda i: _item(columns, i, "t", "lam")
 
 
 @partial(Check, "step sum telescope", 75, 1e-10, evaluate=_telescope_values)
-def check_step_sum_telescope(rng: np.random.Generator) -> Iterator[tuple]:
+def check_step_sum_telescope(rng: np.random.Generator) -> Iterator[Columns]:
     """The weighted sum of survival products telescopes exactly:
 
         sum_{s=1}^{t-1} beta(s) prod_{k=s+1}^{t-1} (1 - lam beta(k))
@@ -438,7 +441,8 @@ def check_step_sum_telescope(rng: np.random.Generator) -> Iterator[tuple]:
     for any real sequence beta and lam != 0, to 1e-10 * max(1, 1/|lam|).
     Drawn: t in 2 .. 199, |lam| = 10^x with x in [-2, 1), and with odds 1/2
     canonical steps with beta0 in [0.05, 1) and mu in [0.1, 0.95), else
-    arbitrary ones from v uniform in [0, 1)^(t-1).
+    arbitrary ones from v uniform in [0, 1)^(t-1).  A canonical instance
+    holds no v; the other kind ignores its beta0 and mu.
     """
     while True:
         t = _integers(rng, 2, 200)
@@ -452,11 +456,9 @@ def check_step_sum_telescope(rng: np.random.Generator) -> Iterator[tuple]:
         # so lam * beta(k) lands in [0, 2] and the factors stay bounded by 1.
         sign = np.where(rng.random(DRAW_BLOCK) < 0.5, -1.0, 1.0)
         lam = np.where(canonical, np.where(lam * beta0 >= 2.0, 1.0 / beta0, lam), sign * lam)
-        # The steps are copied out of the block's buffer (about 100 KB): views
-        # would keep it alive until the check is evaluated, which raised peak RSS.
-        v = iter([x.copy() for x in _pieces(rng.random((t[~canonical] - 1).sum()), t[~canonical] - 1)])
-        for row in zip(t.tolist(), lam.tolist(), beta0.tolist(), mu.tolist(), canonical.tolist()):
-            yield row[:4] + (None,) if row[4] else row[:2] + (None, None, next(v))
+        steps = np.where(canonical, 0, t - 1)
+        v = Ragged(rng.random(steps.sum()), steps)
+        yield {"t": t, "lam": lam, "beta0": beta0, "mu": mu, "canonical": canonical, "v": v}
 
 
 def _decaying_sum(a, sigma, delta, t):
@@ -470,24 +472,25 @@ def _decaying_sum(a, sigma, delta, t):
         f = _power(cols + 2.0, delta[idx])
         np.divide(a[idx, None], f, out=f)
         np.subtract(1.0, f, out=f)
-        _pad_ones(f, t[idx] - 2)
+        for row, n in zip(f, (t[idx] - 2).tolist()):  # 1.0 past the row's end
+            row[n:] = 1.0
         terms = _power(cols + 1.0, -sigma[idx])
         terms *= _suffix_products(f)
         out[idx] = _row_sums(terms, t[idx] - 1)
     return out
 
 
-def _decaying_values(block: list[tuple]) -> Values:
-    lhs = _decaying_sum(*(np.array(col) for col in zip(*block)))
+def _decaying_values(c: Columns) -> Values:
+    lhs = _decaying_sum(c["a"], c["sigma"], c["delta"], c["t"])
     rhs = np.array([
         A_constant(a, sigma, delta) * t ** -(min(sigma - 1.0, a) if delta == 1.0 else sigma - delta)
-        for a, sigma, delta, t in block
+        for a, sigma, delta, t in zip(*(c[x].tolist() for x in ("a", "sigma", "delta", "t")))
     ])
-    return lhs, rhs, rhs, lambda i: dict(zip(("a", "sigma", "delta", "t"), block[i]))
+    return lhs, rhs, rhs, lambda i: _item(c, i, "a", "sigma", "delta", "t")
 
 
 @partial(Check, "decaying sum envelope", 76, 1e-9, evaluate=_decaying_values)
-def check_decaying_sum_envelope(rng: np.random.Generator) -> Iterator[tuple]:
+def check_decaying_sum_envelope(rng: np.random.Generator) -> Iterator[Columns]:
     """The decaying-weight sum obeys the closed-form envelope constant:
 
         sum_{s=1}^{t-1} s^-sigma prod_{k=s+1}^{t-1} (1 - a/k^delta)
@@ -502,10 +505,8 @@ def check_decaying_sum_envelope(rng: np.random.Generator) -> Iterator[tuple]:
     delta = 1, else t0 = floor(tau) + 2 for the burn-in tau, redrawn past 1500.
     """
     # The branch boundary sigma == 1 and the delta == 1 family with a past 1.
-    for t in (4, 7, 20, 200):
-        yield 2.0, 1.5, 1.0, t
-    for t in (40, 200, 1000):
-        yield 0.5, 1.0, 0.0, t
+    pinned = [(2.0, 1.5, 1.0, t) for t in (4, 7, 20, 200)] + [(0.5, 1.0, 0.0, t) for t in (40, 200, 1000)]
+    yield dict(zip(("a", "sigma", "delta", "t"), map(np.array, zip(*pinned))))
 
     while True:
         branch = rng.random(DRAW_BLOCK)
@@ -518,39 +519,36 @@ def check_decaying_sum_envelope(rng: np.random.Generator) -> Iterator[tuple]:
             tau = np.where(delta1, 2.0, (2.0 * (sigma - delta) / a) ** (1.0 / (1.0 - delta)))
         keep = (tau <= 1500.0) & ~(delta1 & (np.abs(a - sigma + 1.0) < 1e-6))
         t = np.floor(tau[keep]).astype(int) + 2 + _integers(rng, 0, 1000)[keep]
-        yield from zip(a[keep].tolist(), sigma[keep].tolist(), delta[keep].tolist(), t.tolist())
+        yield {"a": a[keep], "sigma": sigma[keep], "delta": delta[keep], "t": t}
 
 
-def _curvature_sides(eigs, G, x_star, mode, step, scale):
-    """Both sides, the scale, mu and L for G stacked instances of one d and
-    one kind of step."""
-    eigs = 0.0 + 3.0 * eigs
-    eigs[~eigs.any(axis=1), 0] = 1.0  # the zero quadratic becomes rank one
-    Q = np.linalg.qr(G)[0]
-    H = (Q * eigs[:, None, :]) @ Q.transpose(0, 2, 1)
-    if step.ndim == 1:
-        # A scalar step along the eigenvector of the smallest (mode < 0.2)
-        # or the largest eigenvalue.
-        col = np.where(mode < 0.2, eigs.argmin(axis=1), eigs.argmax(axis=1))
-        x = x_star + Q[np.arange(len(col)), :, col] * step[:, None]
-    else:
-        x = x_star + step * scale[:, None]
-    v = x - x_star
-    g = (H @ v[:, :, None])[:, :, 0]
-    mu, L = eigs.min(axis=1), eigs.max(axis=1)
-    lhs = _dot(v, g)
-    rhs = _dot(g, g) / (mu + L) + (mu * L / (mu + L)) * _dot(v, v)
-    return rhs, lhs, np.maximum(np.abs(lhs), np.abs(rhs)), mu, L
-
-
-def _curvature_values(block: list[tuple]) -> Values:
-    keys = [(eigs.size, mode < 0.4) for eigs, _, _, mode, *_ in block]
-    value, bound, scale, mu, L = _stacked(_curvature_sides, keys, *zip(*block))
-    return value, bound, scale, lambda i: {"d": keys[i][0], "mu": float(mu[i]), "L": float(L[i])}
+def _curvature_values(c: Columns) -> Values:
+    d, mode = c["d"], c["mode"]
+    lhs, rhs, mu, L = np.empty((4, d.size))
+    for idx in _groups(d, mode < 0.4):
+        eigs = 0.0 + 3.0 * c["eigs"].take(idx, d)
+        eigs[~eigs.any(axis=1), 0] = 1.0  # the zero quadratic becomes rank one
+        Q = np.linalg.qr(c["G"].take(idx, d, d))[0]
+        H = (Q * eigs[:, None, :]) @ Q.transpose(0, 2, 1)
+        x_star = c["x_star"].take(idx, d)
+        if mode[idx[0]] < 0.4:
+            # A scalar step along the eigenvector of the smallest (mode < 0.2)
+            # or the largest eigenvalue.
+            col = np.where(mode[idx] < 0.2, eigs.argmin(axis=1), eigs.argmax(axis=1))
+            x = x_star + Q[np.arange(idx.size), :, col] * c["step"][idx, None]
+        else:
+            x = x_star + c["vector"].take(idx, d) * c["scale"][idx, None]
+        v = x - x_star
+        g = (H @ v[:, :, None])[:, :, 0]
+        lo, hi = mu[idx], L[idx] = eigs.min(axis=1), eigs.max(axis=1)
+        lhs[idx] = _dot(v, g)
+        rhs[idx] = _dot(g, g) / (lo + hi) + (lo * hi / (lo + hi)) * _dot(v, v)
+    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    return rhs, lhs, scale, lambda i: {"d": d[i].item(), "mu": mu[i].item(), "L": L[i].item()}  # rhs <= lhs
 
 
 @partial(Check, "curvature split", 77, 1e-9, evaluate=_curvature_values)
-def check_curvature_split(rng: np.random.Generator) -> Iterator[tuple]:
+def check_curvature_split(rng: np.random.Generator) -> Iterator[Columns]:
     """For a quadratic with spectrum inside [mu, L] and minimizer x*:
 
         <x - x*, grad(x)> >= ||grad(x)||^2 / (mu + L)
@@ -560,21 +558,23 @@ def check_curvature_split(rng: np.random.Generator) -> Iterator[tuple]:
     H = Q diag(eigs) Q' with Q from the QR factors of a Gaussian matrix.
     Drawn: d in 1 .. 6, eigs uniform in [0, 1)^d (the spectrum is 3 eigs)
     with one entry zeroed with odds 0.3, G (d, d) and x* standard normal, and
-    mode in [0, 1): below 0.4 a standard normal step along an eigenvector,
-    else a standard normal step in R^d times 10^k, k in -2 .. 2."""
+    mode in [0, 1): below 0.4 a standard normal ``step`` along an
+    eigenvector, else a standard normal step ``vector`` in R^d times
+    ``scale`` = 10^k, k in -2 .. 2.  Each instance holds only its kind's fields."""
     while True:
         d = _integers(rng, 1, 7)
         eigs = rng.random(d.sum())
         zero = rng.random(DRAW_BLOCK) < 0.3
         eigs[(np.cumsum(d) - d)[zero] + _integers(rng, 0, d[zero], d[zero].size)] = 0.0
-        G, x_star = _pieces(rng.standard_normal((d * d).sum()), d, d), _pieces(rng.standard_normal(d.sum()), d)
+        G, x_star = rng.standard_normal((d * d).sum()), rng.standard_normal(d.sum())
         mode = rng.random(DRAW_BLOCK)
         line = mode < 0.4
-        e = d[~line]
-        step = iter(rng.standard_normal(np.count_nonzero(line)).tolist())
-        vector = iter(zip(_pieces(rng.standard_normal(e.sum()), e), (10.0 ** _integers(rng, -2, 3, e.size)).tolist()))
-        for row in zip(_pieces(eigs, d), G, x_star, mode.tolist(), line.tolist()):
-            yield row[:4] + ((next(step), None) if row[4] else next(vector))
+        step, scale = np.zeros((2, DRAW_BLOCK))
+        step[line] = rng.standard_normal(np.count_nonzero(line))
+        vector = Ragged(rng.standard_normal(d[~line].sum()), d * ~line)
+        scale[~line] = 10.0 ** _integers(rng, -2, 3, np.count_nonzero(~line))
+        yield {"d": d, "eigs": Ragged(eigs, d), "G": Ragged(G, d * d), "x_star": Ragged(x_star, d), "mode": mode,
+               "step": step, "vector": vector, "scale": scale}
 
 
 ALL_CHECKS = (

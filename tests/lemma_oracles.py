@@ -1,9 +1,13 @@
 """The seven lemma checks one instance at a time.
 
-Each function takes one instance as the check's draw generator yields it
-and computes both sides right away, returning (value, bound, scale,
-params).  ``dimix.lemmas`` evaluates every drawn instance at once in a
-batched evaluate phase; tests compare the two bit for bit.
+``dimix.lemmas`` passes each check's instances as columns: an array per
+scalar field and a ``Ragged`` (flat values plus per-instance sizes) per
+ragged one, and evaluates all of them at once.  ``instances`` rebuilds the
+per-instance tuples from such columns, with the types, shapes and bytes the
+draws held when they were yielded one by one, and ``part`` cuts a run of
+instances out of them.  Each oracle function takes one tuple and computes
+both sides right away, returning (value, bound, scale, params); tests compare
+the two evaluations bit for bit.
 """
 
 import math
@@ -11,6 +15,7 @@ import math
 import numpy as np
 
 from dimix.analysis import A_constant, StepSchedule, contraction_factor, kappa_factor, r_norm_sq
+from dimix.lemmas import Ragged
 from dimix.topology import fixed_cycle_schedule, gossip_schedule
 
 
@@ -127,3 +132,73 @@ ORACLES = {
     "decaying sum envelope": decaying,
     "curvature split": curvature,
 }
+
+
+def piece(field: Ragged, i: int, *shape: int) -> np.ndarray:
+    """Instance i's values of a ragged field, shaped ``shape``."""
+    start = int(field.starts[i])
+    return field.values[start : start + math.prod(shape)].reshape(shape)
+
+
+def _mixing_row(c, f, i):
+    kind = ("gossip", "fixed_cycle")[c["fixed"][i]]
+    n, d = c["n"][i], c["d"][i]
+    return kind, piece(f["p"], i, n), c["beta0"][i], c["mu"][i], c["s"][i], c["t"][i], piece(f["U"], i, n, d)
+
+
+def _operator_row(c, f, i):
+    n, m, d = c["n"][i], c["m"][i], c["d"][i]
+    return piece(f["p"], i, n), piece(f["A"], i, n, m), piece(f["B"], i, m, d)
+
+
+def _young_row(c, f, i):
+    n, d = c["n"][i], c["d"][i]
+    if n == 0:
+        return c["theta"][i], None, piece(f["u"], i, d), piece(f["v"], i, d)
+    return c["theta"][i], piece(f["p"], i, n), piece(f["U"], i, n, d), piece(f["V"], i, n, d)
+
+
+def _telescope_row(c, f, i):
+    if c["canonical"][i]:
+        return c["t"][i], c["lam"][i], c["beta0"][i], c["mu"][i], None
+    return c["t"][i], c["lam"][i], None, None, piece(f["v"], i, c["t"][i] - 1)
+
+
+def _curvature_row(c, f, i):
+    d, mode = c["d"][i], c["mode"][i]
+    head = piece(f["eigs"], i, d), piece(f["G"], i, d, d), piece(f["x_star"], i, d), mode
+    return head + ((c["step"][i], None) if mode < 0.4 else (piece(f["vector"], i, d), c["scale"][i]))
+
+
+# check name -> the tuple of instance i, from the columns as Python lists (c)
+# and as given (f)
+ROWS = {
+    "mixing product contraction": _mixing_row,
+    "weighted operator bound": _operator_row,
+    "young split": _young_row,
+    "step product envelope": lambda c, f, i: (c["a"][i], c["delta"][i], c["s"][i], c["t"][i]),
+    "step sum telescope": _telescope_row,
+    "decaying sum envelope": lambda c, f, i: (c["a"][i], c["sigma"][i], c["delta"][i], c["t"][i]),
+    "curvature split": _curvature_row,
+}
+
+
+def instances(name: str, columns) -> list[tuple]:
+    """The instances of check ``name`` held by ``columns`` (None holds
+    none), one tuple each, as the oracle functions take them."""
+    if columns is None:
+        return []
+    lists = {k: x.tolist() for k, x in columns.items() if isinstance(x, np.ndarray)}
+    return [ROWS[name](lists, columns, i) for i in range(len(next(iter(lists.values()))))]
+
+
+def part(columns, start: int, stop: int):
+    """Instances start .. stop - 1 of a check's columns, as columns."""
+    out = {}
+    for k, x in columns.items():
+        if isinstance(x, Ragged):
+            lo = int(x.starts[start])
+            out[k] = Ragged(x.values[lo : lo + int(x.sizes[start:stop].sum())], x.sizes[start:stop])
+        else:
+            out[k] = x[start:stop]
+    return out

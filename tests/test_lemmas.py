@@ -1,6 +1,8 @@
 import math
-from dataclasses import replace
-from itertools import islice
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +15,7 @@ from dimix.lemmas import (
     ALL_CHECKS,
     Check,
     CheckReport,
+    Ragged,
     SuiteReport,
     check_curvature_split,
     check_decaying_sum_envelope,
@@ -179,16 +182,56 @@ all checks passed (1050 instances total)"""
         assert worst == self.WORST
 
 
+class TestPinnedDefaultBudget:
+    """Frozen output of ``dimix lemmas`` at its default budget: the seed-0
+    suite at 1000 instances per check, with every report's exact min slack
+    and worst instance.  Recorded before the checks passed columns; any
+    change to the instances, their order or the slack arithmetic shows."""
+
+    SUMMARY = """\
+ok   mixing product contraction: 1000 instances, 0 violations, min slack 1.254e-04
+ok   weighted operator bound: 1000 instances, 0 violations, min slack 1.000e-09
+ok   young split: 1000 instances, 0 violations, min slack 7.440e-05
+ok   step product envelope: 1000 instances, 0 violations, min slack 1.000e-09
+ok   step sum telescope: 1000 instances, 0 violations, min slack 1.000e-10
+ok   decaying sum envelope: 1000 instances, 0 violations, min slack 1.655e-05
+ok   curvature split: 1000 instances, 0 violations, min slack 1.000e-09
+all checks passed (7000 instances total)"""
+
+    REPORTS = {
+        "mixing product contraction": ("0.00012537378887064794", {
+            "kind": "fixed_cycle", "n": 7, "s": 1, "t": 2, "beta0": 0.17915035659776235, "mu": 0.8675653539486684,
+        }),
+        "weighted operator bound": ("9.999998889776976e-10", {"n": 3, "m": 1, "d": 1}),
+        "young split": ("7.439958519597666e-05", {"form": "vector", "d": 1, "theta": 0.07776223424676053}),
+        "step product envelope": ("1e-09", {"a": 0.5247245805975087, "delta": 0.06680181318906304, "s": 3, "t": 1909}),
+        "step sum telescope": ("9.999955591079015e-11", {"t": 114, "lam": 1.073043374889634}),
+        "decaying sum envelope": ("1.6550955288010936e-05", {
+            "a": 0.9267863747528756, "sigma": 2.5713295042044058, "delta": 0.0998095431923416, "t": 951,
+        }),
+        "curvature split": ("9.999996669330927e-10", {"d": 6, "mu": 0.16453061343108366, "L": 2.9430511636030854}),
+    }
+
+    @pytest.fixture(scope="class")
+    def default_suite(self):
+        return run_suite(seed=0)
+
+    def test_summary(self, default_suite):
+        assert default_suite.summary() == self.SUMMARY
+
+    def test_min_slack_and_worst_instance(self, default_suite):
+        assert {rep.name: (repr(rep.min_slack), rep.worst) for rep in default_suite.reports} == self.REPORTS
+
+
 def synthetic_check(slacks) -> Check:
     """A check whose instance i has slack slacks[i] (value 0, scale 0, tol 0)
-    and params {"i": i}."""
+    and params {"i": i}, all drawn as one block."""
 
-    def evaluate(block):
-        n = len(block)
-        bound = np.array([x for _, x in block])
-        return np.zeros(n), bound, np.zeros(n), lambda i: {"i": block[i][0]}
+    def evaluate(columns):
+        n = columns["slack"].size
+        return np.zeros(n), columns["slack"], np.zeros(n), lambda i: {"i": i}
 
-    return Check("synthetic", 0, 0.0, lambda rng: iter(enumerate(slacks)), evaluate)
+    return Check("synthetic", 0, 0.0, lambda rng: iter([{"slack": np.array(slacks, dtype=float)}]), evaluate)
 
 
 class TestWorstCase:
@@ -230,19 +273,20 @@ class TestBatchedEvaluation:
     @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda c: c.name.replace(" ", "_"))
     def test_matches_per_instance_code(self, monkeypatch, check, block, block_bytes):
         monkeypatch.setattr(lemmas, "BLOCK_BYTES", block_bytes)
-        drawn = list(islice(check.draw(philox(1, check.stream)), 240))
+        columns = check.columns(1, 240)
         oracle = lemma_oracles.ORACLES[check.name]
-        for start in range(0, len(drawn), block):
-            chunk = drawn[start : start + block]
+        for start in range(0, 240, block):
+            chunk = lemma_oracles.part(columns, start, min(start + block, 240))
             value, bound, scale, params = check.evaluate(chunk)
-            for i, instance in enumerate(chunk):
+            for i, instance in enumerate(lemma_oracles.instances(check.name, chunk)):
                 ov, ob, os_, op = oracle(*instance)
                 assert same_bits([value[i], bound[i], scale[i]], [ov, ob, os_]) and repr(params(i)) == repr(op), op
 
     def test_decaying_sum_stops_inside_the_pinned_cases(self):
         """The seven pinned cases come first and draw nothing."""
         untouched = SimpleNamespace()  # any Generator call raises AttributeError
-        pinned = list(islice(check_decaying_sum_envelope.draw(untouched), 7))
+        first = next(check_decaying_sum_envelope.draw(untouched))
+        pinned = lemma_oracles.instances(check_decaying_sum_envelope.name, first)
         assert pinned == [(2.0, 1.5, 1.0, t) for t in (4, 7, 20, 200)] + [(0.5, 1.0, 0.0, t) for t in (40, 200, 1000)]
         rep = check_decaying_sum_envelope(seed=0, instances=3)
         assert rep.instances == 3
@@ -266,9 +310,10 @@ class TestBatchedEvaluation:
             [0.5, 0.007],  # t - floor(tau) - 2 = floor(1000 u)
         ])
         stub = SimpleNamespace(random=lambda size: np.array(next(answers)))
-        drawn = list(islice(check_decaying_sum_envelope.draw(stub), 8))
+        draws = check_decaying_sum_envelope.draw(stub)
+        next(draws)  # the pinned cases
         # tau = (2 * 1.275 / 0.525) ** (1 / 0.55) = 17.7, so t = 17 + 2 + 7.
-        assert drawn[7] == (0.525, 1.725, 0.45, 26)
+        assert lemma_oracles.instances(check_decaying_sum_envelope.name, next(draws)) == [(0.525, 1.725, 0.45, 26)]
         with pytest.raises(StopIteration):
             next(answers)
 
@@ -277,7 +322,12 @@ class TestBatchedEvaluation:
         empty product 1, next to a longer chain of the same shape."""
         rng = philox(5, 0)
         p, U = rng.random(4), rng.normal(size=(4, 2))
-        block = [("gossip", p, 0.5, 0.7, 12, 13, U), ("gossip", p, 0.5, 0.7, 3, 11, U)]
+        # ("gossip", p, 0.5, 0.7, 12, 13, U) and ("gossip", p, 0.5, 0.7, 3, 11, U)
+        block = {
+            "n": np.array([4, 4]), "fixed": np.array([0, 0]), "beta0": np.array([0.5, 0.5]),
+            "mu": np.array([0.7, 0.7]), "s": np.array([12, 3]), "t": np.array([13, 11]), "d": np.array([2, 2]),
+            "p": Ragged(np.tile(p, 2), np.array([4, 4])), "U": Ragged(np.tile(U.ravel(), 2), np.array([8, 8])),
+        }
         lhs, rhs, _, params = check_mixing_contraction.evaluate(block)
         q = 0.05 + p
         r = q / q.sum()
@@ -290,31 +340,26 @@ class TestBatchedEvaluation:
 
     def test_telescope_single_step(self):
         """t = 2: the one term beta(1) has an empty survival product."""
-        block = [
-            (2, 0.7, 0.4, 0.3, None),
-            (2, -1.3, None, None, np.array([0.6])),
-            (9, 0.5, 0.2, 0.6, None),
-            (6, 2.0, None, None, np.array([0.1, 0.9, 0.3, 0.5, 0.7])),
-        ]
+        # (2, 0.7, 0.4, 0.3, None), (2, -1.3, None, None, [0.6]), (9, 0.5, 0.2, 0.6, None)
+        # and (6, 2.0, None, None, [0.1, 0.9, 0.3, 0.5, 0.7]); a non-canonical
+        # instance's beta0 and mu are not read.
+        block = {
+            "t": np.array([2, 2, 9, 6]), "lam": np.array([0.7, -1.3, 0.5, 2.0]),
+            "beta0": np.array([0.4, 0.0, 0.2, 0.0]), "mu": np.array([0.3, 0.0, 0.6, 0.0]),
+            "canonical": np.array([True, False, True, False]),
+            "v": Ragged(np.array([0.6, 0.1, 0.9, 0.3, 0.5, 0.7]), np.array([0, 1, 0, 5])),
+        }
         value, bound, scale, _ = check_step_sum_telescope.evaluate(block)
         for i, beta1 in ((0, 0.4 / 1.0**0.3), (1, (0.0 + 2.0 * 0.6) / -1.3)):
-            lam = block[i][1]
+            lam = block["lam"][i]
             assert same_bits(value[i], abs(beta1 - (1.0 - (1.0 - lam * beta1)) / lam))
         assert same_bits(bound, np.zeros(4))
         assert same_bits(scale[:2], [1.0 / 0.7, 1.0 / 1.3])
 
 
 def drawn(check: Check, seed: int, instances: int) -> list[tuple]:
-    """The instances that ``check(seed, instances)`` evaluates."""
-    seen = []
-
-    def evaluate(block):
-        seen.extend(block)
-        zeros = np.zeros(len(block))
-        return zeros, zeros, zeros, lambda i: {}
-
-    replace(check, evaluate=evaluate)(seed, instances)
-    return seen
+    """The instances that ``check(seed, instances)`` evaluates, one tuple each."""
+    return lemma_oracles.instances(check.name, check.columns(seed, instances))
 
 
 def as_bytes(instance: tuple) -> bytes:
@@ -358,6 +403,15 @@ class TestDrawContract:
     @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda c: c.name.replace(" ", "_"))
     def test_prefix_property(self, check):
         assert [as_bytes(x) for x in drawn(check, 4, 1000)[:150]] == [as_bytes(x) for x in drawn(check, 4, 150)]
+
+    @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda c: c.name.replace(" ", "_"))
+    def test_prefix_property_at_block_edges(self, check):
+        """Budgets around the DRAW_BLOCK = 256 edges cut the concatenated
+        blocks; the decaying sum's pinned first block and its in-block
+        rejections move its edges off multiples of 256."""
+        full = [as_bytes(x) for x in drawn(check, 4, 1000)]
+        for budget in (1, 255, 256, 257, 513):
+            assert [as_bytes(x) for x in drawn(check, 4, budget)] == full[:budget], budget
 
     def test_mixing_ranges(self, samples):
         kind, p, beta0, mu, s, t, U = fields(samples, "mixing product contraction")
@@ -457,3 +511,30 @@ class TestDrawContract:
         """Each branch's share lies within 4 binomial standard errors of its odds."""
         taken = [branch(*x) for x in samples[name]]
         assert abs(np.mean(taken) - odds) < 4.0 * math.sqrt(odds * (1.0 - odds) / len(taken))
+
+
+class TestPageIn:
+    """The suite pages in no more of numpy than the engine does: about 0.3 MB
+    of peak RSS for ``Generator.integers``, ``uniform`` or ``normal``, and
+    0.9-1.6 MB for ``numpy.ma`` (``np.unique``, ``np.isin``)."""
+
+    def test_draws_call_only_random_and_standard_normal(self, monkeypatch):
+        expected = run_suite(seed=0, instances=300)
+
+        def narrow(seed, stream):
+            rng = philox(seed, stream)
+            return SimpleNamespace(random=rng.random, standard_normal=rng.standard_normal)
+
+        monkeypatch.setattr(lemmas, "philox", narrow)
+        got = run_suite(seed=0, instances=300)
+        assert got.summary() == expected.summary()
+        assert [rep.worst for rep in got.reports] == [rep.worst for rep in expected.reports]
+
+    def test_lemmas_command_leaves_numpy_ma_unloaded(self):
+        # A fresh interpreter, as every CLI call starts.
+        code = "import sys\nfrom dimix.cli import main\nmain(['lemmas'])\nprint('numpy.ma' in sys.modules)\n"
+        src = str(Path(lemmas.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert "all checks passed (7000 instances total)" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "False"
