@@ -94,22 +94,26 @@ class StepSchedule:
 # schedule-level constants
 
 
-def contraction_factor(eta: float, r_min: float, B: int, n: int) -> float:
-    """Per-window information-mixing rate lambda = eta * r_min / (2 B n^2)."""
-    if not (0.0 < eta <= 1.0):
+def contraction_factor(eta, r_min, B: int, n: int):
+    """Per-window information-mixing rate lambda = eta * r_min / (2 B n^2).
+    eta and r_min may be arrays: one lambda per entry, each the scalar's bits."""
+    if not np.all((0.0 < eta) & (eta <= 1.0)):
         raise ValueError("entry floor eta must lie in (0, 1]")
-    if not (0.0 < r_min <= 1.0):
+    if not np.all((0.0 < r_min) & (r_min <= 1.0)):
         raise ValueError("r_min must lie in (0, 1]")
     if B < 1 or n < 1:
         raise ValueError("B and n must be >= 1")
     return eta * r_min / (2.0 * B * n * n)
 
 
-def kappa_factor(lam: float, beta0: float, B: int) -> float:
-    """kappa = 1 / (1 - B lambda beta0); requires B lambda beta0 < 1."""
+def kappa_factor(lam, beta0, B: int):
+    """kappa = 1 / (1 - B lambda beta0); requires B lambda beta0 < 1.  lam
+    and beta0 may be arrays, as in ``contraction_factor``; the error names
+    the first entry out of range."""
     x = B * lam * beta0
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"B*lambda*beta0 = {x:.3g} must lie in (0, 1)")
+    outside = np.asarray(x)[np.logical_not((0.0 < x) & (x < 1.0))]
+    if outside.size:
+        raise ValueError(f"B*lambda*beta0 = {outside[0]:.3g} must lie in (0, 1)")
     return 1.0 / (1.0 - x)
 
 
@@ -247,6 +251,7 @@ class TheoryConstants:
 
 def xi_constants(
     steps: StepSchedule,
+    th: Thresholds,
     lam: float,
     kappa: float,
     mu_f: float,
@@ -257,10 +262,12 @@ def xi_constants(
 ) -> TheoryConstants:
     """Evaluate the explicit constants of the rate guarantee.
 
+    ``th`` is ``thresholds(steps, lam, mu_f, L_f)``, computed by the caller,
+    which also checks the step-size regime; it is taken as given.  lam and
+    kappa are the schedule's ``contraction_factor`` and ``kappa_factor``.
     gamma bounds the per-iteration sharing-noise second moment, K the squared
     local gradients along the trajectory, q0 the mean squared error at T0.
     """
-    th = thresholds(steps, lam, mu_f, L_f)  # also checks the regime
     if not all(math.isfinite(v) and v >= 0.0 for v in (gamma, K, q0)):
         raise ValueError(f"gamma, K, q0 must be finite and nonnegative, got {gamma}, {K}, {q0}")
     a0, b0, mu, nu = steps.alpha0, steps.beta0, steps.mu, steps.nu

@@ -153,14 +153,15 @@ class Certificate(NamedTuple):
 def certificate(cfg: RunConfig) -> Certificate:
     """lambda, kappa, the burn-in thresholds and the coverage verdict of a run
     setup, decided here alone for ``theory``, the manifests and the acceptance
-    checks, with the constants' config-only preconditions at zero inputs."""
+    checks, with the constants' config-only preconditions at zero inputs.
+    The thresholds are computed once, here; every constant reuses them."""
     sched, steps, mu_f, L_f = cfg.schedule, cfg.steps, cfg.problem.strong_convexity, cfg.problem.smoothness
     lam = contraction_factor(sched.eta, float(sched.r.min()), sched.B, sched.n)
     kappa = kappa_factor(lam, steps.beta0, sched.B)
     th, note, side_ok = None, "", True
     try:
         th = thresholds(steps, lam, mu_f, L_f)
-        side_ok = xi_constants(steps, lam, kappa, mu_f, L_f, 0.0, 0.0, 0.0).side_condition_ok
+        side_ok = xi_constants(steps, th, lam, kappa, mu_f, L_f, 0.0, 0.0, 0.0).side_condition_ok
     except ValueError as exc:
         note = str(exc)
     # Starts a period apart pool the same slots: one period of them decides all.
@@ -187,7 +188,7 @@ def certify(rc: RunConfig, runs: int, seed: int, jobs: int, T_grid, assume_q0: f
     mc = monte_carlo(rc, runs, seed=seed, jobs=jobs, at=at)
     q0 = mc.q0_estimate(T0) if T0 <= T_sim else assume_q0
     mu_f, L_f = rc.problem.strong_convexity, rc.problem.smoothness
-    tc = xi_constants(rc.steps, c.lam, c.kappa, mu_f, L_f, mc.gamma, mc.K, q0)
+    tc = xi_constants(rc.steps, c.th, c.lam, c.kappa, mu_f, L_f, mc.gamma, mc.K, q0)
     return c._replace(mc=mc, constants=tc)
 
 

@@ -263,9 +263,8 @@ def _mixing_values(c: Columns) -> Values:
         family, agents = _KINDS[fixed[idx[0]]], int(n[idx[0]])
         r = _weights(c["p"].take(idx, n))
         W, B = family_matrices(family, r), family_window(family, agents)
-        floors, r_min = entry_floor(W).tolist(), r.min(axis=1).tolist()
-        lam = np.array([contraction_factor(e, x, B, agents) for e, x in zip(floors, r_min)])
-        kap = np.array([kappa_factor(x, b, B) for x, b in zip(lam.tolist(), beta0[idx].tolist())])
+        lam = contraction_factor(entry_floor(W), r.min(axis=1), B, agents)
+        kap = kappa_factor(lam, beta0[idx], B)
         steps = t[idx] - s[idx] - 1
         k = s[idx, None] + 1 + np.arange(steps[0])  # k = s+1 .. t-1, padded
         k_mu = _power(k.astype(float), mu[idx])

@@ -19,7 +19,6 @@ connectivity of every length-B window) and measures the entry floor eta.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -298,32 +297,14 @@ def parse_matrix_file(path) -> list[np.ndarray]:
     return blocks
 
 
-class WindowStarts(Sequence):
-    """The window starts s + k * period in [1, last], ascending, for the
-    ascending residues s in [1, period], which are all it keeps.  Read-only;
-    equal to any sequence that lists the same starts."""
-
-    def __init__(self, residues, period: int, last: int) -> None:
-        self.residues, self.period = [int(s) for s in residues], period
-        self.length = sum((last - s) // period + 1 for s in self.residues)
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(self.length))]
-        k, j = divmod(range(self.length)[i], len(self.residues))  # range raises IndexError
-        return self.residues[j] + k * self.period
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and list(self) == list(other)
-
-
 @dataclass
 class ValidationReport:
     """Measured compliance of a schedule with the mixing assumptions.  The
-    entry floor is only reported: it is never below eta, the period's floor."""
+    entry floor is only reported: it is never below eta, the period's floor.
+    Window starts one period apart pool the same slots, so the failing starts
+    are kept as their residues: start s + k * period, k >= 0, fails up to
+    ``windows_checked`` for each s in ``failing_residues`` (ascending, in
+    [1, period]) and no other start does."""
 
     kind: str
     n: int
@@ -333,7 +314,8 @@ class ValidationReport:
     max_stationarity_dev: float
     min_positive_entry: float
     windows_checked: int
-    connectivity_failures: Sequence[int]
+    failing_residues: tuple[int, ...]
+    period: int
     edge_source: str
 
     @property
@@ -342,7 +324,7 @@ class ValidationReport:
 
     @property
     def connectivity_ok(self) -> bool:
-        return not self.connectivity_failures
+        return not self.failing_residues
 
     @property
     def passed(self) -> bool:
@@ -364,9 +346,12 @@ class ValidationReport:
                     f" connected ({self.edge_source})"
                 )
             else:
-                failures = self.connectivity_failures
-                shown = ", ".join(str(t) for t in failures[:5])
-                more = f" (+{len(failures) - 5} more)" if len(failures) > 5 else ""
+                res, period = self.failing_residues, self.period
+                count = sum((self.windows_checked - s) // period + 1 for s in res)
+                # Ascending: every residue is at most the period.
+                first = [s + k * period for k in range(5) for s in res][: min(count, 5)]
+                shown = ", ".join(str(t) for t in first)
+                more = f" (+{count - 5} more)" if count > 5 else ""
                 lines.append(
                     f"  connectivity    FAIL at window starts {shown}{more}"
                     f" of {self.windows_checked} ({self.edge_source})"
@@ -382,14 +367,15 @@ def validate_schedule(
 ) -> ValidationReport:
     """Measure a schedule against the mixing assumptions over t in [1, horizon].
 
-    Stochasticity is checked, and the entry floor measured, on the period
-    slots that occur by the horizon (the matrices repeat exactly, so this
-    covers every t).  Connectivity is checked for every window start t in
-    [1, horizon - window]: the links of iterations t+1 .. t+window are pooled
-    and the pooled digraph must be strongly connected.  Starts one period
-    apart pool the same slots, so one closure per residue mod the period
-    decides them all, and the report keeps the failing ones (WindowStarts).
-    ``window`` defaults to the schedule's B, its period.
+    Takes the schedule, a horizon >= 1 and a window length >= 1, by default
+    the schedule's B, its period.  Stochasticity is checked, and the entry
+    floor measured, on the period slots that occur by the horizon (the
+    matrices repeat exactly, so this covers every t).  Connectivity is
+    checked for every window start t in [1, horizon - window]: the links of
+    iterations t+1 .. t+window are pooled and the pooled digraph must be
+    strongly connected.  Starts one period apart pool the same slots, so one
+    closure per residue mod the period decides them all, and the report
+    keeps the failing residues and the period, not the starts.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -412,6 +398,6 @@ def validate_schedule(
         max_row_sum_dev=float(np.abs(W.sum(axis=2) - 1.0).max()),
         max_stationarity_dev=float(np.abs(r @ W - r).max()),
         min_positive_entry=entry_floor(W), windows_checked=count,
-        connectivity_failures=WindowStarts(first[~strongly_connected(pooled)], period, count),
+        failing_residues=tuple(first[~strongly_connected(pooled)].tolist()), period=period,
         edge_source="declared activation links" if schedule.kind == "gossip" else "matrix support",
     )

@@ -1,4 +1,7 @@
-"""Model and trace helpers shared by the test modules."""
+"""Model, trace and validation-report helpers shared by the test modules."""
+
+import heapq
+from itertools import islice
 
 import numpy as np
 
@@ -35,3 +38,11 @@ def gaussian_channel(sigma: float) -> NoiseModel:
 
 def stochastic_quantizer(levels: int) -> NoiseModel:
     return NoiseModel("stochastic_quantizer", levels=int(levels))
+
+
+def failing_starts(report, limit=None) -> tuple[list[int], int]:
+    """A validation report's failing window starts, expanded from its
+    (failing_residues, period, windows_checked): the starts ascending (the
+    first ``limit`` of them when given) and how many there are in all."""
+    ranges = [range(s, report.windows_checked + 1, report.period) for s in report.failing_residues]
+    return list(islice(heapq.merge(*ranges), limit)), sum(map(len, ranges))

@@ -148,14 +148,18 @@ def strongly_connected_dfs(n: int, edges) -> bool:
     return reaches_all(fwd) and reaches_all(rev)
 
 
-def validate_windows(schedule, horizon: int, window: int | None = None) -> ValidationReport:
-    """``validate_schedule`` one slot and one window start at a time.
+def validate_windows(
+    schedule, horizon: int, window: int | None = None
+) -> tuple[ValidationReport, list[int]]:
+    """``validate_schedule`` one slot and one window start at a time: its
+    report and every failing window start the walk found.
 
     Stochasticity and the entry floor are measured per slot up to the
     horizon.  The links of a slot are gossip's declared activation pair, or
     else the matrix support, as edge sets; every start t in
     [1, horizon - window] pools the sets of iterations t+1 .. t+window and
-    walks the union.
+    walks the union.  The report's residues are the failing starts of the
+    first period.
     """
     window = schedule.B if window is None else window
     r, n, period = schedule.r, schedule.n, schedule.B
@@ -174,7 +178,7 @@ def validate_windows(schedule, horizon: int, window: int | None = None) -> Valid
             union |= slot_edges[(k - 1) % period]
         if not strongly_connected_dfs(n, union):
             failures.append(start)
-    return ValidationReport(
+    report = ValidationReport(
         kind=schedule.kind,
         n=n,
         horizon=horizon,
@@ -183,6 +187,8 @@ def validate_windows(schedule, horizon: int, window: int | None = None) -> Valid
         max_stationarity_dev=stat_dev,
         min_positive_entry=entry_floor(slots),
         windows_checked=max(horizon - window, 0),
-        connectivity_failures=failures,
+        failing_residues=tuple(s for s in failures if s <= period),
+        period=period,
         edge_source="declared activation links" if gossip else "matrix support",
     )
+    return report, failures

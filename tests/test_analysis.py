@@ -113,6 +113,21 @@ class TestContractionFactors:
         with pytest.raises(ValueError):
             kappa_factor(0.0, 0.5, 10)
 
+    def test_an_array_entry_out_of_range_raises_the_scalar_error(self):
+        def message(f, *args):
+            with pytest.raises(ValueError) as err:
+                f(*args)
+            return str(err.value)
+
+        ok = np.array([0.5, 0.25, 0.75])
+        for bad in (1.5, 0.0, math.nan):
+            entries = np.array([0.5, bad, 0.75])
+            assert message(contraction_factor, entries, ok, 1, 3) == message(contraction_factor, bad, 0.5, 1, 3)
+            assert message(contraction_factor, ok, entries, 1, 3) == message(contraction_factor, 0.5, bad, 1, 3)
+        lam = np.array([1e-3, 0.3, 2e-3, 0.4])
+        got = message(kappa_factor, lam, np.full(4, 0.5), 10)
+        assert got == message(kappa_factor, 0.3, 0.5, 10) == "B*lambda*beta0 = 1.5 must lie in (0, 1)"
+
 
 class TestAConstant:
     def test_frozen_sigma_above_one(self):
@@ -207,7 +222,8 @@ class TestXiConstants:
         steps = StepSchedule(alpha0=0.5, nu=0.2, beta0=0.8, mu=0.6)
         lam = 0.005
         kappa = kappa_factor(lam, steps.beta0, B=4)
-        return xi_constants(steps, lam, kappa, 0.8, 2.0, gamma, K, q0)
+        th = thresholds(steps, lam, 0.8, 2.0)
+        return xi_constants(steps, th, lam, kappa, 0.8, 2.0, gamma, K, q0)
 
     def test_identities(self):
         tc = self.small_regime1()
@@ -231,13 +247,14 @@ class TestXiConstants:
         # Balanced curvature mu_f = L_f = 1 gives c2 = 1/2, and
         # alpha0*beta0 = 0.07 over 1 - mu - nu = 0.1 lands at 0.35.
         steps = StepSchedule(alpha0=0.1, nu=0.2, beta0=0.7, mu=0.7)
-        tc = xi_constants(steps, 1e-4, 1.001, 1.0, 1.0, 0.1, 1.0, 1.0)
+        tc = xi_constants(steps, thresholds(steps, 1e-4, 1.0, 1.0), 1e-4, 1.001, 1.0, 1.0, 0.1, 1.0, 1.0)
         assert tc.xi3 == pytest.approx(0.35, rel=1e-12)
 
     def test_regime2_fields_and_side_condition(self):
         steps = StepSchedule(alpha0=0.1, nu=0.25, beta0=0.7, mu=0.75)
         lam = 1e-6
-        tc = xi_constants(steps, lam, 1.00001, 0.0293, 6.229, 1.25, 200.0, 1.0)
+        th = thresholds(steps, lam, 0.0293, 6.229)
+        tc = xi_constants(steps, th, lam, 1.00001, 0.0293, 6.229, 1.25, 200.0, 1.0)
         assert tc.regime == 2
         assert tc.xi3 is None and tc.xi2 is None
         assert tc.xi5 is not None
@@ -276,10 +293,12 @@ def certificate_case(case):
         return TestXiConstants().small_regime1()
     if case == "regime2":
         steps = StepSchedule(alpha0=0.1, nu=0.25, beta0=0.7, mu=0.75)
-        return xi_constants(steps, 1e-3, kappa_factor(1e-3, 0.7, B=4), 0.0293, 6.229, 1.25, 200.0, 1.0)
+        th = thresholds(steps, 1e-3, 0.0293, 6.229)
+        return xi_constants(steps, th, 1e-3, kappa_factor(1e-3, 0.7, B=4), 0.0293, 6.229, 1.25, 200.0, 1.0)
     steps = StepSchedule(alpha0=0.25, nu=0.05, beta0=0.8, mu=0.1)
     q0 = 0.0 if case == "regime1-zero-q0" else 1.5
-    return xi_constants(steps, 1e-5, kappa_factor(1e-5, 0.8, B=20), 2.0, 2.0, 0.5, 3.0, q0)
+    th = thresholds(steps, 1e-5, 2.0, 2.0)
+    return xi_constants(steps, th, 1e-5, kappa_factor(1e-5, 0.8, B=20), 2.0, 2.0, 0.5, 3.0, q0)
 
 
 class TestTheoremBound:
@@ -300,7 +319,8 @@ class TestTheoremBound:
 
     def test_strict_enforces_side_condition(self):
         steps = StepSchedule(alpha0=0.1, nu=0.25, beta0=0.7, mu=0.75)
-        tc = xi_constants(steps, 1e-6, 1.00001, 0.0293, 6.229, 1.25, 200.0, 1.0)
+        th = thresholds(steps, 1e-6, 0.0293, 6.229)
+        tc = xi_constants(steps, th, 1e-6, 1.00001, 0.0293, 6.229, 1.25, 200.0, 1.0)
         assert not tc.side_condition_ok
         assert theorem_bound(tc, tc.thresholds.T_min) > 0
 
@@ -310,7 +330,8 @@ class TestTheoremBound:
         # that xi2 = 2 exp(xi3 T0^(1-mu-nu)) q0 is beyond the float range,
         # while the burn-in term it scales is at most 2 q0 past T0.
         steps = StepSchedule(alpha0=0.25, nu=0.05, beta0=0.8, mu=0.1)
-        tc = xi_constants(steps, lam, kappa_factor(lam, 0.8, B=20), 2.0, 2.0, 0.5, 3.0, 1.5)
+        th = thresholds(steps, lam, 2.0, 2.0)
+        tc = xi_constants(steps, th, lam, kappa_factor(lam, 0.8, B=20), 2.0, 2.0, 0.5, 3.0, 1.5)
         assert math.isinf(tc.xi2) == xi2_overflows
         T0 = tc.thresholds.T_min
         T = np.array([T0, 2 * T0, 10 * T0])
@@ -325,7 +346,8 @@ class TestTheoremBound:
         # lambda = 1e-5; with q0 = 0 the term is exactly 0, not 0 * inf.
         steps = StepSchedule(alpha0=0.25, nu=0.05, beta0=0.8, mu=0.1)
         lam = 1e-5
-        tc = xi_constants(steps, lam, kappa_factor(lam, 0.8, B=20), 2.0, 2.0, 0.5, 3.0, 0.0)
+        th = thresholds(steps, lam, 2.0, 2.0)
+        tc = xi_constants(steps, th, lam, kappa_factor(lam, 0.8, B=20), 2.0, 2.0, 0.5, 3.0, 0.0)
         assert tc.xi2 == 0.0
         T = np.array([30.0, 60.0, 200.0])
         with warnings.catch_warnings():

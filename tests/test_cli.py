@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dimix.analysis
 import dimix.cli
-from dimix.analysis import xi_constants
+from dimix.analysis import thresholds, xi_constants
 from dimix.cli import main
 from dimix.dynamics import TRACE_COLUMNS, monte_carlo
 from dimix.reporting import (
@@ -25,6 +26,15 @@ from dimix.reporting import (
 )
 
 from helpers import col
+
+
+def perfbench_module(name: str):
+    """perfbench/<name>.py, loaded by its path as the benchmark loads it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 def read_csv_columns(path) -> dict[str, np.ndarray]:
@@ -556,13 +566,31 @@ class TestCoverageVerdict:
         rc, c = self.certify(tmp_path, self.CRITERION8_TINY, [500, 1030])
         mc, problem = c.mc, rc.problem
         assert c.th.T0 == 1025 and mc.t.tolist() == [500, 1025, 1030]
-        assert c.constants == xi_constants(
-            rc.steps, c.lam, c.kappa, problem.strong_convexity, problem.smoothness,
-            mc.gamma, mc.K, mc.q0_estimate(1025),
+        mu_f, L_f = problem.strong_convexity, problem.smoothness
+        th = thresholds(rc.steps, c.lam, mu_f, L_f)
+        assert c.th == th and c.constants == xi_constants(
+            rc.steps, th, c.lam, c.kappa, mu_f, L_f, mc.gamma, mc.K, mc.q0_estimate(1025)
         )
         # A measured q0 wins over an assumed one.
         assert main(["theory", "--config", str(tmp_path / "cfg"), "--assume-q0", "1"]) == 0
         assert f"q0 = {fmt(c.constants.q0)} (measured over 2 runs)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["theory", "run", "sweep"])
+    def test_thresholds_are_computed_once_per_command(self, tmp_path, capsys, monkeypatch, command):
+        # The certify_gossip_n4 benchmark config; every constant reuses the
+        # certificate's thresholds.
+        workload = perfbench_module("workloads").WORKLOADS["certify_gossip_n4"]
+        cfg = self.write(tmp_path, workload.config_text(0, workload.size))
+        calls, real = [], dimix.analysis.thresholds
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dimix.cli, "thresholds", counted)
+        monkeypatch.setattr(dimix.analysis, "thresholds", counted)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
     def test_certify_takes_the_assumed_q0_when_T0_is_past_the_horizon(self, tmp_path):
         rc, c = self.certify(tmp_path, self.SECTION3_CYCLE, [20, 40, 80], assume_q0=1.0)
@@ -863,11 +891,7 @@ class TestBenchmarkHooks:
 
     @staticmethod
     def tracer():
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
-        return tracing.Tracer()
+        return perfbench_module("tracing").Tracer()
 
     def test_every_traced_name_exists(self):
         tracer = self.tracer()

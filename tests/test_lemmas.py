@@ -24,7 +24,7 @@ from dimix.lemmas import (
     run_suite,
 )
 from dimix.rng import philox
-from dimix.topology import family_window, gossip_schedule
+from dimix.topology import family_window, fixed_cycle_schedule, gossip_schedule
 
 EXPECTED_NAMES = [
     "mixing product contraction",
@@ -355,6 +355,26 @@ class TestBatchedEvaluation:
             assert same_bits(value[i], abs(beta1 - (1.0 - (1.0 - lam * beta1)) / lam))
         assert same_bits(bound, np.zeros(4))
         assert same_bits(scale[:2], [1.0 / 0.7, 1.0 / 1.3])
+
+
+@pytest.mark.parametrize("seed, count", [(0, 1000), (3, 777)])
+def test_array_lambda_and_kappa_are_the_scalar_bits(seed, count):
+    """``contraction_factor`` and ``kappa_factor`` over the arrays of one
+    (family, n) group of mixing instances, as the mixing check calls them,
+    give every entry the bits of the scalar call on that instance."""
+    groups = {}
+    for kind, p, beta0, *_ in drawn(check_mixing_contraction, seed, count):
+        r = lemma_oracles.weights(p)
+        sched = (fixed_cycle_schedule if kind == "fixed_cycle" else gossip_schedule)(r)
+        groups.setdefault((kind, len(p), sched.B), []).append((sched.eta, float(r.min()), float(beta0)))
+    assert sum(map(len, groups.values())) == count
+    for (kind, n, B), rows in groups.items():
+        eta, r_min, beta0 = (np.array(x) for x in zip(*rows))
+        lam = contraction_factor(eta, r_min, B, n)
+        scalar_lam = [contraction_factor(e, x, B, n) for e, x, _ in rows]
+        assert same_bits(lam, scalar_lam)
+        scalar_kappa = [kappa_factor(x, b, B) for x, (_, _, b) in zip(scalar_lam, rows)]
+        assert same_bits(kappa_factor(lam, beta0, B), scalar_kappa)
 
 
 def drawn(check: Check, seed: int, instances: int) -> list[tuple]:

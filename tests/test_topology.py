@@ -25,6 +25,7 @@ from dimix.topology import (
 )
 
 from conftest import random_weights
+from helpers import failing_starts
 from oracles import strongly_connected_dfs, validate_windows
 
 # A three-agent cycle slot (doubly stochastic, connected on its own).
@@ -197,19 +198,22 @@ class TestSchedules:
         assert not report.connectivity_ok
         # One missing link breaks every window, not just an unlucky one.
         assert report.windows_checked == 181
-        assert len(report.connectivity_failures) == 181
+        starts, count = failing_starts(report)
+        assert count == len(starts) == 181
 
     def test_identity_schedule_fails_connectivity(self):
         s = matrix_list_schedule([np.eye(4)], r=np.full(4, 0.25))
         report = validate_schedule(s, horizon=50)
         assert not report.passed
-        assert len(report.connectivity_failures) == report.windows_checked
+        starts, count = failing_starts(report)
+        assert count == len(starts) == report.windows_checked
 
     def test_every_failing_window_reported(self):
         s = matrix_list_schedule([np.eye(3)], r=np.full(3, 1 / 3))
         report = validate_schedule(s, horizon=5000, window=1)
         assert report.windows_checked == 4999
-        assert len(report.connectivity_failures) == report.windows_checked
+        starts, count = failing_starts(report)
+        assert count == len(starts) == report.windows_checked
         assert "(+4994 more) of 4999" in report.summary()
 
     @pytest.mark.parametrize(
@@ -221,8 +225,9 @@ class TestSchedules:
         s = matrix_list_schedule([CYCLE, np.eye(3), np.eye(3)])
         report = validate_schedule(s, horizon=20, window=window)
         assert report.windows_checked == 20 - window
-        assert report.connectivity_failures == failures
-        assert report == validate_windows(s, 20, window)
+        assert failing_starts(report) == (failures, len(failures))
+        want, walked = validate_windows(s, 20, window)
+        assert report == want and failing_starts(report)[0] == walked
 
     def test_long_horizon_costs_one_period(self):
         s = gossip_schedule(np.full(4, 0.25))
@@ -241,32 +246,19 @@ class TestSchedules:
         t0 = time.perf_counter()
         report = validate_schedule(s, horizon=10**7)
         elapsed = time.perf_counter() - t0
-        assert len(report.connectivity_failures) == 9_999_999
+        assert failing_starts(report, 5) == ([1, 2, 3, 4, 5], 9_999_999)
         assert "FAIL at window starts 1, 2, 3, 4, 5 (+9999994 more) of 9999999" in report.summary()
         assert elapsed < 0.5
-
-    def test_failing_starts_read_as_a_list(self):
-        # [cycle, I, I] at window 1: the starts 1 and 2 (mod 3) fail.
-        s = matrix_list_schedule([CYCLE, np.eye(3), np.eye(3)])
-        starts = validate_schedule(s, horizon=20, window=1).connectivity_failures
-        want = [1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17, 19]
-        assert list(starts) == want and starts == want and want == starts and starts == tuple(want)
-        assert starts != want[:-1] and starts != want[:-1] + [20]
-        assert [starts[i] for i in range(-len(want), len(want))] == want + want
-        assert starts[3:11:3] == want[3:11:3] and starts[::-1] == want[::-1]
-        for i in (len(want), -len(want) - 1):
-            with pytest.raises(IndexError):
-                starts[i]
-        with pytest.raises(TypeError):
-            starts[0] = 3
 
     @pytest.mark.parametrize("window", [1, 2])
     def test_failures_repeat_past_the_first_period(self, window):
         # [cycle, I, I] at a horizon that is not a multiple of the period.
         s = matrix_list_schedule([CYCLE, np.eye(3), np.eye(3)])
         report = validate_schedule(s, horizon=1001, window=window)
-        assert report.connectivity_failures[-2:] == ([998, 1000] if window == 1 else [994, 997])
-        assert report == validate_windows(s, 1001, window)
+        starts = failing_starts(report)[0]
+        assert starts[-2:] == ([998, 1000] if window == 1 else [994, 997])
+        want, walked = validate_windows(s, 1001, window)
+        assert report == want and starts == walked
 
     def test_horizon_shorter_than_period(self):
         # Only the slots used by t = horizon are measured: the third slot
@@ -275,14 +267,14 @@ class TestSchedules:
         s = matrix_list_schedule([CYCLE, np.eye(3), skewed], r=np.full(3, 1 / 3))
         short = validate_schedule(s, horizon=2, window=1)
         assert short.stochasticity_ok and short.min_positive_entry == 0.5
-        assert short.windows_checked == 1 and short.connectivity_failures == [1]
+        assert short.windows_checked == 1 and failing_starts(short) == ([1], 1)
         assert not validate_schedule(s, horizon=3, window=1).stochasticity_ok
 
     @pytest.mark.parametrize("horizon", [1, 3, 4])
     def test_horizon_within_one_window(self, horizon):
         s = gossip_schedule(np.full(4, 0.25))
         report = validate_schedule(s, horizon=horizon, window=4)
-        assert report.windows_checked == 0 and report.connectivity_failures == []
+        assert report.windows_checked == 0 and failing_starts(report) == ([], 0)
         assert "no complete window inside horizon" in report.summary()
         assert report.passed
 
@@ -504,8 +496,9 @@ class TestValidateAgainstOracle:
         reach = schedule.B + (schedule.B if window is None else window)
         for horizon in (1, reach - 1, reach, reach + 1, 3 * reach + 2):
             got = validate_schedule(schedule, horizon, window)
-            want = validate_windows(schedule, horizon, window)
+            want, walked = validate_windows(schedule, horizon, window)
             assert got == want  # every field, floats exactly
+            assert failing_starts(got)[0] == walked
             assert got.summary() == want.summary()
 
     def test_random_sparse_matrix_lists(self):

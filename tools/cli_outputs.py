@@ -3,7 +3,7 @@
     PYTHONPATH=<tree>/src python3 tools/cli_outputs.py DEST
 
 runs ``run --plots``, ``sweep --plots`` and ``theory`` (each at --jobs 1 and
-2), ``validate`` and ``lemmas`` on twenty-seven configs with whichever dimix
+2), ``validate`` and ``lemmas`` on twenty-eight configs with whichever dimix
 the PYTHONPATH gives (only the commands in ONLY on the configs it names),
 and on the configs in SEEDED the three with ``--seed 3`` and ``lemmas``
 without a config.  The configs include a theory
@@ -16,7 +16,8 @@ whose sum overflows, a matrix file with no positive stationary vector,
 one whose stationary vector misses the residual tolerance, seeds that all
 diverge, a T_grid out of order with a horizon listed twice, an identity
 schedule that no window connects (``validate``, ``run --jobs 1`` and
-``theory`` only), and a negative seed.  Each
+``theory`` only), the same schedule at horizon 10^7 (``validate`` only),
+and a negative seed.  Each
 command runs in its own directory DEST/<config>/<command> with a relative
 --out, so nothing it prints holds an absolute path; stdout, stderr, the
 exit code and every output file are kept there.
@@ -172,6 +173,13 @@ CONFIGS = {
         "T_grid = 2000, 100000000\nalpha0 = 0.25\nnu = 0.05\nbeta0 = 0.8\nmu = 0.1\n",
         (),
     ),
+    # The identity schedule at horizon 10^7: every one of the 9,999,999
+    # window starts fails, and validate prints the first five and the count
+    # from one period of failing residues.  Only validate runs.
+    "identity_long_horizon": (
+        "family = matrix_file\nmatrix_file = eye3.txt\nd = 2\nN = 6\nhorizon = 10000000\n",
+        (),
+    ),
     # Every command fails with "seed must be >= 0, got -1" (older trees
     # printed numpy's "expected non-negative integer").
     "negative_seed": ("family = gossip\nseed = -1\nT = 20\nruns = 2\nT_grid = 10, 20\n", ()),
@@ -181,7 +189,10 @@ CONFIGS = {
 # lemmas with neither --seed nor --config.
 SEEDED = ("matrix_file_gaps_gauss",)
 # Configs recorded with only the listed command labels.
-ONLY = {"identity_schedule": ("validate", "run-j1", "theory-j1", "theory-j2")}
+ONLY = {
+    "identity_schedule": ("validate", "run-j1", "theory-j1", "theory-j2"),
+    "identity_long_horizon": ("validate",),
+}
 
 
 def commands(name, theory_extra):
