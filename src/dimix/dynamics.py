@@ -74,6 +74,8 @@ class RunConfig:
             raise ValueError("x_star dimension does not match the objectives")
         if not np.allclose(self.problem.r, self.schedule.r, atol=1e-12):
             raise ValueError("problem weights and schedule weights disagree")
+        # The constructors solve or build r for their matrices; a schedule
+        # built directly may carry any r.
         r, W = self.schedule.r, self.schedule.matrices
         dev = float(np.abs(r @ W - r).max())
         if not dev <= STATIONARITY_TOL:
@@ -107,11 +109,11 @@ class RunTrace:
         return self.abort_t is not None
 
 
-def _slot_plan(schedule: MixingSchedule, t: int):
-    """One period slot's mixing: W, the sender of every shared message
-    (receivers in ascending order, each one's support ascending) and the
-    (n, messages) matrix M that sums each receiver's weighted messages."""
-    W = schedule.matrix_at(t)
+def _slot_plan(W: np.ndarray):
+    """One stored slot's mixing, from its matrix W (n, n): W itself, the
+    sender of every shared message (receivers in ascending order, each one's
+    support ascending) and the (n, messages) matrix M that sums each
+    receiver's weighted messages."""
     receiver, src = np.nonzero(W > 0.0)
     M = np.zeros((W.shape[0], src.size))
     M[receiver, np.arange(src.size)] = W[receiver, src]
@@ -145,7 +147,7 @@ def run(cfg: RunConfig, seeds, at=None) -> list[RunTrace]:
     row_of = np.full(T + 1, -1)  # trace row of each iteration, -1 if not recorded
     row_of[at] = np.arange(at.size)
     r, x_star = cfg.schedule.r, problem.x_star
-    plans = [_slot_plan(cfg.schedule, t) for t in range(1, cfg.schedule.B + 1)]
+    plans = [_slot_plan(W) for W in cfg.schedule.matrices]
     betas = cfg.steps.beta(ts)
     betas, alpha_betas = betas.tolist(), (cfg.steps.alpha(ts) * betas).tolist()
     # Slot j of the chunk holds X(t) and H_i x_i(t) until ``record`` reads it.

@@ -43,7 +43,7 @@ import numpy as np
 
 from .analysis import A_constant, contraction_factor, kappa_factor, r_norm_sq
 from .rng import philox
-from .topology import entry_floor, family_matrices, family_window
+from .topology import FAMILIES, entry_floor, family_matrices, family_window
 
 # The largest padded (rows, length) array of a check over rows of different
 # length (decaying sums run to about 2,500 terms).
@@ -246,9 +246,6 @@ def _decade_normals(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
     return rng.standard_normal(sizes.sum()) * np.repeat(scale, sizes)
 
 
-_KINDS = ("gossip", "fixed_cycle")
-
-
 def _item(columns: Columns, i: int, *names: str) -> dict:
     """Fields ``names`` of instance i, as Python scalars."""
     return {x: columns[x][i].item() for x in names}
@@ -260,7 +257,7 @@ def _mixing_values(c: Columns) -> Values:
     for idx in _groups(fixed, n):
         # One family and n, the longest chain first.
         idx = idx[np.argsort(s[idx] - t[idx], kind="stable")]
-        family, agents = _KINDS[fixed[idx[0]]], int(n[idx[0]])
+        family, agents = FAMILIES[fixed[idx[0]]], int(n[idx[0]])
         r = _weights(c["p"].take(idx, n))
         W, B = family_matrices(family, r), family_window(family, agents)
         lam = contraction_factor(entry_floor(W), r.min(axis=1), B, agents)
@@ -282,7 +279,7 @@ def _mixing_values(c: Columns) -> Values:
             at, rs = idx[sub], r[sub]
             U = c["U"].take(at, n, d)
             lhs[at], rhs[at] = r_norm_sq((P[sub] - rs[:, None, :]) @ U, rs), factor[sub] * r_norm_sq(U, rs)
-    return lhs, rhs, rhs, lambda i: {"kind": _KINDS[fixed[i]], **_item(c, i, "n", "s", "t", "beta0", "mu")}
+    return lhs, rhs, rhs, lambda i: {"kind": FAMILIES[fixed[i]], **_item(c, i, "n", "s", "t", "beta0", "mu")}
 
 
 @partial(Check, "mixing product contraction", 71, 1e-9, evaluate=_mixing_values)
@@ -298,7 +295,7 @@ def check_mixing_contraction(rng: np.random.Generator) -> Iterator[Columns]:
     [0, 1)^n, either family with odds 1/2, beta0 in [0.1, 1), mu in
     [0.55, 0.95), s in 1 .. 39, t - s - 1 in 0 .. 3B for the family's
     window B, and U standard normal (n, d) with d in 1 .. 4."""
-    window = np.array([[family_window(kind, n) for n in range(3, 9)] for kind in _KINDS])
+    window = np.array([[family_window(kind, n) for n in range(3, 9)] for kind in FAMILIES])
     while True:
         n = _integers(rng, 3, 9)
         fixed = (rng.random(DRAW_BLOCK) < 0.5).astype(int)

@@ -19,10 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .noise import KINDS as _NOISE_KINDS
+from .topology import FAMILIES
 
 VERSION = "0.1.0"
-
-_FAMILIES = ("gossip", "fixed_cycle", "matrix_file")
 
 
 def _cast_float(raw: str) -> float:
@@ -51,7 +50,7 @@ def _cast_choice(*choices: str):
 # key -> (caster, default).  This is the full config surface; anything else
 # (outside the derived. namespace) is rejected.
 SCHEMA: dict[str, tuple] = {
-    "family": (_cast_choice(*_FAMILIES), "fixed_cycle"),
+    "family": (_cast_choice(*FAMILIES, "matrix_file"), "fixed_cycle"),
     "matrix_file": (str, ""),
     "n": (int, 20),
     "d": (int, 25),
@@ -168,8 +167,22 @@ def write_csv(path, names, index, data) -> None:
 _PALETTE = ("#1f6fb2", "#d1495b", "#3a8f5f", "#8a5fb0", "#b07d2b", "#4a4a4a")
 
 
-def _loglog_ticks(lo: float, hi: float) -> list[int]:
-    return list(range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1))
+def _log_axis(arrays, lo_px: float, hi_px: float):
+    """A log axis over the values of ``arrays`` (all positive), drawn from
+    pixel lo_px (smallest value) to hi_px: its map of a value to a pixel,
+    and its decade ticks inside the range as (exponent, pixel).  A range
+    that is one value widens to half and twice it."""
+    lo = min(float(a.min()) for a in arrays)
+    hi = max(float(a.max()) for a in arrays)
+    if lo == hi:
+        lo, hi = lo / 2, hi * 2
+    log_lo, log_hi = math.log10(lo), math.log10(hi)
+
+    def to_px(v: float) -> float:
+        return lo_px + (math.log10(v) - log_lo) / (log_hi - log_lo) * (hi_px - lo_px)
+
+    decades = range(math.floor(log_lo), math.ceil(log_hi) + 1)
+    return to_px, [(k, to_px(10.0**k)) for k in decades if lo <= 10.0**k <= hi]
 
 
 def svg_loglog(path, series: dict, title: str, ylabel: str, xlabel: str = "t") -> None:
@@ -189,22 +202,8 @@ def svg_loglog(path, series: dict, title: str, ylabel: str, xlabel: str = "t") -
             cleaned[label] = (xs[keep], ys[keep])
     if not cleaned:
         raise ValueError("nothing positive to plot")
-    x_lo = min(float(x.min()) for x, _ in cleaned.values())
-    x_hi = max(float(x.max()) for x, _ in cleaned.values())
-    y_lo = min(float(y.min()) for _, y in cleaned.values())
-    y_hi = max(float(y.max()) for _, y in cleaned.values())
-    if x_lo == x_hi:
-        x_lo, x_hi = x_lo / 2, x_hi * 2
-    if y_lo == y_hi:
-        y_lo, y_hi = y_lo / 2, y_hi * 2
-
-    def px(x: float) -> float:
-        f = (math.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
-        return ml + f * (W - ml - mr)
-
-    def py(y: float) -> float:
-        f = (math.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
-        return H - mb - f * (H - mt - mb)
+    px, x_ticks = _log_axis([x for x, _ in cleaned.values()], ml, W - mr)
+    py, y_ticks = _log_axis([y for _, y in cleaned.values()], H - mb, mt)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
@@ -217,24 +216,12 @@ def svg_loglog(path, series: dict, title: str, ylabel: str, xlabel: str = "t") -
         f'<text x="16" y="{(mt + H - mb) / 2}" text-anchor="middle" '
         f'transform="rotate(-90 16 {(mt + H - mb) / 2})">{ylabel}</text>',
     ]
-    for k in _loglog_ticks(x_lo, x_hi):
-        x = 10.0**k
-        if x_lo <= x <= x_hi:
-            out.append(
-                f'<line x1="{px(x):.1f}" y1="{H - mb}" x2="{px(x):.1f}" y2="{H - mb + 5}" stroke="black"/>'
-            )
-            out.append(
-                f'<text x="{px(x):.1f}" y="{H - mb + 18}" text-anchor="middle">1e{k}</text>'
-            )
-    for k in _loglog_ticks(y_lo, y_hi):
-        y = 10.0**k
-        if y_lo <= y <= y_hi:
-            out.append(
-                f'<line x1="{ml - 5}" y1="{py(y):.1f}" x2="{ml}" y2="{py(y):.1f}" stroke="black"/>'
-            )
-            out.append(
-                f'<text x="{ml - 8}" y="{py(y):.1f}" text-anchor="end" dominant-baseline="middle">1e{k}</text>'
-            )
+    for k, x in x_ticks:
+        out.append(f'<line x1="{x:.1f}" y1="{H - mb}" x2="{x:.1f}" y2="{H - mb + 5}" stroke="black"/>')
+        out.append(f'<text x="{x:.1f}" y="{H - mb + 18}" text-anchor="middle">1e{k}</text>')
+    for k, y in y_ticks:
+        out.append(f'<line x1="{ml - 5}" y1="{y:.1f}" x2="{ml}" y2="{y:.1f}" stroke="black"/>')
+        out.append(f'<text x="{ml - 8}" y="{y:.1f}" text-anchor="end" dominant-baseline="middle">1e{k}</text>')
     for idx, (label, (xs, ys)) in enumerate(cleaned.items()):
         color = _PALETTE[idx % len(_PALETTE)]
         pts = " ".join(f"{px(float(x)):.1f},{py(float(y)):.1f}" for x, y in zip(xs, ys))

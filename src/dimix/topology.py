@@ -12,7 +12,8 @@ Two built-in families live on the n-cycle:
   own state.  The schedule has period n.
 
 Arbitrary user-supplied periodic schedules are wrapped by
-``matrix_list_schedule``.  ``validate_schedule`` checks the assumptions the
+``matrix_list_schedule``, which solves the matrices for r
+(``stationary_weights``).  ``validate_schedule`` checks the assumptions the
 convergence analysis needs (exact row sums, left-stationarity of r, strong
 connectivity of every length-B window) and measures the entry floor eta.
 """
@@ -28,6 +29,8 @@ STOCHASTICITY_TOL = 1e-12
 # Largest max |r'W - r| accepted when weights must be left-stationary for a
 # schedule's matrices, found or given.
 STATIONARITY_TOL = 1e-9
+# The built-in families, in the order the lemma suite indexes them.
+FAMILIES = ("gossip", "fixed_cycle")
 
 
 def make_weight_vector(p) -> np.ndarray:
@@ -122,8 +125,8 @@ class MixingSchedule:
     needs: the common stationary weights r and, measured from the matrices,
     n, the entry floor eta and the connectivity window B (the period).
 
-    ``matrices`` holds one period, stacked (period, n, n); ``matrix_at(t)``
-    cycles it for t >= 1.  ``links`` (period, n, n) holds the communication
+    ``matrices`` holds one period, stacked (period, n, n): iteration t >= 1
+    uses slot (t - 1) mod B.  ``links`` (period, n, n) holds the communication
     links the connectivity check pools: ``links[s, i, j]`` means agent j's
     state reaches agent i in slot s.  Gossip declares its activation pair;
     every other schedule uses the matrix support.
@@ -139,11 +142,6 @@ class MixingSchedule:
 
     def __post_init__(self) -> None:
         self.n, self.B, self.eta = self.matrices.shape[-1], len(self.matrices), entry_floor(self.matrices)
-
-    def matrix_at(self, t: int) -> np.ndarray:
-        if t < 1:
-            raise ValueError("iterations are numbered from 1")
-        return self.matrices[(t - 1) % self.B]
 
 
 def entry_floor(matrices):
@@ -163,7 +161,7 @@ def family_window(kind: str, n: int) -> int:
     every fixed-cycle matrix connects the whole cycle, and n consecutive
     gossip links (one period) cover it.  This is the one check of a family:
     it rejects an unknown ``kind`` and fewer than 3 agents."""
-    if kind not in ("fixed_cycle", "gossip"):
+    if kind not in FAMILIES:
         raise ValueError(f"unknown schedule family {kind!r}")
     if n < 3:
         raise ValueError(f"the {kind} family needs n >= 3 agents, got n = {n}")
@@ -230,10 +228,7 @@ def stationary_weights(matrices) -> np.ndarray:
         raise ValueError("matrix family has no common stationary vector")
     candidate = basis.T @ (basis @ np.full(n, 1.0 / n))
     if np.any(candidate <= STATIONARITY_TOL / n):
-        raise ValueError(
-            "no strictly positive common stationary vector found; "
-            "supply the weight vector explicitly"
-        )
+        raise ValueError("no strictly positive common stationary vector found")
     r = candidate / candidate.sum()
     worst = float(np.abs(r @ W - r).max())
     if worst > STATIONARITY_TOL:
@@ -241,12 +236,12 @@ def stationary_weights(matrices) -> np.ndarray:
     return r
 
 
-def matrix_list_schedule(matrices, r=None) -> MixingSchedule:
+def matrix_list_schedule(matrices) -> MixingSchedule:
     """Wrap an explicit periodic list of mixing matrices.
 
-    ``r`` is solved for when omitted; the connectivity window B is the
-    period.  Rows must be stochastic to 1e-9 here (the strict 1e-12
-    measurement is ``validate_schedule``'s job).
+    r is always ``stationary_weights(matrices)``, and the connectivity
+    window B is the period.  Rows must be stochastic to 1e-9 here (the
+    strict 1e-12 measurement is ``validate_schedule``'s job).
     """
     shapes = {np.shape(M) for M in matrices}
     if not shapes:
@@ -259,11 +254,7 @@ def matrix_list_schedule(matrices, r=None) -> MixingSchedule:
         raise ValueError("matrix entries must be finite and nonnegative")
     if np.abs(W.sum(axis=2) - 1.0).max() > 1e-9:
         raise ValueError("matrix rows must sum to 1")
-    n = W.shape[1]
-    if r is not None and np.shape(r) != (n,):
-        raise ValueError(f"weight vector shape {np.shape(r)} does not match the matrices ({n},)")
-    r = stationary_weights(W) if r is None else _check_weights(r)
-    return MixingSchedule(kind="matrix_list", r=r, matrices=W, links=W > 0.0)
+    return MixingSchedule(kind="matrix_list", r=stationary_weights(W), matrices=W, links=W > 0.0)
 
 
 def parse_matrix_file(path) -> list[np.ndarray]:

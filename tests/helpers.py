@@ -8,6 +8,7 @@ import numpy as np
 from dimix.dynamics import TRACE_COLUMNS
 from dimix.noise import NoiseModel
 from dimix.objective import Problem
+from dimix.topology import MixingSchedule
 
 
 def model(Us, vs, r, x_star=None) -> Problem:
@@ -21,6 +22,15 @@ def model(Us, vs, r, x_star=None) -> Problem:
     ends = np.cumsum([len(u) for u in Us])
     shards = tuple(np.arange(end - len(u), end) for u, end in zip(Us, ends))
     return Problem(U, v, r, shards, None if x_star is None else np.asarray(x_star, dtype=float))
+
+
+def with_weights(matrices, r) -> MixingSchedule:
+    """A matrix-list schedule that carries the given weights r, built
+    directly: ``matrix_list_schedule`` always solves the matrices for r, so
+    this is how a test gets weights the matrices do not preserve, or keeps
+    an exact r that the solver would round."""
+    W = np.array(matrices, dtype=float)
+    return MixingSchedule(kind="matrix_list", r=np.asarray(r, dtype=float), matrices=W, links=W > 0.0)
 
 
 def col(values, name):

@@ -16,7 +16,7 @@ import numpy as np
 
 from dimix.analysis import A_constant, StepSchedule, contraction_factor, kappa_factor, r_norm_sq
 from dimix.lemmas import Ragged
-from dimix.topology import fixed_cycle_schedule, gossip_schedule
+from dimix.topology import FAMILIES, fixed_cycle_schedule, gossip_schedule
 
 
 def weights(p):
@@ -34,7 +34,7 @@ def mixing(kind, p, beta0, mu, s, t, U):
     P = np.eye(n)
     for k in range(s + 1, t):
         beta_k = float(steps.beta(k))
-        P = ((1.0 - beta_k) * np.eye(n) + beta_k * sched.matrix_at(k)) @ P
+        P = ((1.0 - beta_k) * np.eye(n) + beta_k * sched.matrices[(k - 1) % sched.B]) @ P
     lhs = r_norm_sq((P - np.outer(np.ones(n), r)) @ U, r)
     ks = np.arange(s + 1, t, dtype=float)
     decay = float(np.prod(1.0 - lam * steps.beta0 / ks**steps.mu)) if ks.size else 1.0
@@ -141,7 +141,7 @@ def piece(field: Ragged, i: int, *shape: int) -> np.ndarray:
 
 
 def _mixing_row(c, f, i):
-    kind = ("gossip", "fixed_cycle")[c["fixed"][i]]
+    kind = FAMILIES[c["fixed"][i]]
     n, d = c["n"][i], c["d"][i]
     return kind, piece(f["p"], i, n), c["beta0"][i], c["mu"][i], c["s"][i], c["t"][i], piece(f["U"], i, n, d)
 

@@ -107,7 +107,7 @@ def step(X, t, cfg, rng):
     """Advance the full state one iteration, agent by agent: n sequential
     neighbor estimates, then the local gradient steps."""
     X = np.asarray(X, dtype=float)
-    W = cfg.schedule.matrix_at(t)
+    W = cfg.schedule.matrices[(t - 1) % cfg.schedule.B]
     p = cfg.problem
     Xhat = np.stack([neighbor_estimate(X, W[i], cfg.noise, rng) for i in range(len(X))])
     G = np.stack([p.H[i] @ x - p.b[i] for i, x in enumerate(X)])
@@ -163,12 +163,12 @@ def validate_windows(
     """
     window = schedule.B if window is None else window
     r, n, period = schedule.r, schedule.n, schedule.B
-    slots = [schedule.matrix_at(t) for t in range(1, min(period, horizon) + 1)]
+    slots = list(schedule.matrices[: min(period, horizon)])
     row_dev = max(float(np.max(np.abs(W.sum(axis=1) - 1.0))) for W in slots)
     stat_dev = max(float(np.max(np.abs(r @ W - r))) for W in slots)
     gossip = schedule.kind == "gossip"
     slot_edges = [
-        {gossip_pair(n, t)} if gossip else edge_set(schedule.matrix_at(t))
+        {gossip_pair(n, t)} if gossip else edge_set(schedule.matrices[t - 1])
         for t in range(1, period + 1)
     ]
     failures = []

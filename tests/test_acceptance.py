@@ -159,7 +159,7 @@ def test_criterion_4_lemma_suite(verdict):
 def test_criterion_5_gradient_descent_reduction(verdict):
     d, T = 4, 10_000
     target = philox(5).normal(size=d)
-    schedule = matrix_list_schedule([np.ones((1, 1))], r=np.array([1.0]))
+    schedule = matrix_list_schedule([np.ones((1, 1))])
     problem = model([2.0 * np.eye(d)], [target], schedule.r)
     H, b, x_star = problem.H[0], problem.b[0], problem.x_star
     steps = StepSchedule(alpha0=1.75, nu=0.25, beta0=1.0, mu=0.75)

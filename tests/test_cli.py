@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import math
 import os
@@ -148,6 +149,32 @@ class TestFormatting:
         with pytest.raises(ValueError, match="nothing positive to plot"):
             svg_loglog(path, series, title="none", ylabel="y")
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "series, title, ylabel, xlabel, digest",
+        [
+            # One y value: that axis widens to [0.5, 2] around its 1e0 tick.
+            (
+                {"flat": ([1, 10, 100, 1000], [1.0, 1.0, 1.0, 1.0])},
+                "constant", "y", "t",
+                "f60a6cbe6b09fabd76cbf07d5d65c7a84ec1aeb517879892dabb5036742f4384",
+            ),
+            # Five decades on each axis; the 0.0 of "gap" is dropped.
+            (
+                {
+                    "loss": ([1, 3, 10, 30, 100, 300, 1000], [2.0, 0.9, 0.31, 0.07, 0.02, 4e-3, 1e-4]),
+                    "gap": ([1, 10, 100, 1000, 10000], [50.0, 0.0, 1.5, 0.03, 6e-5]),
+                },
+                "two series", "error", "T",
+                "604a435e4c732b9050c13cf5a6f0895aa34e41e5bf69524719f9f010d36e9385",
+            ),
+        ],
+        ids=["constant", "decades"],
+    )
+    def test_plot_bytes_are_pinned(self, tmp_path, series, title, ylabel, xlabel, digest):
+        path = tmp_path / "plot.svg"
+        svg_loglog(path, series, title=title, ylabel=ylabel, xlabel=xlabel)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestCsvRoundTrip:
@@ -829,7 +856,7 @@ class TestErrorPaths:
             # stationary for both.
             ("0.5, 0.5\n0.5, 0.5\n\n0.9, 0.1\n0.5, 0.5\n", "matrix family has no common stationary vector"),
             # Agent 1 moves to agent 0: every stationary vector vanishes on it.
-            ("1, 0\n1, 0\n", "no strictly positive common stationary vector found; supply the weight vector explicitly"),
+            ("1, 0\n1, 0\n", "no strictly positive common stationary vector found"),
             # The stacked system's singular value 2.8e-9 lies inside the null
             # threshold 3e-9, and the candidate it gives misses the tolerance.
             (

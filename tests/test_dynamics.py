@@ -19,7 +19,7 @@ from dimix.rng import fill, philox
 from dimix.topology import fixed_cycle_schedule, gossip_schedule, matrix_list_schedule
 
 from conftest import random_weights
-from helpers import col, gaussian_channel, model, noiseless, stochastic_quantizer
+from helpers import col, gaussian_channel, model, noiseless, stochastic_quantizer, with_weights
 from oracles import neighbor_estimate, step, step_matrix
 
 DEFAULT_STEPS = StepSchedule(alpha0=0.1, nu=0.25, beta0=0.7, mu=0.75)
@@ -37,7 +37,7 @@ def quadratic_model(n: int, d: int, seed: int, r, points: int = 30):
 
 def simple_config(n=3, d=4, T=30, noise=None, steps=DEFAULT_STEPS, seed=0):
     if n == 1:
-        schedule = matrix_list_schedule([np.ones((1, 1))], r=np.array([1.0]))
+        schedule = matrix_list_schedule([np.ones((1, 1))])
     else:
         schedule = fixed_cycle_schedule(random_weights(philox(seed + 1), n))
     return RunConfig(
@@ -86,14 +86,14 @@ class TestRunConfig:
         # The third slot moves weight from agent 1 to agent 2: r'W(3) - r
         # reaches 1/3 * 0.01 for uniform r.
         skewed = np.array([[0.99, 0.01, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        schedule = matrix_list_schedule([CYCLE, np.eye(3), skewed], r=np.full(3, 1 / 3))
+        schedule = with_weights([CYCLE, np.eye(3), skewed], np.full(3, 1 / 3))
         problem = build_problem(n=3, d=4, N=12, seed=5, r=schedule.r)
         with pytest.raises(ValueError, match=r"not left-stationary: max \|r'W\(s\) - r\| = 0.00333"):
             RunConfig(problem=problem, schedule=schedule, steps=DEFAULT_STEPS, T=10)
         # The same r passes on the matrices it is stationary for.
         RunConfig(
             problem=problem,
-            schedule=matrix_list_schedule([CYCLE, np.eye(3)], r=np.full(3, 1 / 3)),
+            schedule=with_weights([CYCLE, np.eye(3)], np.full(3, 1 / 3)),
             steps=DEFAULT_STEPS,
             T=10,
         )
@@ -162,7 +162,7 @@ class TestBatchedEstimates:
     def test_matches_per_agent_loop(self, n, noise):
         d = 5
         if n == 1:
-            schedule = matrix_list_schedule([np.ones((1, 1))], r=np.array([1.0]))
+            schedule = matrix_list_schedule([np.ones((1, 1))])
         else:
             schedule = gossip_schedule(random_weights(philox(n), n))
         p = quadratic_model(n, d, n, schedule.r)
@@ -173,7 +173,7 @@ class TestBatchedEstimates:
         rng = philox(31)
         X = np.zeros((n, d))
         for t in range(1, 12):
-            W = schedule.matrix_at(t)
+            W = schedule.matrices[(t - 1) % schedule.B]
             Xhat = np.stack(
                 [neighbor_estimate(X, W[i], noise, rng) for i in range(n)]
             )
@@ -509,7 +509,7 @@ class TestStepMatrix:
         rng = philox(21)
         X = philox(22).normal(size=(4, 3))
         t = 5
-        W = cfg.schedule.matrix_at(t)
+        W = cfg.schedule.matrices[(t - 1) % cfg.schedule.B]
         Xhat = np.stack(
             [neighbor_estimate(X, W[i], cfg.noise, rng) for i in range(4)]
         )
@@ -522,7 +522,7 @@ class TestStepMatrix:
 
     def test_zero_perturbation_zero_gradient_is_mixing(self):
         X = philox(23).normal(size=(3, 2))
-        W = fixed_cycle_schedule(np.full(3, 1 / 3)).matrix_at(1)
+        W = fixed_cycle_schedule(np.full(3, 1 / 3)).matrices[0]
         out = step_matrix(X, W, np.zeros_like(X), np.zeros_like(X), 0.1, 0.5)
         np.testing.assert_allclose(out, 0.5 * X + 0.5 * (W @ X))
 
@@ -791,7 +791,7 @@ class TestGradientDescentReduction:
     def test_single_agent_converges_on_identity_hessian(self):
         d = 6
         target = philox(51).normal(size=d)
-        schedule = matrix_list_schedule([np.ones((1, 1))], r=np.array([1.0]))
+        schedule = matrix_list_schedule([np.ones((1, 1))])
         cfg = RunConfig(
             problem=model([np.eye(d)], [target], schedule.r, x_star=target),
             schedule=schedule,

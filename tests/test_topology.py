@@ -25,7 +25,7 @@ from dimix.topology import (
 )
 
 from conftest import random_weights
-from helpers import failing_starts
+from helpers import failing_starts, with_weights
 from oracles import strongly_connected_dfs, validate_windows
 
 # A three-agent cycle slot (doubly stochastic, connected on its own).
@@ -138,10 +138,6 @@ class TestGossipMatrix:
             assert np.max(np.abs(W.sum(axis=1) - 1.0)) <= STOCHASTICITY_TOL
             assert np.max(np.abs(r @ W - r)) <= STOCHASTICITY_TOL
 
-    def test_rejects_bad_t(self):
-        with pytest.raises(ValueError):
-            gossip_schedule([0.2, 0.3, 0.5]).matrix_at(0)
-
 
 class TestStronglyConnected:
     def test_agrees_with_dfs_oracle(self):
@@ -202,14 +198,14 @@ class TestSchedules:
         assert count == len(starts) == 181
 
     def test_identity_schedule_fails_connectivity(self):
-        s = matrix_list_schedule([np.eye(4)], r=np.full(4, 0.25))
+        s = with_weights([np.eye(4)], np.full(4, 0.25))
         report = validate_schedule(s, horizon=50)
         assert not report.passed
         starts, count = failing_starts(report)
         assert count == len(starts) == report.windows_checked
 
     def test_every_failing_window_reported(self):
-        s = matrix_list_schedule([np.eye(3)], r=np.full(3, 1 / 3))
+        s = with_weights([np.eye(3)], np.full(3, 1 / 3))
         report = validate_schedule(s, horizon=5000, window=1)
         assert report.windows_checked == 4999
         starts, count = failing_starts(report)
@@ -242,7 +238,7 @@ class TestSchedules:
 
     def test_failing_long_horizon_keeps_one_period(self):
         # Every start fails, yet only one residue is stored.
-        s = matrix_list_schedule([np.eye(3)], r=np.full(3, 1 / 3))
+        s = with_weights([np.eye(3)], np.full(3, 1 / 3))
         t0 = time.perf_counter()
         report = validate_schedule(s, horizon=10**7)
         elapsed = time.perf_counter() - t0
@@ -264,7 +260,7 @@ class TestSchedules:
         # Only the slots used by t = horizon are measured: the third slot
         # breaks r-stationarity but lies beyond horizon 2.
         skewed = np.array([[0.99, 0.01, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        s = matrix_list_schedule([CYCLE, np.eye(3), skewed], r=np.full(3, 1 / 3))
+        s = with_weights([CYCLE, np.eye(3), skewed], np.full(3, 1 / 3))
         short = validate_schedule(s, horizon=2, window=1)
         assert short.stochasticity_ok and short.min_positive_entry == 0.5
         assert short.windows_checked == 1 and failing_starts(short) == ([1], 1)
@@ -277,12 +273,6 @@ class TestSchedules:
         assert report.windows_checked == 0 and failing_starts(report) == ([], 0)
         assert "no complete window inside horizon" in report.summary()
         assert report.passed
-
-    def test_matrix_at_cycles(self):
-        s = gossip_schedule(random_weights(philox(9), 5))
-        assert np.array_equal(s.matrix_at(3), s.matrix_at(13))
-        with pytest.raises(ValueError):
-            s.matrix_at(0)
 
     def test_summary_mentions_overall(self):
         s = fixed_cycle_schedule(np.full(3, 1 / 3))
@@ -312,10 +302,6 @@ class TestMatrixListSchedule:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             matrix_list_schedule([np.eye(3), np.eye(4)])
-
-    def test_explicit_r_wins(self):
-        s = matrix_list_schedule([np.eye(3)], r=[0.2, 0.3, 0.5])
-        np.testing.assert_allclose(s.r, [0.2, 0.3, 0.5])
 
     def test_identity_family_gets_uniform_r(self):
         # Every vector is stationary for the identity; the solver settles on
@@ -393,7 +379,7 @@ class TestInputGuards:
 
     @pytest.mark.parametrize(
         "build",
-        [lambda: gossip_schedule([0.5, 0.6, -0.1]), lambda: matrix_list_schedule([np.eye(3)], r=[0.5, 0.5, 0.5])],
+        [lambda: gossip_schedule([0.5, 0.6, -0.1]), lambda: fixed_cycle_schedule([0.5, 0.5, 0.5])],
         ids=["negative entry", "sum above 1"],
     )
     def test_weights_must_be_positive_and_sum_to_one(self, build):
@@ -413,16 +399,11 @@ class TestInputGuards:
         assert messages == {"unknown schedule family 'ring'"}
 
     @pytest.mark.parametrize(
-        "matrices, kwargs, message",
-        [
-            ([], {}, "need at least one matrix"),
-            ([np.eye(3)], {"r": [0.5, 0.5]}, "weight vector shape (2,) does not match the matrices (3,)"),
-        ],
-        ids=["no matrices", "weights of another size"],
+        "matrices, message", [([], "need at least one matrix")], ids=["no matrices"]
     )
-    def test_matrix_list_rejects(self, matrices, kwargs, message):
+    def test_matrix_list_rejects(self, matrices, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            matrix_list_schedule(matrices, **kwargs)
+            matrix_list_schedule(matrices)
 
 
 class TestParseMatrixFile:
@@ -468,7 +449,7 @@ class TestParseMatrixFile:
 
 def test_matrix_list_links_read_support():
     W = np.array([[0.7, 0.3], [0.0, 1.0]])
-    s = matrix_list_schedule([W], r=[0.5, 0.5])
+    s = with_weights([W], [0.5, 0.5])
     assert s.links.tolist() == [[[True, True], [False, True]]]
 
 
@@ -479,7 +460,7 @@ def test_gossip_activation_edges_drive_connectivity():
     assert gossip_pair(4, 1) == (1, 2)
     assert np.argwhere(s.links[0]).tolist() == [[2, 1]]  # agent 1 reaches agent 2
     assert s.links.sum() == 4 and not (s.links & ~(s.matrices > 0)).any()
-    support_only = matrix_list_schedule(s.matrices, r=s.r)
+    support_only = with_weights(s.matrices, s.r)
     assert np.array_equal(support_only.links, s.matrices > 0)
     declared = validate_schedule(s, horizon=40, window=3)
     support = validate_schedule(support_only, horizon=40, window=3)
@@ -508,7 +489,7 @@ class TestValidateAgainstOracle:
             mask = rng.random((period, n, n)) < rng.uniform(0.05, 0.5)
             mask[:, np.arange(n), rng.integers(0, n, n)] = True  # no empty row
             W = mask * rng.uniform(0.1, 1.0, mask.shape)
-            s = matrix_list_schedule(W / W.sum(axis=2, keepdims=True), r=np.full(n, 1 / n))
+            s = with_weights(W / W.sum(axis=2, keepdims=True), np.full(n, 1 / n))
             for window in (None, 1, 2, period + 1):
                 self.assert_same(s, window)
 

@@ -15,6 +15,10 @@ ran is printed as ``path:line: tag: source``, where the tag is ``tests`` if
 a test runs the line and ``nothing`` if none does.  The tracer does not
 follow worker processes of a pool, but this process starts the pool and
 collects its traces, so those lines count.
+
+The exit status is 1 when any line is tagged ``nothing`` other than
+``cli.py``'s ``sys.exit(main())``, which only a ``python -m`` subprocess
+runs, and 0 otherwise.
 """
 
 import contextlib
@@ -110,13 +114,17 @@ def main() -> int:
         return out
 
     by_cli, by_tests = lines(by_cli), lines(by_tests)
+    status = 0
     for path in sorted(PACKAGE.glob("*.py")):
         key = os.path.realpath(path)
         source = path.read_text(encoding="utf-8").splitlines()
         for line in sorted(executable_lines(path) - by_cli.get(key, set())):
             tag = "tests" if line in by_tests.get(key, set()) else "nothing"
-            print(f"{path.relative_to(ROOT)}:{line}: {tag}: {source[line - 1].strip()}")
-    return 0
+            text = source[line - 1].strip()
+            print(f"{path.relative_to(ROOT)}:{line}: {tag}: {text}")
+            if tag == "nothing" and (path.name, text) != ("cli.py", "sys.exit(main())"):
+                status = 1
+    return status
 
 
 if __name__ == "__main__":
