@@ -29,18 +29,16 @@ import numpy as np
 
 
 def weighted_mean(X: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """xbar = X' r, the r-weighted average of the agent states (rows of X);
-    a batch (R, n, d) of states gives one mean per item, (R, d)."""
-    return np.asarray(r, dtype=float) @ np.asarray(X, dtype=float)
+    """xbar = X' r, the r-weighted average of the agent states (rows of the
+    float array X); a batch (R, n, d) gives one mean per item, (R, d)."""
+    return r @ X
 
 
 def r_norm_sq(A: np.ndarray, r: np.ndarray):
-    """||A||_r^2 = sum_i r_i ||A_i||^2 over the rows A_i of A (n, d), rows
-    along the last axis.  A batch (R, n, d) gives an array of R values, each
-    computed from its own item alone; r is one (n,) vector or one per item,
-    (R, n)."""
-    A = np.asarray(A, dtype=float)
-    r = np.asarray(r, dtype=float)
+    """||A||_r^2 = sum_i r_i ||A_i||^2 over the rows A_i of the float array
+    A (n, d), rows along the last axis.  A batch (R, n, d) gives R values,
+    each computed from its own item alone; the float weights r are one (n,)
+    vector or one per item, (R, n)."""
     sq = (A * A).sum(-1)
     if sq.shape[-1:] != r.shape[-1:]:
         raise ValueError("row count must match the weight vector")
@@ -48,15 +46,13 @@ def r_norm_sq(A: np.ndarray, r: np.ndarray):
 
 
 def deviation_sq(X: np.ndarray, r: np.ndarray):
-    """Consensus error ||X - 1 xbar'||_r^2 at the r-weighted mean."""
-    X = np.asarray(X, dtype=float)
+    """Consensus error ||X - 1 xbar'||_r^2 of float states X at their r-weighted mean."""
     return r_norm_sq(X - weighted_mean(X, r)[..., None, :], r)
 
 
 def dist_opt_sq(X: np.ndarray, r: np.ndarray, x_star: np.ndarray):
-    """Squared r-weighted distance of all agents to a common point x*."""
-    X = np.asarray(X, dtype=float)
-    return r_norm_sq(X - np.asarray(x_star, dtype=float), r)
+    """Squared r-weighted distance of all agents to a common float point x*."""
+    return r_norm_sq(X - x_star, r)
 
 
 # ---------------------------------------------------------------------------

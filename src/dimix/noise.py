@@ -100,7 +100,7 @@ def quantizer_variance_coeff(d: int, s: int) -> float:
     E||Q(x) - x||^2 <= coeff * ||x||^2."""
     if d < 1 or s < 1:
         raise ValueError("dimension and level count must be >= 1")
-    return min(np.sqrt(d) / s, d / s**2)
+    return float(min(np.sqrt(d) / s, d / s**2))
 
 
 def noise_variance_bound(model: NoiseModel, d: int, state_norm_bound: float) -> float:

@@ -90,11 +90,11 @@ def local_quadratics(U: np.ndarray, v: np.ndarray, shards):
 @dataclass(frozen=True)
 class Problem:
     """A sharded instance, built from its data alone: the pool (U, v), the
-    weights r, agent i's point indices ``shards[i]`` and, optionally, the
-    minimizer x_star (for objectives with no unique one, or an optimum
-    pinned exactly).  It computes n, d and N, agent i's quadratic (H[i],
-    b[i], c[i]), x_star of the weighted objective sum_i r_i f_i when none is
-    given, and the curvature bounds of that objective."""
+    weights r, agent i's point indices ``shards[i]`` and, optionally, a
+    float minimizer x_star whose shape (d,) it checks (for objectives with
+    no unique one, or an optimum pinned exactly).  It computes n, d, N,
+    agent i's quadratic (H[i], b[i], c[i]), x_star of sum_i r_i f_i when
+    none is given, and the curvature bounds of that objective."""
 
     n: int = field(init=False)
     d: int = field(init=False)
@@ -118,6 +118,8 @@ class Problem:
         x_star = self.x_star
         if x_star is None:
             x_star = np.linalg.solve(H_bar, sum(r_i * b_i for r_i, b_i in zip(self.r, b)))
+        elif np.shape(x_star) != (self.U.shape[1],):
+            raise ValueError("x_star dimension does not match the objectives")
         eigs = np.linalg.eigvalsh(H_bar)
         derived = dict(
             n=len(self.shards), d=self.U.shape[1], N=len(self.v), H=H, b=b, c=c, x_star=x_star,
@@ -129,7 +131,7 @@ class Problem:
     def pooled_loss(self, x):
         """Mean square over the whole pool at a single point, (1/2N)||v - Ux||^2;
         a batch (R, d) of points gives R values, each from its own point."""
-        resid = self.v - np.matmul(self.U, np.asarray(x, dtype=float)[..., None])[..., 0]
+        resid = self.v - np.matmul(self.U, x[..., None])[..., 0]
         return (resid * resid).sum(-1) / (2 * self.N)
 
     def local_values(self, X, HX):

@@ -79,6 +79,17 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="weights"):
             RunConfig(problem=default_problem, schedule=other, steps=DEFAULT_STEPS, T=10)
 
+    def test_weight_check_is_absolute(self):
+        # r[0] off by 1e-9 is past atol = 1e-12; a relative tolerance of
+        # 1e-5 would let it through.
+        true = build_problem(n=4, d=5, N=40, seed=3)
+        shifted = true.r.copy()
+        shifted[0] += 1e-9
+        problem = build_problem(n=4, d=5, N=40, seed=3, r=shifted)
+        with pytest.raises(ValueError, match="weights disagree"):
+            RunConfig(problem=problem, schedule=gossip_schedule(true.r), steps=DEFAULT_STEPS, T=10)
+        RunConfig(problem=true, schedule=gossip_schedule(true.r), steps=DEFAULT_STEPS, T=10)
+
     def test_dimension(self):
         assert simple_config(d=7).problem.d == 7
 
@@ -326,6 +337,11 @@ class TestChunkInvariance:
 
     def test_single_iteration(self, monkeypatch):
         self.check(monkeypatch, small_instance_config("gossip", stochastic_quantizer(4), 1))
+
+    def test_single_gaussian_iteration(self, monkeypatch):
+        # T = 1 draws nothing, yet the channel's message buffers are built.
+        traces = self.check(monkeypatch, small_instance_config("gossip", gaussian_channel(0.3), 1))
+        assert [tr.t.tolist() for tr in traces] == [[1]] * 20
 
     def test_zero_state_quantizer_draws_in_lockstep(self, monkeypatch):
         # Zero data keeps every state at zero; the zero rows still draw.

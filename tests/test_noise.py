@@ -208,6 +208,13 @@ class TestVarianceBound:
         with pytest.raises(ValueError, match="must be >= 1"):
             quantizer_variance_coeff(d, s)
 
+    @pytest.mark.parametrize("d, s", [(25, 4), (4, 4)], ids=["sqrt_d_over_s", "d_over_s_squared"])
+    def test_gamma_is_a_python_float(self, d, s):
+        # Either branch of the coefficient's min, and every model's gamma.
+        assert type(quantizer_variance_coeff(d, s)) is float
+        for model in (noiseless(), gaussian_channel(0.1), stochastic_quantizer(s)):
+            assert type(noise_variance_bound(model, d, 2.0)) is float
+
     def test_frozen_values(self):
         assert noise_variance_bound(noiseless(), 25, 1.0) == 0.0
         assert noise_variance_bound(gaussian_channel(0.1), 25, 1.0) == pytest.approx(0.01)

@@ -3,7 +3,7 @@
     PYTHONPATH=<tree>/src python3 tools/cli_outputs.py DEST
 
 runs ``run --plots``, ``sweep --plots`` and ``theory`` (each at --jobs 1 and
-2), ``validate`` and ``lemmas`` on twenty-eight configs with whichever dimix
+2), ``validate`` and ``lemmas`` on thirty configs with whichever dimix
 the PYTHONPATH gives (only the commands in ONLY on the configs it names),
 and on the configs in SEEDED the three with ``--seed 3`` and ``lemmas``
 without a config.  The configs include a theory
@@ -17,7 +17,8 @@ one whose stationary vector misses the residual tolerance, seeds that all
 diverge, a T_grid out of order with a horizon listed twice, an identity
 schedule that no window connects (``validate``, ``run --jobs 1`` and
 ``theory`` only), the same schedule at horizon 10^7 (``validate`` only),
-and a negative seed.  Each
+a negative seed, and arms A and B of the reproduction study's config S
+(``tests/test_reproduction.py``; ``sweep --jobs 1`` only).  Each
 command runs in its own directory DEST/<config>/<command> with a relative
 --out, so nothing it prints holds an absolute path; stdout, stderr, the
 exit code and every output file are kept there.
@@ -183,6 +184,17 @@ CONFIGS = {
     # Every command fails with "seed must be >= 0, got -1" (older trees
     # printed numpy's "expected non-negative integer").
     "negative_seed": ("family = gossip\nseed = -1\nT = 20\nruns = 2\nT_grid = 10, 20\n", ()),
+    # Study config S, the one Gaussian fixed cycle at alpha0 = 16: arm A
+    # (mu = 0.75, nu = 0.25) falls like T^-1/2, arm B (mu = 0.02, nu = 0.98)
+    # grows.  Only sweep at --jobs 1 runs.
+    **{
+        f"study_s_arm_{arm}": (
+            "family = fixed_cycle\nn = 4\nd = 5\nN = 400\nnoise = gaussian_channel\nsigma = 0.5\n"
+            f"alpha0 = 16\nbeta0 = 1.0\n{steps}T = 5000\nruns = 10\nT_grid = 500, 1000, 2000, 3000, 4000, 5000\n",
+            (),
+        )
+        for arm, steps in (("a", "mu = 0.75\nnu = 0.25\n"), ("b", "mu = 0.02\nnu = 0.98\n"))
+    },
 }
 
 # Configs whose run, theory and lemmas are also recorded with --seed 3, and
@@ -192,6 +204,8 @@ SEEDED = ("matrix_file_gaps_gauss",)
 ONLY = {
     "identity_schedule": ("validate", "run-j1", "theory-j1", "theory-j2"),
     "identity_long_horizon": ("validate",),
+    "study_s_arm_a": ("sweep-j1",),
+    "study_s_arm_b": ("sweep-j1",),
 }
 
 
