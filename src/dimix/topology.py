@@ -123,25 +123,34 @@ def strongly_connected(links: np.ndarray):
 class MixingSchedule:
     """A periodic sequence of mixing matrices plus the metadata the analysis
     needs: the common stationary weights r and, measured from the matrices,
-    n, the entry floor eta and the connectivity window B (the period).
+    n, the entry floor eta, the connectivity window B (the period) and the
+    links.
 
     ``matrices`` holds one period, stacked (period, n, n): iteration t >= 1
-    uses slot (t - 1) mod B.  ``links`` (period, n, n) holds the communication
-    links the connectivity check pools: ``links[s, i, j]`` means agent j's
-    state reaches agent i in slot s.  Gossip declares its activation pair;
-    every other schedule uses the matrix support.
+    uses slot (t - 1) mod B.  ``links[s, i, j]`` (agent j's state reaches
+    agent i in slot s) is the matrix support, narrowed for the gossip kind to
+    slot s's declared pair ``gossip_pair(n, s + 1)``, as ``edge_source``
+    says; no schedule can claim a link its matrices lack.
     """
 
     kind: str
     r: np.ndarray
     matrices: np.ndarray
-    links: np.ndarray
     n: int = field(init=False)
     B: int = field(init=False)
     eta: float = field(init=False)
+    links: np.ndarray = field(init=False)
+    edge_source: str = field(init=False)
 
     def __post_init__(self) -> None:
         self.n, self.B, self.eta = self.matrices.shape[-1], len(self.matrices), entry_floor(self.matrices)
+        self.links, self.edge_source = self.matrices > 0.0, "matrix support"
+        if self.kind == "gossip":
+            slot = np.arange(self.B)
+            a, b = gossip_pair(self.n, slot + 1)
+            declared = np.zeros_like(self.links)
+            declared[slot, b, a] = self.links[slot, b, a]
+            self.links, self.edge_source = declared, "declared activation links"
 
 
 def entry_floor(matrices):
@@ -184,14 +193,7 @@ def _family_schedule(kind: str, r) -> MixingSchedule:
     r = np.asarray(r, dtype=float)
     if r.ndim != 1:
         raise ValueError(f"a {kind} schedule takes one 1-D weight vector, got shape {r.shape}")
-    n = r.size
-    W = family_matrices(kind, r)
-    links = W > 0.0
-    if kind == "gossip":
-        a, b = gossip_pair(n, np.arange(1, n + 1))
-        links = np.zeros_like(links)
-        links[np.arange(n), b, a] = True
-    return MixingSchedule(kind=kind, r=r, matrices=W, links=links)
+    return MixingSchedule(kind=kind, r=r, matrices=family_matrices(kind, r))
 
 
 def fixed_cycle_schedule(r) -> MixingSchedule:
@@ -201,12 +203,9 @@ def fixed_cycle_schedule(r) -> MixingSchedule:
 
 def gossip_schedule(r) -> MixingSchedule:
     """Single-edge gossip schedule with period n and window length B = n.
-
-    The declared link at iteration t is the ordered activation pair
-    ``(t mod n, (t+1) mod n)``, one edge of the directed cycle, so the declared
-    links are B-connected exactly at B = n.  The realized exchange is
-    bidirectional, so any window they accept is connected in it too.
-    """
+    Iteration t's declared link, ``gossip_pair(n, t)``, is one edge of the
+    directed cycle, so the links are B-connected exactly at B = n; the
+    realized exchange is mutual, so any window they accept is connected."""
     return _family_schedule("gossip", r)
 
 
@@ -254,7 +253,7 @@ def matrix_list_schedule(matrices) -> MixingSchedule:
         raise ValueError("matrix entries must be finite and nonnegative")
     if np.abs(W.sum(axis=2) - 1.0).max() > 1e-9:
         raise ValueError("matrix rows must sum to 1")
-    return MixingSchedule(kind="matrix_list", r=stationary_weights(W), matrices=W, links=W > 0.0)
+    return MixingSchedule(kind="matrix_list", r=stationary_weights(W), matrices=W)
 
 
 def parse_matrix_file(path) -> list[np.ndarray]:
@@ -390,5 +389,5 @@ def validate_schedule(
         max_stationarity_dev=float(np.abs(r @ W - r).max()),
         min_positive_entry=entry_floor(W), windows_checked=count,
         failing_residues=tuple(first[~strongly_connected(pooled)].tolist()), period=period,
-        edge_source="declared activation links" if schedule.kind == "gossip" else "matrix support",
+        edge_source=schedule.edge_source,
     )

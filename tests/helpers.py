@@ -1,7 +1,10 @@
 """Model, trace and validation-report helpers shared by the test modules."""
 
 import heapq
+import importlib.util
+import sys
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 
@@ -29,8 +32,7 @@ def with_weights(matrices, r) -> MixingSchedule:
     directly: ``matrix_list_schedule`` always solves the matrices for r, so
     this is how a test gets weights the matrices do not preserve, or keeps
     an exact r that the solver would round."""
-    W = np.array(matrices, dtype=float)
-    return MixingSchedule(kind="matrix_list", r=np.asarray(r, dtype=float), matrices=W, links=W > 0.0)
+    return MixingSchedule(kind="matrix_list", r=np.asarray(r, dtype=float), matrices=np.array(matrices, dtype=float))
 
 
 def col(values, name):
@@ -56,3 +58,13 @@ def failing_starts(report, limit=None) -> tuple[list[int], int]:
     first ``limit`` of them when given) and how many there are in all."""
     ranges = [range(s, report.windows_checked + 1, report.period) for s in report.failing_residues]
     return list(islice(heapq.merge(*ranges), limit)), sum(map(len, ranges))
+
+
+def repo_script(folder: str, name: str):
+    """<folder>/<name>.py of the repository, loaded by its path as a script
+    there is run."""
+    path = Path(__file__).resolve().parents[1] / folder / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{folder}_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module

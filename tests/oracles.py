@@ -155,8 +155,8 @@ def validate_windows(
     report and every failing window start the walk found.
 
     Stochasticity and the entry floor are measured per slot up to the
-    horizon.  The links of a slot are gossip's declared activation pair, or
-    else the matrix support, as edge sets; every start t in
+    horizon.  The links of a slot are the matrix support as an edge set,
+    cut to the declared activation pair for gossip; every start t in
     [1, horizon - window] pools the sets of iterations t+1 .. t+window and
     walks the union.  The report's residues are the failing starts of the
     first period.
@@ -167,10 +167,9 @@ def validate_windows(
     row_dev = max(float(np.max(np.abs(W.sum(axis=1) - 1.0))) for W in slots)
     stat_dev = max(float(np.max(np.abs(r @ W - r))) for W in slots)
     gossip = schedule.kind == "gossip"
-    slot_edges = [
-        {gossip_pair(n, t)} if gossip else edge_set(schedule.matrices[t - 1])
-        for t in range(1, period + 1)
-    ]
+    slot_edges = [edge_set(W) for W in schedule.matrices]
+    if gossip:
+        slot_edges = [edges & {gossip_pair(n, t)} for t, edges in enumerate(slot_edges, start=1)]
     failures = []
     for start in range(1, horizon - window + 1):
         union: set[tuple[int, int]] = set()

@@ -1,10 +1,10 @@
 import hashlib
-import importlib.util
 import math
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,17 +25,9 @@ from dimix.reporting import (
     write_csv,
     write_manifest,
 )
+from dimix.topology import MixingSchedule, validate_schedule
 
-from helpers import col
-
-
-def perfbench_module(name: str):
-    """perfbench/<name>.py, loaded by its path as the benchmark loads it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
+from helpers import col, repo_script
 
 
 def read_csv_columns(path) -> dict[str, np.ndarray]:
@@ -551,6 +543,14 @@ class TestCoverageVerdict:
         c = dimix.cli.certificate(dimix.cli.build_experiment(dimix.cli.parse_config(str(cfg)))[1])
         assert c.mixing_failed == ("connectivity",)
 
+    def test_a_directly_built_gossip_identity_fails_connectivity(self, tmp_path):
+        # Its links are measured from its matrices, so none joins two agents,
+        # whatever pair its gossip slot declares.
+        _, rc = dimix.cli.build_experiment(dimix.cli.parse_config(str(self.write(tmp_path, self.EYE3))))
+        s = MixingSchedule(kind="gossip", r=rc.schedule.r, matrices=np.eye(3)[None])
+        assert not validate_schedule(s, horizon=10).connectivity_ok
+        assert dimix.cli.certificate(replace(rc, schedule=s)).mixing_failed == ("connectivity",)
+
     def test_side_condition_is_named_on_every_row_and_in_the_manifest(self, tmp_path, capsys):
         cfg = self.write(tmp_path, self.SECTION3_CYCLE)
         assert main(["theory", "--config", str(cfg), "--assume-q0", "1"]) == 0
@@ -606,7 +606,7 @@ class TestCoverageVerdict:
     def test_thresholds_are_computed_once_per_command(self, tmp_path, capsys, monkeypatch, command):
         # The certify_gossip_n4 benchmark config; every constant reuses the
         # certificate's thresholds.
-        workload = perfbench_module("workloads").WORKLOADS["certify_gossip_n4"]
+        workload = repo_script("perfbench", "workloads").WORKLOADS["certify_gossip_n4"]
         cfg = self.write(tmp_path, workload.config_text(0, workload.size))
         calls, real = [], dimix.analysis.thresholds
 
@@ -918,7 +918,7 @@ class TestBenchmarkHooks:
 
     @staticmethod
     def tracer():
-        return perfbench_module("tracing").Tracer()
+        return repo_script("perfbench", "tracing").Tracer()
 
     def test_every_traced_name_exists(self):
         tracer = self.tracer()

@@ -334,16 +334,17 @@ class TestMatrixListSchedule:
 
 
 class TestMeasuredFacts:
-    """A schedule's n, B and eta come from its matrices; none is an argument."""
+    """A schedule's n, B, eta and links come from its matrices; none is an
+    argument."""
 
     def test_init_takes_only_what_is_not_measured(self):
-        assert [f.name for f in fields(MixingSchedule) if f.init] == ["kind", "r", "matrices", "links"]
+        assert [f.name for f in fields(MixingSchedule) if f.init] == ["kind", "r", "matrices"]
 
-    @pytest.mark.parametrize("name", ["n", "eta", "B"])
+    @pytest.mark.parametrize("name", ["n", "eta", "B", "links"])
     def test_measured_fact_is_not_an_argument(self, name):
         s = fixed_cycle_schedule(np.full(3, 1 / 3))
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
-            MixingSchedule(kind=s.kind, r=s.r, matrices=s.matrices, links=s.links, **{name: 1})
+            MixingSchedule(kind=s.kind, r=s.r, matrices=s.matrices, **{name: 1})
 
     @pytest.mark.parametrize(
         "build, n, B",
@@ -491,6 +492,20 @@ class TestValidateAgainstOracle:
             W = mask * rng.uniform(0.1, 1.0, mask.shape)
             s = with_weights(W / W.sum(axis=2, keepdims=True), np.full(n, 1 / n))
             for window in (None, 1, 2, period + 1):
+                self.assert_same(s, window)
+
+    def test_random_sparse_gossip_kind(self):
+        # Built directly, a gossip schedule keeps a slot's declared pair only
+        # where the slot's matrix has it.
+        rng = philox(43)
+        for _ in range(100):
+            n, period = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            mask = rng.random((period, n, n)) < rng.uniform(0.3, 0.9)
+            mask[:, np.arange(n), np.arange(n)] = True
+            W = mask * rng.uniform(0.1, 1.0, mask.shape)
+            s = MixingSchedule(kind="gossip", r=np.full(n, 1 / n), matrices=W / W.sum(axis=2, keepdims=True))
+            assert s.links.sum() <= period and not (s.links & ~mask).any()
+            for window in (None, 1, period + 1, n + 1):
                 self.assert_same(s, window)
 
     @pytest.mark.parametrize("kind", ["fixed_cycle", "gossip"])
