@@ -3,4 +3,4 @@ with lossy information sharing, plus the tooling that checks its convergence
 certificate: schedule validation, randomized inequality tests, explicit rate
 constants, and Monte Carlo drivers."""
 
-from .reporting import VERSION as __version__
+__version__ = "0.1.0"

@@ -90,11 +90,11 @@ def local_quadratics(U: np.ndarray, v: np.ndarray, shards):
 @dataclass(frozen=True)
 class Problem:
     """A sharded instance, built from its data alone: the pool (U, v), the
-    weights r, agent i's point indices ``shards[i]`` and, optionally, a
-    float minimizer x_star whose shape (d,) it checks (for objectives with
-    no unique one, or an optimum pinned exactly).  It computes n, d, N,
-    agent i's quadratic (H[i], b[i], c[i]), x_star of sum_i r_i f_i when
-    none is given, and the curvature bounds of that objective."""
+    weights r and agent i's point indices ``shards[i]``.  It computes n, d,
+    N, agent i's quadratic (H[i], b[i], c[i]), the curvature bounds of f =
+    sum_i r_i f_i and x_star, always solved as f's minimizer.  It raises
+    ValueError before the solve unless f is strongly convex: the pooled
+    Hessian's smallest eigenvalue must exceed d * eps * its largest."""
 
     n: int = field(init=False)
     d: int = field(init=False)
@@ -106,24 +106,24 @@ class Problem:
     H: np.ndarray = field(init=False)
     b: np.ndarray = field(init=False)
     c: np.ndarray = field(init=False)
-    x_star: np.ndarray | None = None
+    x_star: np.ndarray = field(init=False)
     strong_convexity: float = field(init=False)
     smoothness: float = field(init=False)
 
     def __post_init__(self) -> None:
         H, b, c = local_quadratics(self.U, self.v, self.shards)
-        # Left folds, sum(r_i * H_i): x_star and the curvature bounds are pinned
-        # to this summation order.
+        # x_star and the curvature bounds are pinned to the left folds sum(r_i * H_i).
         H_bar = sum(r_i * H_i for r_i, H_i in zip(self.r, H))
-        x_star = self.x_star
-        if x_star is None:
-            x_star = np.linalg.solve(H_bar, sum(r_i * b_i for r_i, b_i in zip(self.r, b)))
-        elif np.shape(x_star) != (self.U.shape[1],):
-            raise ValueError("x_star dimension does not match the objectives")
-        eigs = np.linalg.eigvalsh(H_bar)
+        eigs, d = np.linalg.eigvalsh(H_bar), self.U.shape[1]
+        if eigs[0] <= (floor := d * np.finfo(float).eps * eigs[-1]):
+            raise ValueError(
+                f"the pooled objective is not strongly convex: N = {len(self.v)} points in d = {d} dimensions, "
+                f"smallest Hessian eigenvalue {eigs[0]:.3g} <= d*eps*lambda_max = {floor:.3g}"
+            )
+        x_star = np.linalg.solve(H_bar, sum(r_i * b_i for r_i, b_i in zip(self.r, b)))
         derived = dict(
-            n=len(self.shards), d=self.U.shape[1], N=len(self.v), H=H, b=b, c=c, x_star=x_star,
-            strong_convexity=max(float(eigs[0]), 0.0), smoothness=float(eigs[-1]),
+            n=len(self.shards), d=d, N=len(self.v), H=H, b=b, c=c, x_star=x_star,
+            strong_convexity=float(eigs[0]), smoothness=float(eigs[-1]),
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)  # frozen: set once, here
@@ -150,7 +150,8 @@ def build_problem(
     p_high: float = 0.09,
     r=None,
 ) -> Problem:
-    """Generate the standard sharded instance for a seed.
+    """Generate the standard sharded instance for a seed (``Problem`` solves
+    x_star, and refuses an f that is not strongly convex, as with N < d).
 
     One Philox stream (seed, 0) is consumed in a fixed order: the data pool,
     the raw weight scores p ~ U(p_low, p_high), the dealing shuffle.  An

@@ -18,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__ as VERSION
 from .noise import KINDS as _NOISE_KINDS
 from .topology import FAMILIES
-
-VERSION = "0.1.0"
 
 
 def _cast_float(raw: str) -> float:

@@ -14,17 +14,13 @@ from dimix.objective import Problem
 from dimix.topology import MixingSchedule
 
 
-def model(Us, vs, r, x_star=None) -> Problem:
+def model(Us, vs, r) -> Problem:
     """A Problem whose agent i holds exactly the points (Us[i], vs[i]); the
-    pool is their concatenation.
-
-    An explicit ``x_star`` is taken as given, for objectives with no unique
-    minimizer (H = 0, say) or an optimum pinned exactly.
-    """
+    pool is their concatenation, and its x_star is solved as always."""
     U, v, r = np.concatenate(Us), np.concatenate(vs), np.asarray(r, dtype=float)
     ends = np.cumsum([len(u) for u in Us])
     shards = tuple(np.arange(end - len(u), end) for u, end in zip(Us, ends))
-    return Problem(U, v, r, shards, None if x_star is None else np.asarray(x_star, dtype=float))
+    return Problem(U, v, r, shards)
 
 
 def with_weights(matrices, r) -> MixingSchedule:

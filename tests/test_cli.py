@@ -193,6 +193,7 @@ class TestRunCommand:
         assert rc == 0
         for name in ("run_00.csv", "run_01.csv", "mean.csv", "manifest.txt"):
             assert (out / name).exists(), name
+        assert "derived.version = 0.1.0\n" in (out / "manifest.txt").read_text()
         stdout = capsys.readouterr().out
         assert "final mean dist_opt_sq" in stdout
         assert "2 completed, 0 aborted" in stdout
@@ -896,6 +897,21 @@ class TestErrorPaths:
         assert rc == 2 and captured.out == ""
         assert captured.err == "error: Unable to allocate 7.28 TiB for an array with shape (1000000000000, 4)\n"
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "theory", "validate"])
+    def test_objective_not_strongly_convex_is_one_error(self, tmp_path, capsys, command):
+        # N = 4 points in d = 5 dimensions: the pooled Hessian is singular.
+        cfg = tmp_path / "cfg"
+        cfg.write_text("family = fixed_cycle\nn = 4\nd = 5\nN = 4\nseed = 0\nT = 20\nruns = 2\nT_grid = 10, 20\n")
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        # The smallest eigenvalue is rounding noise, so only its form is checked.
+        assert re.fullmatch(
+            r"error: the pooled objective is not strongly convex: N = 4 points in d = 5 dimensions, "
+            r"smallest Hessian eigenvalue \S+ <= d\*eps\*lambda_max = 1\.34e-15\n",
+            captured.err,
+        )
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_all_diverged_names_the_earliest_abort(self, tmp_path, capsys, command, jobs):
@@ -962,3 +978,17 @@ class TestBenchmarkHooks:
             check=True,
         )
         assert proc.stdout == "\n"
+
+    def test_importing_a_submodule_loads_no_output_layer(self):
+        # The package root defines __version__ itself, so a submodule's
+        # import runs no other module of the package.
+        code = "import sys\nimport dimix.rng\nprint(sorted(name for name in sys.modules if name.startswith('dimix')))\n"
+        src = str(Path(dimix.cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout == "['dimix', 'dimix.rng']\n"

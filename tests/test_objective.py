@@ -97,10 +97,11 @@ class TestPartition:
 
 class TestLocalObjective:
     def test_single_point_gradient_at_zero(self):
-        # f(x) = 0.5 (v - u'x)^2 gives grad f(0) = -v u.
+        # f(x) = 0.5 (v - u'x)^2 gives grad f(0) = -v u.  Agent 1's full-rank
+        # shard makes the pooled objective strongly convex.
         u = np.array([0.3, -1.2, 0.5])
         v = np.array([2.0])
-        p = model([u[None, :]], [v], [1.0], x_star=np.zeros(3))  # rank one
+        p = model([u[None, :], philox(1).random((3, 3))], [v, np.ones(3)], [0.5, 0.5])
         np.testing.assert_allclose(at_each_agent(p, np.zeros(3))[0][0], -v[0] * u)
 
     def test_quadratic_identity(self):
@@ -166,6 +167,34 @@ class TestProblem:
         assert (q.n, q.d, q.N) == (20, 25, 100)
         with pytest.raises(TypeError, match="'n'"):
             Problem(p.U, p.v, p.r, p.shards, n=20)
+        with pytest.raises(TypeError, match="'x_star'"):
+            Problem(p.U, p.v, p.r, p.shards, x_star=p.x_star)
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_refuses_an_objective_that_is_not_strongly_convex(self, seed):
+        # Four points in five dimensions: the pooled Hessian has rank 4 at
+        # most.  Unrefused, seed 0 solves a numerically singular system for
+        # an arbitrary x_star, and seed 2's solve raises "Singular matrix".
+        message = (
+            r"^the pooled objective is not strongly convex: N = 4 points in d = 5 dimensions, "
+            r"smallest Hessian eigenvalue \S+ <= d\*eps\*lambda_max = \S+$"
+        )
+        with pytest.raises(ValueError, match=message):
+            build_problem(n=4, d=5, N=4, seed=seed)
+
+    def test_refuses_zero_curvature(self):
+        # All-zero data: H = 0, so the threshold d * eps * lambda_max is 0.
+        with pytest.raises(ValueError, match="N = 4 points in d = 3 dimensions, smallest Hessian eigenvalue 0 <= "):
+            Problem(np.zeros((4, 3)), np.zeros(4), np.ones(1), (np.arange(4),))
+
+    def test_refusal_threshold_is_relative_to_the_largest_eigenvalue(self):
+        # Scaling the data scales every eigenvalue alike, so the verdict and
+        # x_star do not change with the units of the data.
+        p = build_problem(n=3, d=5, N=6, seed=1)
+        for scale in (1e-6, 1e6):
+            q = Problem(scale * p.U, scale * p.v, p.r, p.shards)
+            np.testing.assert_allclose(q.x_star, p.x_star, rtol=1e-8)
+            assert q.strong_convexity == pytest.approx(scale**2 * p.strong_convexity, rel=1e-8)
 
     def test_optimum_is_stationary(self, default_problem):
         p = default_problem

@@ -3,7 +3,7 @@
     PYTHONPATH=<tree>/src python3 tools/cli_outputs.py DEST
 
 runs ``run --plots``, ``sweep --plots`` and ``theory`` (each at --jobs 1 and
-2), ``validate`` and ``lemmas`` on thirty-one configs with whichever dimix
+2), ``validate`` and ``lemmas`` on thirty-two configs with whichever dimix
 the PYTHONPATH gives (only the commands in ONLY on the configs it names),
 and on the configs in SEEDED the three with ``--seed 3`` and ``lemmas``
 without a config.  The configs include a theory
@@ -17,7 +17,9 @@ one whose stationary vector misses the residual tolerance, seeds that all
 diverge, a T_grid out of order with a horizon listed twice, an identity
 schedule that no window connects (``validate``, ``run --jobs 1`` and
 ``theory`` only), the same schedule at horizon 10^7 (``validate`` only),
-a negative seed, four-agent gossip at window 3, where its declared links
+a negative seed, N = 4 points in d = 5 dimensions, whose objective is not
+strongly convex (``validate`` and ``run``, ``sweep`` and ``theory`` at
+``--jobs 1`` only), four-agent gossip at window 3, where its declared links
 fail and the matrix support would pass (``validate`` only), and arms A and
 B of the reproduction study's config S (``tests/test_reproduction.py``;
 ``sweep --jobs 1`` only).  Each
@@ -186,6 +188,10 @@ CONFIGS = {
     # Every command fails with "seed must be >= 0, got -1" (older trees
     # printed numpy's "expected non-negative integer").
     "negative_seed": ("family = gossip\nseed = -1\nT = 20\nruns = 2\nT_grid = 10, 20\n", ()),
+    # Four points in five dimensions: the pooled objective is not strongly
+    # convex, so every command fails with a one-line error naming N and d
+    # (older trees ran on an arbitrary solve of the singular system).
+    "not_strongly_convex": ("family = fixed_cycle\nn = 4\nd = 5\nN = 4\nseed = 0\nT = 20\nruns = 2\nT_grid = 10, 20\n", ()),
     # Gossip's links are its declared pairs: one directed cycle edge per
     # slot, so no window of 3 on four agents connects, although each
     # exchange is mutual and the matrix support connects windows of 3.
@@ -212,6 +218,7 @@ ONLY = {
     "identity_schedule": ("validate", "run-j1", "theory-j1", "theory-j2"),
     "identity_long_horizon": ("validate",),
     "gossip_window_3": ("validate",),
+    "not_strongly_convex": ("validate", "run-j1", "sweep-j1", "theory-j1"),
     "study_s_arm_a": ("sweep-j1",),
     "study_s_arm_b": ("sweep-j1",),
 }
